@@ -11,18 +11,17 @@ Subcommands::
     scanseq losses    --op {contrastive,cost,fourier,pool} --in in.json --out out.json
 
 Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
-error, 74 I/O failure. ``evaluate`` accepts repeated --gt/--pred pairs and
-runs them concurrently (--threads, or the SCANSEQ_THREADS environment
-variable).
+error (including a threshold outside [0, 1) and --threads below 1), 74 I/O
+or file-format failure. ``evaluate`` accepts repeated --gt/--pred pairs and
+evaluates them one after another; --threads is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scanseq",
                      description="Temporal instance segmentation tooling")
@@ -69,8 +75,9 @@ def _build_parser() -> _Parser:
                         help="include per-change-type recall in the report")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="seed for ambiguous-group disambiguation")
-    p_eval.add_argument("--threads", type=int, default=None,
-                        help="concurrent sequences (default SCANSEQ_THREADS or 1)")
+    p_eval.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; sequences are "
+                             "evaluated one after another")
     p_eval.add_argument("--out", required=True)
 
     p_assoc = sub.add_parser("associate", help="lift per-stage predictions to 4D")
@@ -109,7 +116,10 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         if token == "sweep":
             values.update(metrics.SWEEP_THRESHOLDS)
         else:
-            values.add(float(token))
+            value = float(token)
+            if not 0.0 <= value < 1.0:  # also rejects nan
+                raise ValueError(f"threshold {token!r} is not in [0, 1)")
+            values.add(value)
     if not values:
         raise ValueError("no thresholds given")
     return tuple(sorted(values))
@@ -140,14 +150,8 @@ def _cmd_evaluate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    threads = args.threads or int(os.environ.get("SCANSEQ_THREADS", "1"))
     pairs = list(zip(args.gt, args.pred))
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda pair: _evaluate_one(pair[0], pair[1], taus, args.seed), pairs))
-    else:
-        outcomes = [_evaluate_one(g, p, taus, args.seed) for g, p in pairs]
+    outcomes = [_evaluate_one(g, p, taus, args.seed) for g, p in pairs]
 
     failed = False
     reports = []

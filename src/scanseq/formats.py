@@ -106,11 +106,7 @@ def _mask_from_payload(payload: Mapping) -> np.ndarray:
     if encoding == "rle":
         return rle_decode(payload["data"])
     if encoding == "points":
-        pts = np.asarray(payload["data"], dtype=np.int64)
-        if pts.size > 1 and np.any(np.diff(pts) <= 0):
-            # tolerated here; validate_sequence reports duplicates later
-            pass
-        return pts
+        return np.asarray(payload["data"], dtype=np.int64)
     raise FormatError(f"unknown mask encoding {encoding!r}")
 
 
@@ -161,6 +157,15 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     return root / "manifest.json"
 
 
+def _entries(container: Mapping, key: str, fields: Sequence[str], path) -> list:
+    """The list ``container[key]``, each entry an object holding ``fields``."""
+    entries = container.get(key, [])
+    for entry in entries:
+        if not isinstance(entry, Mapping) or any(f not in entry for f in fields):
+            raise FormatError(f"{path}: every entry of {key} needs {', '.join(fields)}")
+    return entries
+
+
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Load a manifest; raises :class:`FormatError` on schema problems."""
     path = Path(path)
@@ -170,7 +175,9 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     root = path.parent
     stages: list[StageCloud] = []
     per_stage_instances: list[np.ndarray] = []
-    entries = sorted(data.get("stages", []), key=lambda e: e["stage_index"])
+    entries = sorted(_entries(data, "stages", ("stage_index", "point_file",
+                                               "instance_file", "class_file"), path),
+                     key=lambda e: e["stage_index"])
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
@@ -192,7 +199,7 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
 
     annotations = data.get("annotations", {})
     class_of = {int(e["instance_id"]): int(e["class_id"])
-                for e in annotations.get("instances", [])}
+                for e in _entries(annotations, "instances", ("instance_id", "class_id"), path)}
     per_instance: dict[int, dict[int, np.ndarray]] = {}
     for t, inst_col in enumerate(per_stage_instances):
         for instance_id in np.unique(inst_col):
@@ -211,7 +218,8 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
             per_stage_points=per_instance.get(instance_id, {}), confidence=1.0))
     groups = tuple(AmbiguousGroup(group_id=int(g["group_id"]),
                                   member_instance_ids=tuple(g["members"]))
-                   for g in annotations.get("ambiguous_groups", []))
+                   for g in _entries(annotations, "ambiguous_groups",
+                                     ("group_id", "members"), path))
     try:
         labels = {int(k): ChangeType(v)
                   for k, v in annotations.get("change_labels", {}).items()}
@@ -272,7 +280,7 @@ def read_predictions(path) -> PredictionFileContent:
                                 class_id=int(entry["class_id"]),
                                 per_stage_points=per_stage,
                                 confidence=float(entry.get("confidence", 1.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
         masks.append(mask)
         if "feature" in entry:

@@ -57,29 +57,86 @@ class IoUProfile:
     t_iou: float
 
 
-def _stage_intersection(a: np.ndarray, b: np.ndarray) -> int:
-    return np.intersect1d(a, b, assume_unique=True).size
+def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]):
+    """Per-stage intersection counts and mask sizes of every (pred, gt) pair.
+
+    Returns ``(stages, inter, psize, gsize)``: the sorted stages where any mask
+    is present, ``inter[s, i, j]`` = |preds[i] & gts[j]| at ``stages[s]`` and
+    the sizes ``psize[s, i]`` and ``gsize[s, j]``. Per stage, the ground-truth
+    masks are written into a point-indexed label array in layers of mutually
+    disjoint masks (one layer unless ground-truth masks overlap), and all
+    prediction points are counted against each layer with one pair
+    ``bincount``, so the counts stay exact when masks overlap on either side.
+    Point indices must be non-negative and sorted (as
+    :class:`~scanseq.model.InstanceMask` keeps them).
+    """
+    stages = sorted({t for m in (*preds, *gts) for t in m.per_stage_points})
+    n_preds, n_gts = len(preds), len(gts)
+    psize = np.array([[p.points_at(t).size for p in preds] for t in stages],
+                     dtype=np.int64).reshape(len(stages), n_preds)
+    gsize = np.array([[g.points_at(t).size for g in gts] for t in stages],
+                     dtype=np.int64).reshape(len(stages), n_gts)
+    inter = np.zeros((len(stages), n_preds, n_gts), dtype=np.int64)
+    for s, t in enumerate(stages):
+        pending = [(j, g.per_stage_points[t]) for j, g in enumerate(gts)
+                   if t in g.per_stage_points]
+        p_masks = [p.points_at(t) for p in preds]
+        if not pending or not psize[s].any():
+            continue
+        p_points = np.concatenate(p_masks)
+        # pair code row * (n_gts + 1) + label, where label 0 is "no ground truth"
+        p_base = np.repeat(np.arange(n_preds) * (n_gts + 1), psize[s])
+        width = 1 + max(int(m[-1]) for m in (*p_masks, *(pts for _, pts in pending))
+                        if m.size)
+        while pending:
+            label = np.zeros(width, dtype=np.int32)
+            overlapping = []
+            for j, pts in pending:
+                if label[pts].any():
+                    overlapping.append((j, pts))
+                else:
+                    label[pts] = j + 1
+            counts = np.bincount(p_base + label[p_points],
+                                 minlength=n_preds * (n_gts + 1))
+            inter[s] += counts.reshape(n_preds, n_gts + 1)[:, 1:]
+            pending = overlapping
+    return stages, inter, psize, gsize
+
+
+def _gather_columns(inter: np.ndarray, gsize: np.ndarray,
+                    columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of masks assembled per stage from ground-truth columns.
+
+    ``columns[r, s]`` is the ground-truth column whose component at stage s
+    belongs to assembled mask r, or -1 where mask r is absent at stage s.
+    Returns the ``inter`` and ``gsize`` tables of the assembled masks.
+    """
+    cols = columns.T
+    used = cols >= 0
+    safe = np.where(used, cols, 0)
+    picked = np.take_along_axis(inter, safe[:, None, :], axis=2) * used[:, None, :]
+    return picked, np.take_along_axis(gsize, safe, axis=1) * used
+
+
+def _stage_iou(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray) -> np.ndarray:
+    """Per-stage IoU of every pair; 0 where either mask is absent."""
+    return inter / np.maximum(psize[:, :, None] + gsize[:, None, :] - inter, 1)
+
+
+def _tiou_matrix(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray) -> np.ndarray:
+    """t-IoU of every pair: min over stages where either mask is present."""
+    either = (psize[:, :, None] > 0) | (gsize[:, None, :] > 0)
+    tiou = np.where(either, _stage_iou(inter, psize, gsize), 1.0).min(axis=0, initial=1.0)
+    return np.where(either.any(axis=0), tiou, 0.0)
 
 
 def t_iou(pred: InstanceMask, gt: InstanceMask) -> IoUProfile:
     """Temporal IoU profile of a prediction against a ground-truth instance."""
-    stages = sorted(set(pred.per_stage_points) | set(gt.per_stage_points))
-    per_stage: dict[int, float] = {}
-    inter_total = 0
-    union_total = 0
-    for t in stages:
-        p = pred.per_stage_points.get(t)
-        g = gt.per_stage_points.get(t)
-        if p is None or g is None:
-            per_stage[t] = 0.0
-            union_total += (p.size if p is not None else g.size)
-            continue
-        inter = _stage_intersection(p, g)
-        union = p.size + g.size - inter
-        per_stage[t] = inter / union
-        inter_total += inter
-        union_total += union
-    overall = inter_total / union_total if union_total else 0.0
+    stages, inter, psize, gsize = _stage_tables([pred], [gt])
+    inter = inter[:, 0, 0]
+    union = psize[:, 0] + gsize[:, 0] - inter
+    per_stage = {t: i / u for t, i, u in zip(stages, inter.tolist(), union.tolist())}
+    overall = int(inter.sum()) / int(union.sum()) if stages else 0.0
     value = min(per_stage.values()) if per_stage else 0.0
     return IoUProfile(per_stage_iou=per_stage, overall_iou=overall, t_iou=value)
 
@@ -94,19 +151,11 @@ def overlap_candidates(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask
     sets. Keys/values are instance ids.
     """
     class_preds = [p for p in preds if p.class_id == class_id]
-    out: dict[int, tuple[int, ...]] = {}
-    for g in gts:
-        if g.class_id != class_id:
-            continue
-        hits = []
-        for p in class_preds:
-            for t, gpts in g.per_stage_points.items():
-                ppts = p.per_stage_points.get(t)
-                if ppts is not None and _stage_intersection(ppts, gpts):
-                    hits.append(p.instance_id)
-                    break
-        out[g.instance_id] = tuple(hits)
-    return out
+    class_gts = [g for g in gts if g.class_id == class_id]
+    touches = _stage_tables(class_preds, class_gts)[1].any(axis=0)
+    return {g.instance_id: tuple(class_preds[i].instance_id
+                                 for i in np.flatnonzero(touches[:, j]))
+            for j, g in enumerate(class_gts)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,33 +244,21 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     """
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
-    stages = sorted({t for m in members for t in m.per_stage_points})
-    n_members, n_stages = len(members), len(stages)
     preds = list(candidate_preds)
-
-    W = np.zeros((len(preds), n_members, n_stages))
-    present = np.zeros((n_members, n_stages), dtype=bool)
-    for k, member in enumerate(members):
-        for s, t in enumerate(stages):
-            gpts = member.per_stage_points.get(t)
-            if gpts is None:
-                continue
-            present[k, s] = True
-            for p_idx, pred in enumerate(preds):
-                ppts = pred.per_stage_points.get(t)
-                if ppts is None:
-                    continue
-                inter = _stage_intersection(ppts, gpts)
-                if inter:
-                    union = ppts.size + gpts.size - inter
-                    W[p_idx, k, s] = (inter / union) * pred.confidence
+    all_stages, inter, psize, gsize = _stage_tables(preds, members)
+    on = gsize.any(axis=1)  # the stages where some member is present
+    stages = [t for t, keep in zip(all_stages, on) if keep]
+    present = (gsize[on] > 0).T
+    confidence = np.array([p.confidence for p in preds], dtype=np.float64)
+    W = (_stage_iou(inter[on], psize[on], gsize[on]).transpose(1, 2, 0)
+         * confidence[:, None, None])
 
     rng = np.random.default_rng(rng_seed)
     A = assign_ambiguous_components(W, present, rng)
 
     trajectories = []
     rows = []
-    for i in range(n_members):
+    for i in range(len(members)):
         per_stage = {}
         for s, t in enumerate(stages):
             k = A[i, s]
@@ -233,22 +270,16 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
                 per_stage_points=per_stage, confidence=1.0))
             rows.append(i)
 
-    matched = {}
-    for idx, traj in enumerate(trajectories):
-        hits = []
-        for pred in preds:
-            if any(_stage_intersection(pred.per_stage_points.get(t, _EMPTY), pts)
-                   for t, pts in traj.per_stage_points.items()):
-                hits.append(pred.instance_id)
-        matched[idx] = tuple(hits)
+    columns = np.full((len(rows), len(all_stages)), -1, dtype=np.int64)
+    columns[:, on] = A[rows]
+    touches = _gather_columns(inter, gsize, columns)[0].any(axis=0)
+    matched = {idx: tuple(preds[i].instance_id for i in np.flatnonzero(touches[:, idx]))
+               for idx in range(len(rows))}
 
     return DisambiguationResult(
         member_ids=tuple(group.member_instance_ids), stages=tuple(stages),
         assignment=A, trajectories=tuple(trajectories),
         trajectory_rows=tuple(rows), matched_predictions=matched)
-
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +335,25 @@ def assign_detections(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]
     preds = list(preds)
     order = sorted(range(len(preds)),
                    key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    tiou = np.zeros((len(preds), len(gts)))
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            tiou[i, j] = t_iou(p, g).t_iou
-    is_tp, matched = _greedy_match(tiou, order, tau)
+    _, inter, psize, gsize = _stage_tables(preds, gts)
+    is_tp, matched = _greedy_match(_tiou_matrix(inter, psize, gsize), order, tau)
     matched_gt = {preds[order[pos]].instance_id: gts[matched[pos]].instance_id
                   for pos in range(len(order)) if is_tp[pos]}
-    fn = tuple(g.instance_id for j, g in enumerate(gts) if j not in set(matched[matched >= 0].tolist()))
+    claimed = set(matched[matched >= 0].tolist())
+    fn = tuple(g.instance_id for j, g in enumerate(gts) if j not in claimed)
     return DetectionAssignment(
         order=tuple(preds[i].instance_id for i in order),
         is_tp=tuple(bool(b) for b in is_tp),
         matched_gt=matched_gt, false_negatives=fn)
+
+
+def _pr_curve(tp_labels: Sequence[bool], n_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """(recall, precision) after each prediction; recall is 0 without ground truth."""
+    labels = np.asarray(tp_labels, dtype=bool)
+    tp = np.cumsum(labels)
+    precision = tp / np.arange(1, labels.size + 1)
+    recall = tp / n_gt if n_gt else np.zeros(labels.size)
+    return recall, precision
 
 
 def average_precision(tp_labels: Sequence[bool], n_gt: int) -> Optional[float]:
@@ -325,18 +363,11 @@ def average_precision(tp_labels: Sequence[bool], n_gt: int) -> Optional[float]:
     ground truth, returns None when there are also no predictions (class
     excluded from means) and 0.0 otherwise.
     """
-    labels = np.asarray(tp_labels, dtype=bool)
     if n_gt == 0:
-        return None if labels.size == 0 else 0.0
-    if labels.size == 0 or not labels.any():
-        return 0.0
-    tp = np.cumsum(labels)
-    fp = np.cumsum(~labels)
-    precision = tp / (tp + fp)
-    recall = tp / n_gt
+        return None if len(tp_labels) == 0 else 0.0
+    recall, precision = _pr_curve(tp_labels, n_gt)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    steps = np.diff(np.concatenate(([0.0], recall)))
-    return float(np.sum(steps * envelope))
+    return float(np.sum(np.diff(recall, prepend=0.0) * envelope))
 
 
 # ---------------------------------------------------------------------------
@@ -396,82 +427,6 @@ class EvaluationReport:
         return self.per_class_ap[class_id][tau]
 
 
-class _ClassEvaluation:
-    """Stage-intersection tables for one class, trajectories included."""
-
-    def __init__(self, preds: list[InstanceMask], gt_masks: list[InstanceMask],
-                 gt_labels: list[Optional[ChangeType]], stage_sizes: Sequence[int]):
-        self.preds = preds
-        self.gt_masks = gt_masks
-        self.gt_labels = gt_labels
-        self.pred_order = sorted(
-            range(len(preds)), key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-        self.tiou = _tiou_matrix(preds, gt_masks, stage_sizes)
-
-
-def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],
-                  stage_sizes: Sequence[int]):
-    """Per-stage intersection-count matrices via label arrays (O(total points))."""
-    stages = sorted({t for m in (*preds, *gts) for t in m.per_stage_points})
-    inter = {}
-    for t in stages:
-        table = np.zeros((len(preds), len(gts)), dtype=np.int64)
-        if gts:
-            label = np.full(stage_sizes[t], -1, dtype=np.int64)
-            for j, g in enumerate(gts):
-                pts = g.per_stage_points.get(t)
-                if pts is not None:
-                    label[pts] = j
-            for i, p in enumerate(preds):
-                pts = p.per_stage_points.get(t)
-                if pts is None:
-                    continue
-                hits = label[pts]
-                hits = hits[hits >= 0]
-                if hits.size:
-                    table[i] = np.bincount(hits, minlength=len(gts))
-        inter[t] = table
-    psize = {t: np.array([p.points_at(t).size for p in preds]) for t in stages}
-    gsize = {t: np.array([g.points_at(t).size for g in gts]) for t in stages}
-    return stages, inter, psize, gsize
-
-
-def _tiou_from_tables(stages, inter, psize, gsize) -> tuple[np.ndarray, np.ndarray]:
-    """(t_iou, overall_iou) matrices from per-stage tables."""
-    if not stages:
-        shape = next(iter(inter.values())).shape if inter else (0, 0)
-        return np.zeros(shape), np.zeros(shape)
-    n_preds = len(psize[stages[0]])
-    n_gts = len(gsize[stages[0]])
-    tiou = np.ones((n_preds, n_gts))
-    contributing = np.zeros((n_preds, n_gts), dtype=bool)
-    inter_sum = np.zeros((n_preds, n_gts))
-    union_sum = np.zeros((n_preds, n_gts))
-    for t in stages:
-        pp = psize[t][:, None] > 0
-        gp = gsize[t][None, :] > 0
-        either = pp | gp
-        both = pp & gp
-        union = psize[t][:, None] + gsize[t][None, :] - inter[t]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            iou_t = np.where(both, inter[t] / np.where(union > 0, union, 1), 0.0)
-        tiou = np.where(either, np.minimum(tiou, iou_t), tiou)
-        contributing |= either
-        inter_sum += inter[t]
-        union_sum += np.where(either, union, 0)
-    tiou = np.where(contributing, tiou, 0.0)
-    overall = np.where(union_sum > 0, inter_sum / np.where(union_sum > 0, union_sum, 1), 0.0)
-    return tiou, overall
-
-
-def _tiou_matrix(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],
-                 stage_sizes: Sequence[int]) -> np.ndarray:
-    stages, inter, psize, gsize = _stage_tables(preds, gts, stage_sizes)
-    if not stages:
-        return np.zeros((len(preds), len(gts)))
-    return _tiou_from_tables(stages, inter, psize, gsize)[0]
-
-
 def _trajectory_label(member_ids: Iterable[int],
                       change_labels: Mapping[int, ChangeType]) -> Optional[ChangeType]:
     labels = {change_labels.get(mid) for mid in member_ids}
@@ -483,48 +438,48 @@ def _trajectory_label(member_ids: Iterable[int],
     return ChangeType.AMBIGUOUS
 
 
-def _build_class_evaluation(class_id: int, gt: GroundTruthAnnotation,
-                            preds: Sequence[InstanceMask],
-                            seq: SequencePointCloud,
-                            rng_seed: int) -> _ClassEvaluation:
-    stage_sizes = seq.stage_sizes()
+def _class_tables(class_id: int, gt: GroundTruthAnnotation,
+                  preds: Sequence[InstanceMask], rng_seed: int):
+    """One class's predictions (by id), their t-IoU matrix and column labels.
+
+    The columns are the class's ground-truth instances outside ambiguous
+    groups, then each group's trajectories (groups by id). One stage table
+    over all of the class's ground truth gives the group candidates, and each
+    trajectory's column gathers, per stage, the member column it was assigned.
+    """
     class_preds = sorted((p for p in preds if p.class_id == class_id),
                          key=lambda m: m.instance_id)
     class_gts = sorted((g for g in gt.instances if g.class_id == class_id),
                        key=lambda m: m.instance_id)
-    gt_ids = {g.instance_id for g in class_gts}
+    column_of = {g.instance_id: j for j, g in enumerate(class_gts)}
     groups = sorted((grp for grp in gt.ambiguous_groups
-                     if grp.member_instance_ids and grp.member_instance_ids[0] in gt_ids),
+                     if grp.member_instance_ids and grp.member_instance_ids[0] in column_of),
                     key=lambda grp: grp.group_id)
     member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
+    stages, inter, psize, gsize = _stage_tables(class_preds, class_gts)
+    stage_pos = {t: s for s, t in enumerate(stages)}
 
-    final_gts = [g for g in class_gts if g.instance_id not in member_of_group]
-    final_labels: list[Optional[ChangeType]] = [
-        gt.change_labels.get(g.instance_id) for g in final_gts]
-
+    plain = [j for j, g in enumerate(class_gts) if g.instance_id not in member_of_group]
+    columns = [np.full(len(stages), j) for j in plain]
+    labels: list[Optional[ChangeType]] = [
+        gt.change_labels.get(class_gts[j].instance_id) for j in plain]
+    touches = inter.any(axis=0)
     for grp in groups:
-        members = [g for g in class_gts if g.instance_id in set(grp.member_instance_ids)]
-        candidate_ids = set()
-        cands = []
-        for p in class_preds:
-            for m in members:
-                if any(_stage_intersection(p.per_stage_points.get(t, _EMPTY), pts)
-                       for t, pts in m.per_stage_points.items()):
-                    break
-            else:
-                continue
-            if p.instance_id not in candidate_ids:
-                candidate_ids.add(p.instance_id)
-                cands.append(p)
-        result = disambiguate(grp, members, cands,
+        member_cols = np.array([column_of[m] for m in grp.member_instance_ids])
+        cands = [class_preds[i] for i in np.flatnonzero(touches[:, member_cols].any(axis=1))]
+        result = disambiguate(grp, [class_gts[j] for j in member_cols], cands,
                               rng_seed=_group_seed(rng_seed, grp.group_id))
-        for row, traj in zip(result.trajectory_rows, result.trajectories):
-            member_ids = {result.member_ids[k]
-                          for k in result.assignment[row] if k >= 0}
-            final_gts.append(traj)
-            final_labels.append(_trajectory_label(member_ids, gt.change_labels))
+        at = [stage_pos[t] for t in result.stages]
+        for row in result.assignment[list(result.trajectory_rows)]:
+            column = np.full(len(stages), -1)
+            column[at] = np.where(row >= 0, member_cols[row], -1)
+            columns.append(column)
+            labels.append(_trajectory_label(
+                {result.member_ids[k] for k in row if k >= 0}, gt.change_labels))
 
-    return _ClassEvaluation(class_preds, final_gts, final_labels, stage_sizes)
+    columns = np.array(columns, dtype=np.int64).reshape(len(columns), len(stages))
+    col_inter, col_size = _gather_columns(inter, gsize, columns)
+    return class_preds, _tiou_matrix(col_inter, psize, col_size), labels
 
 
 def _group_seed(rng_seed: int, group_id: int):
@@ -561,41 +516,34 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
 
     class_ids = tuple(sorted({m.class_id for m in gt.instances}
                              | {m.class_id for m in resolved}))
-    evals = {c: _build_class_evaluation(c, gt, resolved, seq, rng_seed)
-             for c in class_ids}
+    tables = {c: _class_tables(c, gt, resolved, rng_seed) for c in class_ids}
 
     per_class_ap: dict[int, dict[float, Optional[float]]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
     pr_curves: dict[int, dict[float, tuple]] = {c: {} for c in class_ids}
-    n_ground_truth = {c: len(evals[c].gt_masks) for c in class_ids}
+    n_ground_truth = {c: len(tables[c][2]) for c in class_ids}
     change_totals: dict[ChangeType, int] = {}
     for c in class_ids:
-        for label in evals[c].gt_labels:
+        for label in tables[c][2]:
             if label is not None:
                 change_totals[label] = change_totals.get(label, 0) + 1
     change_matched: dict[float, dict[ChangeType, int]] = {
         tau: {ct: 0 for ct in change_totals} for tau in taus}
 
     for c in class_ids:
-        ev = evals[c]
-        n_gt = len(ev.gt_masks)
+        class_preds, tiou, labels = tables[c]
+        n_gt = len(labels)
+        order = sorted(range(len(class_preds)),
+                       key=lambda i: (-class_preds[i].confidence, class_preds[i].instance_id))
         for tau in taus:
-            is_tp, matched = _greedy_match(ev.tiou, ev.pred_order, tau)
-            ap = average_precision(is_tp, n_gt)
-            per_class_ap[c][tau] = ap
+            is_tp, matched = _greedy_match(tiou, order, tau)
+            per_class_ap[c][tau] = average_precision(is_tp, n_gt)
             tp_n = int(is_tp.sum())
-            counts[c][tau] = (tp_n, len(ev.preds) - tp_n, n_gt - tp_n)
-            if is_tp.size:
-                tp_cum = np.cumsum(is_tp)
-                fp_cum = np.cumsum(~is_tp)
-                prec = tp_cum / (tp_cum + fp_cum)
-                rec = tp_cum / n_gt if n_gt else np.zeros_like(prec)
-                pr_curves[c][tau] = tuple(
-                    (float(r), float(p)) for r, p in zip(rec, prec))
-            else:
-                pr_curves[c][tau] = ()
+            counts[c][tau] = (tp_n, len(class_preds) - tp_n, n_gt - tp_n)
+            recall, precision = _pr_curve(is_tp, n_gt)
+            pr_curves[c][tau] = tuple(zip(recall.tolist(), precision.tolist()))
             for col in matched[matched >= 0]:
-                label = ev.gt_labels[col]
+                label = labels[col]
                 if label is not None:
                     change_matched[tau][label] += 1
 

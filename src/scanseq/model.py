@@ -15,6 +15,7 @@ cross-object consistency (index ranges, group membership, ...) is checked by
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -250,13 +251,18 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     violation code: ``stage_out_of_range``, ``point_out_of_range``,
     ``duplicate_point_in_mask``, ``empty_mask``, ``cross_class_ambiguous_group``,
     ``unknown_group_member``, ``ambiguous_group_too_small``,
-    ``member_in_multiple_groups``.
+    ``member_in_multiple_groups``, ``duplicate_instance_id``.
     """
     out: list[Violation] = []
     for mask in gt.instances:
         _check_mask(mask, seq, "ground-truth", out)
     for mask in preds:
         _check_mask(mask, seq, "prediction", out)
+    for instance_id, n in Counter(m.instance_id for m in preds).items():
+        if n > 1:
+            out.append(Violation(
+                "duplicate_instance_id",
+                f"prediction instance id {instance_id} is used by {n} masks"))
 
     by_id = {m.instance_id: m for m in gt.instances}
     seen_members: dict[int, int] = {}

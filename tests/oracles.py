@@ -82,6 +82,84 @@ def reference_single_stage_map(gt_by_class, preds_by_class, taus):
 
 
 # ---------------------------------------------------------------------------
+# Pairwise t-IoU, overlap candidates and disambiguation weights: one
+# np.intersect1d per (prediction, ground truth, stage)
+
+
+def _stage_intersection(a, b):
+    return np.intersect1d(a, b).size
+
+
+def pairwise_t_iou(pred, gt):
+    """(per-stage IoU dict, overall IoU, t-IoU) of two masks."""
+    per_stage = {}
+    inter_total = union_total = 0
+    for t in sorted(set(pred.per_stage_points) | set(gt.per_stage_points)):
+        p = pred.per_stage_points.get(t, [])
+        g = gt.per_stage_points.get(t, [])
+        inter = _stage_intersection(p, g)
+        union = len(p) + len(g) - inter
+        per_stage[t] = inter / union
+        inter_total += inter
+        union_total += union
+    overall = inter_total / union_total if union_total else 0.0
+    return per_stage, overall, min(per_stage.values(), default=0.0)
+
+
+def pairwise_overlap_candidates(preds, gts, class_id):
+    """{gt id: ids of same-class predictions sharing a (stage, point) with it}."""
+    return {
+        g.instance_id: tuple(
+            p.instance_id for p in preds if p.class_id == class_id
+            and any(_stage_intersection(p.per_stage_points.get(t, []), pts)
+                    for t, pts in g.per_stage_points.items()))
+        for g in gts if g.class_id == class_id}
+
+
+def pairwise_disambiguation_weights(members, preds):
+    """(weights [p][k][s], present [k][s], stages) of an ambiguous group.
+
+    The weight is the per-stage IoU times the prediction's confidence, over
+    the stages where any member is present.
+    """
+    stages = sorted({t for m in members for t in m.per_stage_points})
+    present = [[t in m.per_stage_points for t in stages] for m in members]
+    weights = []
+    for p in preds:
+        rows = []
+        for m in members:
+            row = []
+            for t in stages:
+                ppts = p.per_stage_points.get(t, [])
+                gpts = m.per_stage_points.get(t, [])
+                inter = _stage_intersection(ppts, gpts)
+                union = len(ppts) + len(gpts) - inter
+                row.append((inter / union) * p.confidence if inter else 0.0)
+            rows.append(row)
+        weights.append(rows)
+    return weights, present, stages
+
+
+def pairwise_greedy_tp(preds, gts, tau):
+    """is_tp in processing order (confidence descending, then id ascending)
+    of greedy t-IoU matching; the best unclaimed gt wins, lowest index on ties."""
+    order = sorted(range(len(preds)),
+                   key=lambda i: (-preds[i].confidence, preds[i].instance_id))
+    claimed = set()
+    labels = []
+    for i in order:
+        best_j, best = -1, tau
+        for j, g in enumerate(gts):
+            value = pairwise_t_iou(preds[i], g)[2]
+            if j not in claimed and value > best:
+                best, best_j = value, j
+        if best_j >= 0:
+            claimed.add(best_j)
+        labels.append(best_j >= 0)
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # Straight-line transcription of the ambiguous-assignment procedure
 
 

@@ -95,7 +95,7 @@ def test_evaluate_multiple_sequences_merges_reports(tmp_path):
 def test_thread_count_env_var(tmp_path, monkeypatch):
     m1, p1 = _write_scene(tmp_path / "a", sequence_id="seq-a")
     m2, p2 = _write_scene(tmp_path / "b", sequence_id="seq-b")
-    monkeypatch.setenv("SCANSEQ_THREADS", "4")
+    monkeypatch.setenv("SCANSEQ_THREADS", "abc")  # ignored, not parsed
     out = tmp_path / "merged.json"
     code = main(["evaluate", "--gt", str(m1), "--pred", str(p1),
                  "--gt", str(m2), "--pred", str(p2), "--out", str(out)])
@@ -114,6 +114,70 @@ def test_evaluate_threshold_parsing(tmp_path):
     assert report["thresholds"] == [0.25, 0.5]
     assert report["t_map"] is None  # sweep not requested
     assert report["t_map50"] == 1.0
+
+
+@pytest.mark.parametrize("thresholds", ["nan", "inf", "-1", "1.5", "sweep,1.0"])
+def test_evaluate_threshold_outside_unit_interval_exits_64(tmp_path, capsys, thresholds):
+    manifest, preds = _write_scene(tmp_path)
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--thresholds", thresholds, "--out", str(tmp_path / "r.json")])
+    assert code == 64
+    assert "not in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_evaluate_threads_below_one_exits_64(tmp_path, capsys, threads):
+    manifest, preds = _write_scene(tmp_path)
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--threads", threads, "--out", str(tmp_path / "r.json")])
+    assert code == 64
+
+
+def test_evaluate_duplicate_prediction_ids_exits_2(tmp_path, capsys):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][1]["instance_id"] = data["instances"][0]["instance_id"]
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "duplicate_instance_id" in capsys.readouterr().err
+
+
+def _evaluate_with_edited_manifest(tmp_path, edit):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(manifest.read_text())
+    edit(data)
+    manifest.write_text(json.dumps(data))
+    return main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("key", ["stage_index", "point_file", "instance_file",
+                                 "class_file"])
+def test_manifest_stage_missing_key_exits_74(tmp_path, capsys, key):
+    code = _evaluate_with_edited_manifest(
+        tmp_path, lambda data: data["stages"][0].pop(key))
+    assert code == 74
+    assert key in capsys.readouterr().err
+
+
+def test_manifest_group_without_members_exits_74(tmp_path, capsys):
+    def drop_members(data):
+        data["annotations"]["ambiguous_groups"] = [{"group_id": 0}]
+    assert _evaluate_with_edited_manifest(tmp_path, drop_members) == 74
+    assert "members" in capsys.readouterr().err
+
+
+def test_points_mask_beyond_int64_exits_74(tmp_path, capsys):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [2 ** 64]}
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 74
+    assert "bad prediction entry" in capsys.readouterr().err
 
 
 def _directory_digest(root: Path) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scanseq import metrics
 from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
                              SequenceMismatchError, assign_ambiguous_components,
                              assign_detections, average_precision, disambiguate,
@@ -126,6 +127,54 @@ def test_overlap_candidates_examples_and_oracle():
             if any(np.intersect1d(p.per_stage_points.get(t, []), pts).size
                    for t, pts in g.per_stage_points.items()))
         assert cands[g.instance_id] == expected
+
+
+def _random_masks(rng, ids, n_stages, universe, scored=False):
+    """Masks over a small point universe, so they overlap on both sides."""
+    return [mask(i, 1, {t: rng.choice(universe, size=int(rng.integers(1, universe // 2)),
+                                      replace=False)
+                        for t in range(n_stages) if rng.uniform() < 0.8},
+                 confidence=float(rng.uniform(0.1, 1.0)) if scored else 1.0)
+            for i in ids]
+
+
+def test_stage_table_consumers_match_pairwise_oracle(monkeypatch):
+    weights_seen = []
+    assign = metrics.assign_ambiguous_components
+
+    def recording_assign(weights, present, rng):
+        weights_seen.append((np.asarray(weights).tolist(), np.asarray(present).tolist()))
+        return assign(weights, present, rng)
+
+    monkeypatch.setattr(metrics, "assign_ambiguous_components", recording_assign)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n_stages = int(rng.integers(1, 4))
+        gts = _random_masks(rng, range(int(rng.integers(1, 5))), n_stages, 30)
+        preds = _random_masks(rng, range(10, 10 + int(rng.integers(0, 5))), n_stages,
+                              30, scored=True)
+        for p in preds:
+            for g in gts:
+                profile = t_iou(p, g)
+                per_stage, overall, value = oracles.pairwise_t_iou(p, g)
+                assert profile.per_stage_iou == per_stage
+                assert profile.overall_iou == overall
+                assert profile.t_iou == value
+        assert overlap_candidates(preds, gts, 1) == \
+            oracles.pairwise_overlap_candidates(preds, gts, 1)
+        tau = float(rng.choice([0.0, 0.1, 0.3, 0.5]))
+        assert list(assign_detections(preds, gts, tau).is_tp) == \
+            oracles.pairwise_greedy_tp(preds, gts, tau)
+
+        weights_seen.clear()
+        group = AmbiguousGroup(0, tuple(g.instance_id for g in gts))
+        result = disambiguate(group, gts, preds, rng_seed=3)
+        weights, present, stages = oracles.pairwise_disambiguation_weights(gts, preds)
+        assert weights_seen == [(weights, present)]
+        assert result.stages == tuple(stages)
+        for idx, traj in enumerate(result.trajectories):
+            assert result.matched_predictions[idx] == \
+                oracles.pairwise_overlap_candidates(preds, [traj], 1)[traj.instance_id]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +363,17 @@ def _evaluate_case(gts, preds, stage_sizes=(200, 200), labels=None, groups=()):
     seq = make_sequence(list(stage_sizes))
     gt = annotation(gts, groups=groups, labels=labels)
     return evaluate(seq, gt, preds)
+
+
+def test_evaluate_counts_points_shared_by_overlapping_ground_truth():
+    # g0 and g1 share points 40..59; the prediction is exactly g0
+    g0 = mask(0, 1, {0: range(0, 60)})
+    g1 = mask(1, 1, {0: range(40, 100)})
+    pred = mask(5, 1, {0: range(0, 60)}, confidence=0.9)
+    assert t_iou(pred, g0).t_iou == 1.0
+    report = _evaluate_case([g0, g1], [pred], stage_sizes=(100,))
+    assert report.counts[1][0.9] == (1, 0, 1)
+    assert report.class_ap(1, 0.9) == 0.5
 
 
 def test_evaluate_swap_vs_identity_geometry():

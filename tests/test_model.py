@@ -68,6 +68,15 @@ def test_prediction_masks_are_checked_too():
     assert "point_out_of_range" in validate_sequence(seq, gt, preds).codes()
 
 
+def test_duplicate_prediction_ids_are_reported():
+    seq = make_sequence([10])
+    gt = annotation([mask(0, 1, {0: range(3)})])
+    preds = [mask(7, 1, {0: range(3)}, confidence=0.5),
+             mask(7, 1, {0: range(3, 6)}, confidence=0.4),
+             mask(8, 1, {0: range(6, 9)}, confidence=0.3)]
+    assert validate_sequence(seq, gt, preds).codes() == ("duplicate_instance_id",)
+
+
 def test_validation_is_total_on_heavily_broken_input():
     seq = make_sequence([5])
     gt = annotation([mask(0, 1, {3: [100, 100]}), mask(1, 1, {})],
