@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import nearest_neighbor_labels
-from .model import InstanceMask, StageCloud
+from .model import InstanceMask, StageCloud, _points_by_label
 
 
 @dataclass(frozen=True)
@@ -130,13 +130,12 @@ def associate_geometric(a: StagePredictionSet, b_cloud: StageCloud,
         pts = a.masks[i].points
         free = labels[pts] < 0
         labels[pts[free]] = i
-    inherited = nearest_neighbor_labels(a_cloud, labels, b_cloud)
+    transferred = _points_by_label(nearest_neighbor_labels(a_cloud, labels, b_cloud))
     out = []
     for i, mask in enumerate(a.masks):
         per_stage = {a.stage: mask.points}
-        transferred = np.nonzero(inherited == i)[0]
-        if transferred.size:
-            per_stage[b_stage] = transferred
+        if i in transferred:
+            per_stage[b_stage] = transferred[i]
         out.append(InstanceMask(instance_id=i, class_id=mask.class_id,
                                 per_stage_points=per_stage,
                                 confidence=mask.confidence))

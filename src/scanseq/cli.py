@@ -12,15 +12,16 @@ Subcommands::
 
 Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
 error (including a threshold outside [0, 1) and --threads below 1), 74 I/O
-or file-format failure. ``evaluate`` accepts repeated --gt/--pred pairs and
-evaluates them one after another; --threads is accepted for compatibility
-and has no effect.
+or file-format failure (including JSON of the wrong shape or type).
+``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
+another; --threads is accepted for compatibility and has no effect. Every
+JSON output is compact canonical JSON; ``serialize`` writes the voxel order,
+not the voxel keys, which the manifest and --resolution determine.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -165,19 +166,14 @@ def _cmd_evaluate(args) -> int:
     if failed:
         return EXIT_VALIDATION
 
-    if len(reports) == 1:
-        payload = formats.report_to_dict(reports[0])
-        if not args.per_change_type:
-            payload.pop("per_change_recall")
-    else:
-        reports.sort(key=lambda r: r.sequence_id)
-        payload = {"schema_version": formats.SCHEMA_VERSION,
-                   "kind": "evaluation_reports", "reports": []}
-        for report in reports:
-            entry = formats.report_to_dict(report)
-            if not args.per_change_type:
-                entry.pop("per_change_recall")
-            payload["reports"].append(entry)
+    entries = [formats.report_to_dict(r)
+               for r in sorted(reports, key=lambda r: r.sequence_id)]
+    if not args.per_change_type:
+        for entry in entries:
+            entry.pop("per_change_recall")
+    payload = entries[0] if len(entries) == 1 else {
+        "schema_version": formats.SCHEMA_VERSION, "kind": "evaluation_reports",
+        "reports": entries}
     formats.dump_canonical_json(args.out, payload)
     return EXIT_OK
 
@@ -248,8 +244,7 @@ def _cmd_serialize(args) -> int:
         "curve": pattern.curve.value,
         "dims": pattern.dims.value,
         "num_voxels": grid.num_voxels,
-        "order": [int(v) for v in order],
-        "keys": [[int(x) for x in grid.keys[v]] for v in order],
+        "order": order,
     }
     formats.dump_canonical_json(args.out, payload)
     return EXIT_OK
@@ -268,10 +263,10 @@ def _cmd_losses(args) -> int:
             np.asarray(data["pred_class_logits"]),
             np.asarray(data["gt_masks"]), data["gt_classes"], cfg)
         payload = {
-            "cost_matrix": result.cost_matrix.tolist(),
-            "matches": [list(m) for m in result.matches],
-            "unmatched_predictions": list(result.unmatched_predictions),
-            "unmatched_ground_truth": list(result.unmatched_ground_truth),
+            "cost_matrix": result.cost_matrix,
+            "matches": result.matches,
+            "unmatched_predictions": result.unmatched_predictions,
+            "unmatched_ground_truth": result.unmatched_ground_truth,
             "total_cost": result.total_cost,
         }
     elif args.op == "fourier":
@@ -279,12 +274,12 @@ def _cmd_losses(args) -> int:
             np.asarray(data["coords"]),
             d_out=int(data["d_out"]), seed=int(data["seed"]),
             scale=float(data.get("scale", 1.0)))
-        payload = {"features": features.tolist()}
+        payload = {"features": features}
     else:  # pool
         stack = numerics.MaskHierarchyStack(
             levels=((np.asarray(data["coords"]), np.asarray(data["mask"])),))
         pooled = numerics.st_pool_masks(stack, 0)
-        payload = {"mask": pooled.tolist()}
+        payload = {"mask": pooled}
     payload["schema_version"] = formats.SCHEMA_VERSION
     formats.dump_canonical_json(args.out, payload)
     return EXIT_OK
@@ -308,9 +303,6 @@ def main(argv=None) -> int:
     except (OSError, PlyError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (metrics.SequenceMismatchError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, KeyError, synth.SceneGenerationError,
             synth.PerturbationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,14 +7,13 @@ ambiguous groups, change labels). Prediction files are standalone JSON with
 per-stage masks stored either as explicit index lists or as (start, length)
 run-length pairs over the sorted indices.
 
-All JSON emitted here is canonical: sorted keys, floats at 6 significant
-digits, trailing newline — re-serializing a parsed document is byte-stable.
+All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
+significant digits, trailing newline — a parsed document re-dumps to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -23,7 +22,8 @@ import numpy as np
 
 from .metrics import EvaluationReport
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud)
+                    InstanceMask, SequencePointCloud, StageCloud,
+                    _points_by_label)
 from .ply import read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -37,19 +37,21 @@ class FormatError(ValueError):
 # Canonical JSON
 
 
-def _round_floats(value):
+def _to_json(value):
+    """Callers' numpy arrays and scalars as JSON types; floats at 6 significant digits."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist() if value.dtype.kind in "biu" else _to_json(value.tolist())
     if isinstance(value, float):
         return float(f"{value:.6g}")
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
+        return {k: _to_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
+        return [_to_json(v) for v in value]
     return value
 
 
 def dump_canonical_json(path, payload) -> None:
-    text = json.dumps(_round_floats(payload), sort_keys=True,
-                      separators=(",", ": "), indent=1)
+    text = json.dumps(_to_json(payload), sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -67,46 +69,63 @@ def load_json(path) -> dict:
 # Run-length encoding of sorted point indices
 
 
+def _rle_runs(indices) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.int64)
+    heads = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 2) != 1)  # idx[0] always heads
+    return np.stack((idx[heads], np.diff(heads, append=idx.size)), axis=1)
+
+
 def rle_encode(indices: np.ndarray) -> list[list[int]]:
     """Maximal (start, length) runs over sorted strictly increasing indices."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(idx) != 1)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [[int(idx[s]), int(idx[e] - idx[s] + 1)] for s, e in zip(starts, ends)]
+    return _rle_runs(indices).tolist()
+
+
+def _int64_array(data, what: str) -> np.ndarray:
+    """``data`` as an int64 array; anything ragged or not integral is a FormatError."""
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:  # ragged
+        raise FormatError(f"{what} is ragged ({exc})") from exc
+    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64)):
+        raise FormatError(f"{what} must hold integers that fit in int64")
+    return arr.astype(np.int64)
 
 
 def rle_decode(runs: Sequence[Sequence[int]]) -> np.ndarray:
     """Expand runs; rejects anything not decoding to strictly increasing indices."""
-    out = []
-    previous_end = None
-    for run in runs:
-        if len(run) != 2:
-            raise FormatError(f"RLE run must be [start, length], got {run!r}")
-        start, length = int(run[0]), int(run[1])
-        if length < 1 or start < 0:
-            raise FormatError(f"invalid RLE run [{start}, {length}]")
-        if previous_end is not None and start < previous_end:
-            raise FormatError("RLE runs do not decode to strictly increasing indices")
-        out.append(np.arange(start, start + length, dtype=np.int64))
-        previous_end = start + length
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    arr = _int64_array(runs, "RLE data")
+    if arr.shape == (0,):
+        return arr
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise FormatError(f"RLE runs must be [start, length] pairs, not {arr.shape}")
+    starts, lengths = arr.T
+    too_long = lengths > np.iinfo(np.int64).max - starts  # end overflows int64
+    bad = np.flatnonzero((starts < 0) | (lengths < 1) | too_long)
+    if bad.size:
+        raise FormatError(f"invalid RLE run [{starts[bad[0]]}, {lengths[bad[0]]}]")
+    if (starts[1:] < starts[:-1] + lengths[:-1]).any():
+        raise FormatError("RLE runs do not decode to strictly increasing indices")
+    offsets = np.cumsum(lengths) - lengths  # output position of each run's start
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
 def _mask_payload(points: np.ndarray, rle: bool) -> dict:
     if rle:
-        return {"encoding": "rle", "data": rle_encode(points)}
-    return {"encoding": "points", "data": [int(p) for p in points]}
+        return {"encoding": "rle", "data": _rle_runs(points)}
+    return {"encoding": "points", "data": points}
 
 
 def _mask_from_payload(payload: Mapping) -> np.ndarray:
+    if not isinstance(payload, Mapping):
+        raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
     if encoding == "rle":
         return rle_decode(payload["data"])
     if encoding == "points":
-        return np.asarray(payload["data"], dtype=np.int64)
+        points = _int64_array(payload["data"], "points data")
+        if points.ndim != 1:
+            raise FormatError("points data must be a flat list of indices")
+        return points
     raise FormatError(f"unknown mask encoding {encoding!r}")
 
 
@@ -128,14 +147,18 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
         inst_col = np.full(stage.point_count, -1, dtype=np.int64)
         class_col = np.full(stage.point_count, -1, dtype=np.int64)
         for mask in gt.instances:
-            pts = mask.per_stage_points.get(t)
-            if pts is not None:
-                inst_col[pts] = mask.instance_id
-                class_col[pts] = mask.class_id
-        (root / instance_file).write_text(
-            "\n".join(str(v) for v in inst_col) + "\n", encoding="ascii")
-        (root / class_file).write_text(
-            "\n".join(str(v) for v in class_col) + "\n", encoding="ascii")
+            pts = mask.points_at(t)
+            other = inst_col[pts].max(initial=-1)
+            if other >= 0:
+                raise ValueError(
+                    f"ground-truth instances {other} and {mask.instance_id} share "
+                    f"points at stage {t}; a manifest holds one instance per point")
+            inst_col[pts] = mask.instance_id
+            class_col[pts] = mask.class_id
+        for name, column in ((instance_file, inst_col), (class_file, class_col)):
+            labels, inverse = np.unique(column, return_inverse=True)
+            lines = labels.astype(str).astype(object)[inverse]  # format each label once
+            (root / name).write_text("\n".join(lines) + "\n", encoding="ascii")
         stage_entries.append({"stage_index": t, "point_file": point_file,
                               "instance_file": instance_file,
                               "class_file": class_file})
@@ -148,7 +171,7 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
             "instances": [{"instance_id": m.instance_id, "class_id": m.class_id}
                           for m in gt.instances],
             "ambiguous_groups": [{"group_id": g.group_id,
-                                  "members": list(g.member_instance_ids)}
+                                  "members": g.member_instance_ids}
                                  for g in gt.ambiguous_groups],
             "change_labels": {str(k): v.value for k, v in gt.change_labels.items()},
         },
@@ -157,13 +180,23 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     return root / "manifest.json"
 
 
-def _entries(container: Mapping, key: str, fields: Sequence[str], path) -> list:
-    """The list ``container[key]``, each entry an object holding ``fields``."""
+def _entries(container: Mapping, key: str, fields: Mapping[str, type], path) -> list:
+    """The list ``container[key]``, each entry an object holding ``fields``
+    with values of the given types."""
     entries = container.get(key, [])
-    for entry in entries:
-        if not isinstance(entry, Mapping) or any(f not in entry for f in fields):
-            raise FormatError(f"{path}: every entry of {key} needs {', '.join(fields)}")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, Mapping)
+            and all(isinstance(e.get(f), t) for f, t in fields.items()) for e in entries):
+        needs = ", ".join(f"{f} ({t.__name__})" for f, t in fields.items())
+        raise FormatError(f"{path}: {key} must be a list of objects with {needs}")
     return entries
+
+
+def _object(container: Mapping, key: str, path) -> Mapping:
+    value = container.get(key, {})
+    if not isinstance(value, Mapping):
+        raise FormatError(f"{path}: {key} must be an object")
+    return value
 
 
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
@@ -175,9 +208,9 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     root = path.parent
     stages: list[StageCloud] = []
     per_stage_instances: list[np.ndarray] = []
-    entries = sorted(_entries(data, "stages", ("stage_index", "point_file",
-                                               "instance_file", "class_file"), path),
-                     key=lambda e: e["stage_index"])
+    entries = sorted(_entries(data, "stages", {"stage_index": int, "point_file": str,
+                                               "instance_file": str, "class_file": str},
+                              path), key=lambda e: e["stage_index"])
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
@@ -197,16 +230,13 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
         stages.append(cloud)
         per_stage_instances.append(inst_col)
 
-    annotations = data.get("annotations", {})
-    class_of = {int(e["instance_id"]): int(e["class_id"])
-                for e in _entries(annotations, "instances", ("instance_id", "class_id"), path)}
+    annotations = _object(data, "annotations", path)
+    class_of = {e["instance_id"]: e["class_id"] for e in _entries(
+        annotations, "instances", {"instance_id": int, "class_id": int}, path)}
     per_instance: dict[int, dict[int, np.ndarray]] = {}
     for t, inst_col in enumerate(per_stage_instances):
-        for instance_id in np.unique(inst_col):
-            if instance_id < 0:
-                continue
-            per_instance.setdefault(int(instance_id), {})[t] = \
-                np.nonzero(inst_col == instance_id)[0]
+        for instance_id, points in _points_by_label(inst_col).items():
+            per_instance.setdefault(instance_id, {})[t] = points
     masks = []
     for instance_id in sorted(set(class_of) | set(per_instance)):
         if instance_id not in class_of:
@@ -216,13 +246,14 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
         masks.append(InstanceMask(
             instance_id=instance_id, class_id=class_of[instance_id],
             per_stage_points=per_instance.get(instance_id, {}), confidence=1.0))
-    groups = tuple(AmbiguousGroup(group_id=int(g["group_id"]),
-                                  member_instance_ids=tuple(g["members"]))
-                   for g in _entries(annotations, "ambiguous_groups",
-                                     ("group_id", "members"), path))
+    groups = _entries(annotations, "ambiguous_groups",
+                      {"group_id": int, "members": list}, path)
+    if not all(isinstance(m, int) for g in groups for m in g["members"]):
+        raise FormatError(f"{path}: ambiguous group members must be integers")
+    groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
+    change_labels = _object(annotations, "change_labels", path)
     try:
-        labels = {int(k): ChangeType(v)
-                  for k, v in annotations.get("change_labels", {}).items()}
+        labels = {int(k): ChangeType(v) for k, v in change_labels.items()}
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     seq = SequencePointCloud(stages=tuple(stages),
@@ -261,7 +292,7 @@ def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
                       for t, pts in sorted(mask.per_stage_points.items())},
         }
         if features and mask.instance_id in features:
-            entry["feature"] = [float(v) for v in features[mask.instance_id]]
+            entry["feature"] = features[mask.instance_id]
         payload["instances"].append(entry)
     dump_canonical_json(path, payload)
 
@@ -272,19 +303,20 @@ def read_predictions(path) -> PredictionFileContent:
         raise FormatError(f"{path}: not a prediction file")
     masks = []
     features: dict[int, np.ndarray] = {}
-    for entry in data.get("instances", []):
+    fields = {"instance_id": int, "class_id": int, "masks": dict}
+    for entry in _entries(data, "instances", fields, path):
         try:
             per_stage = {int(t): _mask_from_payload(p)
                          for t, p in entry["masks"].items()}
-            mask = InstanceMask(instance_id=int(entry["instance_id"]),
-                                class_id=int(entry["class_id"]),
+            mask = InstanceMask(instance_id=entry["instance_id"],
+                                class_id=entry["class_id"],
                                 per_stage_points=per_stage,
                                 confidence=float(entry.get("confidence", 1.0)))
+            if "feature" in entry:
+                features[mask.instance_id] = np.asarray(entry["feature"], np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
         masks.append(mask)
-        if "feature" in entry:
-            features[mask.instance_id] = np.asarray(entry["feature"], dtype=np.float64)
     return PredictionFileContent(sequence_id=data.get("sequence_id", ""),
                                  instances=tuple(masks), features=features)
 
@@ -302,7 +334,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "kind": "evaluation_report",
         "sequence_id": report.sequence_id,
         "num_stages": report.num_stages,
-        "thresholds": list(report.thresholds),
+        "thresholds": report.thresholds,
         "t_map": report.t_map,
         "t_map50": report.t_map50,
         "t_map25": report.t_map25,
@@ -322,8 +354,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             for c in report.class_ids
         },
         "pr_curves": {
-            str(c): {tau_key(t): [[r, p] for r, p in report.pr_curves[c][t]]
-                     for t in report.thresholds}
+            str(c): {tau_key(t): report.pr_curves[c][t] for t in report.thresholds}
             for c in report.class_ids
         },
     }

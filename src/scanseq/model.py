@@ -40,6 +40,15 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
+    """Ascending indices of every label >= 0 in a per-point label array."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    heads = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    return {int(ordered[h]): points
+            for h, points in zip(heads, np.split(order, heads[1:])) if ordered[h] >= 0}
+
+
 def _as_float_matrix(values, name: str, width: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:

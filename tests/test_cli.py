@@ -169,6 +169,29 @@ def test_manifest_group_without_members_exits_74(tmp_path, capsys):
     assert "members" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target,edit", [
+    ("manifest", lambda data: data.update(annotations=[])),
+    ("manifest", lambda data: data["stages"][0].update(stage_index="0")),
+    ("manifest", lambda data: data.update(stages=5)),
+    ("manifest", lambda data: data["annotations"].update(
+        ambiguous_groups=[{"group_id": 0, "members": 3}])),
+    ("preds", lambda data: data.update(instances=5)),
+    ("preds", lambda data: data["instances"][0].update(masks=[[0, 1]])),
+], ids=["annotations-list", "stage-index-string", "stages-int", "members-int",
+        "instances-int", "mask-map-list"])
+def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
+    manifest, preds = _write_scene(tmp_path)
+    path = manifest if target == "manifest" else preds
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_points_mask_beyond_int64_exits_74(tmp_path, capsys):
     manifest, preds = _write_scene(tmp_path)
     data = json.loads(preds.read_text())
@@ -229,7 +252,9 @@ def test_serialize_subcommand(tmp_path):
     data = json.loads(out.read_text())
     assert data["curve"] == "hilbert_trans"
     assert sorted(data["order"]) == list(range(data["num_voxels"]))
-    assert len(data["keys"]) == data["num_voxels"]
+    assert "keys" not in data
+    dump_canonical_json(tmp_path / "again.json", data)
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
 
 def test_losses_subcommands(tmp_path):

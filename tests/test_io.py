@@ -104,6 +104,23 @@ def test_rle_rejects_non_increasing():
     assert rle_decode([[5, 3], [8, 1]]).tolist() == [5, 6, 7, 8]
 
 
+@pytest.mark.parametrize("runs", [
+    [[0, 2], [5]],                # ragged
+    [[0, 2, 1]],                  # not a pair
+    [[]],
+    5,
+    [[0.5, 2]],                   # not an integer
+    [["3", 2]],
+    [[True, False]],
+    [[2 ** 64, 1]],               # beyond int64
+    [[2 ** 63 - 1, 2]],           # end beyond int64
+    [[-1, 2]],
+])
+def test_rle_decode_rejects_malformed_runs(runs):
+    with pytest.raises(FormatError):
+        rle_decode(runs)
+
+
 # ---------------------------------------------------------------------------
 # Manifest and prediction round trips
 
@@ -158,6 +175,8 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
                 assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
         assert np.allclose(content.features[preds[0].instance_id],
                            [0.1, 0.2, 0.3], atol=1e-6)
+        dump_canonical_json(tmp_path / "again.json", json.loads(path.read_text()))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_manifest_row_count_mismatch_detected(tmp_path):
@@ -178,6 +197,13 @@ def test_unknown_mask_encoding_rejected(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="encoding"):
         read_predictions(path)
+
+
+def test_manifest_rejects_ground_truth_sharing_points(tmp_path):
+    seq = make_sequence([100])
+    gt = annotation([mask(0, 1, {0: range(0, 60)}), mask(1, 1, {0: range(40, 100)})])
+    with pytest.raises(ValueError, match="instances 0 and 1 share points at stage 0"):
+        write_manifest(tmp_path / "scene", seq, gt)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +231,25 @@ def test_canonical_floats_have_six_significant_digits(tmp_path):
     parsed = json.loads(path.read_text())
     assert parsed["value"] == 0.123457
     assert parsed["small"] == 1e-7
+
+
+def test_canonical_json_takes_numpy_values_as_python_values(tmp_path):
+    floats = np.array([[0.123456789, 1e-7], [2.0, -3.14159265]])
+    as_numpy = {"ints": np.arange(5, dtype=np.int32), "bools": np.array([True, False]),
+                "floats": floats, "f32": np.float32(0.1), "i64": np.int64(7),
+                "u8": np.uint8(3), "flag": np.bool_(True), "pairs": np.zeros((0, 2), int),
+                "nested": [np.int16(-2), (np.float64(1 / 3), 4)]}
+    as_python = {"ints": [0, 1, 2, 3, 4], "bools": [True, False],
+                 "floats": floats.tolist(), "f32": float(np.float32(0.1)), "i64": 7,
+                 "u8": 3, "flag": True, "pairs": [], "nested": [-2, [1 / 3, 4]]}
+    dump_canonical_json(tmp_path / "np.json", as_numpy)
+    dump_canonical_json(tmp_path / "py.json", as_python)
+    text = (tmp_path / "np.json").read_text()
+    assert text == (tmp_path / "py.json").read_text()
+    assert text.endswith("}\n") and " " not in text and "\n" not in text[:-1]
+    parsed = json.loads(text)
+    assert parsed["floats"] == [[0.123457, 1e-7], [2.0, -3.14159]]
+    assert parsed["f32"] == 0.1 and parsed["nested"] == [-2, [0.333333, 4]]
 
 
 def test_report_includes_every_class_and_counts(tmp_path):
