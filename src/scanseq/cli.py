@@ -11,8 +11,9 @@ Subcommands::
     scanseq losses    --op {contrastive,cost,fourier,pool} --in in.json --out out.json
 
 Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
-error (including a threshold outside [0, 1) and --threads below 1), 74 I/O
-or file-format failure (including JSON of the wrong shape or type).
+error (including a threshold outside [0, 1), --threads below 1, --bits outside
+[1, 64 // dims] and a --resolution that is not a positive finite number), 74
+I/O or file-format failure (including JSON of the wrong shape or type).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another; --threads is accepted for compatibility and has no effect. Every
 JSON output is compact canonical JSON; ``serialize`` writes the voxel order,
@@ -22,6 +23,7 @@ not the voxel keys, which the manifest and --resolution determine.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +58,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -96,8 +105,10 @@ def _build_parser() -> _Parser:
     p_ser.add_argument("--curve", choices=tuple(_CURVE_FLAGS), required=True)
     p_ser.add_argument("--dims", choices=("3", "4"), required=True)
     p_ser.add_argument("--manifest", required=True)
-    p_ser.add_argument("--resolution", type=float, default=DEFAULT_RESOLUTION)
-    p_ser.add_argument("--bits", type=int, default=curves.DEFAULT_BITS_PER_AXIS)
+    p_ser.add_argument("--resolution", type=_positive_finite_float,
+                       default=DEFAULT_RESOLUTION)
+    p_ser.add_argument("--bits", type=_positive_int, default=curves.DEFAULT_BITS_PER_AXIS,
+                       help="bits per axis; at most 64 // dims")
     p_ser.add_argument("--out", required=True)
 
     p_loss = sub.add_parser("losses", help="run a numeric op on a JSON payload")
@@ -229,6 +240,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_serialize(args) -> int:
+    if int(args.dims) * args.bits > 64:
+        print(f"error: --bits {args.bits} exceeds {64 // int(args.dims)} "
+              f"for --dims {args.dims}", file=sys.stderr)
+        return EXIT_USAGE
     seq, _ = formats.read_manifest(args.manifest)
     grid = voxelize(seq, resolution=args.resolution)
     pattern = curves.SerializationPattern(

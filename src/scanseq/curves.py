@@ -1,10 +1,13 @@
 """Space-filling-curve serialization of 3D and merged 4D voxel sets.
 
-Two codec families: Z-order (Morton bit interleaving) and Hilbert (Skilling's
-transpose algorithm). Both are exact bijections between d-dimensional grid
-coordinates and ranks in [0, 2^(d*bits)). "Trans" variants rotate the axes
-before encoding (x->y->z->x in 3D, x->y->z->t->x in 4D) to diversify the
-traversal patterns.
+Two codec families: Z-order (Morton bit interleaving, by magic-number bit
+spreading) and Hilbert (a state-table walk over the interleaved coordinates,
+one lookup per two levels). The Hilbert table is derived on first use per
+dimensionality from Skilling's transpose transform ("Programming the Hilbert
+curve", 2004) on a two-level grid, so ranks are Skilling's. Both are exact
+bijections between d-dimensional grid coordinates and ranks in
+[0, 2^(d*bits)). "Trans" variants rotate the axes before encoding
+(x->y->z->x in 3D, x->y->z->t->x in 4D) to diversify the traversal patterns.
 
 Bit-significance conventions, declared here once:
   * Z-order interleaves with x in the least significant slot of each bit
@@ -22,6 +25,7 @@ dropped.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,105 +63,129 @@ def _axis_permutation(curve: Curve, ndims: int) -> tuple[int, ...]:
     return tuple(range(ndims))
 
 
+def _check_bits(d: int, bits: int) -> None:
+    if bits < 1:
+        raise ValueError("bits_per_axis must be >= 1")
+    if d * bits > 64:
+        raise ValueError("d * bits_per_axis must not exceed 64")
+
+
 def _check_coords(coords: np.ndarray, bits: int) -> np.ndarray:
     arr = np.asarray(coords, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValueError(f"coords must have shape (N, 3) or (N, 4), got {arr.shape}")
-    d = arr.shape[1]
-    if d * bits > 64:
-        raise ValueError("d * bits_per_axis must not exceed 64")
+    _check_bits(arr.shape[1], bits)
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << bits)):
         raise ValueError(f"coordinate out of range [0, 2^{bits})")
     return arr.astype(np.uint64)
 
 
-def _interleave(parts: np.ndarray, bits: int, slot_of_axis: Sequence[int]) -> np.ndarray:
-    """Interleave bit b of axis i into rank bit b*d + slot_of_axis[i]."""
+@functools.cache
+def _spread_masks(d: int, bits: int) -> tuple[np.uint64, ...]:
+    """masks[k]: an axis's bits in blocks of 2^k, 2^k * d apart (masks[-1] packed)."""
+    return tuple(np.uint64(sum(1 << (b // s * s * d + b % s) for b in range(bits)))
+                 for s in (1 << k for k in range((bits - 1).bit_length() + 1)))
+
+
+def _spread_axes(parts: np.ndarray, bits: int) -> np.ndarray:
+    """Interleave bit b of column i into bit b*d + i by magic-number
+    spreading: log2(bits) shift/mask steps per column."""
     d = parts.shape[1]
-    rank = np.zeros(len(parts), dtype=np.uint64)
-    for b in range(bits):
-        for i in range(d):
-            bit = (parts[:, i] >> np.uint64(b)) & np.uint64(1)
-            rank |= bit << np.uint64(b * d + slot_of_axis[i])
-    return rank
+    masks = _spread_masks(d, bits)
+    out = np.zeros(len(parts), dtype=np.uint64)
+    for i in range(d):
+        v = parts[:, i]
+        for k in range(len(masks) - 2, -1, -1):
+            v = (v | (v << np.uint64((d - 1) << k))) & masks[k]
+        out |= v << np.uint64(i)
+    return out
 
 
-def _deinterleave(rank: np.ndarray, d: int, bits: int,
-                  slot_of_axis: Sequence[int]) -> np.ndarray:
-    parts = np.zeros((len(rank), d), dtype=np.uint64)
-    for b in range(bits):
-        for i in range(d):
-            bit = (rank >> np.uint64(b * d + slot_of_axis[i])) & np.uint64(1)
-            parts[:, i] |= bit << np.uint64(b)
+def _compact_axes(x: np.ndarray, d: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`_spread_axes`; returns (N, d) uint64 columns."""
+    masks = _spread_masks(d, bits)
+    parts = np.empty((len(x), d), dtype=np.uint64)
+    for i in range(d):
+        v = (x >> np.uint64(i)) & masks[0]
+        for k in range(1, len(masks)):
+            v = (v | (v >> np.uint64((d - 1) << (k - 1)))) & masks[k]
+        parts[:, i] = v
     return parts
 
 
-def _morton_encode(coords: np.ndarray, bits: int) -> np.ndarray:
-    # slot i for axis i: x least significant, t (when present) most significant
-    return _interleave(coords, bits, range(coords.shape[1]))
-
-
-def _morton_decode(rank: np.ndarray, d: int, bits: int) -> np.ndarray:
-    return _deinterleave(rank, d, bits, range(d))
-
-
-def _hilbert_axes_to_transpose(X: np.ndarray, bits: int) -> np.ndarray:
-    """Skilling's in-place transform from axes to Hilbert transpose form."""
-    d = X.shape[1]
-    Q = 1 << (bits - 1)
-    while Q > 1:
-        P = np.uint64(Q - 1)
-        uQ = np.uint64(Q)
-        for i in range(d):
-            has = (X[:, i] & uQ) != 0
-            X[:, 0] = np.where(has, X[:, 0] ^ P, X[:, 0])
-            swap = np.where(has, np.uint64(0), (X[:, 0] ^ X[:, i]) & P)
-            X[:, 0] ^= swap
-            X[:, i] ^= swap
-        Q >>= 1
-    for i in range(1, d):
+def _skilling_transpose(X: np.ndarray) -> np.ndarray:
+    """Skilling's axes-to-transpose transform, in place, on (N, d) uint64
+    coordinates in [0, 4): the cells of a two-level grid."""
+    for i in range(X.shape[1]):
+        X[:, 0] ^= X[:, i] >> 1  # high bit set: invert the low bit of axis 0
+        swap = (X[:, 0] ^ X[:, i]) & ~X[:, i] >> 1 & 1  # else exchange low bits
+        X[:, 0] ^= swap
+        X[:, i] ^= swap
+    for i in range(1, X.shape[1]):
         X[:, i] ^= X[:, i - 1]
-    t = np.zeros(len(X), dtype=np.uint64)
-    Q = 1 << (bits - 1)
-    while Q > 1:
-        sel = (X[:, d - 1] & np.uint64(Q)) != 0
-        t[sel] ^= np.uint64(Q - 1)
-        Q >>= 1
-    X ^= t[:, None]
+    X ^= X[:, -1:] >> 1
     return X
 
 
-def _hilbert_transpose_to_axes(X: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of :func:`_hilbert_axes_to_transpose`."""
-    d = X.shape[1]
-    t = X[:, d - 1] >> np.uint64(1)
-    for i in range(d - 1, 0, -1):
-        X[:, i] ^= X[:, i - 1]
-    X[:, 0] ^= t
-    Q = 2
-    while Q != (1 << bits):
-        P = np.uint64(Q - 1)
-        uQ = np.uint64(Q)
-        for i in range(d - 1, -1, -1):
-            has = (X[:, i] & uQ) != 0
-            X[:, 0] = np.where(has, X[:, 0] ^ P, X[:, 0])
-            swap = np.where(has, np.uint64(0), (X[:, 0] ^ X[:, i]) & P)
-            X[:, 0] ^= swap
-            X[:, i] ^= swap
-        Q <<= 1
-    return X
+@functools.cache
+def _hilbert_tables(d: int, inverse: bool = False) -> tuple[np.ndarray, ...]:
+    """Hilbert state tables, derived from Skilling on a two-level grid.
+
+    A state maps a cell digit (one bit per axis, transpose convention) to the
+    top-level cell M[c] whose rank digit first[M[c]] and sub-curve it takes;
+    its child state is child[M[c]][M]. The tables are (lead digit, lead next,
+    pair digit, pair next): one level from state 0, then two composed levels
+    from every state, "next" being the next state's row offset in the pair
+    table. ``inverse`` maps rank digits back to cell digits, for decoding.
+    """
+    n = 1 << d
+    # flat uint64 views over bytes are read-only: the cache shares them with every caller
+    flat = lambda *tables: tuple(np.frombuffer(np.asarray(t, np.uint64).tobytes(), np.uint64)
+                                 for t in tables)
+    if inverse:
+        lead_digit, lead_next, pair_digit, pair_next = _hilbert_tables(d)
+        inv, lead_inv = np.argsort(pair_digit.reshape(-1, n * n), axis=1), np.argsort(lead_digit)
+        return flat(lead_inv, lead_next[lead_inv], inv,
+                    np.take_along_axis(pair_next.reshape(-1, n * n), inv, axis=1))
+    axes = _compact_axes(np.arange(n * n, dtype=np.uint64), d, 2)[:, ::-1]  # axis 0 on top
+    rank = _spread_axes(_skilling_transpose(axes)[:, ::-1], 2).astype(np.int64)
+    first = rank[::n] >> d
+    child = np.argsort(first)[(rank & (n - 1)).reshape(n, n)]
+    weights = 1 << d * np.arange(n - 2, -1, -1)  # a map's last entry is implied
+    pack = lambda maps: maps[..., :-1] @ weights  # preserves lexicographic order
+    maps = np.arange(n)[None]  # grow the reachable set until it is closed
+    while True:
+        kids = child[maps[:, :, None], maps[:, None, :]]
+        codes, at = np.unique(np.append(pack(maps), pack(kids)), return_index=True)
+        if len(codes) == len(maps):
+            break
+        maps = np.concatenate([maps, kids.reshape(-1, n)])[at]
+    digit, nxt = first[maps], np.searchsorted(codes, pack(kids))
+    pair_digit = (digit[:, :, None] << d | digit[nxt]).reshape(len(maps), n * n)
+    return flat(digit[0], nxt[0] * n * n, pair_digit, nxt[nxt] * n * n)
 
 
-def _hilbert_encode(coords: np.ndarray, bits: int) -> np.ndarray:
-    transpose = _hilbert_axes_to_transpose(coords.copy(), bits)
-    d = transpose.shape[1]
-    # transpose convention: axis 0 carries the most significant slot
-    return _interleave(transpose, bits, [d - 1 - i for i in range(d)])
+def _hilbert_walk(x: np.ndarray, d: int, bits: int, tables) -> np.ndarray:
+    """Map the d-bit levels of x, top first, through a state table: a leading
+    one-level step when bits is odd, then one lookup per two levels."""
+    lead_digit, lead_next, pair_digit, pair_next = tables
+    out, row = np.zeros_like(x), np.zeros_like(x)
+    top = bits * d
+    if bits % 2:
+        top -= d
+        c = (x >> np.uint64(top)).view(np.int64)
+        out, row = lead_digit.take(c) << np.uint64(top), lead_next.take(c)
+    for shift in range(top - 2 * d, -1, -2 * d):
+        idx = (row + ((x >> np.uint64(shift)) & np.uint64((1 << 2 * d) - 1))).view(np.int64)
+        out |= pair_digit.take(idx) << np.uint64(shift)
+        row = pair_next.take(idx)
+    return out
 
 
-def _hilbert_decode(rank: np.ndarray, d: int, bits: int) -> np.ndarray:
-    transpose = _deinterleave(rank, d, bits, [d - 1 - i for i in range(d)])
-    return _hilbert_transpose_to_axes(transpose, bits)
+def _slot_order(curve: Curve, d: int) -> list[int]:
+    """Coordinate columns from the least significant interleave slot up."""
+    perm = list(_axis_permutation(curve, d))
+    return perm if curve in (Curve.Z_ORDER, Curve.Z_ORDER_TRANS) else perm[::-1]
 
 
 def encode_keys(coords, curve: Curve | str,
@@ -165,11 +193,11 @@ def encode_keys(coords, curve: Curve | str,
     """Vectorized curve ranks for an (N, d) array of grid coordinates."""
     curve = Curve(curve)
     arr = _check_coords(coords, bits_per_axis)
-    perm = _axis_permutation(curve, arr.shape[1])
-    arr = arr[:, perm]
-    if curve in (Curve.Z_ORDER, Curve.Z_ORDER_TRANS):
-        return _morton_encode(arr, bits_per_axis)
-    return _hilbert_encode(arr, bits_per_axis)
+    d = arr.shape[1]
+    x = _spread_axes(arr[:, _slot_order(curve, d)], bits_per_axis)
+    if curve in (Curve.HILBERT, Curve.HILBERT_TRANS):
+        x = _hilbert_walk(x, d, bits_per_axis, _hilbert_tables(d))
+    return x
 
 
 def decode_keys(ranks, curve: Curve | str, ndims: int,
@@ -178,20 +206,17 @@ def decode_keys(ranks, curve: Curve | str, ndims: int,
     curve = Curve(curve)
     if ndims not in (3, 4):
         raise ValueError("ndims must be 3 or 4")
-    if ndims * bits_per_axis > 64:
-        raise ValueError("ndims * bits_per_axis must not exceed 64")
-    arr = np.asarray(ranks, dtype=np.uint64)
-    limit = 1 << (ndims * bits_per_axis)
-    if arr.size and limit < (1 << 64) and int(arr.max()) >= limit:
-        raise ValueError("rank out of range")
-    if curve in (Curve.Z_ORDER, Curve.Z_ORDER_TRANS):
-        parts = _morton_decode(arr, ndims, bits_per_axis)
-    else:
-        parts = _hilbert_decode(arr, ndims, bits_per_axis)
-    perm = _axis_permutation(curve, ndims)
-    out = np.empty_like(parts)
-    out[:, list(perm)] = parts
-    return out.astype(np.int64)
+    _check_bits(ndims, bits_per_axis)
+    arr = np.asarray(ranks)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"ranks must be a 1-D integer array, got {arr.dtype} {arr.shape}")
+    if arr.size and (arr.min() < 0 or int(arr.max()) >> (ndims * bits_per_axis)):
+        raise ValueError(f"rank out of range [0, 2^{ndims * bits_per_axis})")
+    x = arr.astype(np.uint64)
+    if curve in (Curve.HILBERT, Curve.HILBERT_TRANS):
+        x = _hilbert_walk(x, ndims, bits_per_axis, _hilbert_tables(ndims, inverse=True))
+    parts = _compact_axes(x, ndims, bits_per_axis)
+    return parts[:, np.argsort(_slot_order(curve, ndims))].astype(np.int64)
 
 
 def encode_key(coord: Sequence[int], curve: Curve | str,
@@ -235,6 +260,7 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     orders each stage independently and concatenates by ascending stage;
     ``spatiotemporal_4d`` merges all stages with t as a fourth axis.
     """
+    _check_bits(pattern.ndims, bits_per_axis)
     keys = grid.keys.astype(np.int64)
     shifted = keys - keys.min(axis=0)
     if shifted.max() >= (1 << bits_per_axis):

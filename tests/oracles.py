@@ -284,3 +284,108 @@ def brute_force_voxel_count(stage_positions, resolution):
                       math.floor(p[1] / resolution),
                       math.floor(p[2] / resolution), t))
     return len(keys)
+
+
+# ---------------------------------------------------------------------------
+# Space-filling-curve codecs, one coordinate at a time on Python ints
+
+
+CURVE_TRANS_PERMS = {3: (2, 0, 1), 4: (3, 0, 1, 2)}  # x->y->z(->t)->x
+
+
+def skilling_axes_to_transpose(axes, bits):
+    """Skilling's AxestoTranspose ("Programming the Hilbert curve", 2004)."""
+    X = list(axes)
+    n = len(X)
+    Q = 1 << (bits - 1)
+    while Q > 1:
+        P = Q - 1
+        for i in range(n):
+            if X[i] & Q:
+                X[0] ^= P
+            else:
+                t = (X[0] ^ X[i]) & P
+                X[0] ^= t
+                X[i] ^= t
+        Q >>= 1
+    for i in range(1, n):
+        X[i] ^= X[i - 1]
+    t = 0
+    Q = 1 << (bits - 1)
+    while Q > 1:
+        if X[n - 1] & Q:
+            t ^= Q - 1
+        Q >>= 1
+    return [x ^ t for x in X]
+
+
+def skilling_transpose_to_axes(transpose, bits):
+    """Skilling's TransposetoAxes, the inverse of the function above."""
+    X = list(transpose)
+    n = len(X)
+    t = X[n - 1] >> 1
+    for i in range(n - 1, 0, -1):
+        X[i] ^= X[i - 1]
+    X[0] ^= t
+    Q = 2
+    while Q != 1 << bits:
+        P = Q - 1
+        for i in range(n - 1, -1, -1):
+            if X[i] & Q:
+                X[0] ^= P
+            else:
+                t = (X[0] ^ X[i]) & P
+                X[0] ^= t
+                X[i] ^= t
+        Q <<= 1
+    return X
+
+
+def _bit_interleave(parts, bits, slot_of_axis):
+    """Bit b of axis i goes to rank bit b * d + slot_of_axis[i]."""
+    d = len(parts)
+    rank = 0
+    for b in range(bits):
+        for i in range(d):
+            rank |= ((parts[i] >> b) & 1) << (b * d + slot_of_axis[i])
+    return rank
+
+
+def _bit_deinterleave(rank, d, bits, slot_of_axis):
+    parts = [0] * d
+    for b in range(bits):
+        for i in range(d):
+            parts[i] |= ((rank >> (b * d + slot_of_axis[i])) & 1) << b
+    return parts
+
+
+def _curve_slots(curve, d):
+    # Z-order: x in the least significant slot; Hilbert transpose: axis 0 in
+    # the most significant slot
+    if curve.startswith("z_order"):
+        return list(range(d))
+    return [d - 1 - i for i in range(d)]
+
+
+def reference_curve_rank(coord, curve, bits):
+    """Rank of one grid coordinate under a curve name of ``scanseq.curves``."""
+    d = len(coord)
+    coord = [int(c) for c in coord]
+    if curve.endswith("_trans"):
+        coord = [coord[p] for p in CURVE_TRANS_PERMS[d]]
+    if curve.startswith("hilbert"):
+        coord = skilling_axes_to_transpose(coord, bits)
+    return _bit_interleave(coord, bits, _curve_slots(curve, d))
+
+
+def reference_curve_coord(rank, curve, d, bits):
+    """Inverse of :func:`reference_curve_rank`."""
+    parts = _bit_deinterleave(int(rank), d, bits, _curve_slots(curve, d))
+    if curve.startswith("hilbert"):
+        parts = skilling_transpose_to_axes(parts, bits)
+    if curve.endswith("_trans"):
+        out = [0] * d
+        for slot, p in enumerate(CURVE_TRANS_PERMS[d]):
+            out[p] = parts[slot]
+        parts = out
+    return tuple(parts)

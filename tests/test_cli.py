@@ -257,6 +257,36 @@ def test_serialize_subcommand(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--bits", "0"], "must be at least 1"),
+    (["--bits", "-1"], "must be at least 1"),
+    (["--bits", "17", "--dims", "4"], "--bits 17 exceeds 16 for --dims 4"),
+    (["--bits", "22", "--dims", "3"], "--bits 22 exceeds 21 for --dims 3"),
+    (["--resolution", "nan"], "positive finite"),
+    (["--resolution", "0"], "positive finite"),
+    (["--resolution", "-1"], "positive finite"),
+    (["--resolution", "inf"], "positive finite"),
+])
+def test_serialize_bad_bits_or_resolution_exits_64(tmp_path, capsys, flags, message):
+    manifest, _ = _write_scene(tmp_path)
+    argv = ["serialize", "--curve", "hilbert", "--manifest", str(manifest),
+            "--out", str(tmp_path / "order.json")] + flags
+    if "--dims" not in flags:
+        argv += ["--dims", "4"]
+    assert main(argv) == 64
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "order.json").exists()
+
+
+def test_serialize_grid_too_wide_for_bits_exits_2(tmp_path, capsys):
+    manifest, _ = _write_scene(tmp_path)
+    code = main(["serialize", "--curve", "zorder", "--dims", "3", "--bits", "1",
+                 "--manifest", str(manifest), "--resolution", "0.1",
+                 "--out", str(tmp_path / "order.json")])
+    assert code == 2
+    assert "grid extent exceeds 2^1" in capsys.readouterr().err
+
+
 def test_losses_subcommands(tmp_path):
     cases = {
         "contrastive": {"features": [[1, 0], [0.9, 0.1], [0, 1]],

@@ -2,13 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scanseq import curves
 from scanseq.curves import (Curve, ScheduleMix, SerializationDims,
                             SerializationPattern, decode_key, decode_keys,
                             encode_key, encode_keys, make_schedule,
                             serialize_sequence)
 from scanseq.geometry import voxelize
 from scanseq.model import SequencePointCloud, StageCloud
+
+from oracles import reference_curve_coord, reference_curve_rank
 
 ALL_CURVES = tuple(Curve)
 
@@ -57,6 +62,100 @@ def test_hilbert_unit_step_adjacency(curve, d, bits):
     coords = decode_keys(np.arange(n, dtype=np.uint64), curve, d, bits)
     steps = np.abs(np.diff(coords, axis=0))
     assert np.all(steps.sum(axis=1) == 1)
+
+
+def _assert_matches_oracle(coords, ranks, curve, d, bits):
+    """Both directions: encode_keys(coords) and decode_keys(ranks) agree with
+    the plain-Python Skilling/Morton oracle, and decoding inverts encoding."""
+    expected = [reference_curve_rank(c, curve.value, bits) for c in coords]
+    assert encode_keys(coords, curve, bits).tolist() == expected
+    assert np.array_equal(
+        decode_keys(np.asarray(expected, dtype=np.uint64), curve, d, bits), coords)
+    decoded = [reference_curve_coord(r, curve.value, d, bits) for r in ranks]
+    assert decode_keys(ranks, curve, d, bits).tolist() == [list(c) for c in decoded]
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES)
+@pytest.mark.parametrize("d,bits", [(3, 3), (4, 2)])
+def test_ranks_equal_oracle_exhaustive(curve, d, bits):
+    grid = full_grid(d, bits)
+    _assert_matches_oracle(grid, np.arange(len(grid), dtype=np.uint64), curve, d, bits)
+
+
+@pytest.mark.parametrize("curve", ALL_CURVES)
+@pytest.mark.parametrize("d,bits", [(3, 16), (4, 16), (3, 21)])
+def test_ranks_equal_oracle_random(curve, d, bits):
+    rng = np.random.default_rng([d, bits])
+    coords = rng.integers(0, 1 << bits, size=(10_000, d))
+    ranks = rng.integers(0, 1 << (d * bits), size=10_000, dtype=np.uint64)
+    _assert_matches_oracle(coords, ranks, curve, d, bits)
+
+
+def test_hilbert_state_tables_have_the_reachable_state_counts():
+    # Skilling's 4D curve has 192 states, more than the <= 64 of Hamilton's
+    # (e, d) curve, which is why the table is derived rather than written out
+    for d, states in ((3, 24), (4, 192)):
+        for inverse in (False, True):
+            pair_digit = curves._hilbert_tables(d, inverse=inverse)[2]
+            assert len(pair_digit) == states << (2 * d)
+
+
+@st.composite
+def _codec_cases(draw):
+    d = draw(st.sampled_from((3, 4)))
+    bits = draw(st.integers(1, 64 // d))
+    coords = draw(st.lists(st.lists(st.integers(0, (1 << bits) - 1),
+                                    min_size=d, max_size=d),
+                           min_size=1, max_size=8))
+    return d, bits, np.asarray(coords, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_codec_cases(), curve=st.sampled_from(ALL_CURVES))
+def test_codecs_match_oracle_property(case, curve):
+    d, bits, coords = case
+    ranks = encode_keys(coords, curve, bits)
+    assert ranks.tolist() == [reference_curve_rank(c, curve.value, bits)
+                              for c in coords]
+    assert np.array_equal(decode_keys(ranks, curve, d, bits), coords)
+
+
+@pytest.mark.parametrize("bits", [0, -1, -20])
+def test_bits_per_axis_below_one_rejected(bits):
+    with pytest.raises(ValueError, match="bits_per_axis must be >= 1"):
+        encode_keys(np.zeros((2, 3), dtype=np.int64), Curve.HILBERT, bits)
+    with pytest.raises(ValueError, match="bits_per_axis must be >= 1"):
+        decode_keys([0, 1], Curve.Z_ORDER, 4, bits)
+    grid = _grid_from([[[0.5, 0.5, 0.5]]])
+    with pytest.raises(ValueError, match="bits_per_axis must be >= 1"):
+        serialize_sequence(grid, SerializationPattern(
+            Curve.HILBERT, SerializationDims.SPATIAL_3D), bits)
+
+
+def test_bits_per_axis_above_range_rejected():
+    with pytest.raises(ValueError, match="must not exceed 64"):
+        encode_keys(np.zeros((2, 4), dtype=np.int64), Curve.HILBERT, 17)
+    with pytest.raises(ValueError, match="must not exceed 64"):
+        decode_keys([0], Curve.HILBERT, 3, 22)
+
+
+@pytest.mark.parametrize("ranks,match", [
+    ([1.5], "integer"),
+    (np.array([1.0, 2.0]), "integer"),
+    ([3, -1], "rank out of range"),
+    ([[1, 2], [3, 4]], "1-D"),
+])
+def test_decode_rejects_malformed_ranks(ranks, match):
+    with pytest.raises(ValueError, match=match):
+        decode_keys(ranks, Curve.Z_ORDER, 3, 4)
+
+
+def test_decode_accepts_empty_and_full_width_ranks():
+    assert decode_keys([], Curve.HILBERT, 3, 4).shape == (0, 3)
+    top = np.array([(1 << 64) - 1], dtype=np.uint64)
+    for curve in ALL_CURVES:
+        coord = decode_keys(top, curve, 4, 16)
+        assert encode_keys(coord, curve, 16).tolist() == top.tolist()
 
 
 def test_out_of_range_coordinates_rejected():
