@@ -13,7 +13,10 @@ Subcommands::
 Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
 error (including a threshold outside [0, 1), --threads below 1, --bits outside
 [1, 64 // dims] and a --resolution that is not a positive finite number), 74
-I/O or file-format failure (including JSON of the wrong shape or type).
+I/O or file-format failure (including JSON of the wrong shape or type, a
+label file that is not one integer per line, a recipe that ``SceneRecipe``,
+``ChangeOp`` or ``PerturbationSpec`` rejects and a ``losses`` payload with a
+missing or wrongly typed field).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another; --threads is accepted for compatibility and has no effect. Every
 JSON output is compact canonical JSON; ``serialize`` writes the voxel order,
@@ -227,12 +230,15 @@ def _cmd_associate(args) -> int:
 
 def _cmd_generate(args) -> int:
     recipe_data = formats.load_json(args.recipe)
-    recipe = synth.SceneRecipe.from_dict(recipe_data)
+    try:
+        recipe = synth.SceneRecipe.from_dict(recipe_data)
+        spec = (synth.PerturbationSpec(**recipe_data["perturbation"])
+                if "perturbation" in recipe_data else None)
+    except (TypeError, ValueError) as exc:
+        raise formats.FormatError(f"{args.recipe}: bad recipe ({exc})") from exc
     seq, gt = synth.generate(recipe)
     formats.write_manifest(args.out, seq, gt)
-    if "perturbation" in recipe_data:
-        spec_data = dict(recipe_data["perturbation"])
-        spec = synth.PerturbationSpec(**spec_data)
+    if spec is not None:
         preds = synth.perturb(seq, gt, spec)
         formats.write_predictions(Path(args.out) / "predictions.json", preds,
                                   seq.sequence_id)
@@ -265,36 +271,41 @@ def _cmd_serialize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_losses(args) -> int:
-    data = formats.load_json(args.input)
-    if args.op == "contrastive":
+def _loss_payload(op: str, data: dict) -> dict:
+    if op == "contrastive":
         relation = numerics.relation_from_instance_ids(data["instance_ids"])
-        value = numerics.contrastive_loss(np.asarray(data["features"]), relation)
-        payload = {"loss": value}
-    elif args.op == "cost":
+        return {"loss": numerics.contrastive_loss(np.asarray(data["features"]), relation)}
+    if op == "cost":
         cfg = numerics.AssignmentCostConfig(**data.get("lambdas", {}))
         result = numerics.assignment_cost(
             np.asarray(data["pred_mask_logits"]),
             np.asarray(data["pred_class_logits"]),
             np.asarray(data["gt_masks"]), data["gt_classes"], cfg)
-        payload = {
+        return {
             "cost_matrix": result.cost_matrix,
             "matches": result.matches,
             "unmatched_predictions": result.unmatched_predictions,
             "unmatched_ground_truth": result.unmatched_ground_truth,
             "total_cost": result.total_cost,
         }
-    elif args.op == "fourier":
+    if op == "fourier":
         features = numerics.fourier_features_4d(
             np.asarray(data["coords"]),
             d_out=int(data["d_out"]), seed=int(data["seed"]),
             scale=float(data.get("scale", 1.0)))
-        payload = {"features": features}
-    else:  # pool
-        stack = numerics.MaskHierarchyStack(
-            levels=((np.asarray(data["coords"]), np.asarray(data["mask"])),))
-        pooled = numerics.st_pool_masks(stack, 0)
-        payload = {"mask": pooled}
+        return {"features": features}
+    stack = numerics.MaskHierarchyStack(  # pool
+        levels=((np.asarray(data["coords"]), np.asarray(data["mask"])),))
+    return {"mask": numerics.st_pool_masks(stack, 0)}
+
+
+def _cmd_losses(args) -> int:
+    data = formats.load_json(args.input)
+    try:
+        payload = _loss_payload(args.op, data)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise formats.FormatError(
+            f"{args.input}: bad {args.op} input ({type(exc).__name__}: {exc})") from exc
     payload["schema_version"] = formats.SCHEMA_VERSION
     formats.dump_canonical_json(args.out, payload)
     return EXIT_OK

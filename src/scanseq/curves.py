@@ -265,11 +265,12 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     shifted = keys - keys.min(axis=0)
     if shifted.max() >= (1 << bits_per_axis):
         raise ValueError(f"grid extent exceeds 2^{bits_per_axis} cells per axis")
+    # Voxel keys are unique, so codes have no ties within a stage (3D) or
+    # within the grid (4D) and an unstable sort gives the one order.
     if pattern.dims == SerializationDims.SPATIAL_3D:
-        codes = encode_keys(shifted[:, :3], pattern.curve, bits_per_axis)
-        return np.lexsort((codes, shifted[:, 3]))
-    codes = encode_keys(shifted, pattern.curve, bits_per_axis)
-    return np.argsort(codes, kind="stable")
+        order = np.argsort(encode_keys(shifted[:, :3], pattern.curve, bits_per_axis))
+        return order[np.argsort(shifted[order, 3], kind="stable")]
+    return np.argsort(encode_keys(shifted, pattern.curve, bits_per_axis))
 
 
 _SPATIAL_POOL = tuple(SerializationPattern(c, SerializationDims.SPATIAL_3D)

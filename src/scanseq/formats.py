@@ -1,8 +1,8 @@
 """On-disk formats: sequence manifests, prediction files, evaluation reports.
 
-A *manifest* directory holds one PLY per stage plus per-point instance-id and
-class-id text files (one integer per line, -1 for background), tied together
-by ``manifest.json`` which also carries the annotations (instance classes,
+A *manifest* directory holds one PLY per stage plus a per-point instance-id
+text file (one integer per line, -1 for background), tied together by
+``manifest.json`` which also carries the annotations (instance classes,
 ambiguous groups, change labels). Prediction files are standalone JSON with
 per-stage masks stored either as explicit index lists or as (start, length)
 run-length pairs over the sorted indices.
@@ -133,8 +133,7 @@ def _mask_from_payload(payload: Mapping) -> np.ndarray:
 # Sequence manifests
 
 
-def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation,
-                   binary_ply: bool = True) -> Path:
+def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation) -> Path:
     """Write a sequence + annotations as a manifest directory; returns its path."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -142,10 +141,8 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     for t, stage in enumerate(seq.stages):
         point_file = f"stage_{t:03d}.ply"
         instance_file = f"stage_{t:03d}.instances.txt"
-        class_file = f"stage_{t:03d}.classes.txt"
-        write_ply(root / point_file, stage, binary=binary_ply)
+        write_ply(root / point_file, stage)
         inst_col = np.full(stage.point_count, -1, dtype=np.int64)
-        class_col = np.full(stage.point_count, -1, dtype=np.int64)
         for mask in gt.instances:
             pts = mask.points_at(t)
             other = inst_col[pts].max(initial=-1)
@@ -154,14 +151,11 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
                     f"ground-truth instances {other} and {mask.instance_id} share "
                     f"points at stage {t}; a manifest holds one instance per point")
             inst_col[pts] = mask.instance_id
-            class_col[pts] = mask.class_id
-        for name, column in ((instance_file, inst_col), (class_file, class_col)):
-            labels, inverse = np.unique(column, return_inverse=True)
-            lines = labels.astype(str).astype(object)[inverse]  # format each label once
-            (root / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+        labels, inverse = np.unique(inst_col, return_inverse=True)
+        lines = labels.astype(str).astype(object)[inverse]  # format each label once
+        (root / instance_file).write_text("\n".join(lines) + "\n", encoding="ascii")
         stage_entries.append({"stage_index": t, "point_file": point_file,
-                              "instance_file": instance_file,
-                              "class_file": class_file})
+                              "instance_file": instance_file})
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sequence_manifest",
@@ -209,8 +203,8 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     stages: list[StageCloud] = []
     per_stage_instances: list[np.ndarray] = []
     entries = sorted(_entries(data, "stages", {"stage_index": int, "point_file": str,
-                                               "instance_file": str, "class_file": str},
-                              path), key=lambda e: e["stage_index"])
+                                               "instance_file": str}, path),
+                     key=lambda e: e["stage_index"])
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
@@ -218,12 +212,13 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
         inst_path = root / entry["instance_file"]
         if not inst_path.exists():
             raise FormatError(f"{path}: missing instance file {entry['instance_file']}")
-        inst_col = np.loadtxt(inst_path, dtype=np.int64, ndmin=1)
-        class_path = root / entry["class_file"]
-        if not class_path.exists():
-            raise FormatError(f"{path}: missing class file {entry['class_file']}")
-        class_col = np.loadtxt(class_path, dtype=np.int64, ndmin=1)
-        if len(inst_col) != cloud.point_count or len(class_col) != cloud.point_count:
+        try:
+            inst_col = np.loadtxt(inst_path, dtype=np.int64, ndmin=1)
+        except ValueError as exc:
+            raise FormatError(f"{inst_path}: not one integer per line ({exc})") from exc
+        if inst_col.ndim != 1:
+            raise FormatError(f"{inst_path}: not one integer per line")
+        if len(inst_col) != cloud.point_count:
             raise FormatError(
                 f"{path}: row counts do not match point count at stage "
                 f"{entry['stage_index']}")

@@ -15,6 +15,7 @@ rewires components across stages (consistent / swapped / merged / fragmented).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -30,6 +31,13 @@ class SceneGenerationError(RuntimeError):
 
 class PerturbationError(RuntimeError):
     """A requested mask quality target is unreachable."""
+
+
+def _as_int(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 class IdentityPolicy(str, enum.Enum):
@@ -53,12 +61,18 @@ class ChangeOp:
     def __post_init__(self):
         if self.kind not in ("static", "rigid", "non_rigid", "swap", "add", "remove"):
             raise ValueError(f"unknown change kind {self.kind!r}")
-        object.__setattr__(self, "translation", tuple(float(v) for v in self.translation))
+        translation = tuple(float(v) for v in self.translation)
+        if len(translation) != 3:
+            raise ValueError(f"translation must hold 3 numbers, not {len(translation)}")
+        object.__setattr__(self, "translation", translation)
+        for name in ("yaw_deg", "amplitude", "wavelength"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.group_id is not None:
+            object.__setattr__(self, "group_id", _as_int(self.group_id, "group_id"))
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ChangeOp":
-        return cls(**{k: (tuple(v) if k == "translation" else v)
-                      for k, v in data.items()})
+        return cls(**data)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -98,32 +112,34 @@ class SceneRecipe:
     sequence_id: str = "synth-0"
 
     def __post_init__(self):
-        groups = tuple(tuple(sorted(int(m) for m in g)) for g in self.ambiguous_groups)
-        object.__setattr__(self, "ambiguous_groups", groups)
-        changes = tuple({int(k): (v if isinstance(v, ChangeOp) else ChangeOp.from_dict(v))
-                         for k, v in step.items()} for step in self.changes)
-        object.__setattr__(self, "changes", changes)
-        object.__setattr__(self, "primitives", tuple(self.primitives))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("seed", "n_objects", "n_stages", "n_classes", "background_points",
+                     "segments_per_object", "max_placement_retries"):
+            put(name, _as_int(getattr(self, name), name))
+        put("extent", float(self.extent))
+        put("placement_margin", float(self.placement_margin))
+        put("primitives", tuple(self.primitives))
+        put("size_range", tuple(float(v) for v in self.size_range))
+        put("points_per_object", tuple(_as_int(v, "points_per_object")
+                                       for v in self.points_per_object))
+        if len(self.size_range) != 2 or len(self.points_per_object) != 2:
+            raise ValueError("size_range and points_per_object must be (low, high) pairs")
+        put("ambiguous_groups", tuple(tuple(sorted(_as_int(m, "ambiguous group member")
+                                                   for m in g))
+                                      for g in self.ambiguous_groups))
+        put("changes", tuple({int(k): (v if isinstance(v, ChangeOp) else ChangeOp.from_dict(v))
+                              for k, v in dict(step).items()} for step in self.changes))
         if self.n_stages < 1:
             raise ValueError("n_stages must be >= 1")
-        if len(changes) not in (0, self.n_stages - 1):
+        if len(self.changes) not in (0, self.n_stages - 1):
             raise ValueError("changes must list one mapping per stage transition")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SceneRecipe":
         kwargs = dict(data)
         kwargs.pop("perturbation", None)
-        for key in ("size_range", "points_per_object"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "primitives" in kwargs:
-            kwargs["primitives"] = tuple(kwargs["primitives"])
-        if "ambiguous_groups" in kwargs:
-            kwargs["ambiguous_groups"] = tuple(tuple(g) for g in kwargs["ambiguous_groups"])
-        if "changes" in kwargs:
-            kwargs["changes"] = tuple(
-                {int(k): ChangeOp.from_dict(v) for k, v in step.items()}
-                for step in kwargs["changes"])
         return cls(**kwargs)
 
 
@@ -349,6 +365,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "identity_policy", IdentityPolicy(self.identity_policy))
+        if not isinstance(self.target_iou, Mapping):
+            object.__setattr__(self, "target_iou", float(self.target_iou))
+        for name in ("confidence_base", "confidence_jitter", "iou_tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
     def target_for(self, instance_id: int, stage: int) -> float:
         if isinstance(self.target_iou, Mapping):

@@ -153,8 +153,7 @@ def _evaluate_with_edited_manifest(tmp_path, edit):
                  "--out", str(tmp_path / "r.json")])
 
 
-@pytest.mark.parametrize("key", ["stage_index", "point_file", "instance_file",
-                                 "class_file"])
+@pytest.mark.parametrize("key", ["stage_index", "point_file", "instance_file"])
 def test_manifest_stage_missing_key_exits_74(tmp_path, capsys, key):
     code = _evaluate_with_edited_manifest(
         tmp_path, lambda data: data["stages"][0].pop(key))
@@ -190,6 +189,24 @@ def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
     err = capsys.readouterr().err
     assert code == 74
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: ["x"] + lines[1:],
+    lambda lines: ["1.5"] + lines[1:],
+    lambda lines: ["99999999999999999999"] + lines[1:],
+    lambda lines: ["1 2"] + lines[1:],
+    lambda lines: [f"{line} {line}" for line in lines],
+], ids=["letter", "float", "beyond-int64", "two-columns-once", "two-columns"])
+def test_unparsable_instance_label_exits_74(tmp_path, capsys, edit):
+    manifest, preds = _write_scene(tmp_path)
+    labels = manifest.parent / "stage_000.instances.txt"
+    labels.write_text("\n".join(edit(labels.read_text().splitlines())) + "\n")
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(labels) in err and "Traceback" not in err
 
 
 def test_points_mask_beyond_int64_exits_74(tmp_path, capsys):
@@ -240,6 +257,38 @@ def test_generate_then_evaluate_pipeline(tmp_path):
                  "--pred", str(scene / "predictions.json"),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["t_map"] == 1.0
+
+
+@pytest.mark.parametrize("recipe", [
+    {"bogus": 1},
+    {"n_objects": "x"},
+    {"perturbation": {"nope": 1}},
+    {"changes": [{"0": {"kind": "rigid", "speed": 2}}]},
+    {"n_stages": 0},
+], ids=["unknown-field", "n-objects-string", "unknown-perturbation-field",
+        "unknown-change-field", "no-stages"])
+def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(recipe_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op,payload", [
+    ("contrastive", {"features": [[1, 0], [0, 1]], "instance_ids": 5}),
+    ("cost", {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0]],
+              "gt_masks": [[1, 0]], "gt_classes": [0], "lambdas": {"foo": 1}}),
+    ("fourier", {"coords": [[0, 0, 0, 0]], "seed": 1}),
+], ids=["contrastive-ids-int", "cost-unknown-lambda", "fourier-missing-d-out"])
+def test_losses_malformed_input_exits_74(tmp_path, capsys, op, payload):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    code = main(["losses", "--op", op, "--in", str(inp), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(inp) in err and "Traceback" not in err
 
 
 def test_serialize_subcommand(tmp_path):

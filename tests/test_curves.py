@@ -232,6 +232,25 @@ def test_spatial_3d_equals_per_stage_concatenation():
             assert order[stage_col == t].tolist() == expected.tolist()
 
 
+def test_orders_equal_lexsort_when_cells_recur_across_stages():
+    # the same spatial cells recur at every stage, so 3D codes repeat across
+    # stages: the order is still stage-major, then code, as lexsort gives it
+    rng = np.random.default_rng(11)
+    cells = rng.integers(0, 12, size=(300, 3)) + 0.5
+    grid = _grid_from([cells[:200], cells[50:250], cells[100:]])
+    shifted = grid.keys - grid.keys.min(axis=0)
+    assert len(np.unique(shifted[:, :3], axis=0)) < grid.num_voxels
+    for curve in ALL_CURVES:
+        codes3 = encode_keys(shifted[:, :3], curve, 16)
+        codes4 = encode_keys(shifted, curve, 16)
+        order3 = serialize_sequence(grid, SerializationPattern(
+            curve, SerializationDims.SPATIAL_3D))
+        order4 = serialize_sequence(grid, SerializationPattern(
+            curve, SerializationDims.SPATIOTEMPORAL_4D))
+        assert order3.tolist() == np.lexsort((codes3, shifted[:, 3])).tolist()
+        assert order4.tolist() == np.lexsort((codes4,)).tolist()
+
+
 def test_4d_serialization_preserves_duplicate_spatial_voxels():
     cells = np.asarray([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float) + 0.5
     grid = _grid_from([cells, cells, cells])

@@ -179,6 +179,35 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_manifest_has_no_class_files(tmp_path):
+    seq, gt = _scene()
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    names = sorted(p.name for p in manifest.parent.iterdir())
+    assert names == ["manifest.json"] + [
+        f"stage_{t:03d}.{kind}" for t in range(seq.num_stages)
+        for kind in ("instances.txt", "ply")]
+    assert all(set(entry) == {"stage_index", "point_file", "instance_file"}
+               for entry in json.loads(manifest.read_text())["stages"])
+
+
+@pytest.mark.parametrize("garbage", [False, True], ids=["missing", "garbage"])
+def test_manifest_ignores_listed_class_file(tmp_path, garbage):
+    seq, gt = _scene()
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    expected_seq, expected_gt = read_manifest(manifest)
+    data = json.loads(manifest.read_text())
+    for entry in data["stages"]:
+        entry["class_file"] = f"stage_{entry['stage_index']:03d}.classes.txt"
+        if garbage:
+            (manifest.parent / entry["class_file"]).write_text("x\n1.5\n")
+    manifest.write_text(json.dumps(data))
+    # both reads written back give the same files, so they hold the same data
+    again = write_manifest(tmp_path / "again", *read_manifest(manifest)).parent
+    expected = write_manifest(tmp_path / "expected", expected_seq, expected_gt).parent
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == \
+        {p.name: p.read_bytes() for p in expected.iterdir()}
+
+
 def test_manifest_row_count_mismatch_detected(tmp_path):
     seq, gt = _scene()
     manifest = write_manifest(tmp_path / "scene", seq, gt)

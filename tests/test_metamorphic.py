@@ -1,0 +1,119 @@
+"""Metamorphic properties of ``evaluate``: transformations of the inputs that
+must leave the canonical report bytes unchanged."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from scanseq import metrics
+from scanseq.formats import write_report
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
+from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
+
+TRIALS = range(8)
+
+
+def _ambiguous_scene():
+    """Three stages, groups {0, 1, 2} and {4, 5} swapping at both transitions,
+    and predictions whose IoU targets (0.6 to 0.92) and distinct confidences
+    are unrelated, so the matching order decides the AP."""
+    swaps = {0: ChangeOp("swap", group_id=0), 4: ChangeOp("swap", group_id=1),
+             7: ChangeOp("rigid", translation=(0.3, 0, 0))}
+    recipe = SceneRecipe(seed=21, n_objects=10, n_stages=3, n_classes=2,
+                         background_points=200, ambiguous_groups=((0, 1, 2), (4, 5)),
+                         changes=(swaps, swaps), sequence_id="meta")
+    seq, gt = generate(recipe)
+    targets = {i: 0.6 + 0.035 * ((3 * i) % 10) for i in range(10)}
+    preds = perturb(seq, gt, PerturbationSpec(target_iou=targets, seed=4,
+                                              confidence_jitter=0.09))
+    confidences = [p.confidence for p in preds]
+    assert len(set(confidences)) == len(confidences)
+    return seq, gt, preds
+
+
+def _main_member(pred, gt):
+    """The ground-truth instance holding most of ``pred``'s first-stage points."""
+    t = min(pred.per_stage_points)
+    return max(gt.instances, key=lambda g: np.intersect1d(
+        g.points_at(t), pred.per_stage_points[t]).size).instance_id
+
+
+def _dropped_scene():
+    """The ambiguous scene without the predictions of members 0, 1 and 4, so
+    their components are left to the random fill."""
+    seq, gt, preds = _ambiguous_scene()
+    return seq, gt, [p for p in preds if _main_member(p, gt) not in (0, 1, 4)]
+
+
+SCENES = {"ambiguous": _ambiguous_scene, "dropped": _dropped_scene}
+
+
+def _report_bytes(tmp_path, seq, gt, preds) -> bytes:
+    path = tmp_path / "report.json"
+    write_report(path, metrics.evaluate(seq, gt, preds, rng_seed=3))
+    return path.read_bytes()
+
+
+def _relabel_ground_truth(gt, mapping):
+    return GroundTruthAnnotation(
+        instances=tuple(dataclasses.replace(m, instance_id=mapping[m.instance_id])
+                        for m in gt.instances),
+        ambiguous_groups=tuple(AmbiguousGroup(g.group_id, tuple(
+            mapping[m] for m in g.member_instance_ids)) for g in gt.ambiguous_groups),
+        change_labels={mapping[k]: v for k, v in gt.change_labels.items()})
+
+
+def _new_ids(rng, ids):
+    return dict(zip(ids, rng.choice(10 * len(ids) + 100, size=len(ids),
+                                    replace=False).tolist()))
+
+
+def test_dropped_scene_fills_at_random(monkeypatch):
+    seq, gt, preds = _dropped_scene()
+    draws = []
+    assign = metrics.assign_ambiguous_components
+
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, n):
+            draws.append(n)
+            return self.rng.integers(n)
+
+    monkeypatch.setattr(metrics, "assign_ambiguous_components",
+                        lambda w, present, rng: assign(w, present, CountingRng(rng)))
+    metrics.evaluate(seq, gt, preds, rng_seed=3)
+    assert any(n > 1 for n in draws)
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
+def test_report_invariant_to_prediction_order(tmp_path, scene, trial):
+    seq, gt, preds = SCENES[scene]()
+    expected = _report_bytes(tmp_path, seq, gt, preds)
+    order = np.random.default_rng(trial).permutation(len(preds))
+    assert _report_bytes(tmp_path, seq, gt, [preds[i] for i in order]) == expected
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
+def test_report_invariant_to_prediction_ids(tmp_path, scene, trial):
+    seq, gt, preds = SCENES[scene]()
+    expected = _report_bytes(tmp_path, seq, gt, preds)
+    mapping = _new_ids(np.random.default_rng(trial), [p.instance_id for p in preds])
+    relabelled = [dataclasses.replace(p, instance_id=mapping[p.instance_id])
+                  for p in preds]
+    assert _report_bytes(tmp_path, seq, gt, relabelled) == expected
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
+def test_report_invariant_to_ground_truth_ids(tmp_path, scene, trial):
+    seq, gt, preds = SCENES[scene]()
+    expected = _report_bytes(tmp_path, seq, gt, preds)
+    mapping = _new_ids(np.random.default_rng(100 + trial),
+                       [m.instance_id for m in gt.instances])
+    assert _report_bytes(tmp_path, seq, _relabel_ground_truth(gt, mapping),
+                         preds) == expected
