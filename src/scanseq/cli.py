@@ -13,8 +13,9 @@ Subcommands::
 Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
 error (including a threshold outside [0, 1), --threads below 1, --bits outside
 [1, 64 // dims] and a --resolution that is not a positive finite number), 74
-I/O or file-format failure (including JSON of the wrong shape or type, a
-label file that is not one integer per line, a recipe that ``SceneRecipe``,
+I/O or file-format failure (including JSON of the wrong shape or type or
+nested too deeply, an RLE run that ends past its stage, a label file that is
+not one integer per line, a recipe that ``SceneRecipe``,
 ``ChangeOp`` or ``PerturbationSpec`` rejects and a ``losses`` payload with a
 missing or wrongly typed field).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
@@ -142,7 +143,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
     seq, gt = formats.read_manifest(gt_path)
-    pred_file = formats.read_predictions(pred_path)
+    pred_file = formats.read_predictions(pred_path, seq.stage_sizes())
     violations = []
     if pred_file.sequence_id and pred_file.sequence_id != seq.sequence_id:
         violations.append(
@@ -214,8 +215,8 @@ def _single_stage_set(content: formats.PredictionFileContent) -> association.Sta
 
 def _cmd_associate(args) -> int:
     seq, _ = formats.read_manifest(args.manifest)
-    content_a = formats.read_predictions(args.pred_a)
-    content_b = formats.read_predictions(args.pred_b)
+    content_a = formats.read_predictions(args.pred_a, seq.stage_sizes())
+    content_b = formats.read_predictions(args.pred_b, seq.stage_sizes())
     set_a = _single_stage_set(content_a)
     set_b = _single_stage_set(content_b)
     if args.mode == "semantic":

@@ -1,11 +1,14 @@
 """On-disk formats: sequence manifests, prediction files, evaluation reports.
 
-A *manifest* directory holds one PLY per stage plus a per-point instance-id
-text file (one integer per line, -1 for background), tied together by
-``manifest.json`` which also carries the annotations (instance classes,
-ambiguous groups, change labels). Prediction files are standalone JSON with
-per-stage masks stored either as explicit index lists or as (start, length)
-run-length pairs over the sorted indices.
+A *manifest* directory holds one PLY per stage, whose int ``instance``
+vertex property gives each point's instance id (-1 for background), tied
+together by ``manifest.json`` which also carries the annotations (instance
+classes, ambiguous groups, change labels). Older manifests name a per-stage
+``instance_file`` instead (one integer per line); it is still read.
+Prediction files are standalone JSON with per-stage masks stored either as
+explicit index lists or as run-length data over the sorted indices, one flat
+list ``[start0, length0, start1, length1, ...]`` (older files hold a list of
+``[start, length]`` pairs, which is still read).
 
 All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
 significant digits, trailing newline — a parsed document re-dumps to the same bytes.
@@ -60,6 +63,8 @@ def load_json(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top-level JSON value must be an object")
     return data
@@ -76,7 +81,10 @@ def _rle_runs(indices) -> np.ndarray:
 
 
 def rle_encode(indices: np.ndarray) -> list[list[int]]:
-    """Maximal (start, length) runs over sorted strictly increasing indices."""
+    """Maximal (start, length) runs over sorted strictly increasing indices.
+
+    Prediction files store these pairs flattened: ``[s0, l0, s1, l1, ...]``.
+    """
     return _rle_runs(indices).tolist()
 
 
@@ -88,21 +96,30 @@ def _int64_array(data, what: str) -> np.ndarray:
         raise FormatError(f"{what} is ragged ({exc})") from exc
     if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64)):
         raise FormatError(f"{what} must hold integers that fit in int64")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
-def rle_decode(runs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Expand runs; rejects anything not decoding to strictly increasing indices."""
+def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndarray:
+    """Expand flat ``[s0, l0, s1, l1, ...]`` runs, or ``[[s0, l0], ...]`` pairs.
+
+    Rejects anything not decoding to strictly increasing indices, and any run
+    that ends past ``stage_size`` (when given) or beyond int64.
+    """
     arr = _int64_array(runs, "RLE data")
-    if arr.shape == (0,):
-        return arr
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.ndim == 1:
+        if arr.size % 2:
+            raise FormatError(f"flat RLE data must have even length, not {arr.size}")
+        arr = arr.reshape(-1, 2)
+    elif arr.ndim != 2 or arr.shape[1] != 2:
         raise FormatError(f"RLE runs must be [start, length] pairs, not {arr.shape}")
     starts, lengths = arr.T
-    too_long = lengths > np.iinfo(np.int64).max - starts  # end overflows int64
+    end_limit = np.iinfo(np.int64).max if stage_size is None else stage_size
+    too_long = lengths > end_limit - starts  # also catches an int64 overflow
     bad = np.flatnonzero((starts < 0) | (lengths < 1) | too_long)
     if bad.size:
-        raise FormatError(f"invalid RLE run [{starts[bad[0]]}, {lengths[bad[0]]}]")
+        within = "" if stage_size is None else f" in a stage of {stage_size} points"
+        raise FormatError(
+            f"invalid RLE run [{starts[bad[0]]}, {lengths[bad[0]]}]{within}")
     if (starts[1:] < starts[:-1] + lengths[:-1]).any():
         raise FormatError("RLE runs do not decode to strictly increasing indices")
     offsets = np.cumsum(lengths) - lengths  # output position of each run's start
@@ -111,16 +128,16 @@ def rle_decode(runs: Sequence[Sequence[int]]) -> np.ndarray:
 
 def _mask_payload(points: np.ndarray, rle: bool) -> dict:
     if rle:
-        return {"encoding": "rle", "data": _rle_runs(points)}
+        return {"encoding": "rle", "data": _rle_runs(points).ravel()}
     return {"encoding": "points", "data": points}
 
 
-def _mask_from_payload(payload: Mapping) -> np.ndarray:
+def _mask_from_payload(payload: Mapping, stage_size: Optional[int]) -> np.ndarray:
     if not isinstance(payload, Mapping):
         raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
     if encoding == "rle":
-        return rle_decode(payload["data"])
+        return rle_decode(payload["data"], stage_size)
     if encoding == "points":
         points = _int64_array(payload["data"], "points data")
         if points.ndim != 1:
@@ -140,8 +157,6 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     stage_entries = []
     for t, stage in enumerate(seq.stages):
         point_file = f"stage_{t:03d}.ply"
-        instance_file = f"stage_{t:03d}.instances.txt"
-        write_ply(root / point_file, stage)
         inst_col = np.full(stage.point_count, -1, dtype=np.int64)
         for mask in gt.instances:
             pts = mask.points_at(t)
@@ -151,11 +166,8 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
                     f"ground-truth instances {other} and {mask.instance_id} share "
                     f"points at stage {t}; a manifest holds one instance per point")
             inst_col[pts] = mask.instance_id
-        labels, inverse = np.unique(inst_col, return_inverse=True)
-        lines = labels.astype(str).astype(object)[inverse]  # format each label once
-        (root / instance_file).write_text("\n".join(lines) + "\n", encoding="ascii")
-        stage_entries.append({"stage_index": t, "point_file": point_file,
-                              "instance_file": instance_file})
+        write_ply(root / point_file, stage, instances=inst_col)
+        stage_entries.append({"stage_index": t, "point_file": point_file})
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sequence_manifest",
@@ -174,13 +186,18 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     return root / "manifest.json"
 
 
+def _is(value, kind: type) -> bool:
+    """``isinstance``, except that a JSON ``true``/``false`` is no integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
 def _entries(container: Mapping, key: str, fields: Mapping[str, type], path) -> list:
     """The list ``container[key]``, each entry an object holding ``fields``
     with values of the given types."""
     entries = container.get(key, [])
     if not isinstance(entries, list) or not all(
             isinstance(e, Mapping)
-            and all(isinstance(e.get(f), t) for f, t in fields.items()) for e in entries):
+            and all(_is(e.get(f), t) for f, t in fields.items()) for e in entries):
         needs = ", ".join(f"{f} ({t.__name__})" for f, t in fields.items())
         raise FormatError(f"{path}: {key} must be a list of objects with {needs}")
     return entries
@@ -193,6 +210,26 @@ def _object(container: Mapping, key: str, path) -> Mapping:
     return value
 
 
+def _read_instance_file(path: Path, entry: Mapping, point_count: int) -> np.ndarray:
+    """The text instance labels of an older manifest's stage ``entry``."""
+    if not isinstance(entry["instance_file"], str):
+        raise FormatError(f"{path}: instance_file must be a string")
+    inst_path = path.parent / entry["instance_file"]
+    if not inst_path.exists():
+        raise FormatError(f"{path}: missing instance file {entry['instance_file']}")
+    try:
+        inst_col = np.loadtxt(inst_path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise FormatError(f"{inst_path}: not one integer per line ({exc})") from exc
+    if inst_col.ndim != 1:
+        raise FormatError(f"{inst_path}: not one integer per line")
+    if len(inst_col) != point_count:
+        raise FormatError(
+            f"{path}: row counts do not match point count at stage "
+            f"{entry['stage_index']}")
+    return inst_col
+
+
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Load a manifest; raises :class:`FormatError` on schema problems."""
     path = Path(path)
@@ -202,26 +239,20 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     root = path.parent
     stages: list[StageCloud] = []
     per_stage_instances: list[np.ndarray] = []
-    entries = sorted(_entries(data, "stages", {"stage_index": int, "point_file": str,
-                                               "instance_file": str}, path),
-                     key=lambda e: e["stage_index"])
+    entries = sorted(_entries(data, "stages", {"stage_index": int, "point_file": str},
+                              path), key=lambda e: e["stage_index"])
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
-        cloud = read_ply(root / entry["point_file"])
-        inst_path = root / entry["instance_file"]
-        if not inst_path.exists():
-            raise FormatError(f"{path}: missing instance file {entry['instance_file']}")
-        try:
-            inst_col = np.loadtxt(inst_path, dtype=np.int64, ndmin=1)
-        except ValueError as exc:
-            raise FormatError(f"{inst_path}: not one integer per line ({exc})") from exc
-        if inst_col.ndim != 1:
-            raise FormatError(f"{inst_path}: not one integer per line")
-        if len(inst_col) != cloud.point_count:
-            raise FormatError(
-                f"{path}: row counts do not match point count at stage "
-                f"{entry['stage_index']}")
+        if "instance_file" in entry:
+            cloud = read_ply(root / entry["point_file"])
+            inst_col = _read_instance_file(path, entry, cloud.point_count)
+        else:
+            cloud, inst_col = read_ply(root / entry["point_file"], with_instances=True)
+            if inst_col is None:
+                raise FormatError(
+                    f"{path}: stage {entry['stage_index']} has no instance_file and "
+                    f"{entry['point_file']} has no instance property")
         stages.append(cloud)
         per_stage_instances.append(inst_col)
 
@@ -243,7 +274,7 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
             per_stage_points=per_instance.get(instance_id, {}), confidence=1.0))
     groups = _entries(annotations, "ambiguous_groups",
                       {"group_id": int, "members": list}, path)
-    if not all(isinstance(m, int) for g in groups for m in g["members"]):
+    if not all(_is(m, int) for g in groups for m in g["members"]):
         raise FormatError(f"{path}: ambiguous group members must be integers")
     groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
     change_labels = _object(annotations, "change_labels", path)
@@ -292,17 +323,29 @@ def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
     dump_canonical_json(path, payload)
 
 
-def read_predictions(path) -> PredictionFileContent:
+def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
+                     ) -> PredictionFileContent:
+    """Load a prediction file; raises :class:`FormatError` on schema problems.
+
+    With ``stage_sizes`` (points per stage of the sequence the predictions
+    are for), an RLE run that ends past its stage is a format error, found
+    before the run is expanded. A stage the sequence lacks is bounded by its
+    largest stage, and left to :func:`validate_sequence` to report.
+    """
     data = load_json(path)
     if data.get("kind") not in (None, "predictions"):
         raise FormatError(f"{path}: not a prediction file")
     masks = []
     features: dict[int, np.ndarray] = {}
     fields = {"instance_id": int, "class_id": int, "masks": dict}
+    size_of = dict(enumerate(stage_sizes or ()))
+    largest = max(size_of.values(), default=None)
     for entry in _entries(data, "instances", fields, path):
         try:
-            per_stage = {int(t): _mask_from_payload(p)
-                         for t, p in entry["masks"].items()}
+            per_stage = {}
+            for t, payload in entry["masks"].items():
+                t = int(t)
+                per_stage[t] = _mask_from_payload(payload, size_of.get(t, largest))
             mask = InstanceMask(instance_id=entry["instance_id"],
                                 class_id=entry["class_id"],
                                 per_stage_points=per_stage,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .model import SequencePointCloud, StageCloud
+from .model import SequencePointCloud, StageCloud, _frozen, _hand_over
 
 DEFAULT_RESOLUTION = 0.02  # meters per voxel edge
 
@@ -47,7 +47,8 @@ class VoxelGrid4D:
     ``keys`` holds unique (i, j, k, t) rows in lexicographic order;
     ``point_to_voxel`` maps each input point (stage-major global order) to its
     row in ``keys``. ``child_to_parent`` is the pooling map recorded by
-    :func:`downsample_level` (None at the finest level).
+    :func:`downsample_level` (None at the finest level). The arrays are
+    read-only; a writeable array passed in is copied.
     """
 
     resolution: float
@@ -60,10 +61,9 @@ class VoxelGrid4D:
     _voxel_point_bounds: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("keys", "point_to_voxel", "stage_offsets"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            setattr(self, name, arr)
+        for name in ("keys", "point_to_voxel", "stage_offsets", "child_to_parent"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _frozen(getattr(self, name)))
 
     @property
     def num_voxels(self) -> int:
@@ -115,9 +115,9 @@ def voxelize(seq: SequencePointCloud,
         offsets.append(offsets[-1] + len(ijk))
     coords = np.concatenate(blocks, axis=0)
     keys, inverse = _unique_rows(coords)
-    return VoxelGrid4D(resolution=resolution, keys=keys,
-                       point_to_voxel=inverse,
-                       stage_offsets=np.asarray(offsets, dtype=np.int64))
+    return VoxelGrid4D(resolution=resolution, keys=_hand_over(keys),
+                       point_to_voxel=_hand_over(inverse),
+                       stage_offsets=_hand_over(np.asarray(offsets, dtype=np.int64)))
 
 
 def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
@@ -129,11 +129,11 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
     coarse = grid.keys.copy()
     coarse[:, :3] = np.floor_divide(coarse[:, :3], 2)
     keys, child_to_parent = _unique_rows(coarse)
-    return VoxelGrid4D(resolution=grid.resolution * 2, keys=keys,
-                       point_to_voxel=child_to_parent[grid.point_to_voxel],
+    return VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),
+                       point_to_voxel=_hand_over(child_to_parent[grid.point_to_voxel]),
                        stage_offsets=grid.stage_offsets,
                        level=grid.level + 1,
-                       child_to_parent=child_to_parent)
+                       child_to_parent=_hand_over(child_to_parent))
 
 
 def pool_features_to_voxels(grid: VoxelGrid4D, point_features: np.ndarray) -> np.ndarray:

@@ -32,12 +32,26 @@ class ChangeType(enum.Enum):
     ADDED_REMOVED = "added_removed"
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr and arr.flags.writeable:
-        out = arr.copy()
-    out.flags.writeable = False
-    return out
+def _frozen(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array that no caller can write.
+
+    An array the caller can still write to is copied. A read-only array is
+    taken as is: whoever made it handed it over (see :func:`_hand_over`). An
+    array that the conversion allocated here is frozen without a copy.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    caller_owned = arr.flags.writeable and (arr is values or not arr.flags.owndata)
+    if caller_owned or not arr.flags.c_contiguous:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _hand_over(arr: np.ndarray) -> np.ndarray:
+    """Freeze an array its maker keeps no writeable reference to, so that a
+    model constructor takes it without a copy."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
@@ -50,10 +64,10 @@ def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _as_float_matrix(values, name: str, width: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _frozen(values, np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{name} must have shape (N, {width}), got {arr.shape}")
-    return _as_readonly(arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,8 @@ class StageCloud:
 
     ``colors`` are RGB triples in [0, 1]; ``segment_ids`` are precomputed
     oversegmentation (superpoint) ids, one integer per point. All per-point
-    arrays must share the same length.
+    arrays must share the same length. The stored arrays are read-only: a
+    writeable array passed in is copied, a read-only one is kept as is.
     """
 
     positions: np.ndarray
@@ -78,10 +93,10 @@ class StageCloud:
                 raise ValueError("colors length must equal point count")
             object.__setattr__(self, "colors", col)
         if self.segment_ids is not None:
-            seg = np.asarray(self.segment_ids, dtype=np.int64)
+            seg = _frozen(self.segment_ids, np.int64)
             if seg.shape != (len(pos),):
                 raise ValueError("segment_ids length must equal point count")
-            object.__setattr__(self, "segment_ids", _as_readonly(seg))
+            object.__setattr__(self, "segment_ids", seg)
 
     @property
     def point_count(self) -> int:
@@ -144,9 +159,9 @@ class InstanceMask:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         cleaned: dict[int, np.ndarray] = {}
         for stage, points in self.per_stage_points.items():
-            arr = np.sort(np.asarray(points, dtype=np.int64).ravel())
+            arr = np.sort(np.asarray(points, dtype=np.int64).ravel())  # always a new array
             if arr.size:
-                cleaned[int(stage)] = _as_readonly(arr)
+                cleaned[int(stage)] = _hand_over(arr)
         object.__setattr__(self, "per_stage_points", cleaned)
 
     @property
@@ -161,7 +176,7 @@ class InstanceMask:
         return self.per_stage_points.get(stage, _EMPTY_INDEX)
 
 
-_EMPTY_INDEX = _as_readonly(np.empty(0, dtype=np.int64))
+_EMPTY_INDEX = _hand_over(np.empty(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)

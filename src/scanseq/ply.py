@@ -2,8 +2,9 @@
 
 Supports ascii and binary little-endian files whose first element is
 ``vertex`` with float ``x, y, z`` properties, optional uchar ``red, green,
-blue`` and an optional integer ``segment`` property. Unknown vertex
-properties are skipped; elements after ``vertex`` are ignored.
+blue``, an optional integer ``segment`` property and an optional integer
+``instance`` property (per-point instance ids, as 3RScan's ``objectId``).
+Unknown vertex properties are skipped; elements after ``vertex`` are ignored.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured
 
-from .model import StageCloud
+from .model import StageCloud, _hand_over
 
 
 class PlyError(ValueError):
@@ -90,6 +92,8 @@ def _parse_header(raw: bytes) -> _Header:
                     vertex_count = int(parts[2])
                 except (IndexError, ValueError) as exc:
                     raise PlyFormatError("bad vertex element line") from exc
+                if vertex_count < 0:
+                    raise PlyFormatError(f"negative vertex count {vertex_count}")
                 in_vertex = True
             else:
                 in_vertex = False
@@ -108,12 +112,14 @@ def _parse_header(raw: bytes) -> _Header:
                    properties=properties, data_offset=newline + 1)
 
 
-def read_ply(path) -> StageCloud:
+def read_ply(path, with_instances: bool = False):
     """Read a PLY point cloud into a stage.
 
     Positions come from float ``x, y, z`` (meters); ``red, green, blue`` uchar
     columns become colors in [0, 1]; an integer ``segment`` column becomes
-    superpoint ids.
+    superpoint ids. With ``with_instances`` the result is ``(stage,
+    instances)``: the integer ``instance`` column as int64, or None when the
+    file has no such property.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -141,27 +147,48 @@ def read_ply(path) -> StageCloud:
                 header.vertex_count, width)
         except ValueError as exc:
             raise PlyFormatError("ascii body contains non-numeric values") from exc
+        for column, (name, code) in zip(flat.T, header.properties):
+            if code[0] not in "iu":
+                continue
+            info = np.iinfo(code)
+            if not (np.all(column == np.trunc(column))  # also false for nan
+                    and info.min <= column.min(initial=0)
+                    and column.max(initial=0) <= info.max):
+                raise PlyFormatError(f"property {name!r} holds a value that is not "
+                                     f"an integer of its type")
         table = np.rec.fromarrays([flat[:, i] for i in range(width)],
                                   names=",".join(names))
 
-    positions = np.stack([np.asarray(table["x"], dtype=np.float64),
-                          np.asarray(table["y"], dtype=np.float64),
-                          np.asarray(table["z"], dtype=np.float64)], axis=1)
+    positions = structured_to_unstructured(table[["x", "y", "z"]], np.float64, copy=True)
     colors = None
     if all(c in names for c in ("red", "green", "blue")):
-        colors = np.stack([np.asarray(table[c], dtype=np.float64) / 255.0
-                           for c in ("red", "green", "blue")], axis=1)
+        colors = structured_to_unstructured(table[["red", "green", "blue"]],
+                                            np.float64, copy=True)
+        colors /= 255.0
     segments = None
     if "segment" in names:
-        segments = np.asarray(table["segment"], dtype=np.int64)
-    return StageCloud(positions=positions, colors=colors, segment_ids=segments)
+        segments = table["segment"].astype(np.int64)
+    # every array is new and read_ply keeps none, so StageCloud need not copy
+    cloud = StageCloud(positions=_hand_over(positions),
+                       colors=None if colors is None else _hand_over(colors),
+                       segment_ids=None if segments is None else _hand_over(segments))
+    if not with_instances:
+        return cloud
+    if "instance" not in names:
+        return cloud, None
+    if dict(header.properties)["instance"][0] not in "iu":
+        raise PlyFormatError("the instance property must have an integer type")
+    return cloud, table["instance"].astype(np.int64)
 
 
-def write_ply(path, cloud: StageCloud, binary: bool = True) -> None:
+def write_ply(path, cloud: StageCloud, binary: bool = True,
+              instances=None) -> None:
     """Write a stage as PLY; binary little-endian by default.
 
     Positions are stored as float32, colors as uchar (rounded from [0, 1]),
-    segments as int32. A binary file written here reads back byte-exactly.
+    segments as int32. ``instances``, one id per point, becomes an int32
+    ``instance`` property; an id outside int32 is a ValueError. A binary file
+    written here reads back byte-exactly.
     """
     n = cloud.point_count
     fields = [("x", "f4"), ("y", "f4"), ("z", "f4")]
@@ -169,6 +196,16 @@ def write_ply(path, cloud: StageCloud, binary: bool = True) -> None:
         fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
     if cloud.segment_ids is not None:
         fields += [("segment", "i4")]
+    if instances is not None:
+        instances = np.asarray(instances, dtype=np.int64)
+        if instances.shape != (n,):
+            raise ValueError("instances length must equal point count")
+        info = np.iinfo(np.int32)
+        outside = instances[(instances < info.min) | (instances > info.max)]
+        if outside.size:
+            raise ValueError(f"instance id {outside[0]} does not fit the int32 "
+                             f"instance property")
+        fields += [("instance", "i4")]
     dtype = np.dtype([(name, "<" + code) for name, code in fields])
     table = np.zeros(n, dtype=dtype)
     table["x"] = cloud.positions[:, 0].astype(np.float32)
@@ -179,6 +216,8 @@ def write_ply(path, cloud: StageCloud, binary: bool = True) -> None:
         table["red"], table["green"], table["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
     if cloud.segment_ids is not None:
         table["segment"] = cloud.segment_ids.astype(np.int32)
+    if instances is not None:
+        table["instance"] = instances
 
     type_names = {"f4": "float", "u1": "uchar", "i4": "int"}
     header_lines = ["ply",

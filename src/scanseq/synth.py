@@ -348,7 +348,8 @@ class PerturbationSpec:
     """Controlled degradation of ground truth into predictions.
 
     ``target_iou`` may be a scalar, a mapping instance id -> target, or a
-    mapping (instance id, stage) -> target; targets are hit within
+    mapping (instance id, stage) -> target; a string key such as ``"3"`` (a
+    JSON object's key) is read as that instance id. Targets are hit within
     ``iou_tolerance`` by random erosion plus (when background points exist)
     random addition. The identity policy rewires per-stage components:
     ``swapped`` exchanges components between same-class pairs at odd stages,
@@ -365,7 +366,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "identity_policy", IdentityPolicy(self.identity_policy))
-        if not isinstance(self.target_iou, Mapping):
+        if isinstance(self.target_iou, Mapping):
+            object.__setattr__(self, "target_iou", {
+                int(k) if isinstance(k, str) else k: v
+                for k, v in self.target_iou.items()})
+        else:
             object.__setattr__(self, "target_iou", float(self.target_iou))
         for name in ("confidence_base", "confidence_jitter", "iou_tolerance"):
             object.__setattr__(self, name, float(getattr(self, name)))

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from scanseq.cli import main
-from scanseq.formats import (read_predictions, write_manifest,
+from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
+from conftest import write_legacy_manifest
 
-def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
+
+def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True, legacy=False):
     recipe = SceneRecipe(seed=2, n_objects=4, sequence_id=sequence_id)
     seq, gt = generate(recipe)
-    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    writer = write_legacy_manifest if legacy else write_manifest
+    manifest = writer(tmp_path / "scene", seq, gt)
     preds = perturb(seq, gt, PerturbationSpec(
         target_iou=1.0 if perfect else 0.7,
         confidence_jitter=0.0))
@@ -144,8 +147,8 @@ def test_evaluate_duplicate_prediction_ids_exits_2(tmp_path, capsys):
     assert "duplicate_instance_id" in capsys.readouterr().err
 
 
-def _evaluate_with_edited_manifest(tmp_path, edit):
-    manifest, preds = _write_scene(tmp_path)
+def _evaluate_with_edited_manifest(tmp_path, edit, legacy=False):
+    manifest, preds = _write_scene(tmp_path, legacy=legacy)
     data = json.loads(manifest.read_text())
     edit(data)
     manifest.write_text(json.dumps(data))
@@ -156,7 +159,8 @@ def _evaluate_with_edited_manifest(tmp_path, edit):
 @pytest.mark.parametrize("key", ["stage_index", "point_file", "instance_file"])
 def test_manifest_stage_missing_key_exits_74(tmp_path, capsys, key):
     code = _evaluate_with_edited_manifest(
-        tmp_path, lambda data: data["stages"][0].pop(key))
+        tmp_path, lambda data: data["stages"][0].pop(key),
+        legacy=key == "instance_file")  # only older manifests name the file
     assert code == 74
     assert key in capsys.readouterr().err
 
@@ -176,8 +180,11 @@ def test_manifest_group_without_members_exits_74(tmp_path, capsys):
         ambiguous_groups=[{"group_id": 0, "members": 3}])),
     ("preds", lambda data: data.update(instances=5)),
     ("preds", lambda data: data["instances"][0].update(masks=[[0, 1]])),
+    ("preds", lambda data: data["instances"][0].update(instance_id=True)),
+    ("manifest", lambda data: data["annotations"].update(
+        ambiguous_groups=[{"group_id": 0, "members": [True, 2]}])),
 ], ids=["annotations-list", "stage-index-string", "stages-int", "members-int",
-        "instances-int", "mask-map-list"])
+        "instances-int", "mask-map-list", "instance-id-bool", "member-bool"])
 def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
     manifest, preds = _write_scene(tmp_path)
     path = manifest if target == "manifest" else preds
@@ -199,7 +206,7 @@ def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
     lambda lines: [f"{line} {line}" for line in lines],
 ], ids=["letter", "float", "beyond-int64", "two-columns-once", "two-columns"])
 def test_unparsable_instance_label_exits_74(tmp_path, capsys, edit):
-    manifest, preds = _write_scene(tmp_path)
+    manifest, preds = _write_scene(tmp_path, legacy=True)
     labels = manifest.parent / "stage_000.instances.txt"
     labels.write_text("\n".join(edit(labels.read_text().splitlines())) + "\n")
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
@@ -207,6 +214,34 @@ def test_unparsable_instance_label_exits_74(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert code == 74
     assert str(labels) in err and "Traceback" not in err
+
+
+def test_deeply_nested_prediction_file_exits_74(tmp_path, capsys):
+    manifest, preds = _write_scene(tmp_path)
+    preds.write_text('{"instances": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(preds) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("runs", [
+    lambda n: [0, 10 ** 13],
+    lambda n: [[0, 10 ** 13]],
+    lambda n: [0, 1, n - 10, 11],
+], ids=["flat", "pairs", "one-past-the-end"])
+def test_rle_run_past_its_stage_exits_74(tmp_path, capsys, runs):
+    manifest, preds = _write_scene(tmp_path)
+    n = read_manifest(manifest)[0].stages[0].point_count
+    data = json.loads(preds.read_text())
+    data["instances"][0]["masks"]["0"] = {"encoding": "rle", "data": runs(n)}
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert f"in a stage of {n} points" in err and "Traceback" not in err
 
 
 def test_points_mask_beyond_int64_exits_74(tmp_path, capsys):
@@ -257,6 +292,21 @@ def test_generate_then_evaluate_pipeline(tmp_path):
                  "--pred", str(scene / "predictions.json"),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["t_map"] == 1.0
+
+
+def test_generate_recipe_target_iou_by_instance_id(tmp_path):
+    recipe = {"seed": 4, "n_objects": 3, "sequence_id": "per-id",
+              "perturbation": {"target_iou": {"0": 0.5, "1": 0.5, "2": 0.5},
+                               "confidence_jitter": 0.0}}
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    scene = tmp_path / "scene"
+    assert main(["generate", "--recipe", str(recipe_path), "--out", str(scene)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", str(scene / "manifest.json"),
+                 "--pred", str(scene / "predictions.json"),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["t_map"] < 1.0
 
 
 @pytest.mark.parametrize("recipe", [

@@ -13,7 +13,7 @@ from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, read_ply,
                          write_ply)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import annotation, make_sequence, mask
+from conftest import annotation, make_sequence, mask, write_legacy_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,48 @@ def test_ply_big_endian_rejected(tmp_path):
     ]))
     with pytest.raises(PlyFormatError, match="big-endian"):
         read_ply(path)
+
+
+def test_ply_negative_vertex_count_rejected(tmp_path):
+    path = tmp_path / "neg.ply"
+    path.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex -1",
+        "property float x", "property float y", "property float z",
+        "end_header", "",
+    ]))
+    with pytest.raises(PlyFormatError, match="negative vertex count"):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_ply_vertex_count_beyond_the_body_rejected(tmp_path, fmt):
+    path = tmp_path / "huge.ply"
+    path.write_bytes("\n".join([
+        "ply", f"format {fmt} 1.0", "element vertex 1000000000000",
+        "property float x", "property float y", "property float z",
+        "end_header", "0 0 0", "",
+    ]).encode())
+    with pytest.raises(PlyFormatError, match="shorter than vertex count"):
+        read_ply(path)
+
+
+def test_ply_instance_property_must_be_integral(tmp_path):
+    path = tmp_path / "inst.ply"
+    path.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex 2",
+        "property float x", "property float y", "property float z",
+        "property int instance", "end_header", "0 0 0 3", "1 1 1 -1",
+    ]) + "\n")
+    cloud, instances = read_ply(path, with_instances=True)
+    assert cloud.point_count == 2 and instances.tolist() == [3, -1]
+    text = path.read_text()
+    path.write_text(text.replace("int instance", "float instance"))
+    with pytest.raises(PlyFormatError, match="integer type"):
+        read_ply(path, with_instances=True)
+    for bad in ("1.5", "nan", "inf", "3000000000"):
+        path.write_text(text.replace("0 0 0 3", f"0 0 0 {bad}"))
+        with pytest.raises(PlyFormatError, match="not an integer"):
+            read_ply(path)
 
 
 def test_ply_malformed_header(tmp_path):
@@ -94,6 +136,8 @@ def test_rle_round_trip_and_examples():
     assert runs == [[0, 3], [7, 1], [9, 2]]
     assert rle_decode(runs).tolist() == idx.tolist()
     assert rle_encode(np.empty(0, dtype=int)) == []
+    assert rle_decode([0, 3, 7, 1, 9, 2]).tolist() == idx.tolist()  # flat layout
+    assert rle_decode([]).tolist() == []
 
 
 def test_rle_rejects_non_increasing():
@@ -102,6 +146,17 @@ def test_rle_rejects_non_increasing():
     with pytest.raises(FormatError):
         rle_decode([[3, 0]])
     assert rle_decode([[5, 3], [8, 1]]).tolist() == [5, 6, 7, 8]
+    for flat in ([5, 3, 6, 2], [5, 3, 0, 1], [5, 3, 7, 1]):
+        with pytest.raises(FormatError, match="strictly increasing"):
+            rle_decode(flat)
+    assert rle_decode([5, 3, 8, 1]).tolist() == [5, 6, 7, 8]
+
+
+def test_rle_runs_are_bounded_by_the_stage():
+    assert rle_decode([0, 1, 90, 10], stage_size=100).tolist() == [0, *range(90, 100)]
+    for runs in ([0, 1, 90, 11], [0, 10 ** 13], [[0, 10 ** 13]], [100, 1]):
+        with pytest.raises(FormatError, match="in a stage of 100 points"):
+            rle_decode(runs, stage_size=100)
 
 
 @pytest.mark.parametrize("runs", [
@@ -115,6 +170,13 @@ def test_rle_rejects_non_increasing():
     [[2 ** 64, 1]],               # beyond int64
     [[2 ** 63 - 1, 2]],           # end beyond int64
     [[-1, 2]],
+    [0, 2, 5],                    # flat, odd length
+    [0.5, 2],
+    [True, False],
+    [2 ** 64, 1],
+    [2 ** 63 - 1, 2],
+    [-1, 2],
+    [4, 0],
 ])
 def test_rle_decode_rejects_malformed_runs(runs):
     with pytest.raises(FormatError):
@@ -175,19 +237,72 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
                 assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
         assert np.allclose(content.features[preds[0].instance_id],
                            [0.1, 0.2, 0.3], atol=1e-6)
+        masks = [m for e in json.loads(path.read_text())["instances"]
+                 for m in e["masks"].values()]
+        assert all(isinstance(v, int) for m in masks for v in m["data"])  # flat
         dump_canonical_json(tmp_path / "again.json", json.loads(path.read_text()))
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def test_prediction_file_with_run_pairs_reads_like_flat(tmp_path):
+    seq, gt = _scene()
+    preds = perturb(seq, gt, PerturbationSpec(target_iou=0.8, seed=1))
+    flat = tmp_path / "flat.json"
+    write_predictions(flat, preds, seq.sequence_id)
+    data = json.loads(flat.read_text())
+    for entry in data["instances"]:
+        for payload in entry["masks"].values():
+            payload["data"] = np.reshape(payload["data"], (-1, 2)).tolist()
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(data))
+    for a, b in zip(read_predictions(flat).instances, read_predictions(pairs).instances):
+        assert a.per_stage_points.keys() == b.per_stage_points.keys()
+        for t in a.per_stage_points:
+            assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
+
+
 def test_manifest_has_no_class_files(tmp_path):
     seq, gt = _scene()
+    layouts = ((write_manifest, ("ply",), {"stage_index", "point_file"}),
+               (write_legacy_manifest, ("instances.txt", "ply"),
+                {"stage_index", "point_file", "instance_file"}))
+    for writer, kinds, keys in layouts:
+        manifest = writer(tmp_path / writer.__name__, seq, gt)
+        names = sorted(p.name for p in manifest.parent.iterdir())
+        assert names == ["manifest.json"] + [
+            f"stage_{t:03d}.{kind}" for t in range(seq.num_stages) for kind in kinds]
+        assert all(set(entry) == keys
+                   for entry in json.loads(manifest.read_text())["stages"])
+
+
+def test_manifest_keeps_instance_ids_in_the_ply(tmp_path):
+    seq, gt = _scene()
     manifest = write_manifest(tmp_path / "scene", seq, gt)
-    names = sorted(p.name for p in manifest.parent.iterdir())
-    assert names == ["manifest.json"] + [
-        f"stage_{t:03d}.{kind}" for t in range(seq.num_stages)
-        for kind in ("instances.txt", "ply")]
-    assert all(set(entry) == {"stage_index", "point_file", "instance_file"}
-               for entry in json.loads(manifest.read_text())["stages"])
+    for t in range(seq.num_stages):
+        path = manifest.parent / f"stage_{t:03d}.ply"
+        assert b"property int instance\n" in path.read_bytes()[:400]
+        cloud, instances = read_ply(path, with_instances=True)
+        expected = np.full(cloud.point_count, -1)
+        for m in gt.instances:
+            expected[m.points_at(t)] = m.instance_id
+        assert np.array_equal(instances, expected)
+
+
+@pytest.mark.parametrize("stages", [None, (0,)], ids=["legacy", "mixed"])
+def test_legacy_manifest_reads_like_new(tmp_path, stages):
+    seq, gt = _scene()
+    new = write_manifest(tmp_path / "new", seq, gt)
+    old = write_legacy_manifest(tmp_path / "old", seq, gt, stages=stages)
+    again = write_manifest(tmp_path / "again", *read_manifest(old)).parent
+    assert {p.name: p.read_bytes() for p in again.iterdir()} == \
+        {p.name: p.read_bytes() for p in new.parent.iterdir()}
+
+
+def test_manifest_rejects_instance_id_beyond_int32(tmp_path):
+    seq = make_sequence([10])
+    gt = annotation([mask(2 ** 31, 1, {0: range(3)})])
+    with pytest.raises(ValueError, match=str(2 ** 31)):
+        write_manifest(tmp_path / "scene", seq, gt)
 
 
 @pytest.mark.parametrize("garbage", [False, True], ids=["missing", "garbage"])
@@ -210,7 +325,7 @@ def test_manifest_ignores_listed_class_file(tmp_path, garbage):
 
 def test_manifest_row_count_mismatch_detected(tmp_path):
     seq, gt = _scene()
-    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    manifest = write_legacy_manifest(tmp_path / "scene", seq, gt)
     bad = tmp_path / "scene" / "stage_000.instances.txt"
     lines = bad.read_text().splitlines()
     bad.write_text("\n".join(lines[:-2]) + "\n")

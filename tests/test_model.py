@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from scanseq.geometry import VoxelGrid4D
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud,
                            validate_sequence)
+from scanseq.ply import read_ply, write_ply
 
 from conftest import annotation, make_cloud, make_sequence, mask
 
@@ -111,6 +113,35 @@ def test_model_arrays_are_immutable():
         seq.stages[0].positions[0, 0] = 99.0
     with pytest.raises(ValueError):
         m.per_stage_points[0][0] = 7
+
+
+def test_model_arrays_do_not_follow_their_inputs():
+    inputs = {"positions": np.zeros((4, 3)), "colors": np.full((4, 3), 0.5),
+              "segment_ids": np.arange(4), "points": np.array([3, 1, 2]),
+              "keys": np.zeros((2, 4), dtype=np.int64),
+              "point_to_voxel": np.array([0, 1, 1, 0]),
+              "stage_offsets": np.array([0, 4]), "child_to_parent": np.array([0, 0])}
+    cloud = StageCloud(inputs["positions"], inputs["colors"], inputs["segment_ids"])
+    m = InstanceMask(0, 1, {0: inputs["points"]})
+    grid = VoxelGrid4D(0.1, inputs["keys"], inputs["point_to_voxel"],
+                       inputs["stage_offsets"], child_to_parent=inputs["child_to_parent"])
+    stored = [cloud.positions, cloud.colors, cloud.segment_ids, m.per_stage_points[0],
+              grid.keys, grid.point_to_voxel, grid.stage_offsets, grid.child_to_parent]
+    before = [a.copy() for a in stored]
+    for arr in inputs.values():
+        arr[...] = 7  # the caller still owns its arrays
+    for arr, old in zip(stored, before):
+        assert np.array_equal(arr, old)
+        assert not arr.flags.writeable
+
+
+def test_read_only_arrays_are_taken_without_a_copy(tmp_path):
+    positions = np.zeros((3, 3))
+    positions.flags.writeable = False
+    assert StageCloud(positions).positions is positions
+    write_ply(tmp_path / "s.ply", make_cloud(20, with_segments=True))
+    cloud = read_ply(tmp_path / "s.ply")
+    assert not any(a.flags.writeable for a in (cloud.positions, cloud.segment_ids))
 
 
 def test_change_labels_are_normalized_to_enum():
