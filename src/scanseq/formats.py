@@ -151,7 +151,15 @@ def _mask_from_payload(payload: Mapping, stage_size: Optional[int]) -> np.ndarra
 
 
 def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation) -> Path:
-    """Write a sequence + annotations as a manifest directory; returns its path."""
+    """Write a sequence + annotations as a manifest directory; returns its path.
+
+    A negative ground-truth instance id is a ValueError: the stage PLY's
+    ``instance`` property marks background points with -1.
+    """
+    for mask in gt.instances:
+        if mask.instance_id < 0:
+            raise ValueError(f"ground-truth instance id {mask.instance_id} is "
+                             f"negative; -1 marks background")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     stage_entries = []

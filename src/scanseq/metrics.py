@@ -22,7 +22,8 @@ whole pipeline reduces to standard mAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -64,9 +65,10 @@ def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]):
     is present, ``inter[s, i, j]`` = |preds[i] & gts[j]| at ``stages[s]`` and
     the sizes ``psize[s, i]`` and ``gsize[s, j]``. Per stage, the ground-truth
     masks are written into a point-indexed label array in layers of mutually
-    disjoint masks (one layer unless ground-truth masks overlap), and all
-    prediction points are counted against each layer with one pair
-    ``bincount``, so the counts stay exact when masks overlap on either side.
+    disjoint masks (one layer unless ground-truth masks overlap), and each
+    prediction's points are counted against each layer with one ``bincount``
+    over the labels they hit, so the counts stay exact when masks overlap on
+    either side and no array larger than one mask is built per prediction.
     Point indices must be non-negative and sorted (as
     :class:`~scanseq.model.InstanceMask` keeps them).
     """
@@ -80,15 +82,13 @@ def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]):
     for s, t in enumerate(stages):
         pending = [(j, g.per_stage_points[t]) for j, g in enumerate(gts)
                    if t in g.per_stage_points]
-        p_masks = [p.points_at(t) for p in preds]
-        if not pending or not psize[s].any():
+        p_masks = [(i, p.per_stage_points[t]) for i, p in enumerate(preds)
+                   if psize[s, i]]
+        if not pending or not p_masks:
             continue
-        p_points = np.concatenate(p_masks)
-        # pair code row * (n_gts + 1) + label, where label 0 is "no ground truth"
-        p_base = np.repeat(np.arange(n_preds) * (n_gts + 1), psize[s])
-        width = 1 + max(int(m[-1]) for m in (*p_masks, *(pts for _, pts in pending))
-                        if m.size)
+        width = 1 + max(int(m[-1]) for _, m in (*p_masks, *pending) if m.size)
         while pending:
+            # label 0 is "no ground truth"
             label = np.zeros(width, dtype=np.int32)
             overlapping = []
             for j, pts in pending:
@@ -96,9 +96,8 @@ def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]):
                     overlapping.append((j, pts))
                 else:
                     label[pts] = j + 1
-            counts = np.bincount(p_base + label[p_points],
-                                 minlength=n_preds * (n_gts + 1))
-            inter[s] += counts.reshape(n_preds, n_gts + 1)[:, 1:]
+            for i, pts in p_masks:
+                inter[s, i] += np.bincount(label[pts], minlength=n_gts + 1)[1:]
             pending = overlapping
     return stages, inter, psize, gsize
 
@@ -229,6 +228,25 @@ class DisambiguationResult:
     matched_predictions: Mapping[int, tuple[int, ...]]
 
 
+def _group_assignment(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray,
+                      confidence: np.ndarray, seed) -> np.ndarray:
+    """Trajectory assignment of one ambiguous group from its stage tables.
+
+    ``inter``, ``psize`` and ``gsize`` are the tables of the group's candidate
+    predictions (with their ``confidence``) against its K members, over any S
+    stages. Only the stages where some member is present take part, as in
+    :func:`disambiguate`. Returns the (K, S) member index of each trajectory
+    at each stage, -1 where the trajectory has no component there.
+    """
+    on = gsize.any(axis=1)
+    W = (_stage_iou(inter[on], psize[on], gsize[on]).transpose(1, 2, 0)
+         * confidence[:, None, None])
+    A = np.full(gsize.shape[::-1], -1, dtype=np.int64)
+    A[:, on] = assign_ambiguous_components(W, (gsize[on] > 0).T,
+                                           np.random.default_rng(seed))
+    return A
+
+
 def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
                  candidate_preds: Sequence[InstanceMask],
                  rng_seed: int = 0) -> DisambiguationResult:
@@ -245,40 +263,26 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
     preds = list(candidate_preds)
-    all_stages, inter, psize, gsize = _stage_tables(preds, members)
-    on = gsize.any(axis=1)  # the stages where some member is present
-    stages = [t for t, keep in zip(all_stages, on) if keep]
-    present = (gsize[on] > 0).T
+    stages, inter, psize, gsize = _stage_tables(preds, members)
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
-    W = (_stage_iou(inter[on], psize[on], gsize[on]).transpose(1, 2, 0)
-         * confidence[:, None, None])
+    A = _group_assignment(inter, psize, gsize, confidence, rng_seed)
 
-    rng = np.random.default_rng(rng_seed)
-    A = assign_ambiguous_components(W, present, rng)
-
-    trajectories = []
-    rows = []
-    for i in range(len(members)):
-        per_stage = {}
-        for s, t in enumerate(stages):
-            k = A[i, s]
-            if k >= 0:
-                per_stage[t] = members[k].per_stage_points[t]
-        if per_stage:
-            trajectories.append(InstanceMask(
-                instance_id=-(i + 1), class_id=members[0].class_id,
-                per_stage_points=per_stage, confidence=1.0))
-            rows.append(i)
-
-    columns = np.full((len(rows), len(all_stages)), -1, dtype=np.int64)
-    columns[:, on] = A[rows]
-    touches = _gather_columns(inter, gsize, columns)[0].any(axis=0)
+    rows = [i for i in range(len(members)) if (A[i] >= 0).any()]
+    trajectories = tuple(
+        InstanceMask(instance_id=-(i + 1), class_id=members[0].class_id,
+                     per_stage_points={t: members[k].per_stage_points[t]
+                                       for t, k in zip(stages, A[i]) if k >= 0},
+                     confidence=1.0)
+        for i in rows)
+    touches = _gather_columns(inter, gsize, A[rows])[0].any(axis=0)
     matched = {idx: tuple(preds[i].instance_id for i in np.flatnonzero(touches[:, idx]))
                for idx in range(len(rows))}
 
+    on = gsize.any(axis=1)
     return DisambiguationResult(
-        member_ids=tuple(group.member_instance_ids), stages=tuple(stages),
-        assignment=A, trajectories=tuple(trajectories),
+        member_ids=tuple(group.member_instance_ids),
+        stages=tuple(t for t, keep in zip(stages, on) if keep),
+        assignment=A[:, on], trajectories=trajectories,
         trajectory_rows=tuple(rows), matched_predictions=matched)
 
 
@@ -438,55 +442,6 @@ def _trajectory_label(member_ids: Iterable[int],
     return ChangeType.AMBIGUOUS
 
 
-def _class_tables(class_id: int, gt: GroundTruthAnnotation,
-                  preds: Sequence[InstanceMask], rng_seed: int):
-    """One class's predictions (by id), their t-IoU matrix and column labels.
-
-    The columns are the class's ground-truth instances outside ambiguous
-    groups, then each group's trajectories (groups by id). One stage table
-    over all of the class's ground truth gives the group candidates, and each
-    trajectory's column gathers, per stage, the member column it was assigned.
-    """
-    class_preds = sorted((p for p in preds if p.class_id == class_id),
-                         key=lambda m: m.instance_id)
-    class_gts = sorted((g for g in gt.instances if g.class_id == class_id),
-                       key=lambda m: m.instance_id)
-    column_of = {g.instance_id: j for j, g in enumerate(class_gts)}
-    groups = sorted((grp for grp in gt.ambiguous_groups
-                     if grp.member_instance_ids and grp.member_instance_ids[0] in column_of),
-                    key=lambda grp: grp.group_id)
-    member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
-    stages, inter, psize, gsize = _stage_tables(class_preds, class_gts)
-    stage_pos = {t: s for s, t in enumerate(stages)}
-
-    plain = [j for j, g in enumerate(class_gts) if g.instance_id not in member_of_group]
-    columns = [np.full(len(stages), j) for j in plain]
-    labels: list[Optional[ChangeType]] = [
-        gt.change_labels.get(class_gts[j].instance_id) for j in plain]
-    touches = inter.any(axis=0)
-    for grp in groups:
-        member_cols = np.array([column_of[m] for m in grp.member_instance_ids])
-        cands = [class_preds[i] for i in np.flatnonzero(touches[:, member_cols].any(axis=1))]
-        result = disambiguate(grp, [class_gts[j] for j in member_cols], cands,
-                              rng_seed=_group_seed(rng_seed, grp.group_id))
-        at = [stage_pos[t] for t in result.stages]
-        for row in result.assignment[list(result.trajectory_rows)]:
-            column = np.full(len(stages), -1)
-            column[at] = np.where(row >= 0, member_cols[row], -1)
-            columns.append(column)
-            labels.append(_trajectory_label(
-                {result.member_ids[k] for k in row if k >= 0}, gt.change_labels))
-
-    columns = np.array(columns, dtype=np.int64).reshape(len(columns), len(stages))
-    col_inter, col_size = _gather_columns(inter, gsize, columns)
-    return class_preds, _tiou_matrix(col_inter, psize, col_size), labels
-
-
-def _group_seed(rng_seed: int, group_id: int):
-    # per-group stream so parallel evaluation order cannot change results
-    return (int(rng_seed), int(group_id))
-
-
 def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
              preds: Sequence[InstanceMask],
              thresholds: Optional[Iterable[float]] = None, *,
@@ -496,10 +451,17 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
 
     Inputs are assumed validated (see :func:`scanseq.model.validate_sequence`).
     Prediction overlaps within a stage are resolved first: the
-    higher-confidence mask keeps contested points. Ambiguous groups are
-    pseudo-disambiguated per class with a per-group random stream derived from
-    ``rng_seed`` and the group id, so results are deterministic and
-    independent of evaluation order.
+    higher-confidence mask keeps contested points. One stage table then holds
+    every (prediction, ground truth) pair, both sorted by instance id, and
+    each class reads the rows of its predictions and the columns of its
+    ground truth. A class's columns are its instances outside ambiguous
+    groups, then the trajectories of each of its groups (groups by id). A
+    group is pseudo-disambiguated as :func:`disambiguate` does, from the
+    table's slice of its candidates (the class's predictions overlapping a
+    member) and its members, with the random stream
+    ``numpy.random.default_rng((rng_seed, group_id))``, so results are
+    deterministic and independent of evaluation order. A trajectory's column
+    takes, per stage, the column of the member it was assigned.
 
     ``t_map`` averages per-class AP over the sweep thresholds present in
     ``thresholds`` (default: the full default set), ``t_map50``/``t_map25``
@@ -512,34 +474,58 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
             f"predictions are for sequence {prediction_sequence_id!r}, "
             f"ground truth for {seq.sequence_id!r}")
     taus = tuple(sorted(set(float(t) for t in (thresholds or DEFAULT_THRESHOLDS))))
-    resolved = resolve_prediction_overlaps(preds, seq)
+    resolved = sorted(resolve_prediction_overlaps(preds, seq),
+                      key=lambda m: m.instance_id)
+    gts = sorted(gt.instances, key=lambda m: m.instance_id)
+    stages, inter, psize, gsize = _stage_tables(resolved, gts)
+    touches = inter.any(axis=0)
+    confidence = np.array([p.confidence for p in resolved], dtype=np.float64)
+    column_of = {g.instance_id: j for j, g in enumerate(gts)}
+    groups = sorted((grp for grp in gt.ambiguous_groups if grp.member_instance_ids),
+                    key=lambda grp: grp.group_id)
+    member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
 
-    class_ids = tuple(sorted({m.class_id for m in gt.instances}
-                             | {m.class_id for m in resolved}))
-    tables = {c: _class_tables(c, gt, resolved, rng_seed) for c in class_ids}
-
+    class_ids = tuple(sorted({m.class_id for m in gts} | {m.class_id for m in resolved}))
     per_class_ap: dict[int, dict[float, Optional[float]]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
     pr_curves: dict[int, dict[float, tuple]] = {c: {} for c in class_ids}
-    n_ground_truth = {c: len(tables[c][2]) for c in class_ids}
-    change_totals: dict[ChangeType, int] = {}
-    for c in class_ids:
-        for label in tables[c][2]:
-            if label is not None:
-                change_totals[label] = change_totals.get(label, 0) + 1
-    change_matched: dict[float, dict[ChangeType, int]] = {
-        tau: {ct: 0 for ct in change_totals} for tau in taus}
+    n_ground_truth: dict[int, int] = {}
+    change_totals: Counter[ChangeType] = Counter()
+    change_matched: dict[float, Counter[ChangeType]] = {tau: Counter() for tau in taus}
 
     for c in class_ids:
-        class_preds, tiou, labels = tables[c]
-        n_gt = len(labels)
-        order = sorted(range(len(class_preds)),
-                       key=lambda i: (-class_preds[i].confidence, class_preds[i].instance_id))
+        rows = np.array([i for i, p in enumerate(resolved) if p.class_id == c],
+                        dtype=np.intp)
+        plain = [j for j, g in enumerate(gts)
+                 if g.class_id == c and g.instance_id not in member_of_group]
+        columns = [np.full(len(stages), j) for j in plain]
+        labels: list[Optional[ChangeType]] = [
+            gt.change_labels.get(gts[j].instance_id) for j in plain]
+        for grp in groups:
+            members = np.array([column_of[m] for m in grp.member_instance_ids])
+            if gts[members[0]].class_id != c:
+                continue
+            cands = rows[touches[np.ix_(rows, members)].any(axis=1)]
+            A = _group_assignment(inter[:, cands][:, :, members], psize[:, cands],
+                                  gsize[:, members], confidence[cands],
+                                  (rng_seed, grp.group_id))
+            for row in A[(A >= 0).any(axis=1)]:
+                columns.append(np.where(row >= 0, members[row], -1))
+                labels.append(_trajectory_label(
+                    {grp.member_instance_ids[k] for k in row if k >= 0},
+                    gt.change_labels))
+        columns = np.array(columns, dtype=np.int64).reshape(len(columns), len(stages))
+        col_inter, col_size = _gather_columns(inter[:, rows], gsize, columns)
+        tiou = _tiou_matrix(col_inter, psize[:, rows], col_size)
+
+        n_gt = n_ground_truth[c] = len(labels)
+        change_totals.update(label for label in labels if label is not None)
+        order = sorted(range(len(rows)), key=lambda i: (-confidence[rows[i]], rows[i]))
         for tau in taus:
             is_tp, matched = _greedy_match(tiou, order, tau)
             per_class_ap[c][tau] = average_precision(is_tp, n_gt)
             tp_n = int(is_tp.sum())
-            counts[c][tau] = (tp_n, len(class_preds) - tp_n, n_gt - tp_n)
+            counts[c][tau] = (tp_n, len(rows) - tp_n, n_gt - tp_n)
             recall, precision = _pr_curve(is_tp, n_gt)
             pr_curves[c][tau] = tuple(zip(recall.tolist(), precision.tolist()))
             for col in matched[matched >= 0]:

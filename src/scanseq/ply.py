@@ -9,7 +9,6 @@ Unknown vertex properties are skipped; elements after ``vertex`` are ignored.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,25 +186,28 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
 
     Positions are stored as float32, colors as uchar (rounded from [0, 1]),
     segments as int32. ``instances``, one id per point, becomes an int32
-    ``instance`` property; an id outside int32 is a ValueError. A binary file
-    written here reads back byte-exactly.
+    ``instance`` property. A segment or instance id outside int32 is a
+    ValueError. A binary file written here reads back byte-exactly.
     """
     n = cloud.point_count
     fields = [("x", "f4"), ("y", "f4"), ("z", "f4")]
     if cloud.colors is not None:
         fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
+    columns = {}
     if cloud.segment_ids is not None:
-        fields += [("segment", "i4")]
+        columns["segment"] = cloud.segment_ids
     if instances is not None:
         instances = np.asarray(instances, dtype=np.int64)
         if instances.shape != (n,):
             raise ValueError("instances length must equal point count")
-        info = np.iinfo(np.int32)
-        outside = instances[(instances < info.min) | (instances > info.max)]
+        columns["instance"] = instances
+    info = np.iinfo(np.int32)
+    for name, ids in columns.items():
+        outside = ids[(ids < info.min) | (ids > info.max)]
         if outside.size:
-            raise ValueError(f"instance id {outside[0]} does not fit the int32 "
-                             f"instance property")
-        fields += [("instance", "i4")]
+            raise ValueError(f"{name} id {outside[0]} does not fit the int32 "
+                             f"{name} property")
+        fields += [(name, "i4")]
     dtype = np.dtype([(name, "<" + code) for name, code in fields])
     table = np.zeros(n, dtype=dtype)
     table["x"] = cloud.positions[:, 0].astype(np.float32)
@@ -214,10 +216,8 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
     if cloud.colors is not None:
         rgb = np.clip(np.rint(cloud.colors * 255.0), 0, 255).astype(np.uint8)
         table["red"], table["green"], table["blue"] = rgb[:, 0], rgb[:, 1], rgb[:, 2]
-    if cloud.segment_ids is not None:
-        table["segment"] = cloud.segment_ids.astype(np.int32)
-    if instances is not None:
-        table["instance"] = instances
+    for name, ids in columns.items():
+        table[name] = ids
 
     type_names = {"f4": "float", "u1": "uchar", "i4": "int"}
     header_lines = ["ply",

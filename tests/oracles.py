@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written in plain Python (sets, loops, math)
-from the declared contracts, sharing no code paths with scanseq itself.
+from the declared contracts, sharing no code paths with scanseq itself. The
+one exception is :func:`composed_evaluation`, which checks ``evaluate``
+against scanseq's own public pieces put together one class at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import itertools
 import math
 
 import numpy as np
+
+from scanseq import metrics
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +161,47 @@ def pairwise_greedy_tp(preds, gts, tau):
             claimed.add(best_j)
         labels.append(best_j >= 0)
     return labels
+
+
+# ---------------------------------------------------------------------------
+# evaluate, composed from the public metric functions
+
+
+def composed_evaluation(seq, gt, preds, taus, rng_seed):
+    """{class: {tau: (AP, (TP, FP, FN))}} as ``evaluate`` should report them.
+
+    Per class: the overlap-resolved predictions by id; as columns, the
+    ground truth outside ambiguous groups by id, then the trajectories of
+    each of the class's groups (groups by id), each group disambiguated from
+    the class's predictions sharing a (stage, point) with any member, with
+    the random stream ``(rng_seed, group_id)``; then greedy matching and AP.
+    """
+    resolved = metrics.resolve_prediction_overlaps(preds, seq)
+    by_id = {g.instance_id: g for g in gt.instances}
+    grouped = {m for g in gt.ambiguous_groups for m in g.member_instance_ids}
+    out = {}
+    for c in sorted({m.class_id for m in (*gt.instances, *resolved)}):
+        class_preds = sorted((p for p in resolved if p.class_id == c),
+                             key=lambda m: m.instance_id)
+        columns = sorted((g for g in gt.instances
+                          if g.class_id == c and g.instance_id not in grouped),
+                         key=lambda m: m.instance_id)
+        for group in sorted(gt.ambiguous_groups, key=lambda g: g.group_id):
+            members = [by_id[m] for m in group.member_instance_ids]
+            if members[0].class_id != c:
+                continue
+            candidates = [p for p in class_preds if any(
+                _stage_intersection(p.per_stage_points.get(t, []), pts)
+                for m in members for t, pts in m.per_stage_points.items())]
+            columns += metrics.disambiguate(group, gt.instances, candidates,
+                                            rng_seed=(rng_seed, group.group_id)).trajectories
+        out[c] = {}
+        for tau in taus:
+            found = metrics.assign_detections(class_preds, columns, tau)
+            tp = sum(found.is_tp)
+            out[c][tau] = (metrics.average_precision(found.is_tp, len(columns)),
+                           (tp, len(class_preds) - tp, len(found.false_negatives)))
+    return out
 
 
 # ---------------------------------------------------------------------------

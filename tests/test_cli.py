@@ -8,7 +8,7 @@ import pytest
 from scanseq.cli import main
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
-from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
+from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
 from conftest import write_legacy_manifest
 
@@ -437,3 +437,41 @@ def test_associate_semantic_and_geometric(tmp_path):
         merged = read_predictions(out)
         assert merged.sequence_id == "assoc"
         assert any(len(m.per_stage_points) == 2 for m in merged.instances)
+
+
+# Reports of two small synth scenes, pinned so that any change of the bytes
+# `scanseq evaluate` writes shows. A deliberate change of the report, of
+# `synth` or of the writers updates these values and says why in CHANGES.md.
+PINNED_REPORTS = {
+    "plain": "724f0a3b81f15c39fc55d8bf9a350e2ff8a25c90f05704d16e36c685391c3567",
+    "ambiguous-swapped": "ec674ebeecc3e00773e71537c827a1cd8d660a55c3df350e0b57684c05b7474f",
+}
+
+
+def _pinned_scene(name):
+    if name == "plain":
+        moves = {i: ChangeOp("rigid", translation=(0.4, 0.0, 0.0)) for i in range(0, 12, 3)}
+        recipe = SceneRecipe(seed=3, n_objects=12, n_stages=2, n_classes=3,
+                             background_points=150, changes=(moves,),
+                             sequence_id="pinned-plain")
+        return recipe, PerturbationSpec(target_iou=0.8, seed=4)
+    swaps = {0: ChangeOp("swap", group_id=0), 4: ChangeOp("swap", group_id=1),
+             8: ChangeOp("rigid", translation=(0.3, 0.0, 0.0))}
+    recipe = SceneRecipe(seed=5, n_objects=12, n_stages=3, n_classes=3,
+                         background_points=150, ambiguous_groups=((0, 1, 2), (4, 5)),
+                         changes=(swaps, swaps), sequence_id="pinned-ambiguous")
+    return recipe, PerturbationSpec(target_iou=0.8, seed=6, identity_policy="swapped")
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_evaluate_report_bytes_are_pinned(tmp_path, name):
+    recipe, spec = _pinned_scene(name)
+    seq, gt = generate(recipe)
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    preds = tmp_path / "preds.json"
+    write_predictions(preds, perturb(seq, gt, spec), seq.sequence_id)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--thresholds", "sweep,0.5,0.25", "--per-change-type",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name]

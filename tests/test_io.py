@@ -116,6 +116,25 @@ def test_binary_ply_round_trips_byte_exactly(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("segment", [2 ** 31, -2 ** 31 - 1])
+def test_ply_rejects_segment_id_beyond_int32(tmp_path, segment):
+    cloud = StageCloud(positions=np.zeros((3, 3)), segment_ids=[0, segment, 1])
+    path = tmp_path / "a.ply"
+    with pytest.raises(ValueError, match=f"segment id {segment} "):
+        write_ply(path, cloud)
+    assert not path.exists()
+
+
+def test_ply_keeps_int32_extremes(tmp_path):
+    info = np.iinfo(np.int32)
+    cloud = StageCloud(positions=np.zeros((2, 3)), segment_ids=[info.min, info.max])
+    path = tmp_path / "a.ply"
+    write_ply(path, cloud, instances=[info.max, info.min])
+    reread, instances = read_ply(path, with_instances=True)
+    assert reread.segment_ids.tolist() == [info.min, info.max]
+    assert instances.tolist() == [info.max, info.min]
+
+
 def test_ascii_ply_round_trips_values(tmp_path):
     cloud = StageCloud(positions=np.array([[0.125, -3.5, 7.0]]),
                        colors=np.array([[1.0, 0.0, 0.5019607843137255]]))
@@ -303,6 +322,15 @@ def test_manifest_rejects_instance_id_beyond_int32(tmp_path):
     gt = annotation([mask(2 ** 31, 1, {0: range(3)})])
     with pytest.raises(ValueError, match=str(2 ** 31)):
         write_manifest(tmp_path / "scene", seq, gt)
+
+
+@pytest.mark.parametrize("instance_id", [-5, -1])
+def test_manifest_rejects_negative_instance_id(tmp_path, instance_id):
+    seq = make_sequence([10])
+    gt = annotation([mask(3, 1, {0: range(2)}), mask(instance_id, 1, {0: range(4, 7)})])
+    with pytest.raises(ValueError, match=f"instance id {instance_id} is negative"):
+        write_manifest(tmp_path / "scene", seq, gt)
+    assert not (tmp_path / "scene").exists()
 
 
 @pytest.mark.parametrize("garbage", [False, True], ids=["missing", "garbage"])

@@ -1,5 +1,5 @@
 """Metamorphic properties of ``evaluate``: transformations of the inputs that
-must leave the canonical report bytes unchanged."""
+must leave the canonical report bytes, or a part of them, unchanged."""
 
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 
 from scanseq import metrics
 from scanseq.formats import write_report
-from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, InstanceMask
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
 TRIALS = range(8)
@@ -117,3 +117,31 @@ def test_report_invariant_to_ground_truth_ids(tmp_path, scene, trial):
                        [m.instance_id for m in gt.instances])
     assert _report_bytes(tmp_path, seq, _relabel_ground_truth(gt, mapping),
                          preds) == expected
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
+def test_new_class_on_shared_points_leaves_other_classes_unchanged(scene, trial):
+    """Ground truth of a new class laid over points that the other classes'
+    ground truth and predictions use changes no other class's numbers."""
+    seq, gt, preds = SCENES[scene]()
+    before = metrics.evaluate(seq, gt, preds, rng_seed=3)
+    rng = np.random.default_rng(200 + trial)
+    new_class = max(before.class_ids) + 1
+    next_id = 1 + max(m.instance_id for m in gt.instances)
+    added = []
+    for k in range(3):
+        per_stage = {}
+        for t in range(seq.num_stages):
+            used = np.unique(np.concatenate(
+                [m.points_at(t) for m in (*gt.instances, *preds)]))
+            per_stage[t] = rng.choice(used, size=used.size // 3, replace=False)
+        added.append(InstanceMask(instance_id=next_id + k, class_id=new_class,
+                                  per_stage_points=per_stage))
+    after = metrics.evaluate(seq, dataclasses.replace(
+        gt, instances=(*gt.instances, *added)), preds, rng_seed=3)
+    assert after.class_ids == (*before.class_ids, new_class)
+    for c in before.class_ids:
+        assert after.per_class_ap[c] == before.per_class_ap[c]
+        assert after.counts[c] == before.counts[c]
+        assert after.pr_curves[c] == before.pr_curves[c]

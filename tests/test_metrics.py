@@ -7,7 +7,7 @@ from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
                              assign_detections, average_precision, disambiguate,
                              evaluate, overlap_candidates,
                              resolve_prediction_overlaps, t_iou)
-from scanseq.model import AmbiguousGroup
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
 
 import oracles
 from conftest import annotation, make_sequence, mask
@@ -431,6 +431,72 @@ def test_evaluate_is_deterministic_with_groups():
     r1 = evaluate(seq, gt, preds, rng_seed=11)
     r2 = evaluate(seq, gt, preds, rng_seed=11)
     assert r1 == r2
+
+
+def _composition_scene(rng):
+    """Two classes over 2-4 stages of 50 points: overlapping ground truth with
+    shuffled ids, at most one ambiguous group of 2-3 members per class (random
+    group ids, members in random order), and predictions that mostly follow
+    one instance, often take a group peer's component at a stage, overlap
+    each other, share confidences and now and then carry the other class."""
+    n_stages, n_points = int(rng.integers(2, 5)), 50
+    gt_ids, pred_ids = rng.permutation(100).tolist(), rng.permutation(1000).tolist()
+    group_ids = rng.choice(1000, size=2, replace=False).tolist()
+    gts, groups, peers = [], [], {}
+    for c in (1, 2):
+        members = []
+        for _ in range(int(rng.integers(2, 6))):
+            stages = [t for t in range(n_stages) if rng.uniform() < 0.8] or [0]
+            members.append(mask(gt_ids.pop(), c, {
+                t: rng.choice(n_points, size=int(rng.integers(4, 12)), replace=False)
+                for t in stages}))
+            peers[members[-1].instance_id] = [members[-1]]
+        k = int(rng.integers(0, 4))
+        if k >= 2:
+            group = [members[i] for i in rng.permutation(len(members))[:k]]
+            groups.append(AmbiguousGroup(group_ids.pop(),
+                                         tuple(m.instance_id for m in group)))
+            peers.update((m.instance_id, group) for m in group)
+        gts += members
+
+    preds = []
+    for g in gts + [None] * int(rng.integers(0, 3)):
+        if g is not None and rng.uniform() < 0.2:
+            continue
+        per_stage = {}
+        for t in range(n_stages):
+            if g is None:
+                pts = rng.choice(n_points, size=int(rng.integers(0, 10)), replace=False)
+            else:
+                source = peers[g.instance_id][int(rng.integers(len(peers[g.instance_id])))] \
+                    if rng.uniform() < 0.4 else g
+                pts = source.points_at(t)
+                pts = np.union1d(pts[rng.uniform(size=pts.size) < 0.85],
+                                 rng.choice(n_points, size=int(rng.integers(0, 3))))
+            if pts.size:
+                per_stage[t] = pts
+        class_id = int(rng.integers(1, 3)) if g is None or rng.uniform() < 0.1 \
+            else g.class_id
+        preds.append(mask(pred_ids.pop(), class_id, per_stage,
+                          confidence=float(rng.choice([0.3, 0.5, 0.7, 0.9]))))
+    gt = GroundTruthAnnotation(instances=tuple(gts), ambiguous_groups=tuple(groups))
+    return make_sequence([n_points] * n_stages), gt, preds
+
+
+def test_evaluate_matches_composition_oracle():
+    rng = np.random.default_rng(12)
+    taus = (0.1, 0.25, 0.5, 0.75)
+    n_groups = n_tp = 0
+    for _ in range(120):
+        seq, gt, preds = _composition_scene(rng)
+        seed = int(rng.integers(1 << 16))
+        report = evaluate(seq, gt, preds, taus, rng_seed=seed)
+        found = {c: {tau: (report.per_class_ap[c][tau], report.counts[c][tau])
+                     for tau in taus} for c in report.class_ids}
+        assert found == oracles.composed_evaluation(seq, gt, preds, taus, seed)
+        n_groups += len(gt.ambiguous_groups)
+        n_tp += sum(report.counts[c][0.5][0] for c in report.class_ids)
+    assert n_groups >= 60 and n_tp >= 100
 
 
 def test_evaluate_rejects_mismatched_sequence_id():
