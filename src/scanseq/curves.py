@@ -70,10 +70,19 @@ def _check_bits(d: int, bits: int) -> None:
         raise ValueError("d * bits_per_axis must not exceed 64")
 
 
-def _check_coords(coords: np.ndarray, bits: int) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] not in (3, 4):
-        raise ValueError(f"coords must have shape (N, 3) or (N, 4), got {arr.shape}")
+def _integer_rows(values, name: str, widths: tuple[int, ...]) -> np.ndarray:
+    """``values`` as an array of integer rows ``widths`` wide; a float, bool or
+    object dtype is rejected rather than truncated."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] not in widths or (arr.size and arr.dtype.kind not in "iu"):
+        shape = " or ".join(f"(N, {w})" for w in widths)
+        raise ValueError(f"{name} must be an integer array of shape {shape}, "
+                         f"got {arr.dtype} {arr.shape}")
+    return arr
+
+
+def _check_coords(coords, bits: int) -> np.ndarray:
+    arr = _integer_rows(coords, "coords", (3, 4))
     _check_bits(arr.shape[1], bits)
     if arr.size and (arr.min() < 0 or arr.max() >= (1 << bits)):
         raise ValueError(f"coordinate out of range [0, 2^{bits})")
@@ -87,17 +96,16 @@ def _spread_masks(d: int, bits: int) -> tuple[np.uint64, ...]:
                  for s in (1 << k for k in range((bits - 1).bit_length() + 1)))
 
 
-def _spread_axes(parts: np.ndarray, bits: int) -> np.ndarray:
-    """Interleave bit b of column i into bit b*d + i by magic-number
-    spreading: log2(bits) shift/mask steps per column."""
-    d = parts.shape[1]
+def _spread_axes(columns, d: int, bits: int) -> np.ndarray:
+    """Interleave bit b of the i-th of d uint64 columns into bit b*d + i by
+    magic-number spreading: log2(bits) shift/mask steps per column."""
     masks = _spread_masks(d, bits)
-    out = np.zeros(len(parts), dtype=np.uint64)
-    for i in range(d):
-        v = parts[:, i]
+    out = None
+    for i, v in enumerate(columns):
         for k in range(len(masks) - 2, -1, -1):
             v = (v | (v << np.uint64((d - 1) << k))) & masks[k]
-        out |= v << np.uint64(i)
+        v = v << np.uint64(i)  # a fresh array, also when bits == 1 left v the input
+        out = v if out is None else np.bitwise_or(out, v, out=out)
     return out
 
 
@@ -148,7 +156,7 @@ def _hilbert_tables(d: int, inverse: bool = False) -> tuple[np.ndarray, ...]:
         return flat(lead_inv, lead_next[lead_inv], inv,
                     np.take_along_axis(pair_next.reshape(-1, n * n), inv, axis=1))
     axes = _compact_axes(np.arange(n * n, dtype=np.uint64), d, 2)[:, ::-1]  # axis 0 on top
-    rank = _spread_axes(_skilling_transpose(axes)[:, ::-1], 2).astype(np.int64)
+    rank = _spread_axes(_skilling_transpose(axes).T[::-1], d, 2).astype(np.int64)
     first = rank[::n] >> d
     child = np.argsort(first)[(rank & (n - 1)).reshape(n, n)]
     weights = 1 << d * np.arange(n - 2, -1, -1)  # a map's last entry is implied
@@ -188,16 +196,20 @@ def _slot_order(curve: Curve, d: int) -> list[int]:
     return perm if curve in (Curve.Z_ORDER, Curve.Z_ORDER_TRANS) else perm[::-1]
 
 
+def _encode(columns, curve: Curve, bits: int) -> np.ndarray:
+    """Ranks from a sequence of d uint64 coordinate columns in [0, 2^bits),
+    indexed by axis: the code core behind every caller's own checks."""
+    d = len(columns)
+    x = _spread_axes((columns[c] for c in _slot_order(curve, d)), d, bits)
+    if curve in (Curve.HILBERT, Curve.HILBERT_TRANS):
+        x = _hilbert_walk(x, d, bits, _hilbert_tables(d))
+    return x
+
+
 def encode_keys(coords, curve: Curve | str,
                 bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
-    """Vectorized curve ranks for an (N, d) array of grid coordinates."""
-    curve = Curve(curve)
-    arr = _check_coords(coords, bits_per_axis)
-    d = arr.shape[1]
-    x = _spread_axes(arr[:, _slot_order(curve, d)], bits_per_axis)
-    if curve in (Curve.HILBERT, Curve.HILBERT_TRANS):
-        x = _hilbert_walk(x, d, bits_per_axis, _hilbert_tables(d))
-    return x
+    """Vectorized curve ranks for an (N, d) array of integer grid coordinates."""
+    return _encode(_check_coords(coords, bits_per_axis).T, Curve(curve), bits_per_axis)
 
 
 def decode_keys(ranks, curve: Curve | str, ndims: int,
@@ -255,22 +267,35 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
                        bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
     """Total order over all voxels of a grid under one pattern.
 
-    Returns a permutation of voxel row indices. Coordinates are shifted to
-    non-negative by the per-axis minimum before encoding. ``spatial_3d``
-    orders each stage independently and concatenates by ascending stage;
-    ``spatiotemporal_4d`` merges all stages with t as a fourth axis.
+    Returns a permutation of voxel row indices (empty for an empty grid). One
+    pass over the keys finds each axis's minimum and maximum: the extent of
+    every axis, t included, must be below 2^bits_per_axis, and each coordinate
+    column is shifted to start at 0 as it is encoded. ``spatial_3d`` is
+    stage-major: it orders each stage by its 3D codes and concatenates the
+    stages by ascending t; ``spatiotemporal_4d`` merges all stages with t as
+    a fourth axis.
     """
     _check_bits(pattern.ndims, bits_per_axis)
-    keys = grid.keys.astype(np.int64)
-    shifted = keys - keys.min(axis=0)
-    if shifted.max() >= (1 << bits_per_axis):
+    keys = _integer_rows(grid.keys, "grid keys", (4,))
+    if not len(keys):
+        return np.empty(0, dtype=np.int64)
+    columns = keys.T
+    lo = [c.min() for c in columns]
+    span = [int(c.max()) - int(m) for c, m in zip(columns, lo)]
+    if max(span) >= (1 << bits_per_axis):
         raise ValueError(f"grid extent exceeds 2^{bits_per_axis} cells per axis")
+    # modular uint64 arithmetic: exact, since every shifted value is < 2^bits
+    shifted = [np.subtract(c, m, dtype=np.uint64, casting="unsafe")
+               for c, m in zip(columns[:pattern.ndims], lo)]
     # Voxel keys are unique, so codes have no ties within a stage (3D) or
     # within the grid (4D) and an unstable sort gives the one order.
+    order = np.argsort(_encode(shifted, pattern.curve, bits_per_axis))
     if pattern.dims == SerializationDims.SPATIAL_3D:
-        order = np.argsort(encode_keys(shifted[:, :3], pattern.curve, bits_per_axis))
-        return order[np.argsort(shifted[order, 3], kind="stable")]
-    return np.argsort(encode_keys(shifted, pattern.curve, bits_per_axis))
+        # the smallest unsigned stage type lets the stable sort be a radix sort
+        stage = np.subtract(columns[3], lo[3], dtype=np.min_scalar_type(span[3]),
+                            casting="unsafe")
+        order = order[np.argsort(stage[order], kind="stable")]
+    return order
 
 
 _SPATIAL_POOL = tuple(SerializationPattern(c, SerializationDims.SPATIAL_3D)

@@ -21,15 +21,18 @@ DEFAULT_RESOLUTION = 0.02  # meters per voxel edge
 
 def _pack_rows(coords: np.ndarray) -> np.ndarray:
     """Pack integer rows into single int64 scalars preserving lexicographic order."""
-    mins = coords.min(axis=0)
-    shifted = coords - mins
-    spans = shifted.max(axis=0).astype(np.int64) + 1
-    total_bits = int(np.sum(np.ceil(np.log2(np.maximum(spans, 2)))))
-    if total_bits > 62:
+    columns = coords.T
+    mins = [c.min() for c in columns]
+    spans = [int(c.max()) - int(m) + 1 for c, m in zip(columns, mins)]
+    if sum(max(s - 1, 1).bit_length() for s in spans) > 62:
         raise ValueError("coordinate extent too large to index")
-    packed = shifted[:, 0].astype(np.int64)
-    for axis in range(1, coords.shape[1]):
-        packed = packed * spans[axis] + shifted[:, axis]
+    packed = np.subtract(columns[0], mins[0], dtype=np.int64)
+    # every packed value is below 2^62, so subtracting m undoes any int64
+    # wraparound of adding c (unsafe casting admits uint64 keys the same way)
+    for c, m, s in zip(columns[1:], mins[1:], spans[1:]):
+        packed *= s
+        np.add(packed, c, out=packed, dtype=np.int64, casting="unsafe")
+        np.subtract(packed, m, out=packed, dtype=np.int64, casting="unsafe")
     return packed
 
 

@@ -142,8 +142,9 @@ class InstanceMask:
     the map. Ground-truth masks use ``confidence`` 1.0 so predictions and
     ground truth share one type.
 
-    Point indices are sorted at construction but deliberately *not*
-    deduplicated: duplicate indices are a data error that
+    Point indices are sorted at construction (indices already in order are
+    taken as they are, through the same copy rule as every model array) but
+    deliberately *not* deduplicated: duplicate indices are a data error that
     :func:`validate_sequence` must be able to report. Empty stage entries are
     dropped; a mask may end up with no stages at all, which is likewise left to
     the validator.
@@ -159,9 +160,11 @@ class InstanceMask:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         cleaned: dict[int, np.ndarray] = {}
         for stage, points in self.per_stage_points.items():
-            arr = np.sort(np.asarray(points, dtype=np.int64).ravel())  # always a new array
+            arr = _frozen(points, np.int64).ravel()
+            if np.count_nonzero(arr[1:] < arr[:-1]):  # cheaper than np.any here
+                arr = _hand_over(np.sort(arr))
             if arr.size:
-                cleaned[int(stage)] = _hand_over(arr)
+                cleaned[int(stage)] = arr
         object.__setattr__(self, "per_stage_points", cleaned)
 
     @property

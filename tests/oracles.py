@@ -434,3 +434,24 @@ def reference_curve_coord(rank, curve, d, bits):
             out[p] = parts[slot]
         parts = out
     return tuple(parts)
+
+
+def reference_serialization_order(keys, curve, ndims, bits):
+    """Voxel rows of (N, 4) integer keys in a pattern's order, by np.lexsort.
+
+    Each axis is shifted to start at 0 with Python integers; ``ndims`` 3
+    sorts by stage, then by the spatial rank, and ``ndims`` 4 by the rank of
+    the whole key. Raises ValueError when an axis spans 2^bits cells or more.
+    """
+    rows = [[int(v) for v in row] for row in np.asarray(keys).tolist()]
+    if not rows:
+        return np.empty(0, dtype=np.int64)
+    lo = [min(col) for col in zip(*rows)]
+    shifted = [[v - m for v, m in zip(row, lo)] for row in rows]
+    if max(max(row) for row in shifted) >= 1 << bits:
+        raise ValueError(f"grid extent exceeds 2^{bits} cells per axis")
+    ranks = np.asarray([reference_curve_rank(row[:ndims], curve, bits)
+                        for row in shifted], dtype=np.uint64)
+    if ndims == 3:
+        return np.lexsort((ranks, [row[3] for row in shifted]))
+    return np.lexsort((ranks,))

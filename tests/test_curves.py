@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from scanseq.curves import (Curve, ScheduleMix, SerializationDims,
                             SerializationPattern, decode_key, decode_keys,
                             encode_key, encode_keys, make_schedule,
                             serialize_sequence)
-from scanseq.geometry import voxelize
+from scanseq.geometry import VoxelGrid4D, voxelize
 from scanseq.model import SequencePointCloud, StageCloud
 
-from oracles import reference_curve_coord, reference_curve_rank
+from oracles import (reference_curve_coord, reference_curve_rank,
+                     reference_serialization_order)
 
 ALL_CURVES = tuple(Curve)
 
@@ -284,3 +286,92 @@ def test_trans_variants_are_axis_rotations():
     assert p4.axis_permutation == (3, 0, 1, 2)
     assert encode_key((1, 2, 3), Curve.Z_ORDER_TRANS, 3) == \
         encode_key((3, 1, 2), Curve.Z_ORDER, 3)
+
+
+ALL_PATTERNS = tuple(SerializationPattern(c, dims)
+                     for dims in SerializationDims for c in Curve)
+
+
+def _grid_of_keys(keys):
+    keys = np.asarray(keys)
+    n = len(keys)
+    return VoxelGrid4D(1.0, keys, np.arange(n), np.array([0, n]))
+
+
+@st.composite
+def _serialization_cases(draw):
+    """Unique (N, 4) keys at any offset, int64 or int32, whose extent on one
+    axis is random, exactly 2^bits - 1 or exactly 2^bits; stage spans past
+    255 and 65,535 take the stage sort past uint8 and uint16."""
+    pattern = draw(st.sampled_from(ALL_PATTERNS))
+    bits = draw(st.integers(1, 64 // pattern.ndims))
+    dtype = draw(st.sampled_from((np.int64, np.int32)))
+    bound = 1 << (62 if dtype is np.int64 else 30)
+    side = 1 << bits
+    stages = draw(st.sampled_from((1, 3, 256, 300, 1000, 70_000)))
+    n = draw(st.integers(1, 24))
+    cols = [draw(st.lists(st.integers(0, side - 1), min_size=n, max_size=n))
+            for _ in range(3)]
+    cols.append(draw(st.lists(st.integers(0, min(side, stages) - 1),
+                              min_size=n, max_size=n)))
+    extent = draw(st.sampled_from(("random", "max", "over")))
+    if extent != "random":
+        axis = draw(st.integers(0, 3))
+        for c in cols:
+            c.append(0)
+        cols[axis][-1] = side - 1 if extent == "max" else side
+    offsets = [draw(st.integers(-bound, bound)) for _ in range(4)]
+    keys = np.asarray([[v + o for v in c] for c, o in zip(cols, offsets)]).T
+    return pattern, bits, np.unique(keys, axis=0).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_serialization_cases())
+def test_serialize_sequence_matches_lexsort_oracle(case):
+    pattern, bits, keys = case
+    grid = _grid_of_keys(keys)
+    try:
+        expected = reference_serialization_order(keys, pattern.curve.value,
+                                                 pattern.ndims, bits)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            serialize_sequence(grid, pattern, bits)
+        return
+    order = serialize_sequence(grid, pattern, bits)
+    assert order.dtype == np.int64
+    assert order.tolist() == expected.tolist()
+
+
+def test_empty_grid_serializes_to_an_empty_order():
+    grid = _grid_of_keys(np.empty((0, 4), dtype=np.int64))
+    for pattern in ALL_PATTERNS:
+        order = serialize_sequence(grid, pattern)
+        assert order.dtype == np.int64 and order.shape == (0,)
+    assert encode_keys(np.empty((0, 3), dtype=np.int64), Curve.HILBERT).shape == (0,)
+
+
+@pytest.mark.parametrize("coords,match", [
+    ([[0.5, 1.7, 2.2]], "float64"),
+    (np.ones((2, 3)), "float64"),
+    ([[True, False, True]], "bool"),
+    ([[0, 1]], r"\(1, 2\)"),
+    ([0, 1, 2], r"\(3,\)"),
+    ([[0, 1, 2**70]], "object"),
+])
+def test_encode_rejects_malformed_coordinates(coords, match):
+    for curve in ALL_CURVES:
+        with pytest.raises(ValueError, match=match):
+            encode_keys(coords, curve, 4)
+
+
+@pytest.mark.parametrize("keys,match", [
+    (np.zeros((2, 3), dtype=np.int64), r"\(2, 3\)"),
+    (np.zeros((2, 5), dtype=np.int64), r"\(2, 5\)"),
+    (np.array([[0.5, 0, 0, 0], [1.5, 0, 0, 0]]), "float64"),
+    (np.zeros((2, 4), dtype=bool), "bool"),
+])
+def test_serialize_rejects_malformed_grid_keys(keys, match):
+    grid = _grid_of_keys(keys)
+    for pattern in ALL_PATTERNS:
+        with pytest.raises(ValueError, match=match):
+            serialize_sequence(grid, pattern)

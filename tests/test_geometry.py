@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanseq.geometry import (build_feature_hierarchy, downsample_level,
-                              nearest_neighbor_labels, pool_features_to_voxels,
-                              pool_superpoint_features, voxelize)
+from scanseq.geometry import (VoxelGrid4D, build_feature_hierarchy,
+                              downsample_level, nearest_neighbor_labels,
+                              pool_features_to_voxels, pool_superpoint_features,
+                              voxelize)
 from scanseq.model import SequencePointCloud, StageCloud
 
 import oracles
@@ -76,6 +77,56 @@ def test_downsample_matches_per_key_recomputation():
         child = grid.keys[child_row]
         expected = [child[0] // 2, child[1] // 2, child[2] // 2, child[3]]
         assert coarse.keys[parent_row].tolist() == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 20, 40])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_voxelize_and_downsample_equal_unique_rows(k, extra):
+    # one axis spans 2^k or 2^k + 1 cells, the exact edges of a packed field
+    rng = np.random.default_rng([k, extra])
+    span = (1 << k) + extra
+    stages, coords = [], []
+    for t in range(2):
+        ijk = np.column_stack([rng.integers(0, span, 60), rng.integers(0, 5, 60),
+                               rng.integers(0, 3, 60)]) - [1 << 10, 3, 0]
+        ijk[:2, 0] = [-(1 << 10), span - 1 - (1 << 10)]  # both ends of the span
+        stages.append(ijk + 0.5)
+        coords.append(np.column_stack([ijk, np.full(60, t)]))
+    coords = np.concatenate(coords)
+    grid = voxelize(seq_from_positions(*stages), resolution=1.0)
+    keys, inverse = np.unique(coords, axis=0, return_inverse=True)
+    assert np.array_equal(grid.keys, keys)
+    assert np.array_equal(grid.point_to_voxel, inverse.ravel())
+    coarse = grid.keys.copy()
+    coarse[:, :3] //= 2
+    parent = downsample_level(grid)
+    keys, inverse = np.unique(coarse, axis=0, return_inverse=True)
+    assert np.array_equal(parent.keys, keys)
+    assert np.array_equal(parent.child_to_parent, inverse.ravel())
+
+
+def test_packing_counts_the_bits_of_a_span_exactly():
+    # a span of 2^59 + 1 cells needs 60 bits and the three other axes one each:
+    # 63 bits do not fit, where 2^59 cells (62 bits) still do
+    for top, fits in (((1 << 60) - 1, True), ((1 << 60) + 1, False)):
+        grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, 0], [top, 0, 0, 0]]),
+                           np.arange(2), np.array([0, 2]))
+        if fits:
+            assert downsample_level(grid).keys[:, 0].tolist() == [0, top // 2]
+        else:
+            with pytest.raises(ValueError, match="too large to index"):
+                downsample_level(grid)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_downsample_keeps_keys_at_the_dtype_edge(dtype):
+    # packing t at the largest key wraps int64 on the way and must still come out exact
+    top = int(np.iinfo(dtype).max)
+    grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, top - 1], [2, 0, 0, top], [2, 0, 0, top - 1]],
+                                     dtype=dtype), np.arange(3), np.array([0, 3]))
+    parent = downsample_level(grid)
+    assert parent.keys.tolist() == [[0, 0, 0, top - 1], [1, 0, 0, top - 1], [1, 0, 0, top]]
+    assert parent.child_to_parent.tolist() == [0, 2, 1]
 
 
 def test_downsample_twice_quarters_spatial_extent():

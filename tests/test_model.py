@@ -144,6 +144,16 @@ def test_read_only_arrays_are_taken_without_a_copy(tmp_path):
     assert not any(a.flags.writeable for a in (cloud.positions, cloud.segment_ids))
 
 
+def test_mask_indices_in_order_are_not_sorted_again():
+    ordered = np.array([1, 4, 4, 9])  # duplicates are kept for the validator
+    ordered.flags.writeable = False
+    m = InstanceMask(0, 1, {0: ordered, 1: np.array([2, 2, 3]), 2: [[7, 3], [3, 1]]})
+    assert np.shares_memory(m.per_stage_points[0], ordered)  # taken, not copied
+    assert m.per_stage_points[1].tolist() == [2, 2, 3]
+    assert m.per_stage_points[2].tolist() == [1, 3, 3, 7]
+    assert not any(a.flags.writeable for a in m.per_stage_points.values())
+
+
 def test_change_labels_are_normalized_to_enum():
     gt = annotation([mask(0, 1, {0: [0]})], labels={0: "rigid"})
     assert gt.change_labels[0] is ChangeType.RIGID
