@@ -214,7 +214,7 @@ def _single_stage_set(content: formats.PredictionFileContent) -> association.Sta
 
 
 def _cmd_associate(args) -> int:
-    seq, _ = formats.read_manifest(args.manifest)
+    seq = formats.read_manifest(args.manifest)[0]
     content_a = formats.read_predictions(args.pred_a, seq.stage_sizes())
     content_b = formats.read_predictions(args.pred_b, seq.stage_sizes())
     set_a = _single_stage_set(content_a)
@@ -237,7 +237,10 @@ def _cmd_generate(args) -> int:
                 if "perturbation" in recipe_data else None)
     except (TypeError, ValueError) as exc:
         raise formats.FormatError(f"{args.recipe}: bad recipe ({exc})") from exc
-    seq, gt = synth.generate(recipe)
+    try:
+        seq, gt = synth.generate(recipe)
+    except MemoryError as exc:
+        raise synth.SceneGenerationError(f"scene too large to realize ({exc})") from exc
     formats.write_manifest(args.out, seq, gt)
     if spec is not None:
         preds = synth.perturb(seq, gt, spec)
@@ -251,7 +254,9 @@ def _cmd_serialize(args) -> int:
         print(f"error: --bits {args.bits} exceeds {64 // int(args.dims)} "
               f"for --dims {args.dims}", file=sys.stderr)
         return EXIT_USAGE
-    seq, _ = formats.read_manifest(args.manifest)
+    # the ground truth is not needed: dropping it at once frees its masks
+    # before voxelize allocates
+    seq = formats.read_manifest(args.manifest)[0]
     grid = voxelize(seq, resolution=args.resolution)
     pattern = curves.SerializationPattern(
         _CURVE_FLAGS[args.curve],

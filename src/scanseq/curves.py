@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import VoxelGrid4D
+from .geometry import VoxelGrid4D, _integer_rows
 
 DEFAULT_BITS_PER_AXIS = 16
 
@@ -68,17 +68,6 @@ def _check_bits(d: int, bits: int) -> None:
         raise ValueError("bits_per_axis must be >= 1")
     if d * bits > 64:
         raise ValueError("d * bits_per_axis must not exceed 64")
-
-
-def _integer_rows(values, name: str, widths: tuple[int, ...]) -> np.ndarray:
-    """``values`` as an array of integer rows ``widths`` wide; a float, bool or
-    object dtype is rejected rather than truncated."""
-    arr = np.asarray(values)
-    if arr.ndim != 2 or arr.shape[1] not in widths or (arr.size and arr.dtype.kind not in "iu"):
-        shape = " or ".join(f"(N, {w})" for w in widths)
-        raise ValueError(f"{name} must be an integer array of shape {shape}, "
-                         f"got {arr.dtype} {arr.shape}")
-    return arr
 
 
 def _check_coords(coords, bits: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .metrics import EvaluationReport
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                     InstanceMask, SequencePointCloud, StageCloud,
-                    _points_by_label)
+                    _hand_over, _points_by_label)
 from .ply import read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -137,7 +137,7 @@ def _mask_from_payload(payload: Mapping, stage_size: Optional[int]) -> np.ndarra
         raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
     if encoding == "rle":
-        return rle_decode(payload["data"], stage_size)
+        return _hand_over(rle_decode(payload["data"], stage_size))
     if encoding == "points":
         points = _int64_array(payload["data"], "points data")
         if points.ndim != 1:

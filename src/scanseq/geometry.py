@@ -8,15 +8,27 @@ the spatial coordinates only; the temporal coordinate is never pooled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .model import SequencePointCloud, StageCloud, _frozen, _hand_over
+from .model import (SequencePointCloud, StageCloud, _EMPTY_INDEX, _frozen, _hand_over,
+                    _points_by_label)
 
 DEFAULT_RESOLUTION = 0.02  # meters per voxel edge
+
+
+def _integer_rows(values, name: str, widths: tuple[int, ...]) -> np.ndarray:
+    """``values`` as an array of integer rows ``widths`` wide; a float, bool or
+    object dtype is rejected rather than truncated."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] not in widths or (arr.size and arr.dtype.kind not in "iu"):
+        shape = " or ".join(f"(N, {w})" for w in widths)
+        raise ValueError(f"{name} must be an integer array of shape {shape}, "
+                         f"got {arr.dtype} {arr.shape}")
+    return arr
 
 
 def _pack_rows(coords: np.ndarray) -> np.ndarray:
@@ -43,7 +55,7 @@ def _unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords[first], inverse
 
 
-@dataclass
+@dataclass(frozen=True)
 class VoxelGrid4D:
     """Integer-quantized 4D coordinates with a duplicate-preserving t axis.
 
@@ -60,13 +72,11 @@ class VoxelGrid4D:
     stage_offsets: np.ndarray
     level: int = 0
     child_to_parent: Optional[np.ndarray] = None
-    _voxel_point_order: Optional[np.ndarray] = field(default=None, repr=False)
-    _voxel_point_bounds: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("keys", "point_to_voxel", "stage_offsets", "child_to_parent"):
             if getattr(self, name) is not None:
-                setattr(self, name, _frozen(getattr(self, name)))
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def num_voxels(self) -> int:
@@ -80,18 +90,12 @@ class VoxelGrid4D:
         return self.stage_offsets[stage] + np.asarray(local_index)
 
     def points_in_voxel(self, voxel: int) -> np.ndarray:
-        """Global point indices mapped to voxel row ``voxel`` (inverse map)."""
-        if self._voxel_point_order is None:
-            order = np.argsort(self.point_to_voxel, kind="stable")
-            bounds = np.searchsorted(self.point_to_voxel[order],
-                                     np.arange(self.num_voxels + 1))
-            self._voxel_point_order = order
-            self._voxel_point_bounds = bounds
-        lo, hi = self._voxel_point_bounds[voxel], self._voxel_point_bounds[voxel + 1]
-        return self._voxel_point_order[lo:hi]
+        """Ascending global point indices mapped to voxel row ``voxel``."""
+        return np.flatnonzero(self.point_to_voxel == voxel)
 
     def voxel_to_points(self) -> list[np.ndarray]:
-        return [self.points_in_voxel(v) for v in range(self.num_voxels)]
+        groups = _points_by_label(self.point_to_voxel)
+        return [groups.get(v, _EMPTY_INDEX) for v in range(self.num_voxels)]
 
 
 def voxelize(seq: SequencePointCloud,
@@ -127,9 +131,10 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
     """Pool a grid one level coarser: spatial coords floor-halved, t unchanged.
 
     The returned grid records ``child_to_parent`` (child voxel row -> parent
-    voxel row) and remaps ``point_to_voxel`` through it.
+    voxel row) and remaps ``point_to_voxel`` through it. Keys that are not
+    integer (i, j, k, t) rows are a ValueError.
     """
-    coarse = grid.keys.copy()
+    coarse = _integer_rows(grid.keys, "grid keys", (4,)).copy()
     coarse[:, :3] = np.floor_divide(coarse[:, :3], 2)
     keys, child_to_parent = _unique_rows(coarse)
     return VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),
@@ -139,17 +144,24 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
                        child_to_parent=_hand_over(child_to_parent))
 
 
-def pool_features_to_voxels(grid: VoxelGrid4D, point_features: np.ndarray) -> np.ndarray:
-    """Average per-point features over each voxel (merge policy for duplicates)."""
-    feats = np.asarray(point_features, dtype=np.float64)
+def _mean_by(inverse: np.ndarray, features, n_groups: int, what: str) -> np.ndarray:
+    """Mean feature row per group: row g averages the rows r with inverse[r] == g.
+
+    A 1-D ``features`` is one column; ``what`` names the rows ("point", "voxel")
+    in the error raised when their count differs from ``len(inverse)``."""
+    feats = np.asarray(features, dtype=np.float64)
     if feats.ndim == 1:
         feats = feats[:, None]
-    if len(feats) != grid.num_points:
-        raise ValueError("point_features length must equal point count")
-    sums = np.zeros((grid.num_voxels, feats.shape[1]))
-    np.add.at(sums, grid.point_to_voxel, feats)
-    counts = np.bincount(grid.point_to_voxel, minlength=grid.num_voxels)
-    return sums / counts[:, None]
+    if len(feats) != len(inverse):
+        raise ValueError(f"{what}_features length must equal {what} count")
+    sums = np.zeros((n_groups, feats.shape[1]))
+    np.add.at(sums, inverse, feats)
+    return sums / np.bincount(inverse, minlength=n_groups)[:, None]
+
+
+def pool_features_to_voxels(grid: VoxelGrid4D, point_features: np.ndarray) -> np.ndarray:
+    """Average per-point features over each voxel (merge policy for duplicates)."""
+    return _mean_by(grid.point_to_voxel, point_features, grid.num_voxels, "point")
 
 
 @dataclass
@@ -175,17 +187,11 @@ def build_feature_hierarchy(grid: VoxelGrid4D, voxel_features: np.ndarray,
         raise ValueError("voxel_features length must equal voxel count")
     levels = [(grid.keys, feats)]
     pool_maps = []
-    current = grid
     for _ in range(n_levels - 1):
-        parent = downsample_level(current)
-        cmap = parent.child_to_parent
-        child_feats = levels[-1][1]
-        sums = np.zeros((parent.num_voxels, child_feats.shape[1]))
-        np.add.at(sums, cmap, child_feats)
-        counts = np.bincount(cmap, minlength=parent.num_voxels)
-        levels.append((parent.keys, sums / counts[:, None]))
-        pool_maps.append(cmap)
-        current = parent
+        grid = downsample_level(grid)
+        levels.append((grid.keys, _mean_by(grid.child_to_parent, levels[-1][1],
+                                           grid.num_voxels, "voxel")))
+        pool_maps.append(grid.child_to_parent)
     return FeatureHierarchy(levels=levels, pool_maps=pool_maps)
 
 
@@ -197,16 +203,8 @@ def pool_superpoint_features(stage: StageCloud,
     """
     if stage.segment_ids is None:
         raise ValueError("stage has no segment_ids")
-    feats = np.asarray(point_features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[:, None]
-    if len(feats) != stage.point_count:
-        raise ValueError("point_features length must equal point count")
     segs, inverse = np.unique(stage.segment_ids, return_inverse=True)
-    sums = np.zeros((len(segs), feats.shape[1]))
-    np.add.at(sums, inverse, feats)
-    counts = np.bincount(inverse, minlength=len(segs))
-    return segs, sums / counts[:, None]
+    return segs, _mean_by(inverse, point_features, len(segs), "point")
 
 
 def nearest_neighbor_labels(source: StageCloud, source_labels,

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud)
+                    InstanceMask, SequencePointCloud, _hand_over)
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
@@ -399,7 +399,7 @@ def resolve_prediction_overlaps(preds: Sequence[InstanceMask],
             keep = pts[free]
             if keep.size:
                 taken[t][keep] = True
-                new_points[t] = keep
+                new_points[t] = _hand_over(keep)
         kept[i] = new_points
     return [InstanceMask(instance_id=m.instance_id, class_id=m.class_id,
                          per_stage_points=kept[i], confidence=m.confidence)

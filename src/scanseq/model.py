@@ -55,11 +55,12 @@ def _hand_over(arr: np.ndarray) -> np.ndarray:
 
 
 def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Ascending indices of every label >= 0 in a per-point label array."""
+    """Ascending indices of every label >= 0 in a per-point label array, as
+    read-only views of one fresh array (handed over, so masks keep them)."""
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     heads = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
-    return {int(ordered[h]): points
+    return {int(ordered[h]): _hand_over(points)
             for h, points in zip(heads, np.split(order, heads[1:])) if ordered[h] >= 0}
 
 

@@ -212,10 +212,7 @@ def st_pool_masks(stack: MaskHierarchyStack, level: int) -> np.ndarray:
     _, inverse = np.unique(coords[:, :3], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0 returned (M, 1) here
     n_groups = int(inverse.max()) + 1 if len(inverse) else 0
-    if mask.ndim == 1:
-        pooled = np.zeros(n_groups, dtype=bool)
-    else:
-        pooled = np.zeros((n_groups, mask.shape[1]), dtype=bool)
+    pooled = np.zeros((n_groups,) + mask.shape[1:], dtype=bool)
     np.logical_or.at(pooled, inverse, mask)
     return pooled[inverse]
 

@@ -102,6 +102,8 @@ def _parse_header(raw: bytes) -> _Header:
                 raise PlyFormatError("list properties on vertices are not supported")
             if len(parts) != 3 or parts[1] not in _PROPERTY_DTYPES:
                 raise PlyFormatError(f"bad property line {line!r}")
+            if any(name == parts[2] for name, _ in properties):
+                raise PlyFormatError(f"vertex property {parts[2]!r} is listed twice")
             properties.append((parts[2], _PROPERTY_DTYPES[parts[1]]))
     if not fmt_seen:
         raise PlyFormatError("header has no format line")

@@ -332,6 +332,83 @@ def brute_force_voxel_count(stage_positions, resolution):
 
 
 # ---------------------------------------------------------------------------
+# Grouped pooling and inverse maps, one group at a time
+#
+# Each mean adds its rows one by one in ascending row order, starting from
+# 0.0, and then divides by the row count: the same float operations in the
+# same order as an unbuffered scatter-add, so results compare exactly.
+
+
+def _rows(features):
+    return [[float(v) for v in np.atleast_1d(row)] for row in np.asarray(features)]
+
+
+def _loop_mean(rows, members):
+    total = [0.0] * len(rows[members[0]])
+    for r in members:
+        total = [a + b for a, b in zip(total, rows[r])]
+    return [a / len(members) for a in total]
+
+
+def points_in_voxel(point_to_voxel, voxel):
+    """Ascending point indices whose voxel is ``voxel``."""
+    return [p for p, v in enumerate(np.asarray(point_to_voxel).tolist()) if v == voxel]
+
+
+def voxel_to_points(point_to_voxel, n_voxels):
+    return [points_in_voxel(point_to_voxel, v) for v in range(n_voxels)]
+
+
+def pool_features_to_voxels(point_to_voxel, features, n_voxels):
+    """One mean feature row per voxel (a 1-D ``features`` is one column)."""
+    rows = _rows(features)
+    return [_loop_mean(rows, points_in_voxel(point_to_voxel, v)) for v in range(n_voxels)]
+
+
+def pool_superpoint_features(segment_ids, features):
+    """(ascending segment ids, one mean feature row per segment)."""
+    rows = _rows(features)
+    ids = [int(s) for s in segment_ids]
+    segs = sorted(set(ids))
+    return segs, [_loop_mean(rows, [r for r, s in enumerate(ids) if s == seg])
+                  for seg in segs]
+
+
+def build_feature_hierarchy(keys, voxel_features, n_levels):
+    """Per level, (keys, features) and the child -> parent map, from
+    floor-halved (i, j, k) with t unchanged; features after level 0 are the
+    mean of each parent's children."""
+    keys = [tuple(int(v) for v in row) for row in np.asarray(keys).tolist()]
+    levels = [(keys, np.asarray(voxel_features, dtype=np.float64).tolist())]
+    pool_maps = []
+    for _ in range(n_levels - 1):
+        child_keys, child_rows = levels[-1][0], _rows(levels[-1][1])
+        halved = [(i // 2, j // 2, k // 2, t) for i, j, k, t in child_keys]
+        parents = sorted(set(halved))
+        row_of = {key: row for row, key in enumerate(parents)}
+        cmap = [row_of[key] for key in halved]
+        feats = [_loop_mean(child_rows, [c for c, p in enumerate(cmap) if p == parent])
+                 for parent in range(len(parents))]
+        levels.append((parents, feats))
+        pool_maps.append(cmap)
+    return levels, pool_maps
+
+
+def st_pool_masks(coords, mask):
+    """Each row's mask ORed over every row at the same (i, j, k), any stage."""
+    cells = [tuple(int(v) for v in row[:3]) for row in np.asarray(coords).tolist()]
+    rows = [np.atleast_1d(np.asarray(row, dtype=bool)) for row in np.asarray(mask)]
+    out = []
+    for cell in cells:
+        acc = np.zeros_like(rows[0])
+        for other, row in zip(cells, rows):
+            if other == cell:
+                acc = acc | row
+        out.append(acc)
+    return np.asarray(out, dtype=bool).reshape(np.shape(mask))
+
+
+# ---------------------------------------------------------------------------
 # Space-filling-curve codecs, one coordinate at a time on Python ints
 
 

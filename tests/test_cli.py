@@ -8,6 +8,7 @@ import pytest
 from scanseq.cli import main
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
+from scanseq.ply import read_ply, write_ply
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
 from conftest import write_legacy_manifest
@@ -324,6 +325,37 @@ def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe):
     err = capsys.readouterr().err
     assert code == 74
     assert str(recipe_path) in err and "Traceback" not in err
+
+
+def test_generate_scene_numpy_cannot_allocate_exits_2(tmp_path, capsys):
+    # petabytes: numpy refuses the allocation outright
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps({"n_objects": 10 ** 15}))
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: scene too large to realize") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+@pytest.mark.parametrize("command", ["evaluate", "serialize"])
+def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, command):
+    manifest, preds = _write_scene(tmp_path)
+    ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
+    cloud, instances = read_ply(ply, with_instances=True)
+    write_ply(ply, cloud, binary=binary, instances=instances)
+    ply.write_bytes(ply.read_bytes().replace(
+        b"property float x\n", b"property float x\nproperty float x\n", 1))
+    out = str(tmp_path / "out.json")
+    if command == "evaluate":
+        argv = ["evaluate", "--gt", str(manifest), "--pred", str(preds), "--out", out]
+    else:
+        argv = ["serialize", "--curve", "hilbert", "--dims", "4",
+                "--manifest", str(manifest), "--out", out]
+    assert main(argv) == 74
+    err = capsys.readouterr().err
+    assert "vertex property 'x' is listed twice" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("op,payload", [

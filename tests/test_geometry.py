@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from scanseq.geometry import (VoxelGrid4D, build_feature_hierarchy,
                               pool_features_to_voxels, pool_superpoint_features,
                               voxelize)
 from scanseq.model import SequencePointCloud, StageCloud
+from scanseq.numerics import MaskHierarchyStack, st_pool_masks
 
 import oracles
 from conftest import make_sequence
@@ -127,6 +130,98 @@ def test_downsample_keeps_keys_at_the_dtype_edge(dtype):
     parent = downsample_level(grid)
     assert parent.keys.tolist() == [[0, 0, 0, top - 1], [1, 0, 0, top - 1], [1, 0, 0, top]]
     assert parent.child_to_parent.tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([[0, 0, 5], [3, 1, 7]]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 1.0, 7.0, 0.0]]),
+], ids=["three-columns", "float"])
+def test_downsample_rejects_malformed_grid_keys(keys):
+    grid = VoxelGrid4D(1.0, keys, np.arange(2), np.array([0, 2]))
+    message = (r"grid keys must be an integer array of shape \(N, 4\), "
+               rf"got {keys.dtype} \(2, {keys.shape[1]}\)")
+    with pytest.raises(ValueError, match=message):
+        downsample_level(grid)
+    with pytest.raises(ValueError, match=message):
+        build_feature_hierarchy(grid, np.ones((2, 1)), n_levels=2)
+
+
+def test_voxel_grid_fields_cannot_be_reassigned():
+    grid = voxelize(make_sequence([20]), resolution=0.5)
+    with pytest.raises(FrozenInstanceError):
+        grid.keys = None
+    with pytest.raises(FrozenInstanceError):
+        grid.level = 3
+    with pytest.raises(ValueError, match="read-only"):
+        grid.point_to_voxel[0] = 1
+
+
+def test_writing_a_points_in_voxel_result_changes_no_later_answer():
+    grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, 0], [1, 0, 0, 0]]),
+                       np.array([0, 1, 0]), np.array([0, 3]))
+    grid.points_in_voxel(0)[:] = 2
+    assert grid.points_in_voxel(0).tolist() == [0, 2]
+    assert grid.points_in_voxel(1).tolist() == [1]
+    assert [p.tolist() for p in grid.voxel_to_points()] == [[0, 2], [1]]
+
+
+def test_voxel_with_no_points_has_an_empty_index():
+    grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, 0], [1, 0, 0, 0]]),
+                       np.array([1, 1]), np.array([0, 2]))
+    assert grid.points_in_voxel(0).size == 0
+    assert [p.tolist() for p in grid.voxel_to_points()] == [[], [0, 1]]
+
+
+def _shape(rows, width):
+    """(rows,) for width 0, else (rows, width)."""
+    return (rows,) if width == 0 else (rows, width)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 3), st.integers(0, 3))
+def test_pooling_and_inverse_maps_match_per_group_loops(seed, n_stages, n_levels,
+                                                        feature_width, mask_width):
+    rng = np.random.default_rng(seed)
+    seq = seq_from_positions(
+        *[rng.uniform(-1, 1, size=(rng.integers(1, 60), 3)) for _ in range(n_stages)])
+    grid = voxelize(seq, resolution=0.5)
+
+    point_feats = rng.normal(size=_shape(grid.num_points, feature_width))
+    assert np.array_equal(pool_features_to_voxels(grid, point_feats),
+                          oracles.pool_features_to_voxels(grid.point_to_voxel, point_feats,
+                                                          grid.num_voxels))
+
+    stage = StageCloud(positions=seq.stages[0].positions,
+                       segment_ids=rng.integers(-3, 5, size=seq.stages[0].point_count))
+    segs, pooled = pool_superpoint_features(stage, point_feats[:stage.point_count])
+    want_segs, want_pooled = oracles.pool_superpoint_features(
+        stage.segment_ids, point_feats[:stage.point_count])
+    assert segs.tolist() == want_segs
+    assert np.array_equal(pooled, want_pooled)
+
+    voxel_feats = rng.normal(size=_shape(grid.num_voxels, feature_width))
+    hier = build_feature_hierarchy(grid, voxel_feats, n_levels)
+    want_levels, want_maps = oracles.build_feature_hierarchy(grid.keys, voxel_feats, n_levels)
+    assert [m.tolist() for m in hier.pool_maps] == want_maps
+    for (keys, feats), (want_keys, want_feats) in zip(hier.levels, want_levels, strict=True):
+        assert [tuple(k) for k in keys.tolist()] == want_keys
+        assert np.array_equal(feats, want_feats)
+
+    levels = [(keys, rng.random(_shape(len(keys), mask_width)) < 0.3)
+              for keys, _ in hier.levels]
+    levels.append((np.empty((0, 4), dtype=np.int64), np.zeros(_shape(0, mask_width), bool)))
+    stack = MaskHierarchyStack(levels=tuple(levels))
+    for r, (coords, mask) in enumerate(levels):
+        assert np.array_equal(st_pool_masks(stack, r), oracles.st_pool_masks(coords, mask))
+
+    for _ in range(n_levels):
+        assert [p.tolist() for p in grid.voxel_to_points()] == oracles.voxel_to_points(
+            grid.point_to_voxel, grid.num_voxels)
+        for v in range(grid.num_voxels):
+            assert grid.points_in_voxel(v).tolist() == oracles.points_in_voxel(
+                grid.point_to_voxel, v)
+        grid = downsample_level(grid)
 
 
 def test_downsample_twice_quarters_spatial_extent():

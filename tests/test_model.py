@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from scanseq.formats import _mask_from_payload
 from scanseq.geometry import VoxelGrid4D
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud,
-                           validate_sequence)
+                           _points_by_label, validate_sequence)
 from scanseq.ply import read_ply, write_ply
 
 from conftest import annotation, make_cloud, make_sequence, mask
@@ -152,6 +153,16 @@ def test_mask_indices_in_order_are_not_sorted_again():
     assert m.per_stage_points[1].tolist() == [2, 2, 3]
     assert m.per_stage_points[2].tolist() == [1, 3, 3, 7]
     assert not any(a.flags.writeable for a in m.per_stage_points.values())
+
+
+def test_masks_take_grouped_and_decoded_indices_without_a_copy():
+    groups = _points_by_label(np.array([1, 0, 1, -1, 0]))
+    decoded = _mask_from_payload({"encoding": "rle", "data": [2, 3]}, 10)
+    m = InstanceMask(0, 1, {0: groups[1], 1: decoded})
+    assert np.shares_memory(m.per_stage_points[0], groups[1])
+    assert np.shares_memory(m.per_stage_points[1], decoded)
+    assert m.per_stage_points[0].tolist() == [0, 2]
+    assert m.per_stage_points[1].tolist() == [2, 3, 4]
 
 
 def test_change_labels_are_normalized_to_enum():
