@@ -16,8 +16,7 @@ from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DetectionAssignment,
                       assign_detections, average_precision, disambiguate,
                       evaluate, overlap_candidates, resolve_prediction_overlaps,
                       t_iou)
-from .association import (StagePrediction, StagePredictionSet,
-                          associate_geometric, associate_semantic)
+from .association import associate_geometric, associate_semantic
 from .numerics import (AssignmentCostConfig, AssignmentResult,
                        MaskHierarchyStack, RelationMatrix, assignment_cost,
                        binarize_masks, contrastive_loss, fourier_features_4d,

@@ -4,12 +4,16 @@ Two baselines: *semantic* matching pairs same-class predictions across two
 stages by mean instance-feature cosine similarity solved as a bipartite
 assignment; *geometric* matching transfers stage-1 instance labels to stage-2
 points through exact nearest neighbors.
+
+Each input is a sequence of single-stage :class:`InstanceMask` that all sit at
+one stage. Inputs are not range-checked here: ``validate_sequence`` does that.
+Output instance ids are positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -18,34 +22,16 @@ from .geometry import nearest_neighbor_labels
 from .model import InstanceMask, StageCloud, _points_by_label
 
 
-@dataclass(frozen=True)
-class StagePrediction:
-    """One single-stage predicted instance."""
-
-    class_id: int
-    confidence: float
-    points: np.ndarray
-    feature: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        pts = np.unique(np.asarray(self.points, dtype=np.int64))
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        if self.feature is not None:
-            feat = np.asarray(self.feature, dtype=np.float64).ravel()
-            feat.flags.writeable = False
-            object.__setattr__(self, "feature", feat)
-
-
-@dataclass(frozen=True)
-class StagePredictionSet:
-    """All predicted instances of one temporal stage."""
-
-    stage: int
-    masks: tuple[StagePrediction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(self.masks))
+def _stage_of(masks: Sequence[InstanceMask]) -> int:
+    """The one stage of an association input; ValueError if it has none."""
+    if any(len(m.per_stage_points) != 1 for m in masks):
+        raise ValueError("association inputs must be single-stage predictions")
+    stages = {t for m in masks for t in m.per_stage_points}
+    if len(stages) > 1:
+        raise ValueError("all masks in one association input must share a stage")
+    if not stages:
+        raise ValueError("association input has no masks")
+    return stages.pop()
 
 
 def _cosine_matrix(a_feats: np.ndarray, b_feats: np.ndarray) -> np.ndarray:
@@ -56,84 +42,86 @@ def _cosine_matrix(a_feats: np.ndarray, b_feats: np.ndarray) -> np.ndarray:
     return (a_feats @ b_feats.T) / np.outer(na, nb)
 
 
-def associate_semantic(a: StagePredictionSet, b: StagePredictionSet,
+def _feature_rows(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
+                  idx: list[int]) -> np.ndarray:
+    return np.stack([np.asarray(features[masks[i].instance_id], np.float64).ravel()
+                     for i in idx])
+
+
+def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
+                       a_features: Mapping[int, np.ndarray],
+                       b_features: Mapping[int, np.ndarray],
                        similarity_floor: float = 0.0) -> list[InstanceMask]:
     """Merge per-stage predictions by class-wise feature similarity.
 
-    Within each class predicted in both stages, an optimal assignment on
-    negative cosine similarity pairs instances; pairs below
-    ``similarity_floor`` stay unmatched. Matched pairs become one two-stage
-    instance with the mean confidence; everything unmatched stays a
-    single-stage instance. Never merges across predicted classes.
+    ``a_features`` and ``b_features`` map instance id to feature vector (as
+    ``PredictionFileContent.features``). Within each class predicted in both
+    stages, an optimal assignment on negative cosine similarity pairs
+    instances; pairs below ``similarity_floor`` stay unmatched. Matched pairs
+    become one two-stage instance with the mean confidence; everything
+    unmatched stays a single-stage instance. Never merges across predicted
+    classes.
     """
-    for pset in (a, b):
-        if any(m.feature is None for m in pset.masks):
+    for masks, features in ((a, a_features), (b, b_features)):
+        _stage_of(masks)  # raises unless the input sits at one stage
+        if any(m.instance_id not in features for m in masks):
             raise ValueError("semantic association requires instance features")
     merged: list[InstanceMask] = []
     matched_b: set[int] = set()
-    next_id = 0
-    for class_id in sorted({m.class_id for m in a.masks}):
-        a_idx = [i for i, m in enumerate(a.masks) if m.class_id == class_id]
-        b_idx = [i for i, m in enumerate(b.masks) if m.class_id == class_id]
+    for class_id in sorted({m.class_id for m in a}):
+        a_idx = [i for i, m in enumerate(a) if m.class_id == class_id]
+        b_idx = [i for i, m in enumerate(b) if m.class_id == class_id]
         pairs: dict[int, int] = {}
         if a_idx and b_idx:
-            sims = _cosine_matrix(np.stack([a.masks[i].feature for i in a_idx]),
-                                  np.stack([b.masks[i].feature for i in b_idx]))
+            sims = _cosine_matrix(_feature_rows(a, a_features, a_idx),
+                                  _feature_rows(b, b_features, b_idx))
             rows, cols = linear_sum_assignment(-sims)
             for r, c in zip(rows, cols):
                 if sims[r, c] >= similarity_floor:
                     pairs[a_idx[r]] = b_idx[c]
         for i in a_idx:
-            mask_a = a.masks[i]
+            mask_a = a[i]
             if i in pairs:
-                j = pairs[i]
-                mask_b = b.masks[j]
-                matched_b.add(j)
+                mask_b = b[pairs[i]]
+                matched_b.add(pairs[i])
                 merged.append(InstanceMask(
-                    instance_id=next_id, class_id=class_id,
-                    per_stage_points={a.stage: mask_a.points, b.stage: mask_b.points},
+                    instance_id=len(merged), class_id=class_id,
+                    per_stage_points={**mask_a.per_stage_points,
+                                      **mask_b.per_stage_points},
                     confidence=(mask_a.confidence + mask_b.confidence) / 2))
             else:
-                merged.append(InstanceMask(
-                    instance_id=next_id, class_id=class_id,
-                    per_stage_points={a.stage: mask_a.points},
-                    confidence=mask_a.confidence))
-            next_id += 1
-    for j, mask_b in enumerate(b.masks):
+                merged.append(replace(mask_a, instance_id=len(merged)))
+    for j, mask_b in enumerate(b):
         if j not in matched_b:
-            merged.append(InstanceMask(
-                instance_id=next_id, class_id=mask_b.class_id,
-                per_stage_points={b.stage: mask_b.points},
-                confidence=mask_b.confidence))
-            next_id += 1
+            merged.append(replace(mask_b, instance_id=len(merged)))
     return merged
 
 
-def associate_geometric(a: StagePredictionSet, b_cloud: StageCloud,
+def associate_geometric(a: Sequence[InstanceMask], b_cloud: StageCloud,
                         a_cloud: StageCloud, b_stage: Optional[int] = None) -> list[InstanceMask]:
     """Extend stage-1 instances to stage-2 points via nearest neighbors.
 
     Every stage-2 point inherits the instance label of its nearest stage-1
-    point (exact search, ties to the lowest index). Stage-1 points covered by
-    no prediction carry "no instance", which propagates: their nearest
-    stage-2 points join no mask. Output instance ids are the positions of the
-    stage-1 masks.
+    point (exact search, ties to the lowest index). Where stage-1 masks
+    overlap, a point belongs to the most confident, then the earliest, of
+    them. Stage-1 points covered by no prediction carry "no instance", which
+    propagates: their nearest stage-2 points join no mask. ``b_stage``
+    defaults to the stage after ``a``'s.
     """
     if a_cloud.point_count == 0:
         raise ValueError("stage-1 cloud is empty")
+    a_stage = _stage_of(a)
     if b_stage is None:
-        b_stage = a.stage + 1
+        b_stage = a_stage + 1
     labels = np.full(a_cloud.point_count, -1, dtype=np.int64)
-    priority = sorted(range(len(a.masks)),
-                      key=lambda i: (-a.masks[i].confidence, i))
-    for i in priority:
-        pts = a.masks[i].points
+    for i in sorted(range(len(a)), key=lambda i: (-a[i].confidence, i)):
+        pts = a[i].per_stage_points[a_stage]
         free = labels[pts] < 0
         labels[pts[free]] = i
     transferred = _points_by_label(nearest_neighbor_labels(a_cloud, labels, b_cloud))
     out = []
-    for i, mask in enumerate(a.masks):
-        per_stage = {a.stage: mask.points}
+    for i, mask in enumerate(a):
+        per_stage = dict(mask.per_stage_points)
         if i in transferred:
             per_stage[b_stage] = transferred[i]
         out.append(InstanceMask(instance_id=i, class_id=mask.class_id,

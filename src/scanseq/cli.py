@@ -10,8 +10,10 @@ Subcommands::
                       --dims {3,4} --manifest manifest.json --out order.json
     scanseq losses    --op {contrastive,cost,fourier,pool} --in in.json --out out.json
 
-Exit codes: 0 success, 2 validation failure (violations on stderr), 64 usage
-error (including a threshold outside [0, 1), --threads below 1, --bits outside
+Exit codes: 0 success, 2 validation failure (violations on stderr, each after
+its file's name; ``associate`` checks each prediction file as ``evaluate``
+does, and that all its masks sit at one stage), 64 usage error (including a
+threshold outside [0, 1), a negative --seed, --threads below 1, --bits outside
 [1, 64 // dims] and a --resolution that is not a positive finite number), 74
 I/O or file-format failure (including JSON of the wrong shape or type or
 nested too deeply, an RLE run that ends past its stage, a label file that is
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import association, curves, formats, metrics, numerics, synth
 from .geometry import DEFAULT_RESOLUTION, voxelize
-from .model import validate_sequence
+from .model import GroundTruthAnnotation, validate_sequence
 from .ply import PlyError
 
 EXIT_OK = 0
@@ -58,11 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_from(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _positive_finite_float(text: str) -> float:
@@ -87,9 +92,9 @@ def _build_parser() -> _Parser:
                              "expands to 0.50:0.95 step 0.05")
     p_eval.add_argument("--per-change-type", action="store_true",
                         help="include per-change-type recall in the report")
-    p_eval.add_argument("--seed", type=int, default=0,
+    p_eval.add_argument("--seed", type=_int_from(0), default=0,
                         help="seed for ambiguous-group disambiguation")
-    p_eval.add_argument("--threads", type=_positive_int, default=1,
+    p_eval.add_argument("--threads", type=_int_from(1), default=1,
                         help="accepted for compatibility; sequences are "
                              "evaluated one after another")
     p_eval.add_argument("--out", required=True)
@@ -111,7 +116,7 @@ def _build_parser() -> _Parser:
     p_ser.add_argument("--manifest", required=True)
     p_ser.add_argument("--resolution", type=_positive_finite_float,
                        default=DEFAULT_RESOLUTION)
-    p_ser.add_argument("--bits", type=_positive_int, default=curves.DEFAULT_BITS_PER_AXIS,
+    p_ser.add_argument("--bits", type=_int_from(1), default=curves.DEFAULT_BITS_PER_AXIS,
                        help="bits per axis; at most 64 // dims")
     p_ser.add_argument("--out", required=True)
 
@@ -141,9 +146,10 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     return tuple(sorted(values))
 
 
-def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
-    seq, gt = formats.read_manifest(gt_path)
-    pred_file = formats.read_predictions(pred_path, seq.stage_sizes())
+def _read_checked_predictions(path, seq, gt):
+    """A prediction file's content and its violations against ``seq`` and
+    ``gt``: a foreign sequence id, then every ``validate_sequence`` finding."""
+    pred_file = formats.read_predictions(path, seq.stage_sizes())
     violations = []
     if pred_file.sequence_id and pred_file.sequence_id != seq.sequence_id:
         violations.append(
@@ -151,10 +157,21 @@ def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
             f"{pred_file.sequence_id!r}, manifest is {seq.sequence_id!r}")
     result = validate_sequence(seq, gt, pred_file.instances)
     violations.extend(f"{v.code}: {v.message}" for v in result.violations)
+    return pred_file, violations
+
+
+def _print_violations(path, violations) -> bool:
+    for v in violations:
+        print(f"{path}: {v}", file=sys.stderr)
+    return bool(violations)
+
+
+def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
+    seq, gt = formats.read_manifest(gt_path)
+    pred_file, violations = _read_checked_predictions(pred_path, seq, gt)
     if violations:
         return None, violations
-    report = metrics.evaluate(seq, gt, pred_file.instances, taus, rng_seed=seed)
-    return report, []
+    return metrics.evaluate(seq, gt, pred_file.instances, taus, rng_seed=seed), []
 
 
 def _cmd_evaluate(args) -> int:
@@ -169,17 +186,11 @@ def _cmd_evaluate(args) -> int:
     pairs = list(zip(args.gt, args.pred))
     outcomes = [_evaluate_one(g, p, taus, args.seed) for g, p in pairs]
 
-    failed = False
-    reports = []
-    for (gt_path, _), (report, violations) in zip(pairs, outcomes):
-        if violations:
-            failed = True
-            for v in violations:
-                print(f"{gt_path}: {v}", file=sys.stderr)
-        else:
-            reports.append(report)
-    if failed:
+    failed = [_print_violations(gt_path, violations)
+              for (gt_path, _), (_, violations) in zip(pairs, outcomes)]
+    if any(failed):
         return EXIT_VALIDATION
+    reports = [report for report, _ in outcomes]
 
     entries = [formats.report_to_dict(r)
                for r in sorted(reports, key=lambda r: r.sequence_id)]
@@ -193,38 +204,29 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _single_stage_set(content: formats.PredictionFileContent) -> association.StagePredictionSet:
-    masks = []
-    stage = None
-    for mask in content.instances:
-        if len(mask.per_stage_points) != 1:
-            raise formats.FormatError(
-                "association inputs must be single-stage predictions")
-        (t, pts), = mask.per_stage_points.items()
-        stage = t if stage is None else stage
-        if t != stage:
-            raise formats.FormatError(
-                "all masks in one association input must share a stage")
-        masks.append(association.StagePrediction(
-            class_id=mask.class_id, confidence=mask.confidence, points=pts,
-            feature=content.features.get(mask.instance_id)))
-    if stage is None:
-        raise formats.FormatError("association input has no masks")
-    return association.StagePredictionSet(stage=stage, masks=tuple(masks))
-
-
 def _cmd_associate(args) -> int:
     seq = formats.read_manifest(args.manifest)[0]
-    content_a = formats.read_predictions(args.pred_a, seq.stage_sizes())
-    content_b = formats.read_predictions(args.pred_b, seq.stage_sizes())
-    set_a = _single_stage_set(content_a)
-    set_b = _single_stage_set(content_b)
+    inputs, stages, failed = [], [], False
+    for path in (args.pred_a, args.pred_b):
+        content, violations = _read_checked_predictions(path, seq,
+                                                        GroundTruthAnnotation(()))
+        if not violations:
+            try:
+                stages.append(association._stage_of(content.instances))
+            except ValueError as exc:
+                violations.append(str(exc))
+        failed |= _print_violations(path, violations)
+        inputs.append(content)
+    if failed:
+        return EXIT_VALIDATION
+    a, b = inputs
     if args.mode == "semantic":
-        merged = association.associate_semantic(set_a, set_b)
+        merged = association.associate_semantic(a.instances, b.instances,
+                                                a.features, b.features)
     else:
+        a_stage, b_stage = stages
         merged = association.associate_geometric(
-            set_a, seq.stages[set_b.stage], seq.stages[set_a.stage],
-            b_stage=set_b.stage)
+            a.instances, seq.stages[b_stage], seq.stages[a_stage], b_stage=b_stage)
     formats.write_predictions(args.out, merged, seq.sequence_id)
     return EXIT_OK
 

@@ -406,9 +406,5 @@ def report_to_dict(report: EvaluationReport) -> dict:
     }
 
 
-def write_report(path, report: EvaluationReport,
-                 include_change_recall: bool = True) -> None:
-    payload = report_to_dict(report)
-    if not include_change_recall:
-        payload.pop("per_change_recall")
-    dump_canonical_json(path, payload)
+def write_report(path, report: EvaluationReport) -> None:
+    dump_canonical_json(path, report_to_dict(report))

@@ -86,9 +86,6 @@ class VoxelGrid4D:
     def num_points(self) -> int:
         return len(self.point_to_voxel)
 
-    def global_index(self, stage: int, local_index) -> np.ndarray:
-        return self.stage_offsets[stage] + np.asarray(local_index)
-
     def points_in_voxel(self, voxel: int) -> np.ndarray:
         """Ascending global point indices mapped to voxel row ``voxel``."""
         return np.flatnonzero(self.point_to_voxel == voxel)
@@ -164,16 +161,22 @@ def pool_features_to_voxels(grid: VoxelGrid4D, point_features: np.ndarray) -> np
     return _mean_by(grid.point_to_voxel, point_features, grid.num_voxels, "point")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureHierarchy:
     """Aligned (coordinates, features) per level with child->parent pool maps.
 
     Level r+1 coordinates are the floor-halved (i, j, k) of level r with t
-    unchanged; features are mean-pooled along ``pool_maps[r]``.
+    unchanged; features are mean-pooled along ``pool_maps[r]``. The arrays
+    are read-only, under the copy rule of every model array.
     """
 
-    levels: list[tuple[np.ndarray, np.ndarray]]
-    pool_maps: list[np.ndarray]
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pool_maps: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple((_frozen(coords), _frozen(feats))
+                                                 for coords, feats in self.levels))
+        object.__setattr__(self, "pool_maps", tuple(_frozen(m) for m in self.pool_maps))
 
     @property
     def num_levels(self) -> int:
@@ -182,15 +185,15 @@ class FeatureHierarchy:
 
 def build_feature_hierarchy(grid: VoxelGrid4D, voxel_features: np.ndarray,
                             n_levels: int) -> FeatureHierarchy:
-    feats = np.asarray(voxel_features, dtype=np.float64)
+    feats = _frozen(voxel_features, np.float64)
     if len(feats) != grid.num_voxels:
         raise ValueError("voxel_features length must equal voxel count")
     levels = [(grid.keys, feats)]
     pool_maps = []
     for _ in range(n_levels - 1):
         grid = downsample_level(grid)
-        levels.append((grid.keys, _mean_by(grid.child_to_parent, levels[-1][1],
-                                           grid.num_voxels, "voxel")))
+        levels.append((grid.keys, _hand_over(_mean_by(grid.child_to_parent, levels[-1][1],
+                                                      grid.num_voxels, "voxel"))))
         pool_maps.append(grid.child_to_parent)
     return FeatureHierarchy(levels=levels, pool_maps=pool_maps)
 

@@ -282,7 +282,7 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     return DisambiguationResult(
         member_ids=tuple(group.member_instance_ids),
         stages=tuple(t for t, keep in zip(stages, on) if keep),
-        assignment=A[:, on], trajectories=trajectories,
+        assignment=_hand_over(A[:, on]), trajectories=trajectories,
         trajectory_rows=tuple(rows), matched_predictions=matched)
 
 
@@ -302,10 +302,6 @@ class DetectionAssignment:
     is_tp: tuple[bool, ...]
     matched_gt: Mapping[int, int]
     false_negatives: tuple[int, ...]
-
-    @property
-    def true_positive_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.matched_gt.items()))
 
 
 def _greedy_match(tiou: np.ndarray, pred_order: Sequence[int],

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import expit, log_softmax, logsumexp
 
+from .model import _frozen, _hand_over
+
 COSINE_CLAMP_EPS = 1e-6  # atanh(+-1) is infinite; collinear features are clamped
 
 
@@ -60,15 +62,14 @@ def relation_from_instance_ids(instance_ids) -> RelationMatrix:
     return RelationMatrix(ids[:, None] == ids[None, :])
 
 
-def log_odds_similarity(features: np.ndarray,
-                        clamp_eps: float = COSINE_CLAMP_EPS) -> np.ndarray:
+def log_odds_similarity(features: np.ndarray) -> np.ndarray:
     """Pairwise 2*atanh(cosine) similarities; raises on zero-norm rows."""
     feats = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(feats, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm feature")
     cos = (feats @ feats.T) / np.outer(norms, norms)
-    cos = np.clip(cos, -1.0 + clamp_eps, 1.0 - clamp_eps)
+    cos = np.clip(cos, -1.0 + COSINE_CLAMP_EPS, 1.0 - COSINE_CLAMP_EPS)
     return 2.0 * np.arctanh(cos)
 
 
@@ -163,7 +164,7 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
     no_object = -log_probs[:, -1]
     total = float(cost[rows, cols].sum()
                   + cfg.lambda_no_object * sum(no_object[i] for i in unmatched_preds))
-    return AssignmentResult(cost_matrix=cost, matches=matches,
+    return AssignmentResult(cost_matrix=_hand_over(cost), matches=matches,
                             unmatched_predictions=unmatched_preds,
                             unmatched_ground_truth=unmatched_gt,
                             total_cost=total)
@@ -189,8 +190,8 @@ class MaskHierarchyStack:
     def __post_init__(self):
         levels = []
         for coords, mask in self.levels:
-            c = np.asarray(coords, dtype=np.int64)
-            m = np.asarray(mask, dtype=bool)
+            c = _frozen(coords, np.int64)
+            m = _frozen(mask, bool)
             if c.ndim != 2 or c.shape[1] != 4:
                 raise ValueError("level coordinates must have shape (M, 4)")
             levels.append((c, m))

@@ -120,7 +120,9 @@ def read_ply(path, with_instances: bool = False):
     columns become colors in [0, 1]; an integer ``segment`` column becomes
     superpoint ids. With ``with_instances`` the result is ``(stage,
     instances)``: the integer ``instance`` column as int64, or None when the
-    file has no such property.
+    file has no such property. Both encodings read into one table of the
+    header's property types, so an ascii ``float`` is float32 as a binary one
+    is; an ascii value its type cannot hold is a PlyFormatError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -130,8 +132,8 @@ def read_ply(path, with_instances: bool = False):
         if coord not in names:
             raise PlyMissingPropertyError(f"missing coordinate property {coord!r}")
 
+    dtype = np.dtype([(name, "<" + code) for name, code in header.properties])
     if header.binary:
-        dtype = np.dtype([(name, "<" + code) for name, code in header.properties])
         body = raw[header.data_offset:header.data_offset
                    + dtype.itemsize * header.vertex_count]
         if len(body) != dtype.itemsize * header.vertex_count:
@@ -148,17 +150,20 @@ def read_ply(path, with_instances: bool = False):
                 header.vertex_count, width)
         except ValueError as exc:
             raise PlyFormatError("ascii body contains non-numeric values") from exc
+        table = np.empty(header.vertex_count, dtype=dtype)
         for column, (name, code) in zip(flat.T, header.properties):
-            if code[0] not in "iu":
-                continue
-            info = np.iinfo(code)
-            if not (np.all(column == np.trunc(column))  # also false for nan
-                    and info.min <= column.min(initial=0)
-                    and column.max(initial=0) <= info.max):
-                raise PlyFormatError(f"property {name!r} holds a value that is not "
-                                     f"an integer of its type")
-        table = np.rec.fromarrays([flat[:, i] for i in range(width)],
-                                  names=",".join(names))
+            if code[0] in "iu":
+                info = np.iinfo(code)
+                if not (np.all(column == np.trunc(column))  # also false for nan
+                        and info.min <= column.min(initial=0)
+                        and column.max(initial=0) <= info.max):
+                    raise PlyFormatError(f"property {name!r} holds a value that is "
+                                         f"not an integer of its type")
+            with np.errstate(over="ignore"):
+                table[name] = column
+            if np.count_nonzero(np.isinf(table[name])) != np.count_nonzero(np.isinf(column)):
+                raise PlyFormatError(f"property {name!r} holds a value beyond the "
+                                     f"range of its type")
 
     positions = structured_to_unstructured(table[["x", "y", "z"]], np.float64, copy=True)
     colors = None
@@ -234,10 +239,5 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
         if binary:
             fh.write(table.tobytes())
         else:
-            for row in table:
-                cols = []
-                for name, code in fields:
-                    value = row[name]
-                    cols.append(f"{float(value):.8g}" if code == "f4"
-                                else str(int(value)))
-                fh.write((" ".join(cols) + "\n").encode("ascii"))
+            np.savetxt(fh, table, fmt=["%.8g" if code == "f4" else "%d"
+                                       for _, code in fields])

@@ -74,16 +74,6 @@ class ChangeOp:
     def from_dict(cls, data: Mapping) -> "ChangeOp":
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "rigid":
-            out.update(translation=list(self.translation), yaw_deg=self.yaw_deg)
-        elif self.kind == "non_rigid":
-            out.update(amplitude=self.amplitude, wavelength=self.wavelength)
-        elif self.kind == "swap":
-            out.update(group_id=self.group_id)
-        return out
-
 
 @dataclass(frozen=True)
 class SceneRecipe:
@@ -368,7 +358,7 @@ class PerturbationSpec:
         object.__setattr__(self, "identity_policy", IdentityPolicy(self.identity_policy))
         if isinstance(self.target_iou, Mapping):
             object.__setattr__(self, "target_iou", {
-                int(k) if isinstance(k, str) else k: v
+                int(k) if isinstance(k, str) else k: float(v)
                 for k, v in self.target_iou.items()})
         else:
             object.__setattr__(self, "target_iou", float(self.target_iou))
@@ -378,10 +368,9 @@ class PerturbationSpec:
 
     def target_for(self, instance_id: int, stage: int) -> float:
         if isinstance(self.target_iou, Mapping):
-            if (instance_id, stage) in self.target_iou:
-                return float(self.target_iou[(instance_id, stage)])
-            return float(self.target_iou.get(instance_id, 1.0))
-        return float(self.target_iou)
+            return self.target_iou.get((instance_id, stage),
+                                       self.target_iou.get(instance_id, 1.0))
+        return self.target_iou
 
 
 def _perturb_component(points: np.ndarray, target: float, tolerance: float,

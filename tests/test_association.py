@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
 
-from scanseq.association import (StagePrediction, StagePredictionSet,
-                                 associate_geometric, associate_semantic)
-from scanseq.model import StageCloud
+from scanseq.association import associate_geometric, associate_semantic
+from scanseq.model import InstanceMask, StageCloud
 
 import oracles
 
 
 def _pred(class_id, points, feature=None, confidence=0.8):
-    return StagePrediction(class_id=class_id, confidence=confidence,
-                           points=np.asarray(points), feature=feature)
+    """A (class, points, feature, confidence) prediction, placed by _pset."""
+    return class_id, np.asarray(points), feature, confidence
 
 
-def _pset(stage, masks):
-    return StagePredictionSet(stage=stage, masks=tuple(masks))
+def _pset(stage, preds):
+    """Single-stage masks at ``stage`` with ids 0, 1, ... and their feature map."""
+    masks = tuple(InstanceMask(instance_id=i, class_id=class_id,
+                               per_stage_points={stage: points}, confidence=confidence)
+                  for i, (class_id, points, _, confidence) in enumerate(preds))
+    features = {i: feature for i, (_, _, feature, _) in enumerate(preds)
+                if feature is not None}
+    return masks, features
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +28,9 @@ def _pset(stage, masks):
 
 def test_identical_features_match_identically():
     feats = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    a = _pset(0, [_pred(1, range(10), feats[0]), _pred(1, range(10, 20), feats[1])])
-    b = _pset(1, [_pred(1, range(5), feats[0]), _pred(1, range(5, 12), feats[1])])
-    merged = associate_semantic(a, b)
+    a, a_feats = _pset(0, [_pred(1, range(10), feats[0]), _pred(1, range(10, 20), feats[1])])
+    b, b_feats = _pset(1, [_pred(1, range(5), feats[0]), _pred(1, range(5, 12), feats[1])])
+    merged = associate_semantic(a, b, a_feats, b_feats)
     assert len(merged) == 2
     by_stage0 = {m.per_stage_points[0].tolist()[0]: m for m in merged}
     assert by_stage0[0].per_stage_points[1].tolist() == list(range(5))
@@ -34,9 +39,9 @@ def test_identical_features_match_identically():
 
 def test_different_classes_never_match():
     f = np.array([1.0, 0.0])
-    a = _pset(0, [_pred(1, range(10), f)])
-    b = _pset(1, [_pred(2, range(10), f)])
-    merged = associate_semantic(a, b)
+    a, a_feats = _pset(0, [_pred(1, range(10), f)])
+    b, b_feats = _pset(1, [_pred(2, range(10), f)])
+    merged = associate_semantic(a, b, a_feats, b_feats)
     assert len(merged) == 2
     assert all(len(m.per_stage_points) == 1 for m in merged)
     classes = sorted(m.class_id for m in merged)
@@ -47,9 +52,9 @@ def test_assignment_matches_brute_force_injection():
     rng = np.random.default_rng(0)
     a_feats = rng.normal(size=(4, 6))
     b_feats = rng.normal(size=(3, 6))
-    a = _pset(0, [_pred(1, range(10 * i, 10 * i + 5), a_feats[i]) for i in range(4)])
-    b = _pset(1, [_pred(1, range(10 * i, 10 * i + 5), b_feats[i]) for i in range(3)])
-    merged = associate_semantic(a, b, similarity_floor=-1.0)
+    a, a_map = _pset(0, [_pred(1, range(10 * i, 10 * i + 5), a_feats[i]) for i in range(4)])
+    b, b_map = _pset(1, [_pred(1, range(10 * i, 10 * i + 5), b_feats[i]) for i in range(3)])
+    merged = associate_semantic(a, b, a_map, b_map, similarity_floor=-1.0)
     total = 0.0
     for m in merged:
         if len(m.per_stage_points) == 2:
@@ -65,34 +70,34 @@ def test_assignment_matches_brute_force_injection():
 
 
 def test_similarity_floor_rejects_weak_pairs():
-    a = _pset(0, [_pred(1, range(5), np.array([1.0, 0.0]))])
-    b = _pset(1, [_pred(1, range(5), np.array([-1.0, 0.0]))])
-    merged = associate_semantic(a, b)  # cosine -1 < 0.0 floor
+    a, a_feats = _pset(0, [_pred(1, range(5), np.array([1.0, 0.0]))])
+    b, b_feats = _pset(1, [_pred(1, range(5), np.array([-1.0, 0.0]))])
+    merged = associate_semantic(a, b, a_feats, b_feats)  # cosine -1 < 0.0 floor
     assert len(merged) == 2
     assert all(len(m.per_stage_points) == 1 for m in merged)
 
 
 def test_missing_features_raise():
-    a = _pset(0, [_pred(1, range(5))])
-    b = _pset(1, [_pred(1, range(5), np.array([1.0]))])
+    a, a_feats = _pset(0, [_pred(1, range(5))])
+    b, b_feats = _pset(1, [_pred(1, range(5), np.array([1.0]))])
     with pytest.raises(ValueError, match="features"):
-        associate_semantic(a, b)
+        associate_semantic(a, b, a_feats, b_feats)
 
 
 def test_semantic_preserves_point_counts_per_stage():
     rng = np.random.default_rng(1)
-    a = _pset(0, [_pred(1, rng.choice(100, 12, replace=False), rng.normal(size=3))
-                  for _ in range(3)])
-    b = _pset(1, [_pred(1, rng.choice(100, 9, replace=False), rng.normal(size=3))
-                  for _ in range(2)])
-    merged = associate_semantic(a, b)
+    a, a_feats = _pset(0, [_pred(1, rng.choice(100, 12, replace=False), rng.normal(size=3))
+                           for _ in range(3)])
+    b, b_feats = _pset(1, [_pred(1, rng.choice(100, 9, replace=False), rng.normal(size=3))
+                           for _ in range(2)])
+    merged = associate_semantic(a, b, a_feats, b_feats)
     got_a = sorted(np.concatenate([m.per_stage_points[0] for m in merged
                                    if 0 in m.per_stage_points]).tolist())
-    want_a = sorted(np.concatenate([m.points for m in a.masks]).tolist())
+    want_a = sorted(np.concatenate([m.per_stage_points[0] for m in a]).tolist())
     assert got_a == want_a
     got_b = sorted(np.concatenate([m.per_stage_points[1] for m in merged
                                    if 1 in m.per_stage_points]).tolist())
-    want_b = sorted(np.concatenate([m.points for m in b.masks]).tolist())
+    want_b = sorted(np.concatenate([m.per_stage_points[1] for m in b]).tolist())
     assert got_b == want_b
 
 
@@ -104,7 +109,7 @@ def test_copied_stage_transfers_exactly():
     rng = np.random.default_rng(2)
     pos = rng.normal(size=(60, 3))
     cloud = StageCloud(positions=pos)
-    a = _pset(0, [_pred(1, range(0, 30)), _pred(2, range(30, 60))])
+    a, _ = _pset(0, [_pred(1, range(0, 30)), _pred(2, range(30, 60))])
     merged = associate_geometric(a, StageCloud(positions=pos.copy()), cloud)
     assert merged[0].per_stage_points[1].tolist() == list(range(0, 30))
     assert merged[1].per_stage_points[1].tolist() == list(range(30, 60))
@@ -113,7 +118,7 @@ def test_copied_stage_transfers_exactly():
 def test_nearest_object_dominates():
     a_pos = np.vstack([np.zeros((10, 3)), np.full((10, 3), 10.0)])
     a_cloud = StageCloud(positions=a_pos)
-    a = _pset(0, [_pred(1, range(0, 10)), _pred(1, range(10, 20))])
+    a, _ = _pset(0, [_pred(1, range(0, 10)), _pred(1, range(10, 20))])
     b_cloud = StageCloud(positions=np.full((5, 3), 9.5))
     merged = associate_geometric(a, b_cloud, a_cloud)
     assert 1 not in merged[0].per_stage_points  # far object gets nothing
@@ -130,7 +135,7 @@ def test_matches_exhaustive_nn_transfer():
         pts = np.arange(i * 60, i * 60 + 60)
         labels[pts] = i
         masks.append(_pred(1, pts))
-    a = _pset(0, masks)
+    a, _ = _pset(0, masks)
     merged = associate_geometric(a, StageCloud(positions=b_pos),
                                  StageCloud(positions=a_pos))
     nearest = oracles.brute_force_nearest(a_pos.tolist(), b_pos.tolist())
@@ -141,7 +146,7 @@ def test_matches_exhaustive_nn_transfer():
 
 
 def test_empty_stage1_cloud_raises():
-    a = _pset(0, [_pred(1, [])])
+    a, _ = _pset(0, [_pred(1, [0])])
     with pytest.raises(ValueError, match="empty"):
         associate_geometric(a, StageCloud(positions=np.zeros((1, 3))),
                             StageCloud(positions=np.zeros((0, 3))))
@@ -150,7 +155,7 @@ def test_empty_stage1_cloud_raises():
 def test_geometric_ids_are_subset_of_stage1_ids():
     rng = np.random.default_rng(4)
     a_cloud = StageCloud(positions=rng.normal(size=(50, 3)))
-    a = _pset(0, [_pred(1, range(0, 20)), _pred(3, range(20, 50))])
+    a, _ = _pset(0, [_pred(1, range(0, 20)), _pred(3, range(20, 50))])
     merged = associate_geometric(a, StageCloud(positions=rng.normal(size=(40, 3))),
                                  a_cloud)
     assert [m.instance_id for m in merged] == [0, 1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scanseq.cli import main
+from scanseq.model import InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
 from scanseq.ply import read_ply, write_ply
@@ -316,8 +317,9 @@ def test_generate_recipe_target_iou_by_instance_id(tmp_path):
     {"perturbation": {"nope": 1}},
     {"changes": [{"0": {"kind": "rigid", "speed": 2}}]},
     {"n_stages": 0},
+    {"perturbation": {"target_iou": {"0": "x"}}},
 ], ids=["unknown-field", "n-objects-string", "unknown-perturbation-field",
-        "unknown-change-field", "no-stages"])
+        "unknown-change-field", "no-stages", "target-iou-string"])
 def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe):
     recipe_path = tmp_path / "recipe.json"
     recipe_path.write_text(json.dumps(recipe))
@@ -442,11 +444,11 @@ def test_losses_subcommands(tmp_path):
     assert cost["matches"] == [[0, 0], [1, 1]]
 
 
-def test_associate_semantic_and_geometric(tmp_path):
+def _association_scene(tmp_path):
+    """A 2-stage scene and one single-stage prediction file per stage."""
     recipe = SceneRecipe(seed=6, n_objects=3, n_classes=2, sequence_id="assoc")
     seq, gt = generate(recipe)
     manifest = write_manifest(tmp_path / "scene", seq, gt)
-    rng = np.random.default_rng(0)
     stage_files = []
     for t in range(2):
         masks = []
@@ -459,6 +461,11 @@ def test_associate_semantic_and_geometric(tmp_path):
         path = tmp_path / f"stage{t}.json"
         write_predictions(path, masks, "assoc", features=feats)
         stage_files.append(path)
+    return manifest, stage_files
+
+
+def test_associate_semantic_and_geometric(tmp_path):
+    manifest, stage_files = _association_scene(tmp_path)
     for mode in ("semantic", "geometric"):
         out = tmp_path / f"{mode}.json"
         code = main(["associate", "--mode", mode,
@@ -469,6 +476,43 @@ def test_associate_semantic_and_geometric(tmp_path):
         merged = read_predictions(out)
         assert merged.sequence_id == "assoc"
         assert any(len(m.per_stage_points) == 2 for m in merged.instances)
+
+
+def _single(instance_id, per_stage):
+    return InstanceMask(instance_id=instance_id, class_id=1,
+                        per_stage_points=per_stage, confidence=0.9)
+
+
+# (masks, sequence id) of one association input; the scene has stages 0 and 1
+BAD_ASSOCIATION_INPUTS = {
+    "stage-beyond-manifest": ([_single(0, {2: [0, 1]})], "assoc"),
+    "point-1e9": ([_single(0, {0: [0, 10 ** 9]})], "assoc"),
+    "point-minus-1": ([_single(0, {0: [-1, 0]})], "assoc"),
+    "duplicate-point": ([_single(0, {0: [0, 0, 1]})], "assoc"),
+    "duplicate-instance-id": ([_single(0, {0: [0]}), _single(0, {0: [1]})], "assoc"),
+    "two-stage-mask": ([_single(0, {0: [0], 1: [0]})], "assoc"),
+    "masks-at-two-stages": ([_single(0, {0: [0]}), _single(1, {1: [0]})], "assoc"),
+    "no-masks": ([], "assoc"),
+    "sequence-id-mismatch": ([_single(0, {0: [0]})], "other"),
+}
+
+
+@pytest.mark.parametrize("mode", ["semantic", "geometric"])
+@pytest.mark.parametrize("case", BAD_ASSOCIATION_INPUTS)
+def test_associate_bad_input_exits_2(tmp_path, capsys, case, mode):
+    manifest, stage_files = _association_scene(tmp_path)
+    masks, sequence_id = BAD_ASSOCIATION_INPUTS[case]
+    bad = tmp_path / "bad.json"
+    write_predictions(bad, masks, sequence_id,
+                      features={m.instance_id: np.eye(3)[0] for m in masks}, rle=False)
+    out = tmp_path / "merged.json"
+    code = main(["associate", "--mode", mode, "--pred-a", str(bad),
+                 "--pred-b", str(stage_files[1]), "--manifest", str(manifest),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(bad) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # Reports of two small synth scenes, pinned so that any change of the bytes
@@ -507,3 +551,19 @@ def test_evaluate_report_bytes_are_pinned(tmp_path, name):
                  "--thresholds", "sweep,0.5,0.25", "--per-change-type",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name]
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)  # without and with ambiguous groups
+def test_evaluate_negative_seed_exits_64(tmp_path, capsys, name):
+    recipe, spec = _pinned_scene(name)
+    seq, gt = generate(recipe)
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    preds = tmp_path / "preds.json"
+    write_predictions(preds, perturb(seq, gt, spec), seq.sequence_id)
+    out = tmp_path / "report.json"
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--seed", "-3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()

@@ -276,6 +276,22 @@ def test_hierarchy_levels_align_with_pool_maps():
         assert np.array_equal(mapped[:, 3], coords[:, 3])
 
 
+def test_feature_hierarchy_is_frozen_and_keeps_no_caller_array():
+    seq = make_sequence([100], seed=9)
+    grid = voxelize(seq, resolution=0.05)
+    feats = pool_features_to_voxels(grid, np.ones((100, 2)))
+    hier = build_feature_hierarchy(grid, feats, n_levels=2)
+    feats[0, 0] = 7.0
+    assert hier.levels[0][1][0, 0] == 1.0
+    with pytest.raises(FrozenInstanceError):
+        hier.levels = ()
+    with pytest.raises(AttributeError):
+        hier.levels.append(None)
+    for keys, pooled in hier.levels:
+        assert not keys.flags.writeable and not pooled.flags.writeable
+    assert not any(m.flags.writeable for m in hier.pool_maps)
+
+
 def test_pool_superpoints_identical_feature():
     stage = StageCloud(positions=np.zeros((4, 3)),
                        segment_ids=np.array([3, 3, 3, 3]))

@@ -145,6 +145,40 @@ def test_ascii_ply_round_trips_values(tmp_path):
     assert np.allclose(reread.colors, cloud.colors)
 
 
+def test_ascii_and_binary_ply_read_the_same_values(tmp_path):
+    f4 = np.finfo(np.float32)
+    rng = np.random.default_rng(5)
+    positions = rng.normal(size=(50, 3)) * 1e3
+    positions[0] = [f4.max, -f4.max, -0.0]
+    positions[1] = [1e-30, f4.tiny, 0.1]
+    info = np.iinfo(np.int32)
+    cloud = StageCloud(positions=positions, colors=rng.random((50, 3)),
+                       segment_ids=np.r_[info.min, info.max, np.arange(48)])
+    reads = []
+    for binary in (True, False):
+        path = tmp_path / f"{binary}.ply"
+        write_ply(path, cloud, binary=binary, instances=np.arange(50) - 1)
+        reads.append(read_ply(path, with_instances=True))
+    (b_cloud, b_inst), (a_cloud, a_inst) = reads
+    assert np.allclose(a_cloud.positions, b_cloud.positions, rtol=1e-7, atol=0)
+    # a float property reads as float32 in both encodings
+    assert np.array_equal(a_cloud.positions, a_cloud.positions.astype(np.float32))
+    assert np.array_equal(a_cloud.colors, b_cloud.colors)
+    assert np.array_equal(a_cloud.segment_ids, b_cloud.segment_ids)
+    assert np.array_equal(a_inst, b_inst)
+
+
+def test_ascii_ply_float_beyond_its_type_rejected(tmp_path):
+    path = tmp_path / "big.ply"
+    path.write_text("\n".join([
+        "ply", "format ascii 1.0", "element vertex 1",
+        "property float x", "property float y", "property float z",
+        "end_header", "1e39 0 0",
+    ]) + "\n")
+    with pytest.raises(PlyFormatError, match="beyond the range"):
+        read_ply(path)
+
+
 # ---------------------------------------------------------------------------
 # RLE
 

@@ -208,6 +208,14 @@ def test_disambiguate_symmetric_swap_yields_perfect_trajectories():
     assert sorted(result.matched_predictions.values()) == [(10,), (11,)]
 
 
+def test_disambiguation_assignment_is_read_only():
+    m1 = mask(0, 1, {0: range(0, 50), 1: range(50, 100)})
+    m2 = mask(1, 1, {0: range(50, 100), 1: range(0, 50)})
+    result = disambiguate(AmbiguousGroup(0, (0, 1)), [m1, m2], [], rng_seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        result.assignment[0, 0] = 1
+
+
 def test_disambiguate_merge_claims_higher_weight_member():
     # one prediction covering both members at the single stage: it claims the
     # member with the larger IoU; the other member fills the second trajectory

@@ -92,6 +92,12 @@ def test_identical_prediction_costs_nothing_and_matches():
     assert abs(result.total_cost) < 1e-9
 
 
+def test_assignment_cost_matrix_is_read_only():
+    result = assignment_cost(np.zeros((2, 4)), np.zeros((2, 3)), np.ones((1, 4)), [0])
+    with pytest.raises(ValueError, match="read-only"):
+        result.cost_matrix[0, 0] = 1.0
+
+
 def test_simple_2x2_assignment():
     matches, total = solve_assignment([[1.0, 2.0], [2.0, 1.0]])
     assert matches == ((0, 0), (1, 1))
@@ -147,6 +153,16 @@ def test_assignment_cost_dimension_mismatch():
 
 def _stack(coords, mask):
     return MaskHierarchyStack(levels=((np.asarray(coords), np.asarray(mask)),))
+
+
+def test_mask_stack_keeps_no_caller_array():
+    coords = np.array([[0, 0, 0, 0], [0, 0, 0, 1]])
+    mask = np.array([True, False])
+    stack = MaskHierarchyStack(levels=((coords, mask),))
+    coords[0, 0] = 7
+    mask[0] = False
+    assert stack.levels[0][0][0, 0] == 0 and stack.levels[0][1][0]
+    assert not any(a.flags.writeable for a in stack.levels[0])
 
 
 def test_or_pooling_across_stages():
