@@ -12,7 +12,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 validation failure (violations on stderr, each after
 its file's name; ``associate`` checks each prediction file as ``evaluate``
-does, and that all its masks sit at one stage), 64 usage error (including a
+does, and that all its masks sit at one stage; ``--mode semantic`` also needs
+every instance to carry a finite, nonzero 1-D feature, of one length across
+both files), 64 usage error (including a
 threshold outside [0, 1), a negative --seed, --threads below 1, --bits outside
 [1, 64 // dims] and a --resolution that is not a positive finite number), 74
 I/O or file-format failure (including JSON of the wrong shape or type or
@@ -160,6 +162,26 @@ def _read_checked_predictions(path, seq, gt):
     return pred_file, violations
 
 
+def _feature_violations(content, width):
+    """Findings on a prediction file's features for semantic association, and
+    the feature length found: every instance needs a finite, nonzero 1-D
+    feature, all of one length (``width``, once a file has set it)."""
+    found = []
+    for m in content.instances:
+        vec = content.features.get(m.instance_id)
+        if vec is None:
+            problem = "has no feature"
+        elif vec.ndim != 1 or not np.isfinite(vec).all() or not vec.any():
+            problem = "has a feature that is not a finite, nonzero 1-D vector"
+        elif width is not None and vec.size != width:
+            problem = f"has a feature of length {vec.size}, not {width}"
+        else:
+            width = vec.size
+            continue
+        found.append(f"invalid_feature: instance {m.instance_id} {problem}")
+    return found, width
+
+
 def _print_violations(path, violations) -> bool:
     for v in violations:
         print(f"{path}: {v}", file=sys.stderr)
@@ -206,7 +228,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_associate(args) -> int:
     seq = formats.read_manifest(args.manifest)[0]
-    inputs, stages, failed = [], [], False
+    inputs, stages, failed, width = [], [], False, None
     for path in (args.pred_a, args.pred_b):
         content, violations = _read_checked_predictions(path, seq,
                                                         GroundTruthAnnotation(()))
@@ -215,6 +237,9 @@ def _cmd_associate(args) -> int:
                 stages.append(association._stage_of(content.instances))
             except ValueError as exc:
                 violations.append(str(exc))
+        if args.mode == "semantic":
+            found, width = _feature_violations(content, width)
+            violations += found
         failed |= _print_violations(path, violations)
         inputs.append(content)
     if failed:

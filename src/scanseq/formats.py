@@ -199,6 +199,14 @@ def _is(value, kind: type) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
+def _check_schema_version(data: Mapping, path) -> None:
+    """A document may omit ``schema_version``; otherwise it must be this one."""
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if not (_is(version, int) and version == SCHEMA_VERSION):
+        raise FormatError(f"{path}: unsupported schema_version {version!r} "
+                          f"(this reader reads {SCHEMA_VERSION})")
+
+
 def _entries(container: Mapping, key: str, fields: Mapping[str, type], path) -> list:
     """The list ``container[key]``, each entry an object holding ``fields``
     with values of the given types."""
@@ -244,6 +252,7 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     data = load_json(path)
     if data.get("kind") not in (None, "sequence_manifest"):
         raise FormatError(f"{path}: not a sequence manifest")
+    _check_schema_version(data, path)
     root = path.parent
     stages: list[StageCloud] = []
     per_stage_instances: list[np.ndarray] = []
@@ -284,9 +293,9 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
                       {"group_id": int, "members": list}, path)
     if not all(_is(m, int) for g in groups for m in g["members"]):
         raise FormatError(f"{path}: ambiguous group members must be integers")
-    groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
     change_labels = _object(annotations, "change_labels", path)
     try:
+        groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
         labels = {int(k): ChangeType(v) for k, v in change_labels.items()}
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -343,6 +352,7 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     data = load_json(path)
     if data.get("kind") not in (None, "predictions"):
         raise FormatError(f"{path}: not a prediction file")
+    _check_schema_version(data, path)
     masks = []
     features: dict[int, np.ndarray] = {}
     fields = {"instance_id": int, "class_id": int, "masks": dict}

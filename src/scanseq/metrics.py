@@ -304,22 +304,23 @@ class DetectionAssignment:
     false_negatives: tuple[int, ...]
 
 
-def _greedy_match(tiou: np.ndarray, pred_order: Sequence[int],
-                  tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices claim columns greedily; returns (is_tp, matched column or -1)."""
-    n_gts = tiou.shape[1]
-    claimed = np.zeros(n_gts, dtype=bool)
-    is_tp = np.zeros(len(pred_order), dtype=bool)
-    matched = np.full(len(pred_order), -1, dtype=np.int64)
-    for pos, row in enumerate(pred_order):
-        values = tiou[row]
-        eligible = (values > tau) & ~claimed  # strict threshold
-        if eligible.any():
-            col = int(np.argmax(np.where(eligible, values, -1.0)))  # ties: lowest
-            claimed[col] = True
-            is_tp[pos] = True
-            matched[pos] = col
-    return is_tp, matched
+def _greedy_match(tiou: np.ndarray, order: Sequence[int],
+                  taus: Sequence[float]) -> np.ndarray:
+    """(T, P) matched column (or -1) of the rows of ``tiou`` in ``order`` at each
+    of ``taus``: per threshold, a row claims the unclaimed column of highest
+    t-IoU above it (strict; ties -> lowest column). One pass for all of them."""
+    taus = np.asarray(taus, dtype=np.float64)
+    claimed = np.zeros((taus.size, tiou.shape[1]), dtype=bool)
+    matched = np.full((taus.size, len(order)), -1, dtype=np.int64)
+    if not tiou.shape[1]:
+        return matched
+    for pos, row in enumerate(order):
+        eligible = (tiou[row] > taus[:, None]) & ~claimed
+        hit = eligible.any(axis=1)
+        cols = np.argmax(np.where(eligible, tiou[row], -1.0), axis=1)[hit]  # ties: lowest
+        claimed[hit, cols] = True
+        matched[hit, pos] = cols
+    return matched
 
 
 def assign_detections(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],
@@ -336,24 +337,27 @@ def assign_detections(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]
     order = sorted(range(len(preds)),
                    key=lambda i: (-preds[i].confidence, preds[i].instance_id))
     _, inter, psize, gsize = _stage_tables(preds, gts)
-    is_tp, matched = _greedy_match(_tiou_matrix(inter, psize, gsize), order, tau)
-    matched_gt = {preds[order[pos]].instance_id: gts[matched[pos]].instance_id
-                  for pos in range(len(order)) if is_tp[pos]}
-    claimed = set(matched[matched >= 0].tolist())
+    matched = _greedy_match(_tiou_matrix(inter, psize, gsize), order, [tau])[0].tolist()
+    matched_gt = {preds[i].instance_id: gts[col].instance_id
+                  for i, col in zip(order, matched) if col >= 0}
+    claimed = set(matched)
     fn = tuple(g.instance_id for j, g in enumerate(gts) if j not in claimed)
     return DetectionAssignment(
         order=tuple(preds[i].instance_id for i in order),
-        is_tp=tuple(bool(b) for b in is_tp),
+        is_tp=tuple(col >= 0 for col in matched),
         matched_gt=matched_gt, false_negatives=fn)
 
 
-def _pr_curve(tp_labels: Sequence[bool], n_gt: int) -> tuple[np.ndarray, np.ndarray]:
-    """(recall, precision) after each prediction; recall is 0 without ground truth."""
-    labels = np.asarray(tp_labels, dtype=bool)
-    tp = np.cumsum(labels)
-    precision = tp / np.arange(1, labels.size + 1)
-    recall = tp / n_gt if n_gt else np.zeros(labels.size)
-    return recall, precision
+def _pr_curves(is_tp: np.ndarray, n_gt: int):
+    """Recall and precision after each prediction, and monotone-envelope AP, of
+    each row of a (T, P) table of TP flags in processing order. Without ground
+    truth, recall is 0 and AP is 0.0, or None when there are no predictions."""
+    tp = np.cumsum(is_tp, axis=1)
+    precision = tp / np.arange(1, is_tp.shape[1] + 1)
+    recall = tp / n_gt if n_gt else np.zeros(tp.shape)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    ap = np.sum(np.diff(recall, axis=1, prepend=0.0) * envelope, axis=1).tolist()
+    return recall, precision, ap if n_gt or is_tp.shape[1] else [None] * len(ap)
 
 
 def average_precision(tp_labels: Sequence[bool], n_gt: int) -> Optional[float]:
@@ -363,11 +367,7 @@ def average_precision(tp_labels: Sequence[bool], n_gt: int) -> Optional[float]:
     ground truth, returns None when there are also no predictions (class
     excluded from means) and 0.0 otherwise.
     """
-    if n_gt == 0:
-        return None if len(tp_labels) == 0 else 0.0
-    recall, precision = _pr_curve(tp_labels, n_gt)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    return float(np.sum(np.diff(recall, prepend=0.0) * envelope))
+    return _pr_curves(np.asarray(tp_labels, dtype=bool).reshape(1, -1), n_gt)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +517,16 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
         n_gt = n_ground_truth[c] = len(labels)
         change_totals.update(label for label in labels if label is not None)
         order = sorted(range(len(rows)), key=lambda i: (-confidence[rows[i]], rows[i]))
-        for tau in taus:
-            is_tp, matched = _greedy_match(tiou, order, tau)
-            per_class_ap[c][tau] = average_precision(is_tp, n_gt)
-            tp_n = int(is_tp.sum())
+        matched = _greedy_match(tiou, order, taus)
+        recall, precision, ap = _pr_curves(matched >= 0, n_gt)
+        for tau, ap_tau, cols, r, p in zip(taus, ap, matched.tolist(), recall.tolist(),
+                                           precision.tolist()):
+            per_class_ap[c][tau] = ap_tau
+            tp_n = sum(col >= 0 for col in cols)
             counts[c][tau] = (tp_n, len(rows) - tp_n, n_gt - tp_n)
-            recall, precision = _pr_curve(is_tp, n_gt)
-            pr_curves[c][tau] = tuple(zip(recall.tolist(), precision.tolist()))
-            for col in matched[matched >= 0]:
-                label = labels[col]
-                if label is not None:
-                    change_matched[tau][label] += 1
+            pr_curves[c][tau] = tuple(zip(r, p))
+            change_matched[tau].update(labels[col] for col in cols
+                                       if col >= 0 and labels[col] is not None)
 
     def _mean_ap(tau_set: Sequence[float]) -> Optional[float]:
         if not tau_set:

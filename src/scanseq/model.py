@@ -185,12 +185,18 @@ _EMPTY_INDEX = _hand_over(np.empty(0, dtype=np.int64))
 
 @dataclass(frozen=True)
 class AmbiguousGroup:
-    """Ground-truth instances declared mutually indistinguishable."""
+    """Ground-truth instances declared mutually indistinguishable.
+
+    ``group_id`` is non-negative: it seeds the group's random stream.
+    """
 
     group_id: int
     member_instance_ids: tuple[int, ...]
 
     def __post_init__(self):
+        if self.group_id < 0:
+            raise ValueError(f"ambiguous group {self.group_id}: group_id must be "
+                             f"non-negative")
         members = tuple(sorted({int(m) for m in self.member_instance_ids}))
         object.__setattr__(self, "member_instance_ids", members)
 

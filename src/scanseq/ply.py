@@ -239,5 +239,5 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
         if binary:
             fh.write(table.tobytes())
         else:
-            np.savetxt(fh, table, fmt=["%.8g" if code == "f4" else "%d"
+            np.savetxt(fh, table, fmt=["%.9g" if code == "f4" else "%d"
                                        for _, code in fields])

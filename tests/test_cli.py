@@ -174,6 +174,39 @@ def test_manifest_group_without_members_exits_74(tmp_path, capsys):
     assert "members" in capsys.readouterr().err
 
 
+def test_manifest_negative_group_id_exits_74(tmp_path, capsys):
+    def negative_group(data):  # instances 0 and 1 share a class
+        data["annotations"]["ambiguous_groups"] = [{"group_id": -1, "members": [0, 1]}]
+    assert _evaluate_with_edited_manifest(tmp_path, negative_group) == 74
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "ambiguous group -1" in err
+
+
+@pytest.mark.parametrize("target,version", [
+    ("preds", "x"), ("preds", True), ("preds", 2), ("manifest", 99), ("manifest", 1.0)])
+def test_unsupported_schema_version_exits_74(tmp_path, capsys, target, version):
+    manifest, preds = _write_scene(tmp_path)
+    path = manifest if target == "manifest" else preds
+    data = json.loads(path.read_text())
+    data["schema_version"] = version
+    path.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert f"{path}: unsupported schema_version {version!r}" in err
+
+
+def test_missing_schema_version_reads_as_current(tmp_path):
+    manifest, preds = _write_scene(tmp_path)
+    for path in (manifest, preds):
+        data = json.loads(path.read_text())
+        del data["schema_version"]
+        path.write_text(json.dumps(data))
+    assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("target,edit", [
     ("manifest", lambda data: data.update(annotations=[])),
     ("manifest", lambda data: data["stages"][0].update(stage_index="0")),
@@ -513,6 +546,33 @@ def test_associate_bad_input_exits_2(tmp_path, capsys, case, mode):
     assert code == 2
     assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("features,message", [
+    ({0: [1.0, 0.0]}, "instance 0 has a feature of length 2, not 3"),
+    ({0: [np.nan, 1.0, 0.0]}, "instance 0 has a feature that is not a finite"),
+    ({0: [[1.0, 0.0, 0.0]]}, "instance 0 has a feature that is not a finite"),
+    ({0: [0.0, 0.0, 0.0]}, "instance 0 has a feature that is not a finite, nonzero"),
+    ({}, "instance 0 has no feature"),
+], ids=["other-length", "nan", "two-dimensional", "zero", "missing"])
+def test_associate_semantic_bad_feature_exits_2(tmp_path, capsys, features, message):
+    manifest, stage_files = _association_scene(tmp_path)
+    data = json.loads(stage_files[1].read_text())
+    for entry in data["instances"]:
+        entry.pop("feature", None)
+        if entry["instance_id"] in features:
+            entry["feature"] = features[entry["instance_id"]]
+        elif features:
+            entry["feature"] = [0.0, 0.0, 1.0]
+    stage_files[1].write_text(json.dumps(data))
+    out = tmp_path / "merged.json"
+    code = main(["associate", "--mode", "semantic", "--pred-a", str(stage_files[0]),
+                 "--pred-b", str(stage_files[1]), "--manifest", str(manifest),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{stage_files[1]}: invalid_feature: {message}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # Reports of two small synth scenes, pinned so that any change of the bytes

@@ -145,6 +145,13 @@ def test_ascii_ply_round_trips_values(tmp_path):
     assert np.allclose(reread.colors, cloud.colors)
 
 
+def test_ascii_ply_round_trips_every_float32(tmp_path):
+    positions = np.random.default_rng(0).uniform(-100, 100, (5000, 3)).astype(np.float32)
+    path = tmp_path / "a.ply"
+    write_ply(path, StageCloud(positions=positions), binary=False)
+    assert np.array_equal(read_ply(path).positions, positions)
+
+
 def test_ascii_and_binary_ply_read_the_same_values(tmp_path):
     f4 = np.finfo(np.float32)
     rng = np.random.default_rng(5)

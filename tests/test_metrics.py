@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scanseq import metrics
 from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
@@ -505,6 +507,58 @@ def test_evaluate_matches_composition_oracle():
         n_groups += len(gt.ambiguous_groups)
         n_tp += sum(report.counts[c][0.5][0] for c in report.class_ids)
     assert n_groups >= 60 and n_tp >= 100
+
+
+@st.composite
+def _tied_scenes(draw, n_points=6):
+    """A scene of 1-3 stages of a few points, whose class-1 ground truth and
+    predictions often repeat a few shapes, so t-IoUs tie, with confidences
+    from {0.5, 0.9}, so the processing order ties too. Class 2 has ground
+    truth only, class 3 predictions only."""
+    n_stages = draw(st.integers(1, 3))
+    masks = st.dictionaries(st.integers(0, n_stages - 1),
+                            st.lists(st.integers(0, n_points - 1), min_size=1,
+                                     max_size=4, unique=True), min_size=1)
+    shapes = draw(st.lists(masks, min_size=1, max_size=3))
+    confidence = st.sampled_from([0.5, 0.9])
+    shape = st.sampled_from(shapes) | masks
+    gts = [mask(j, 1, draw(shape)) for j in range(draw(st.integers(1, 4)))]
+    gts += [mask(len(gts) + j, 2, m) for j, m in enumerate(draw(st.lists(masks, min_size=1,
+                                                                         max_size=2)))]
+    preds = [mask(i, 1, m, confidence=draw(confidence))
+             for i, m in enumerate(draw(st.lists(shape, max_size=6)))]
+    preds += [mask(len(preds) + i, 3, m, confidence=draw(confidence))
+              for i, m in enumerate(draw(st.lists(masks, min_size=1, max_size=2)))]
+    return (make_sequence([n_points] * n_stages),
+            GroundTruthAnnotation(instances=tuple(gts)), preds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=_tied_scenes())
+# prediction 0 ties at t-IoU 2/3 between ground truth 0 and 1; only the
+# lowest column leaves ground truth 1 for prediction 1 (t-IoU 1/4)
+@example(scene=(make_sequence([6]), annotation([mask(0, 1, {0: [0, 1, 2]}),
+                                                mask(1, 1, {0: [0, 1, 3]}),
+                                                mask(2, 2, {0: [5]})]),
+                [mask(0, 1, {0: [0, 1]}, confidence=0.9),
+                 mask(1, 1, {0: [3, 4]}, confidence=0.5),
+                 mask(2, 3, {0: [5]}, confidence=0.5)]))
+def test_evaluate_matches_per_threshold_oracles(scene):
+    seq, gt, preds = scene
+    taus = (0.0, 0.3, 0.5, 0.7, 0.95)
+    report = evaluate(seq, gt, preds, taus)
+    resolved = resolve_prediction_overlaps(preds, seq)
+    assert report.class_ids == (1, 2, 3)
+    for c in report.class_ids:
+        class_preds = [p for p in resolved if p.class_id == c]
+        class_gts = [g for g in gt.instances if g.class_id == c]  # ids ascend
+        for tau in taus:
+            labels = oracles.pairwise_greedy_tp(class_preds, class_gts, tau)
+            tp = sum(labels)
+            assert report.counts[c][tau] == (tp, len(labels) - tp, len(class_gts) - tp)
+            # the loop may sum in another order than numpy
+            assert report.per_class_ap[c][tau] == pytest.approx(
+                oracles.envelope_average_precision(labels, len(class_gts)), rel=1e-12)
 
 
 def test_evaluate_rejects_mismatched_sequence_id():

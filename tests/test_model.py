@@ -98,6 +98,8 @@ def test_construction_invariants():
     with pytest.raises(ValueError):
         GroundTruthAnnotation(instances=(mask(0, 1, {0: [0]}),
                                          mask(0, 1, {0: [1]})))
+    with pytest.raises(ValueError, match="ambiguous group -1"):
+        AmbiguousGroup(-1, (0, 1))
 
 
 def test_masks_sort_indices_and_drop_empty_stages():
