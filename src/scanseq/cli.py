@@ -14,12 +14,14 @@ Exit codes: 0 success, 2 validation failure (violations on stderr, each after
 its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
-both files), 64 usage error (including a
+both files; a scene or ``losses`` output too large to allocate also exits 2),
+64 usage error (including a
 threshold outside [0, 1), a negative --seed, --threads below 1, --bits outside
 [1, 64 // dims] and a --resolution that is not a positive finite number), 74
 I/O or file-format failure (including JSON of the wrong shape or type or
 nested too deeply, an RLE run that ends past its stage, a label file that is
-not one integer per line, a recipe that ``SceneRecipe``,
+not one integer per line, a non-string sequence_id, an integer-named JSON
+key not spelled as ``str(int(key))``, a recipe that ``SceneRecipe``,
 ``ChangeOp`` or ``PerturbationSpec`` rejects and a ``losses`` payload with a
 missing or wrongly typed field).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
@@ -322,9 +324,11 @@ def _loss_payload(op: str, data: dict) -> dict:
             "total_cost": result.total_cost,
         }
     if op == "fourier":
+        for name in ("d_out", "seed"):
+            if not formats._is(data[name], int):
+                raise TypeError(f"{name} must be an integer, not {data[name]!r}")
         features = numerics.fourier_features_4d(
-            np.asarray(data["coords"]),
-            d_out=int(data["d_out"]), seed=int(data["seed"]),
+            np.asarray(data["coords"]), d_out=data["d_out"], seed=data["seed"],
             scale=float(data.get("scale", 1.0)))
         return {"features": features}
     stack = numerics.MaskHierarchyStack(  # pool
@@ -339,6 +343,8 @@ def _cmd_losses(args) -> int:
     except (KeyError, IndexError, TypeError) as exc:
         raise formats.FormatError(
             f"{args.input}: bad {args.op} input ({type(exc).__name__}: {exc})") from exc
+    except MemoryError as exc:
+        raise ValueError(f"{args.op} output too large to compute ({exc})") from exc
     payload["schema_version"] = formats.SCHEMA_VERSION
     formats.dump_canonical_json(args.out, payload)
     return EXIT_OK

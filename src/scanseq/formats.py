@@ -26,7 +26,7 @@ import numpy as np
 from .metrics import EvaluationReport
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                     InstanceMask, SequencePointCloud, StageCloud,
-                    _hand_over, _points_by_label)
+                    _hand_over, _int_key, _points_by_label)
 from .ply import read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -219,6 +219,13 @@ def _entries(container: Mapping, key: str, fields: Mapping[str, type], path) -> 
     return entries
 
 
+def _sequence_id(data: Mapping, path) -> str:
+    sequence_id = data.get("sequence_id", "")
+    if not isinstance(sequence_id, str):
+        raise FormatError(f"{path}: sequence_id must be a string, not {sequence_id!r}")
+    return sequence_id
+
+
 def _object(container: Mapping, key: str, path) -> Mapping:
     value = container.get(key, {})
     if not isinstance(value, Mapping):
@@ -296,11 +303,10 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     change_labels = _object(annotations, "change_labels", path)
     try:
         groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
-        labels = {int(k): ChangeType(v) for k, v in change_labels.items()}
+        labels = {_int_key(k): ChangeType(v) for k, v in change_labels.items()}
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    seq = SequencePointCloud(stages=tuple(stages),
-                             sequence_id=data.get("sequence_id", ""))
+    seq = SequencePointCloud(stages=tuple(stages), sequence_id=_sequence_id(data, path))
     return seq, GroundTruthAnnotation(instances=tuple(masks),
                                       ambiguous_groups=groups,
                                       change_labels=labels)
@@ -353,6 +359,7 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     if data.get("kind") not in (None, "predictions"):
         raise FormatError(f"{path}: not a prediction file")
     _check_schema_version(data, path)
+    sequence_id = _sequence_id(data, path)
     masks = []
     features: dict[int, np.ndarray] = {}
     fields = {"instance_id": int, "class_id": int, "masks": dict}
@@ -362,19 +369,21 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
         try:
             per_stage = {}
             for t, payload in entry["masks"].items():
-                t = int(t)
+                t = _int_key(t)
                 per_stage[t] = _mask_from_payload(payload, size_of.get(t, largest))
+            confidence = entry.get("confidence", 1.0)
+            if not (_is(confidence, int) or _is(confidence, float)):
+                raise TypeError(f"confidence must be a number, not {confidence!r}")
             mask = InstanceMask(instance_id=entry["instance_id"],
                                 class_id=entry["class_id"],
-                                per_stage_points=per_stage,
-                                confidence=float(entry.get("confidence", 1.0)))
+                                per_stage_points=per_stage, confidence=float(confidence))
             if "feature" in entry:
                 features[mask.instance_id] = np.asarray(entry["feature"], np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
         masks.append(mask)
-    return PredictionFileContent(sequence_id=data.get("sequence_id", ""),
-                                 instances=tuple(masks), features=features)
+    return PredictionFileContent(sequence_id=sequence_id, instances=tuple(masks),
+                                 features=features)
 
 
 # ---------------------------------------------------------------------------

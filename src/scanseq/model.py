@@ -15,6 +15,7 @@ cross-object consistency (index ranges, group membership, ...) is checked by
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -52,6 +53,19 @@ def _hand_over(arr: np.ndarray) -> np.ndarray:
     model constructor takes it without a copy."""
     arr.flags.writeable = False
     return arr
+
+
+def _int_key(key) -> int:
+    """The integer a mapping key names: an integer, or a string spelling one
+    as ``str`` does. ``int()`` alone also reads " 1", "1_0" and "00", so two
+    spellings of one key in a JSON object would silently replace each other."""
+    try:
+        value = int(key) if isinstance(key, str) else operator.index(key)
+        if str(value) == str(key):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"key {key!r} does not name an integer")
 
 
 def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:

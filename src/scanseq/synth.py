@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from itertools import compress
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud)
+                    InstanceMask, SequencePointCloud, StageCloud, _hand_over, _int_key)
 
 
 class SceneGenerationError(RuntimeError):
@@ -70,10 +71,6 @@ class ChangeOp:
         if self.group_id is not None:
             object.__setattr__(self, "group_id", _as_int(self.group_id, "group_id"))
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ChangeOp":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class SceneRecipe:
@@ -119,7 +116,7 @@ class SceneRecipe:
         put("ambiguous_groups", tuple(tuple(sorted(_as_int(m, "ambiguous group member")
                                                    for m in g))
                                       for g in self.ambiguous_groups))
-        put("changes", tuple({int(k): (v if isinstance(v, ChangeOp) else ChangeOp.from_dict(v))
+        put("changes", tuple({_int_key(k): (v if isinstance(v, ChangeOp) else ChangeOp(**v))
                               for k, v in dict(step).items()} for step in self.changes))
         if self.n_stages < 1:
             raise ValueError("n_stages must be >= 1")
@@ -131,16 +128,6 @@ class SceneRecipe:
         kwargs = dict(data)
         kwargs.pop("perturbation", None)
         return cls(**kwargs)
-
-
-@dataclass
-class _ObjectState:
-    instance_id: int
-    class_id: int
-    primitive: str
-    sizes: np.ndarray
-    center: np.ndarray
-    local_points: np.ndarray
 
 
 def _sample_local_points(rng: np.random.Generator, primitive: str,
@@ -184,103 +171,80 @@ def _yaw_matrix(yaw_deg: float) -> np.ndarray:
 def generate(recipe: SceneRecipe) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Build a sequence and its ground truth from a recipe, deterministically."""
     rng = np.random.default_rng(recipe.seed)
+    n = recipe.n_objects
     group_of = {}
     for gi, members in enumerate(recipe.ambiguous_groups):
         for m in members:
-            if m >= recipe.n_objects:
+            if not 0 <= m < n:
                 raise SceneGenerationError(f"ambiguous group member {m} out of range")
             group_of[m] = gi
 
-    # shared shape per ambiguous group so swaps are between equal objects
-    sizes = np.zeros((recipe.n_objects, 3))
-    prims: list[str] = [""] * recipe.n_objects
-    counts = np.zeros(recipe.n_objects, dtype=np.int64)
-    classes = np.zeros(recipe.n_objects, dtype=np.int64)
-    group_shape: dict[int, tuple] = {}
-    for i in range(recipe.n_objects):
-        gi = group_of.get(i)
-        if gi is not None and gi in group_shape:
-            prims[i], size, count, cls = group_shape[gi]
-            sizes[i] = size
-            counts[i] = count
-            classes[i] = cls
+    # per object: sizes, then (primitive, point count, class); a member of an
+    # ambiguous group copies its group's first member, so swaps are between
+    # equal objects
+    sizes = np.zeros((n, 3))
+    shapes, first_member = [], {}
+    for i in range(n):
+        first = first_member.setdefault(group_of[i], i) if i in group_of else i
+        if first < i:
+            sizes[i] = sizes[first]
+            shapes.append(shapes[first])
             continue
-        prims[i] = recipe.primitives[int(rng.integers(len(recipe.primitives)))]
+        prim = recipe.primitives[int(rng.integers(len(recipe.primitives)))]
         size = rng.uniform(*recipe.size_range, size=3)
-        if prims[i] == "sphere":
-            size[:] = size[0]
-        sizes[i] = size
-        counts[i] = int(rng.integers(recipe.points_per_object[0],
-                                     recipe.points_per_object[1] + 1))
-        classes[i] = int(rng.integers(recipe.n_classes))
-        if gi is not None:
-            group_shape[gi] = (prims[i], sizes[i].copy(), counts[i], classes[i])
+        sizes[i] = size[0] if prim == "sphere" else size
+        shapes.append((prim, int(rng.integers(recipe.points_per_object[0],
+                                              recipe.points_per_object[1] + 1)),
+                       int(rng.integers(recipe.n_classes))))
+    prims, counts, classes = zip(*shapes) if shapes else ((),) * 3
+    counts = np.array(counts, dtype=np.int64)
 
     centers = _place_centers(rng, recipe, sizes.max(axis=1))
-    objects = [
-        _ObjectState(instance_id=i, class_id=int(classes[i]), primitive=prims[i],
-                     sizes=sizes[i], center=centers[i].copy(),
-                     local_points=_sample_local_points(rng, prims[i], sizes[i],
-                                                       int(counts[i])))
-        for i in range(recipe.n_objects)
-    ]
-    background = (rng.uniform(-recipe.extent / 2, recipe.extent / 2,
-                              size=(recipe.background_points, 3))
-                  if recipe.background_points else None)
+    positions = [center + _sample_local_points(rng, prim, size, count)
+                 for center, prim, size, count in zip(centers, prims, sizes, counts)]
+    background = rng.uniform(-recipe.extent / 2, recipe.extent / 2,
+                             size=(recipe.background_points, 3))
+    colors = rng.uniform(0.1, 1.0, size=(n, 3))
 
-    changes = recipe.changes or tuple({} for _ in range(recipe.n_stages - 1))
-    present = np.ones(recipe.n_objects, dtype=bool)
+    changes = recipe.changes or ({},) * (recipe.n_stages - 1)
+    kinds = [set() for _ in range(n)]
     for step in changes:
         for i, op in step.items():
-            if op.kind == "add":
-                present[i] = False  # appears only after its add transition
+            if not 0 <= i < n:
+                raise SceneGenerationError(f"change for unknown instance {i}")
+            kinds[i].add(op.kind)
+    present = np.array(["add" not in seen for seen in kinds], dtype=bool)
 
-    positions = {i: objects[i].center + objects[i].local_points
-                 for i in range(recipe.n_objects)}
-    colors = rng.uniform(0.1, 1.0, size=(recipe.n_objects, 3))
-    kinds_seen: dict[int, set] = {i: set() for i in range(recipe.n_objects)}
-
+    n_segs = max(1, recipe.segments_per_object)
     stages: list[StageCloud] = []
-    per_stage_masks: list[dict[int, np.ndarray]] = []
+    stage_masks: list[dict[int, np.ndarray]] = []
 
-    def _emit_stage():
-        blocks, color_blocks, seg_blocks = [], [], []
-        masks: dict[int, np.ndarray] = {}
-        offset = 0
-        seg_base = 0
-        for i in range(recipe.n_objects):
-            n_segs = max(1, recipe.segments_per_object)
-            if present[i]:
-                pts = positions[i]
-                blocks.append(pts)
-                color_blocks.append(np.tile(colors[i], (len(pts), 1)))
-                seg_blocks.append(seg_base + (np.arange(len(pts)) % n_segs))
-                masks[i] = np.arange(offset, offset + len(pts))
-                offset += len(pts)
-            seg_base += n_segs
-        if background is not None:
-            blocks.append(background)
-            color_blocks.append(np.full((len(background), 3), 0.5))
-            seg_blocks.append(np.full(len(background), seg_base))
-        if not blocks:
+    def emit_stage():
+        # the present objects' points in instance order, then the background
+        stage_counts = counts * present
+        starts = np.cumsum(stage_counts) - stage_counts
+        within = np.arange(stage_counts.sum()) - np.repeat(starts, stage_counts)
+        points = np.concatenate([*compress(positions, present), background])
+        if not len(points):
             raise SceneGenerationError("a stage ended up with no points")
-        stages.append(StageCloud(positions=np.concatenate(blocks),
-                                 colors=np.concatenate(color_blocks),
-                                 segment_ids=np.concatenate(seg_blocks)))
-        per_stage_masks.append(masks)
+        stages.append(StageCloud(
+            positions=_hand_over(points),
+            colors=_hand_over(np.repeat(np.vstack([colors, (0.5, 0.5, 0.5)]),
+                                        np.append(stage_counts, len(background)), axis=0)),
+            segment_ids=_hand_over(np.concatenate([
+                np.repeat(np.arange(n) * n_segs, stage_counts) + within % n_segs,
+                np.full(len(background), n * n_segs)]))))
+        index = _hand_over(np.arange(within.size))
+        stage_masks.append(dict(zip(np.flatnonzero(present).tolist(),
+                                    np.split(index, starts[present][1:]))))
 
-    _emit_stage()
+    emit_stage()
     for step in changes:
         swapped_groups = set()
         for i in sorted(step):
             op = step[i]
-            kinds_seen[i].add(op.kind)
-            if op.kind == "static":
-                continue
-            if op.kind == "add":
-                present[i] = True
-            elif op.kind == "remove":
-                present[i] = False
+            if op.kind in ("add", "remove"):
+                present[i] = op.kind == "add"
             elif op.kind == "rigid":
                 pts = positions[i]
                 centroid = pts.mean(axis=0)
@@ -289,41 +253,33 @@ def generate(recipe: SceneRecipe) -> tuple[SequencePointCloud, GroundTruthAnnota
             elif op.kind == "non_rigid":
                 pts = positions[i]
                 positions[i] = pts + op.amplitude * np.sin(2 * np.pi * pts / op.wavelength)
-            elif op.kind == "swap":
-                if op.group_id is None or op.group_id >= len(recipe.ambiguous_groups):
+            elif op.kind == "swap" and op.group_id not in swapped_groups:
+                if op.group_id is None or not 0 <= op.group_id < len(recipe.ambiguous_groups):
                     raise SceneGenerationError(f"swap references unknown group {op.group_id}")
-                if op.group_id in swapped_groups:
-                    continue
-                swapped_groups.add(op.group_id)
                 members = recipe.ambiguous_groups[op.group_id]
                 if i not in members:
                     raise SceneGenerationError(
                         f"instance {i} swaps under group {op.group_id} it is not part of")
+                swapped_groups.add(op.group_id)
                 centroids = [positions[m].mean(axis=0) for m in members]
                 for idx, m in enumerate(members):
                     target = centroids[(idx + 1) % len(members)]
                     positions[m] = positions[m] + (target - centroids[idx])
-        _emit_stage()
+        emit_stage()
 
     instances = []
     change_labels: dict[int, ChangeType] = {}
-    for i in range(recipe.n_objects):
-        per_stage = {t: masks[i] for t, masks in enumerate(per_stage_masks) if i in masks}
+    for i, seen in enumerate(kinds):
+        per_stage = {t: masks[i] for t, masks in enumerate(stage_masks) if i in masks}
         if not per_stage:
             raise SceneGenerationError(f"instance {i} is present at no stage")
-        instances.append(InstanceMask(instance_id=i, class_id=int(classes[i]),
+        instances.append(InstanceMask(instance_id=i, class_id=classes[i],
                                       per_stage_points=per_stage, confidence=1.0))
-        seen = kinds_seen[i]
-        if "add" in seen or "remove" in seen:
-            change_labels[i] = ChangeType.ADDED_REMOVED
-        elif "non_rigid" in seen:
-            change_labels[i] = ChangeType.NON_RIGID
-        elif "rigid" in seen:
-            change_labels[i] = ChangeType.RIGID
-        elif i in group_of:
-            change_labels[i] = ChangeType.AMBIGUOUS
-        else:
-            change_labels[i] = ChangeType.STATIC
+        change_labels[i] = (ChangeType.ADDED_REMOVED if seen & {"add", "remove"}
+                            else ChangeType.NON_RIGID if "non_rigid" in seen
+                            else ChangeType.RIGID if "rigid" in seen
+                            else ChangeType.AMBIGUOUS if i in group_of
+                            else ChangeType.STATIC)
 
     groups = tuple(AmbiguousGroup(group_id=gi, member_instance_ids=members)
                    for gi, members in enumerate(recipe.ambiguous_groups))
@@ -339,7 +295,8 @@ class PerturbationSpec:
 
     ``target_iou`` may be a scalar, a mapping instance id -> target, or a
     mapping (instance id, stage) -> target; a string key such as ``"3"`` (a
-    JSON object's key) is read as that instance id. Targets are hit within
+    JSON object's key, spelled as ``str`` spells the id) is read as that
+    instance id. Targets are hit within
     ``iou_tolerance`` by random erosion plus (when background points exist)
     random addition. The identity policy rewires per-stage components:
     ``swapped`` exchanges components between same-class pairs at odd stages,
@@ -358,7 +315,7 @@ class PerturbationSpec:
         object.__setattr__(self, "identity_policy", IdentityPolicy(self.identity_policy))
         if isinstance(self.target_iou, Mapping):
             object.__setattr__(self, "target_iou", {
-                int(k) if isinstance(k, str) else k: float(v)
+                _int_key(k) if isinstance(k, str) else k: float(v)
                 for k, v in self.target_iou.items()})
         else:
             object.__setattr__(self, "target_iou", float(self.target_iou))
@@ -374,15 +331,15 @@ class PerturbationSpec:
 
 
 def _perturb_component(points: np.ndarray, target: float, tolerance: float,
-                       outside_pool: list[np.ndarray],
-                       rng: np.random.Generator) -> np.ndarray:
-    """Erode/extend one per-stage component to hit a target IoU."""
+                       pool: np.ndarray, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Erode/extend one per-stage component to hit a target IoU, adding points
+    drawn from ``pool``; returns the component and what is left of the pool."""
     n = points.size
     if not (0.0 < target <= 1.0):
         raise PerturbationError(f"target IoU {target} outside (0, 1]")
     if target == 1.0:
-        return points
-    pool = outside_pool[0]
+        return points, pool
     max_extra = min(pool.size, int(n * (1 - target) / target), n // 4)
     extra = int(rng.integers(0, max_extra + 1)) if max_extra > 0 else 0
     keep = int(round(target * (n + extra)))
@@ -397,10 +354,9 @@ def _perturb_component(points: np.ndarray, target: float, tolerance: float,
     kept = np.sort(rng.choice(points, size=keep, replace=False))
     if extra:
         pick = rng.choice(pool.size, size=extra, replace=False)
-        added = pool[pick]
-        outside_pool[0] = np.delete(pool, pick)
-        kept = np.sort(np.concatenate([kept, added]))
-    return kept
+        kept = np.sort(np.concatenate([kept, pool[pick]]))
+        pool = np.delete(pool, pick)
+    return _hand_over(kept), pool
 
 
 def perturb(seq: SequencePointCloud, gt: GroundTruthAnnotation,
@@ -412,74 +368,52 @@ def perturb(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     for t, stage in enumerate(seq.stages):
         covered = np.zeros(stage.point_count, dtype=bool)
         for inst in gt.instances:
-            pts = inst.per_stage_points.get(t)
-            if pts is not None:
-                covered[pts] = True
-        pools.append([np.nonzero(~covered)[0]])
+            covered[inst.points_at(t)] = True
+        pools.append(np.flatnonzero(~covered))
 
-    components: dict[int, dict[int, np.ndarray]] = {}
+    by_class: dict[int, list[dict[int, np.ndarray]]] = {}
     for inst in sorted(gt.instances, key=lambda m: m.instance_id):
         comp = {}
         for t in sorted(inst.per_stage_points):
-            comp[t] = _perturb_component(
+            comp[t], pools[t] = _perturb_component(
                 inst.per_stage_points[t], spec.target_for(inst.instance_id, t),
                 spec.iou_tolerance, pools[t], rng)
-        components[inst.instance_id] = comp
-
-    def confidence() -> float:
-        return float(np.clip(
-            spec.confidence_base
-            + rng.uniform(-spec.confidence_jitter, spec.confidence_jitter),
-            0.0, 1.0))
-
-    by_class: dict[int, list[InstanceMask]] = {}
-    for inst in sorted(gt.instances, key=lambda m: m.instance_id):
-        by_class.setdefault(inst.class_id, []).append(inst)
+        by_class.setdefault(inst.class_id, []).append(comp)
 
     preds: list[InstanceMask] = []
-    next_id = 0
 
-    def _emit(class_id: int, per_stage: Mapping[int, np.ndarray]):
-        nonlocal next_id
-        preds.append(InstanceMask(instance_id=next_id, class_id=class_id,
-                                  per_stage_points=per_stage,
-                                  confidence=confidence()))
-        next_id += 1
+    def emit(class_id: int, per_stage: Mapping[int, np.ndarray]):
+        jitter = rng.uniform(-spec.confidence_jitter, spec.confidence_jitter)
+        preds.append(InstanceMask(
+            instance_id=len(preds), class_id=class_id, per_stage_points=per_stage,
+            confidence=float(np.clip(spec.confidence_base + jitter, 0.0, 1.0))))
 
     policy = spec.identity_policy
     for class_id in sorted(by_class):
-        insts = by_class[class_id]
+        comps = by_class[class_id]
         if policy == IdentityPolicy.CONSISTENT:
-            for inst in insts:
-                _emit(class_id, components[inst.instance_id])
-        elif policy == IdentityPolicy.SWAPPED:
-            for a, b in zip(insts[0::2], insts[1::2]):
-                ca, cb = components[a.instance_id], components[b.instance_id]
-                _emit(class_id, {t: (ca if t % 2 == 0 else cb).get(t)
-                                 for t in sorted(set(ca) | set(cb))
-                                 if (ca if t % 2 == 0 else cb).get(t) is not None})
-                _emit(class_id, {t: (cb if t % 2 == 0 else ca).get(t)
-                                 for t in sorted(set(ca) | set(cb))
-                                 if (cb if t % 2 == 0 else ca).get(t) is not None})
-            if len(insts) % 2:
-                _emit(class_id, components[insts[-1].instance_id])
-        elif policy == IdentityPolicy.MERGED:
-            for a, b in zip(insts[0::2], insts[1::2]):
-                ca, cb = components[a.instance_id], components[b.instance_id]
-                union = {t: np.union1d(ca.get(t, _EMPTY), cb.get(t, _EMPTY))
-                         for t in sorted(set(ca) | set(cb))}
-                _emit(class_id, union)
-            if len(insts) % 2:
-                _emit(class_id, components[insts[-1].instance_id])
+            for comp in comps:
+                emit(class_id, comp)
         elif policy == IdentityPolicy.FRAGMENTED:
-            for inst in insts:
-                comp = components[inst.instance_id]
+            for comp in comps:
                 first = {t: pts[:max(1, pts.size // 2)] for t, pts in comp.items()}
                 second = {t: pts[max(1, pts.size // 2):] for t, pts in comp.items()
                           if pts.size > 1}
-                _emit(class_id, first)
+                emit(class_id, first)
                 if second:
-                    _emit(class_id, second)
+                    emit(class_id, second)
+        else:  # swapped and merged pair a class's instances in id order
+            for ca, cb in zip(comps[0::2], comps[1::2]):
+                stages = sorted(set(ca) | set(cb))
+                if policy == IdentityPolicy.MERGED:
+                    emit(class_id, {t: np.union1d(ca.get(t, _EMPTY), cb.get(t, _EMPTY))
+                                    for t in stages})
+                    continue
+                for even, odd in ((ca, cb), (cb, ca)):  # exchanged at odd stages
+                    emit(class_id, {t: (even, odd)[t % 2][t] for t in stages
+                                    if t in (even, odd)[t % 2]})
+            if len(comps) % 2:
+                emit(class_id, comps[-1])
     return preds
 
 

@@ -251,6 +251,57 @@ def test_unparsable_instance_label_exits_74(tmp_path, capsys, edit):
     assert str(labels) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["manifest", "preds"])
+@pytest.mark.parametrize("sequence_id", [7, None, ["seq-cli"]])
+def test_non_string_sequence_id_exits_74(tmp_path, capsys, target, sequence_id):
+    manifest, preds = _write_scene(tmp_path)
+    other_manifest, other_preds = _write_scene(tmp_path / "other", sequence_id="seq-b")
+    path, other = (manifest, preds) if target == "manifest" else (preds, manifest)
+    # the other file names no sequence, so no sequence_id_mismatch comes first
+    for edited, value in ((path, sequence_id), (other, "")):
+        data = json.loads(edited.read_text())
+        data["sequence_id"] = value
+        edited.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--gt", str(other_manifest), "--pred", str(other_preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert f"{path}: sequence_id must be a string" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("confidence", ["0.5", True, [0.5]])
+def test_prediction_confidence_must_be_a_json_number(tmp_path, capsys, confidence):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["confidence"] = confidence
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(preds) in err and "confidence must be a number" in err
+
+
+@pytest.mark.parametrize("target,key", [
+    ("preds", "00"), ("preds", " 1"), ("preds", "1_0"), ("preds", "+1"),
+    ("manifest", "00"), ("manifest", " 1"), ("manifest", "1_0")])
+def test_integer_keys_spelled_otherwise_exit_74(tmp_path, capsys, target, key):
+    manifest, preds = _write_scene(tmp_path)
+    path = manifest if target == "manifest" else preds
+    data = json.loads(path.read_text())
+    # a second spelling of a key: int() alone reads it as that key or another
+    keyed = (data["instances"][0]["masks"] if target == "preds"
+             else data["annotations"]["change_labels"])
+    keyed[key] = keyed[str(int(key))] if str(int(key)) in keyed else keyed["0"]
+    path.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(path) in err and f"key {key!r} does not name an integer" in err
+
+
 def test_deeply_nested_prediction_file_exits_74(tmp_path, capsys):
     manifest, preds = _write_scene(tmp_path)
     preds.write_text('{"instances": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -362,6 +413,27 @@ def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe):
     assert str(recipe_path) in err and "Traceback" not in err
 
 
+def test_generate_recipe_change_key_spelled_otherwise_exits_74(tmp_path, capsys):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps({"changes": [
+        {"0": {"kind": "rigid", "translation": [1, 0, 0]}, "00": {"kind": "remove"}}]}))
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(recipe_path) in err and "key '00' does not name an integer" in err
+
+
+@pytest.mark.parametrize("key", ["4", "-1"])
+@pytest.mark.parametrize("kind", ["add", "rigid"])
+def test_generate_change_for_unknown_instance_exits_2(tmp_path, capsys, key, kind):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps({"n_objects": 4, "changes": [{key: {"kind": kind}}]}))
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: change for unknown instance {key}\n"
+
+
 def test_generate_scene_numpy_cannot_allocate_exits_2(tmp_path, capsys):
     # petabytes: numpy refuses the allocation outright
     recipe_path = tmp_path / "recipe.json"
@@ -406,6 +478,30 @@ def test_losses_malformed_input_exits_74(tmp_path, capsys, op, payload):
     err = capsys.readouterr().err
     assert code == 74
     assert str(inp) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [{"d_out": 12.7}, {"d_out": "12"}, {"d_out": True},
+                                     {"seed": 1.5}, {"seed": "1"}])
+def test_losses_fourier_integers_must_be_json_integers(tmp_path, capsys, payload):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"coords": [[0, 0, 0, 0]], "d_out": 4, "seed": 1, **payload}))
+    code = main(["losses", "--op", "fourier", "--in", str(inp),
+                 "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(inp) in err and "must be an integer" in err
+
+
+def test_losses_output_numpy_cannot_allocate_exits_2(tmp_path, capsys):
+    # petabytes: numpy refuses the allocation outright
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"coords": [[0, 0, 0, 0]], "d_out": 2 * 10 ** 15, "seed": 0}))
+    code = main(["losses", "--op", "fourier", "--in", str(inp),
+                 "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: fourier output too large to compute")
+    assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
 
 
 def test_serialize_subcommand(tmp_path):

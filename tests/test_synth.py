@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from scanseq.formats import write_manifest, write_predictions
 from scanseq.metrics import evaluate, t_iou
 from scanseq.model import ChangeType, validate_sequence
 from scanseq.synth import (ChangeOp, IdentityPolicy, PerturbationError,
@@ -116,6 +119,18 @@ def test_infeasible_recipe_raises():
         generate(recipe)
 
 
+@pytest.mark.parametrize("recipe,message", [
+    (SceneRecipe(n_objects=3, ambiguous_groups=((-1, 0),)), "member -1 out of range"),
+    (SceneRecipe(n_objects=3, ambiguous_groups=((1, 3),)), "member 3 out of range"),
+    (SceneRecipe(n_objects=3, ambiguous_groups=((0, 1),),
+                 changes=({0: ChangeOp("swap", group_id=-1)},)), "unknown group -1"),
+    (SceneRecipe(n_objects=3, changes=({3: ChangeOp("add")},)), "unknown instance 3"),
+], ids=["negative-member", "member-past-end", "negative-swap-group", "change-past-end"])
+def test_out_of_range_references_raise(recipe, message):
+    with pytest.raises(SceneGenerationError, match=message):
+        generate(recipe)
+
+
 def test_ambiguous_members_share_shape_and_class():
     recipe = SceneRecipe(seed=29, n_objects=4, ambiguous_groups=((0, 1),))
     seq, gt = generate(recipe)
@@ -200,3 +215,72 @@ def test_recipe_round_trips_through_dict():
                      "1": {"kind": "rigid", "translation": [1, 2, 3]}}],
     }
     assert SceneRecipe.from_dict(data) == recipe
+
+
+# ---------------------------------------------------------------------------
+# Pinned scene bytes
+
+
+def _pinned_recipes():
+    c = ChangeOp
+    return {
+        "rigid-non-rigid": SceneRecipe(
+            seed=61, n_objects=5, n_stages=3, background_points=40, segments_per_object=2,
+            changes=({0: c("rigid", translation=(0.3, -0.1, 0.0), yaw_deg=20.0),
+                      2: c("non_rigid", amplitude=0.04, wavelength=0.6)},
+                     {1: c("rigid", translation=(0.0, 0.2, 0.1))}),
+            sequence_id="pin-moves"),
+        "swap": SceneRecipe(
+            seed=62, n_objects=6, n_stages=3, segments_per_object=3,
+            ambiguous_groups=((0, 2, 3), (4, 5)),
+            changes=({0: c("swap", group_id=0), 4: c("swap", group_id=1)},
+                     {2: c("swap", group_id=0)}),
+            sequence_id="pin-swap"),
+        "add-remove": SceneRecipe(
+            seed=63, n_objects=4, n_stages=4, background_points=25,
+            changes=({0: c("remove"), 1: c("add")}, {}, {0: c("add"), 3: c("remove")}),
+            sequence_id="pin-add-remove"),
+        "every-kind": SceneRecipe(
+            seed=64, n_objects=7, n_stages=2, n_classes=2, background_points=30,
+            segments_per_object=2, ambiguous_groups=((5, 6),),
+            changes=({0: c("static"), 1: c("rigid", translation=(0.5, 0.0, 0.0)),
+                      2: c("non_rigid", amplitude=0.03, wavelength=1.1), 3: c("add"),
+                      4: c("remove"), 5: c("swap", group_id=0)},),
+            sequence_id="pin-every-kind"),
+        "one-stage": SceneRecipe(seed=65, n_objects=3, n_stages=1, primitives=("sphere",),
+                                 sequence_id="pin-one-stage"),
+        "one-class": SceneRecipe(
+            seed=66, n_objects=5, n_stages=2, n_classes=1, background_points=60,
+            changes=({0: c("rigid", yaw_deg=45.0), 3: c("remove")},),
+            sequence_id="pin-one-class"),
+    }
+
+
+# SHA-256 over the manifest directory and the prediction files of all four
+# identity policies. A deliberate change of what synth draws or of the
+# writers updates these values and says why in CHANGES.md.
+PINNED_SCENES = {
+    "rigid-non-rigid": "91e8e14001f8d8aaa59477391e2b9e5333d688bb0c508a8fb63e13b66a07fa27",
+    "swap": "54aed6e80c63099387f78de220058e7aad43b347d5876454d81fe9288436d502",
+    "add-remove": "0645f3182d4b1306f87c13cfbf2030f3803505f558fa8c8f9c93a44c757af143",
+    "every-kind": "3fdfb3e392f98e4c05a0515270dc2a38aec765d7f9c67cf20c6c67a70dd0b752",
+    "one-stage": "e7243c55c4aa5e1b901e240f12ab4b965d84c6c08748fc363dd408a578802ad3",
+    "one-class": "bba3963b2bfbc3703a1e9d37fd695ffea6432ee14da3fbefd8e1a45524ddd2bc",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SCENES)
+def test_scene_bytes_are_pinned(tmp_path, name):
+    seq, gt = generate(_pinned_recipes()[name])
+    write_manifest(tmp_path / "scene", seq, gt)
+    for policy in IdentityPolicy:
+        spec = PerturbationSpec(target_iou=0.8, seed=7, iou_tolerance=0.05,
+                                identity_policy=policy)
+        write_predictions(tmp_path / f"{policy.value}.json", perturb(seq, gt, spec),
+                          seq.sequence_id)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(tmp_path).as_posix().encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == PINNED_SCENES[name]
