@@ -12,10 +12,9 @@ from .curves import (Curve, PatternSchedule, ScheduleMix, SerializationDims,
                      encode_keys, make_schedule, serialize_sequence)
 from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DetectionAssignment,
                       DisambiguationResult, EvaluationReport, IoUProfile,
-                      SequenceMismatchError, assign_ambiguous_components,
-                      assign_detections, average_precision, disambiguate,
-                      evaluate, overlap_candidates, resolve_prediction_overlaps,
-                      t_iou)
+                      assign_ambiguous_components, assign_detections,
+                      average_precision, disambiguate, evaluate,
+                      overlap_candidates, resolve_prediction_overlaps, t_iou)
 from .association import associate_geometric, associate_semantic
 from .numerics import (AssignmentCostConfig, AssignmentResult,
                        MaskHierarchyStack, RelationMatrix, assignment_cost,

@@ -14,16 +14,18 @@ Exit codes: 0 success, 2 validation failure (violations on stderr, each after
 its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
-both files; a scene or ``losses`` output too large to allocate also exits 2),
-64 usage error (including a
-threshold outside [0, 1), a negative --seed, --threads below 1, --bits outside
-[1, 64 // dims] and a --resolution that is not a positive finite number), 74
-I/O or file-format failure (including JSON of the wrong shape or type or
-nested too deeply, an RLE run that ends past its stage, a label file that is
-not one integer per line, a non-string sequence_id, an integer-named JSON
-key not spelled as ``str(int(key))``, a recipe that ``SceneRecipe``,
-``ChangeOp`` or ``PerturbationSpec`` rejects and a ``losses`` payload with a
-missing or wrongly typed field).
+both files; so is a scene or ``losses`` output too large to allocate, a scene
+with an integer numpy cannot hold, and an output holding a NaN or infinity,
+which is not written), 64 usage error (including a threshold outside [0, 1),
+a negative --seed, --threads below 1, --bits outside [1, 64 // dims] and a
+--resolution that is not a positive finite number), 74 I/O or file-format
+failure (including JSON of the wrong shape or type or nested too deeply, a
+bool or string where a number belongs, an RLE run that ends past its stage, a
+label file that is not one integer per line, a non-string sequence_id, an
+integer-named JSON key not spelled as ``str(int(key))``, a recipe that
+``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a non-finite
+number too) and a ``losses`` payload with a missing or wrongly typed field or
+an integer numpy cannot hold).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another; --threads is accepted for compatibility and has no effect. Every
 JSON output is compact canonical JSON; ``serialize`` writes the voxel order,
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import association, curves, formats, metrics, numerics, synth
 from .geometry import DEFAULT_RESOLUTION, voxelize
-from .model import GroundTruthAnnotation, validate_sequence
+from .model import GroundTruthAnnotation, _number, validate_sequence
 from .ply import PlyError
 
 EXIT_OK = 0
@@ -261,14 +263,14 @@ def _cmd_associate(args) -> int:
 def _cmd_generate(args) -> int:
     recipe_data = formats.load_json(args.recipe)
     try:
-        recipe = synth.SceneRecipe.from_dict(recipe_data)
-        spec = (synth.PerturbationSpec(**recipe_data["perturbation"])
+        spec = (synth.PerturbationSpec(**recipe_data.pop("perturbation"))
                 if "perturbation" in recipe_data else None)
+        recipe = synth.SceneRecipe(**recipe_data)
     except (TypeError, ValueError) as exc:
         raise formats.FormatError(f"{args.recipe}: bad recipe ({exc})") from exc
     try:
         seq, gt = synth.generate(recipe)
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         raise synth.SceneGenerationError(f"scene too large to realize ({exc})") from exc
     formats.write_manifest(args.out, seq, gt)
     if spec is not None:
@@ -324,13 +326,10 @@ def _loss_payload(op: str, data: dict) -> dict:
             "total_cost": result.total_cost,
         }
     if op == "fourier":
-        for name in ("d_out", "seed"):
-            if not formats._is(data[name], int):
-                raise TypeError(f"{name} must be an integer, not {data[name]!r}")
-        features = numerics.fourier_features_4d(
-            np.asarray(data["coords"]), d_out=data["d_out"], seed=data["seed"],
-            scale=float(data.get("scale", 1.0)))
-        return {"features": features}
+        return {"features": numerics.fourier_features_4d(
+            np.asarray(data["coords"]), d_out=_number(data["d_out"], "d_out", int),
+            seed=_number(data["seed"], "seed", int),
+            scale=_number(data.get("scale", 1.0), "scale"))}
     stack = numerics.MaskHierarchyStack(  # pool
         levels=((np.asarray(data["coords"]), np.asarray(data["mask"])),))
     return {"mask": numerics.st_pool_masks(stack, 0)}
@@ -339,8 +338,9 @@ def _loss_payload(op: str, data: dict) -> dict:
 def _cmd_losses(args) -> int:
     data = formats.load_json(args.input)
     try:
-        payload = _loss_payload(args.op, data)
-    except (KeyError, IndexError, TypeError) as exc:
+        with np.errstate(all="ignore"):  # a non-finite result is refused when written
+            payload = _loss_payload(args.op, data)
+    except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise formats.FormatError(
             f"{args.input}: bad {args.op} input ({type(exc).__name__}: {exc})") from exc
     except MemoryError as exc:

@@ -265,10 +265,9 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     a fourth axis.
     """
     _check_bits(pattern.ndims, bits_per_axis)
-    keys = _integer_rows(grid.keys, "grid keys", (4,))
-    if not len(keys):
+    if not grid.num_voxels:
         return np.empty(0, dtype=np.int64)
-    columns = keys.T
+    columns = grid.keys.T
     lo = [c.min() for c in columns]
     span = [int(c.max()) - int(m) for c, m in zip(columns, lo)]
     if max(span) >= (1 << bits_per_axis):

@@ -24,9 +24,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .metrics import EvaluationReport
-from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud,
-                    _hand_over, _int_key, _points_by_label)
+from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
+                    StageCloud, _hand_over, _int_key, _is, _points_by_label)
 from .ply import read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -54,7 +53,9 @@ def _to_json(value):
 
 
 def dump_canonical_json(path, payload) -> None:
-    text = json.dumps(_to_json(payload), sort_keys=True, separators=(",", ":"))
+    """Write canonical JSON; a NaN or infinity is a ValueError, and nothing is written."""
+    text = json.dumps(_to_json(payload), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -194,11 +195,6 @@ def write_manifest(directory, seq: SequencePointCloud, gt: GroundTruthAnnotation
     return root / "manifest.json"
 
 
-def _is(value, kind: type) -> bool:
-    """``isinstance``, except that a JSON ``true``/``false`` is no integer."""
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
 def _check_schema_version(data: Mapping, path) -> None:
     """A document may omit ``schema_version``; otherwise it must be this one."""
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -298,18 +294,13 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
             per_stage_points=per_instance.get(instance_id, {}), confidence=1.0))
     groups = _entries(annotations, "ambiguous_groups",
                       {"group_id": int, "members": list}, path)
-    if not all(_is(m, int) for g in groups for m in g["members"]):
-        raise FormatError(f"{path}: ambiguous group members must be integers")
     change_labels = _object(annotations, "change_labels", path)
     try:
         groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
-        labels = {_int_key(k): ChangeType(v) for k, v in change_labels.items()}
-    except ValueError as exc:
+        gt = GroundTruthAnnotation(tuple(masks), groups, change_labels)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    seq = SequencePointCloud(stages=tuple(stages), sequence_id=_sequence_id(data, path))
-    return seq, GroundTruthAnnotation(instances=tuple(masks),
-                                      ambiguous_groups=groups,
-                                      change_labels=labels)
+    return SequencePointCloud(stages=tuple(stages), sequence_id=_sequence_id(data, path)), gt
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +353,17 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     sequence_id = _sequence_id(data, path)
     masks = []
     features: dict[int, np.ndarray] = {}
-    fields = {"instance_id": int, "class_id": int, "masks": dict}
     size_of = dict(enumerate(stage_sizes or ()))
     largest = max(size_of.values(), default=None)
-    for entry in _entries(data, "instances", fields, path):
+    for entry in _entries(data, "instances", {"masks": dict}, path):
         try:
             per_stage = {}
             for t, payload in entry["masks"].items():
                 t = _int_key(t)
                 per_stage[t] = _mask_from_payload(payload, size_of.get(t, largest))
-            confidence = entry.get("confidence", 1.0)
-            if not (_is(confidence, int) or _is(confidence, float)):
-                raise TypeError(f"confidence must be a number, not {confidence!r}")
             mask = InstanceMask(instance_id=entry["instance_id"],
-                                class_id=entry["class_id"],
-                                per_stage_points=per_stage, confidence=float(confidence))
+                                class_id=entry["class_id"], per_stage_points=per_stage,
+                                confidence=entry.get("confidence", 1.0))
             if "feature" in entry:
                 features[mask.instance_id] = np.asarray(entry["feature"], np.float64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

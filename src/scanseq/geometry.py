@@ -62,8 +62,8 @@ class VoxelGrid4D:
     ``keys`` holds unique (i, j, k, t) rows in lexicographic order;
     ``point_to_voxel`` maps each input point (stage-major global order) to its
     row in ``keys``. ``child_to_parent`` is the pooling map recorded by
-    :func:`downsample_level` (None at the finest level). The arrays are
-    read-only; a writeable array passed in is copied.
+    :func:`downsample_level` (None at the finest level). Non-integer keys are a
+    ValueError. The arrays are read-only; a writeable array passed in is copied.
     """
 
     resolution: float
@@ -74,6 +74,7 @@ class VoxelGrid4D:
     child_to_parent: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        _integer_rows(self.keys, "grid keys", (4,))
         for name in ("keys", "point_to_voxel", "stage_offsets", "child_to_parent"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _frozen(getattr(self, name)))
@@ -128,10 +129,9 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
     """Pool a grid one level coarser: spatial coords floor-halved, t unchanged.
 
     The returned grid records ``child_to_parent`` (child voxel row -> parent
-    voxel row) and remaps ``point_to_voxel`` through it. Keys that are not
-    integer (i, j, k, t) rows are a ValueError.
+    voxel row) and remaps ``point_to_voxel`` through it.
     """
-    coarse = _integer_rows(grid.keys, "grid keys", (4,)).copy()
+    coarse = grid.keys.copy()
     coarse[:, :3] = np.floor_divide(coarse[:, :3], 2)
     keys, child_to_parent = _unique_rows(coarse)
     return VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),

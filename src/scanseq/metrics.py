@@ -35,10 +35,6 @@ SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
 
 
-class SequenceMismatchError(ValueError):
-    """Predictions and ground truth belong to different sequences."""
-
-
 # ---------------------------------------------------------------------------
 # t-IoU
 
@@ -441,8 +437,7 @@ def _trajectory_label(member_ids: Iterable[int],
 def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
              preds: Sequence[InstanceMask],
              thresholds: Optional[Iterable[float]] = None, *,
-             rng_seed: int = 0,
-             prediction_sequence_id: Optional[str] = None) -> EvaluationReport:
+             rng_seed: int = 0) -> EvaluationReport:
     """Evaluate predictions against ground truth over a threshold set.
 
     Inputs are assumed validated (see :func:`scanseq.model.validate_sequence`).
@@ -465,10 +460,6 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     TP/(TP+FN), grouped by the annotated change label of each ground-truth
     instance, over the sweep thresholds.
     """
-    if prediction_sequence_id is not None and prediction_sequence_id != seq.sequence_id:
-        raise SequenceMismatchError(
-            f"predictions are for sequence {prediction_sequence_id!r}, "
-            f"ground truth for {seq.sequence_id!r}")
     taus = tuple(sorted(set(float(t) for t in (thresholds or DEFAULT_THRESHOLDS))))
     resolved = sorted(resolve_prediction_overlaps(preds, seq),
                       key=lambda m: m.instance_id)

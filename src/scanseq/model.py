@@ -15,7 +15,9 @@ cross-object consistency (index ranges, group membership, ...) is checked by
 from __future__ import annotations
 
 import enum
+import numbers
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -55,10 +57,37 @@ def _hand_over(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is(value, kind: type) -> bool:
+    """``isinstance``, except that a JSON ``true``/``false`` is no integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+_NUMBER_TYPES = {int: numbers.Integral, float: numbers.Real}
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, name: str, kind: type = float):
+    """``value`` as a ``kind``: for ``int`` any integral number, for ``float``
+    any finite real number. A bool, a string or any other type is a TypeError
+    naming the field ``name``; a number no float holds finitely a ValueError."""
+    if type(value) is kind and (kind is int or abs(value) <= _FLOAT_MAX):
+        return value  # the common case costs two type checks
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES[kind]):
+        noun = "an integer" if kind is int else "a number"
+        raise TypeError(f"{name} must be {noun}, not {value!r}")
+    if kind is int:
+        return int(value)
+    if not abs(value) <= _FLOAT_MAX:  # also true for NaN
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def _int_key(key) -> int:
     """The integer a mapping key names: an integer, or a string spelling one
     as ``str`` does. ``int()`` alone also reads " 1", "1_0" and "00", so two
     spellings of one key in a JSON object would silently replace each other."""
+    if type(key) is int:
+        return key
     try:
         value = int(key) if isinstance(key, str) else operator.index(key)
         if str(value) == str(key):
@@ -171,7 +200,9 @@ class InstanceMask:
     confidence: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
+        for name, kind in (("instance_id", int), ("class_id", int), ("confidence", float)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, kind))
+        if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         cleaned: dict[int, np.ndarray] = {}
         for stage, points in self.per_stage_points.items():
@@ -179,7 +210,7 @@ class InstanceMask:
             if np.count_nonzero(arr[1:] < arr[:-1]):  # cheaper than np.any here
                 arr = _hand_over(np.sort(arr))
             if arr.size:
-                cleaned[int(stage)] = arr
+                cleaned[_int_key(stage)] = arr
         object.__setattr__(self, "per_stage_points", cleaned)
 
     @property
@@ -208,10 +239,12 @@ class AmbiguousGroup:
     member_instance_ids: tuple[int, ...]
 
     def __post_init__(self):
-        if self.group_id < 0:
-            raise ValueError(f"ambiguous group {self.group_id}: group_id must be "
-                             f"non-negative")
-        members = tuple(sorted({int(m) for m in self.member_instance_ids}))
+        group_id = _number(self.group_id, "group_id", int)
+        if group_id < 0:
+            raise ValueError(f"ambiguous group {group_id}: group_id must be non-negative")
+        members = tuple(sorted({_number(m, "ambiguous group member", int)
+                                for m in self.member_instance_ids}))
+        object.__setattr__(self, "group_id", group_id)
         object.__setattr__(self, "member_instance_ids", members)
 
     @property
@@ -234,7 +267,7 @@ class GroundTruthAnnotation:
             raise ValueError("duplicate ground-truth instance ids")
         object.__setattr__(self, "instances", instances)
         object.__setattr__(self, "ambiguous_groups", tuple(self.ambiguous_groups))
-        labels = {int(k): ChangeType(v) for k, v in dict(self.change_labels).items()}
+        labels = {_int_key(k): ChangeType(v) for k, v in dict(self.change_labels).items()}
         object.__setattr__(self, "change_labels", labels)
 
     def instance_by_id(self, instance_id: int) -> InstanceMask:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import expit, log_softmax, logsumexp
 
-from .model import _frozen, _hand_over
+from .model import _frozen, _hand_over, _number
 
 COSINE_CLAMP_EPS = 1e-6  # atanh(+-1) is infinite; collinear features are clamped
 
@@ -107,7 +107,7 @@ class AssignmentCostConfig:
 
     def __post_init__(self):
         for name in ("lambda_dice", "lambda_bce", "lambda_cls", "lambda_no_object"):
-            if getattr(self, name) < 0:
+            if _number(getattr(self, name), name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -194,6 +194,8 @@ class MaskHierarchyStack:
             m = _frozen(mask, bool)
             if c.ndim != 2 or c.shape[1] != 4:
                 raise ValueError("level coordinates must have shape (M, 4)")
+            if len(m) != len(c):
+                raise ValueError("misaligned level: mask rows must match coordinates")
             levels.append((c, m))
         object.__setattr__(self, "levels", tuple(levels))
 
@@ -208,8 +210,6 @@ def st_pool_masks(stack: MaskHierarchyStack, level: int) -> np.ndarray:
     if not (0 <= level < len(stack.levels)):
         raise ValueError(f"level {level} out of range")
     coords, mask = stack.levels[level]
-    if len(mask) != len(coords):
-        raise ValueError("misaligned level: mask rows must match coordinates")
     _, inverse = np.unique(coords[:, :3], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0 returned (M, 1) here
     n_groups = int(inverse.max()) + 1 if len(inverse) else 0

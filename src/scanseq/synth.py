@@ -15,7 +15,6 @@ rewires components across stages (consistent / swapped / merged / fragmented).
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Optional, Union
@@ -23,7 +22,8 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud, _hand_over, _int_key)
+                    InstanceMask, SequencePointCloud, StageCloud, _hand_over, _int_key,
+                    _number)
 
 
 class SceneGenerationError(RuntimeError):
@@ -32,13 +32,6 @@ class SceneGenerationError(RuntimeError):
 
 class PerturbationError(RuntimeError):
     """A requested mask quality target is unreachable."""
-
-
-def _as_int(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 class IdentityPolicy(str, enum.Enum):
@@ -62,14 +55,14 @@ class ChangeOp:
     def __post_init__(self):
         if self.kind not in ("static", "rigid", "non_rigid", "swap", "add", "remove"):
             raise ValueError(f"unknown change kind {self.kind!r}")
-        translation = tuple(float(v) for v in self.translation)
+        translation = tuple(_number(v, "translation") for v in self.translation)
         if len(translation) != 3:
             raise ValueError(f"translation must hold 3 numbers, not {len(translation)}")
         object.__setattr__(self, "translation", translation)
         for name in ("yaw_deg", "amplitude", "wavelength"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if self.group_id is not None:
-            object.__setattr__(self, "group_id", _as_int(self.group_id, "group_id"))
+            object.__setattr__(self, "group_id", _number(self.group_id, "group_id", int))
 
 
 @dataclass(frozen=True)
@@ -104,16 +97,16 @@ class SceneRecipe:
 
         for name in ("seed", "n_objects", "n_stages", "n_classes", "background_points",
                      "segments_per_object", "max_placement_retries"):
-            put(name, _as_int(getattr(self, name), name))
-        put("extent", float(self.extent))
-        put("placement_margin", float(self.placement_margin))
+            put(name, _number(getattr(self, name), name, int))
+        for name in ("extent", "placement_margin"):
+            put(name, _number(getattr(self, name), name))
         put("primitives", tuple(self.primitives))
-        put("size_range", tuple(float(v) for v in self.size_range))
-        put("points_per_object", tuple(_as_int(v, "points_per_object")
+        put("size_range", tuple(_number(v, "size_range") for v in self.size_range))
+        put("points_per_object", tuple(_number(v, "points_per_object", int)
                                        for v in self.points_per_object))
         if len(self.size_range) != 2 or len(self.points_per_object) != 2:
             raise ValueError("size_range and points_per_object must be (low, high) pairs")
-        put("ambiguous_groups", tuple(tuple(sorted(_as_int(m, "ambiguous group member")
+        put("ambiguous_groups", tuple(tuple(sorted(_number(m, "ambiguous group member", int)
                                                    for m in g))
                                       for g in self.ambiguous_groups))
         put("changes", tuple({_int_key(k): (v if isinstance(v, ChangeOp) else ChangeOp(**v))
@@ -122,12 +115,8 @@ class SceneRecipe:
             raise ValueError("n_stages must be >= 1")
         if len(self.changes) not in (0, self.n_stages - 1):
             raise ValueError("changes must list one mapping per stage transition")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SceneRecipe":
-        kwargs = dict(data)
-        kwargs.pop("perturbation", None)
-        return cls(**kwargs)
+        if not isinstance(self.sequence_id, str):
+            raise TypeError(f"sequence_id must be a string, not {self.sequence_id!r}")
 
 
 def _sample_local_points(rng: np.random.Generator, primitive: str,
@@ -315,13 +304,13 @@ class PerturbationSpec:
         object.__setattr__(self, "identity_policy", IdentityPolicy(self.identity_policy))
         if isinstance(self.target_iou, Mapping):
             object.__setattr__(self, "target_iou", {
-                _int_key(k) if isinstance(k, str) else k: float(v)
+                k if isinstance(k, tuple) else _int_key(k): _number(v, "target_iou")
                 for k, v in self.target_iou.items()})
         else:
-            object.__setattr__(self, "target_iou", float(self.target_iou))
+            object.__setattr__(self, "target_iou", _number(self.target_iou, "target_iou"))
         for name in ("confidence_base", "confidence_jitter", "iou_tolerance"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        object.__setattr__(self, "seed", _number(self.seed, "seed", int))
 
     def target_for(self, instance_id: int, stage: int) -> float:
         if isinstance(self.target_iou, Mapping):

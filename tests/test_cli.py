@@ -465,12 +465,21 @@ def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, 
     assert "vertex property 'x' is listed twice" in err and "Traceback" not in err
 
 
+_COST = {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0, 0]],
+         "gt_masks": [[1, 0]], "gt_classes": [0]}
+_FOURIER = {"coords": [[0, 0, 0, 0]], "d_out": 4, "seed": 1}
+
+
 @pytest.mark.parametrize("op,payload", [
     ("contrastive", {"features": [[1, 0], [0, 1]], "instance_ids": 5}),
     ("cost", {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0]],
               "gt_masks": [[1, 0]], "gt_classes": [0], "lambdas": {"foo": 1}}),
     ("fourier", {"coords": [[0, 0, 0, 0]], "seed": 1}),
-], ids=["contrastive-ids-int", "cost-unknown-lambda", "fourier-missing-d-out"])
+    # integers numpy cannot hold: an OverflowError, not a traceback
+    ("cost", {**_COST, "gt_classes": [2 ** 63]}),
+    ("cost", {**_COST, "gt_classes": [float("inf")]}),
+], ids=["contrastive-ids-int", "cost-unknown-lambda", "fourier-missing-d-out",
+        "cost-class-2**63", "cost-class-1e400"])
 def test_losses_malformed_input_exits_74(tmp_path, capsys, op, payload):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(payload))
@@ -484,7 +493,7 @@ def test_losses_malformed_input_exits_74(tmp_path, capsys, op, payload):
                                      {"seed": 1.5}, {"seed": "1"}])
 def test_losses_fourier_integers_must_be_json_integers(tmp_path, capsys, payload):
     inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"coords": [[0, 0, 0, 0]], "d_out": 4, "seed": 1, **payload}))
+    inp.write_text(json.dumps({**_FOURIER, **payload}))
     code = main(["losses", "--op", "fourier", "--in", str(inp),
                  "--out", str(tmp_path / "o.json")])
     err = capsys.readouterr().err
@@ -502,6 +511,66 @@ def test_losses_output_numpy_cannot_allocate_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: fourier output too large to compute")
     assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command,document,field", [
+    ("generate", {"seed": True}, "seed must be an integer"),
+    ("generate", {"extent": "9"}, "extent must be a number"),
+    ("generate", {"extent": float("inf")}, "extent must be a finite number"),
+    ("generate", {"changes": [{"0": {"kind": "rigid", "translation": ["0.5", True, 0]}}]},
+     "translation must be a number"),
+    ("generate", {"points_per_object": [True, 50]}, "points_per_object must be an integer"),
+    ("generate", {"perturbation": {"confidence_base": "0.5"}},
+     "confidence_base must be a number"),
+    ("generate", {"sequence_id": 7}, "sequence_id must be a string"),
+    ("fourier", {**_FOURIER, "scale": "2"}, "scale must be a number"),
+    ("fourier", {**_FOURIER, "scale": True}, "scale must be a number"),
+    ("cost", {**_COST, "lambdas": {"lambda_dice": True}},
+     "lambda_dice must be a number"),
+], ids=["recipe-seed-bool", "recipe-extent-string", "recipe-extent-infinite",
+        "change-translation-string", "recipe-points-bool", "perturbation-string",
+        "recipe-sequence-id-int", "fourier-scale-string",
+        "fourier-scale-bool", "cost-lambda-bool"])
+def test_wrongly_typed_field_exits_74(tmp_path, capsys, command, document, field):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(document))
+    out = str(tmp_path / "out")
+    argv = (["generate", "--recipe", str(inp), "--out", out] if command == "generate"
+            else ["losses", "--op", command, "--in", str(inp), "--out", out])
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(inp) in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("recipe", ['{"segments_per_object": 9223372036854775808}',
+                                    '{"n_stages": 18446744073709551616}'],
+                         ids=["segments-2**63", "stages-2**64"])
+def test_generate_integer_numpy_cannot_hold_exits_2(tmp_path, capsys, recipe):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(recipe)
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: scene too large to realize") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op,payload", [
+    ("contrastive", '{"features": [[1, null], [0, 1]], "instance_ids": [1, 1]}'),
+    ("contrastive", '{"features": [[1, 1e400], [0, 1]], "instance_ids": [1, 1]}'),
+    ("fourier", '{"coords": [[0, 0, 0, null]], "d_out": 4, "seed": 1}'),
+    ("fourier", '{"coords": [[0, 0, 0, 1e400]], "d_out": 4, "seed": 1}'),
+], ids=["contrastive-null", "contrastive-1e400", "fourier-null", "fourier-1e400"])
+def test_losses_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys, op, payload):
+    inp = tmp_path / "in.json"
+    inp.write_text(payload)
+    out = tmp_path / "o.json"
+    code = main(["losses", "--op", op, "--in", str(inp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not JSON compliant" in err
+    assert not out.exists()
 
 
 def test_serialize_subcommand(tmp_path):

@@ -1,15 +1,18 @@
 """Mutation fuzzing of the JSON readers through ``cli.main``.
 
-One node of a valid synth-written manifest, prediction file or ``losses
---op fourier`` payload is replaced by a value from a fixed pool of wrong
-types and edge values. Whatever the node, ``main`` returns a documented exit
-code (0, 2 for a validation failure, 74 for a format error) and raises nothing.
+One node of a valid synth-written manifest or prediction file, a scene
+recipe, or a ``losses`` payload of each op is replaced by a value from a
+fixed pool of wrong types and edge values. Whatever the node, ``main``
+returns a documented exit code (0, 2 for a validation failure, 74 for a
+format error) and raises nothing, and a run that exits 0 writes only
+standard JSON (no NaN or Infinity).
 """
 
 import contextlib
 import copy
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,29 @@ from scanseq.cli import main
 from scanseq.formats import write_manifest, write_predictions
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-POOL = (None, True, -1, 2 ** 63, 1.5, "x", "00", [], {})
+POOL = (None, True, -1, 2 ** 63, 1.5, float("inf"), "x", "00", [], {})
+
+PAYLOADS = {
+    "fourier": {"coords": [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]],
+                "d_out": 4, "seed": 1, "scale": 1.0},
+    "contrastive": {"features": [[1, 0], [0.9, 0.1], [0, 1]], "instance_ids": [1, 1, 2]},
+    "cost": {"pred_mask_logits": [[3, -3], [-3, 3]],
+             "pred_class_logits": [[2, 0, 0], [0, 2, 0]],
+             "gt_masks": [[1, 0], [0, 1]], "gt_classes": [0, 1],
+             "lambdas": {"lambda_dice": 2.0, "lambda_bce": 5.0, "lambda_cls": 2.0,
+                         "lambda_no_object": 0.2}},
+    "pool": {"coords": [[0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+             "mask": [True, False, False]},
+}
+
+RECIPE = {"seed": 3, "n_objects": 3, "n_stages": 3, "n_classes": 1,
+          "points_per_object": [8, 14], "background_points": 6,
+          "segments_per_object": 2, "ambiguous_groups": [[0, 1]],
+          "changes": [{"0": {"kind": "swap", "group_id": 0},
+                       "2": {"kind": "rigid", "translation": [0.2, 0, 0]}},
+                      {"1": {"kind": "non_rigid", "amplitude": 0.01}}],
+          "sequence_id": "fuzz",
+          "perturbation": {"target_iou": 0.8, "iou_tolerance": 0.1, "seed": 2}}
 
 
 def _paths(node, path=()):
@@ -56,34 +81,50 @@ def files(tmp_path_factory):
     write_predictions(preds, perturb(seq, gt, PerturbationSpec(target_iou=0.8,
                                                                iou_tolerance=0.1)),
                       seq.sequence_id)
-    losses = root / "fourier.json"
-    losses.write_text(json.dumps({"coords": [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]],
-                                  "d_out": 4, "seed": 1, "scale": 1.0}))
-    return root, manifest, preds, losses
+    sources = {"manifest": manifest, "preds": preds, "recipe": root / "recipe.json"}
+    sources["recipe"].write_text(json.dumps(RECIPE))
+    for op, payload in PAYLOADS.items():
+        sources[op] = root / f"{op}.json"
+        sources[op].write_text(json.dumps(payload))
+    return root, sources
 
 
-def _argv(target, mutated, root, manifest, preds, losses):
-    out = str(root / "out.json")
-    if target == "losses":
-        return ["losses", "--op", "fourier", "--in", str(mutated), "--out", out]
+def _argv(target, mutated, out, sources):
+    if target in PAYLOADS:
+        return ["losses", "--op", target, "--in", str(mutated), "--out", str(out)]
+    if target == "recipe":
+        return ["generate", "--recipe", str(mutated), "--out", str(out)]
+    manifest, preds = sources["manifest"], sources["preds"]
     gt, pred = (mutated, preds) if target == "manifest" else (manifest, mutated)
     # a second, valid pair: the reports of both are sorted by sequence id
     return ["evaluate", "--gt", str(gt), "--pred", str(pred),
-            "--gt", str(manifest), "--pred", str(preds), "--out", out]
+            "--gt", str(manifest), "--pred", str(preds), "--out", str(out)]
 
 
-@pytest.mark.parametrize("target", ["manifest", "preds", "losses"])
+def _refuse(constant):
+    raise ValueError(f"{constant} is not standard JSON")
+
+
+@pytest.mark.parametrize("target", ["manifest", "preds", "recipe", *PAYLOADS])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_one_replaced_node_exits_with_a_documented_code(files, target, data):
-    root, manifest, preds, losses = files
-    source = {"manifest": manifest, "preds": preds, "losses": losses}[target]
+    root, sources = files
+    source = sources[target]
     document = json.loads(source.read_text())
     path = data.draw(st.sampled_from(list(_paths(document))), label="path")
     value = data.draw(st.sampled_from(POOL), label="value")
     # the mutated manifest sits beside the original so its point files resolve
     mutated = source.with_name(f"mutated-{source.name}")
     mutated.write_text(json.dumps(_replaced(document, path, value)))
+    out = root / "out"  # a report, a payload's result or a scene directory
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
     with contextlib.redirect_stderr(io.StringIO()):
-        code = main(_argv(target, mutated, root, manifest, preds, losses))
+        code = main(_argv(target, mutated, out, sources))
     assert code in (0, 2, 74)
+    if code == 0:
+        written = sorted(out.glob("*.json")) if out.is_dir() else [out]
+        assert written and all(p.exists() for p in written)
+        for p in written:
+            json.loads(p.read_text(), parse_constant=_refuse)

@@ -371,7 +371,6 @@ def test_encode_rejects_malformed_coordinates(coords, match):
     (np.zeros((2, 4), dtype=bool), "bool"),
 ])
 def test_serialize_rejects_malformed_grid_keys(keys, match):
-    grid = _grid_of_keys(keys)
-    for pattern in ALL_PATTERNS:
-        with pytest.raises(ValueError, match=match):
-            serialize_sequence(grid, pattern)
+    # the grid refuses such keys when it is built, so no serialization sees them
+    with pytest.raises(ValueError, match=match):
+        _grid_of_keys(keys)

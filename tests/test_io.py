@@ -465,6 +465,14 @@ def test_canonical_json_takes_numpy_values_as_python_values(tmp_path):
     assert parsed["f32"] == 0.1 and parsed["nested"] == [-2, [0.333333, 4]]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float32("-inf")])
+def test_canonical_json_refuses_non_finite_floats(tmp_path, value):
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_canonical_json(path, {"values": [0.5, value]})
+    assert not path.exists()
+
+
 def test_report_includes_every_class_and_counts(tmp_path):
     seq = make_sequence([50])
     gt = annotation([mask(0, 1, {0: range(10)})])

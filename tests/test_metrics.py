@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from scanseq import metrics
 from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
-                             SequenceMismatchError, assign_ambiguous_components,
-                             assign_detections, average_precision, disambiguate,
-                             evaluate, overlap_candidates,
-                             resolve_prediction_overlaps, t_iou)
+                             assign_ambiguous_components, assign_detections,
+                             average_precision, disambiguate, evaluate,
+                             overlap_candidates, resolve_prediction_overlaps, t_iou)
 from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
 
 import oracles
@@ -559,13 +558,6 @@ def test_evaluate_matches_per_threshold_oracles(scene):
             # the loop may sum in another order than numpy
             assert report.per_class_ap[c][tau] == pytest.approx(
                 oracles.envelope_average_precision(labels, len(class_gts)), rel=1e-12)
-
-
-def test_evaluate_rejects_mismatched_sequence_id():
-    gts, preds = case_perfect()
-    seq = make_sequence([200, 200], sequence_id="seq-A")
-    with pytest.raises(SequenceMismatchError):
-        evaluate(seq, annotation(gts), preds, prediction_sequence_id="seq-B")
 
 
 def test_evaluate_includes_zero_ap_classes():

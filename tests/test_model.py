@@ -102,6 +102,35 @@ def test_construction_invariants():
         AmbiguousGroup(-1, (0, 1))
 
 
+@pytest.mark.parametrize("build,error,field", [
+    (lambda: InstanceMask(0, 1, {1.7: [0]}), ValueError, "key 1.7"),
+    (lambda: InstanceMask(0, 1, {True: [0]}), ValueError, "key True"),
+    (lambda: InstanceMask(True, 1, {0: [0]}), TypeError, "instance_id"),
+    (lambda: InstanceMask(0, False, {0: [0]}), TypeError, "class_id"),
+    (lambda: InstanceMask(0, 1, {0: [0]}, confidence="0.5"), TypeError, "confidence"),
+    (lambda: InstanceMask(0, 1, {0: [0]}, confidence=float("nan")), ValueError,
+     "confidence"),
+    (lambda: AmbiguousGroup(0, (2.9, 3)), TypeError, "ambiguous group member"),
+    (lambda: AmbiguousGroup(True, (2, 3)), TypeError, "group_id"),
+    (lambda: GroundTruthAnnotation((), change_labels={0.5: "static"}), ValueError,
+     "key 0.5"),
+], ids=["float-stage-key", "bool-stage-key", "bool-instance-id", "bool-class-id",
+        "string-confidence", "nan-confidence", "float-member", "bool-group-id",
+        "float-change-label-key"])
+def test_ids_and_numbers_are_not_coerced(build, error, field):
+    # int() would have put the mask at stage 1 and the group's member at 2
+    with pytest.raises(error, match=field):
+        build()
+
+
+def test_integral_and_real_numbers_are_taken_as_python_numbers():
+    m = InstanceMask(np.int64(3), np.int32(1), {np.int64(0): [0]}, confidence=1)
+    group = AmbiguousGroup(np.uint8(2), (np.int64(5), 4))
+    assert (m.instance_id, m.class_id, m.stages, m.confidence) == (3, 1, (0,), 1.0)
+    assert type(m.instance_id) is int and type(m.confidence) is float
+    assert (group.group_id, group.member_instance_ids) == (2, (4, 5))
+
+
 def test_masks_sort_indices_and_drop_empty_stages():
     m = mask(0, 1, {0: [5, 2, 9], 1: []})
     assert m.per_stage_points[0].tolist() == [2, 5, 9]

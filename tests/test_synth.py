@@ -214,7 +214,7 @@ def test_recipe_round_trips_through_dict():
         "changes": [{"0": {"kind": "swap", "group_id": 0},
                      "1": {"kind": "rigid", "translation": [1, 2, 3]}}],
     }
-    assert SceneRecipe.from_dict(data) == recipe
+    assert SceneRecipe(**data) == recipe
 
 
 # ---------------------------------------------------------------------------
