@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import nearest_neighbor_labels
-from .model import InstanceMask, StageCloud, _points_by_label
+from .model import InstanceMask, StageCloud, _array, _points_by_label
 
 
 def _stage_of(masks: Sequence[InstanceMask]) -> int:
@@ -44,7 +44,7 @@ def _cosine_matrix(a_feats: np.ndarray, b_feats: np.ndarray) -> np.ndarray:
 
 def _feature_rows(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
                   idx: list[int]) -> np.ndarray:
-    return np.stack([np.asarray(features[masks[i].instance_id], np.float64).ravel()
+    return np.stack([_array(features[masks[i].instance_id], np.float64, "feature").ravel()
                      for i in idx])
 
 

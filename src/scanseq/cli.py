@@ -20,7 +20,9 @@ which is not written), 64 usage error (including a threshold outside [0, 1),
 a negative --seed, --threads below 1, --bits outside [1, 64 // dims] and a
 --resolution that is not a positive finite number), 74 I/O or file-format
 failure (including JSON of the wrong shape or type or nested too deeply, a
-bool or string where a number belongs, an RLE run that ends past its stage, a
+bool or string where a number belongs, an array element an exact cast would
+change (a string or null among numbers, a float among integers) in a mask, a
+feature or a ``losses`` payload, an RLE run that ends past its stage, a
 label file that is not one integer per line, a non-string sequence_id, an
 integer-named JSON key not spelled as ``str(int(key))``, a recipe that
 ``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a non-finite
@@ -311,13 +313,12 @@ def _cmd_serialize(args) -> int:
 def _loss_payload(op: str, data: dict) -> dict:
     if op == "contrastive":
         relation = numerics.relation_from_instance_ids(data["instance_ids"])
-        return {"loss": numerics.contrastive_loss(np.asarray(data["features"]), relation)}
+        return {"loss": numerics.contrastive_loss(data["features"], relation)}
     if op == "cost":
         cfg = numerics.AssignmentCostConfig(**data.get("lambdas", {}))
         result = numerics.assignment_cost(
-            np.asarray(data["pred_mask_logits"]),
-            np.asarray(data["pred_class_logits"]),
-            np.asarray(data["gt_masks"]), data["gt_classes"], cfg)
+            data["pred_mask_logits"], data["pred_class_logits"], data["gt_masks"],
+            data["gt_classes"], cfg)
         return {
             "cost_matrix": result.cost_matrix,
             "matches": result.matches,
@@ -327,11 +328,11 @@ def _loss_payload(op: str, data: dict) -> dict:
         }
     if op == "fourier":
         return {"features": numerics.fourier_features_4d(
-            np.asarray(data["coords"]), d_out=_number(data["d_out"], "d_out", int),
+            data["coords"], d_out=_number(data["d_out"], "d_out", int),
             seed=_number(data["seed"], "seed", int),
             scale=_number(data.get("scale", 1.0), "scale"))}
     stack = numerics.MaskHierarchyStack(  # pool
-        levels=((np.asarray(data["coords"]), np.asarray(data["mask"])),))
+        levels=((data["coords"], data["mask"]),))
     return {"mask": numerics.st_pool_masks(stack, 0)}
 
 

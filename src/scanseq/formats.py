@@ -25,7 +25,7 @@ import numpy as np
 
 from .metrics import EvaluationReport
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
-                    StageCloud, _hand_over, _int_key, _is, _points_by_label)
+                    StageCloud, _array, _hand_over, _int_key, _is, _points_by_label)
 from .ply import read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -76,7 +76,7 @@ def load_json(path) -> dict:
 
 
 def _rle_runs(indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _array(indices, np.int64, "indices")
     heads = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 2) != 1)  # idx[0] always heads
     return np.stack((idx[heads], np.diff(heads, append=idx.size)), axis=1)
 
@@ -89,24 +89,16 @@ def rle_encode(indices: np.ndarray) -> list[list[int]]:
     return _rle_runs(indices).tolist()
 
 
-def _int64_array(data, what: str) -> np.ndarray:
-    """``data`` as an int64 array; anything ragged or not integral is a FormatError."""
-    try:
-        arr = np.asarray(data)
-    except ValueError as exc:  # ragged
-        raise FormatError(f"{what} is ragged ({exc})") from exc
-    if arr.size and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.int64)):
-        raise FormatError(f"{what} must hold integers that fit in int64")
-    return arr.astype(np.int64, copy=False)
-
-
 def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndarray:
     """Expand flat ``[s0, l0, s1, l1, ...]`` runs, or ``[[s0, l0], ...]`` pairs.
 
     Rejects anything not decoding to strictly increasing indices, and any run
     that ends past ``stage_size`` (when given) or beyond int64.
     """
-    arr = _int64_array(runs, "RLE data")
+    try:
+        arr = _array(runs, np.int64, "RLE data")
+    except (TypeError, ValueError) as exc:  # not integral, beyond int64 or ragged
+        raise FormatError(str(exc)) from exc
     if arr.ndim == 1:
         if arr.size % 2:
             raise FormatError(f"flat RLE data must have even length, not {arr.size}")
@@ -133,17 +125,14 @@ def _mask_payload(points: np.ndarray, rle: bool) -> dict:
     return {"encoding": "points", "data": points}
 
 
-def _mask_from_payload(payload: Mapping, stage_size: Optional[int]) -> np.ndarray:
+def _mask_from_payload(payload: Mapping, stage_size: Optional[int]):
     if not isinstance(payload, Mapping):
         raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
     if encoding == "rle":
         return _hand_over(rle_decode(payload["data"], stage_size))
     if encoding == "points":
-        points = _int64_array(payload["data"], "points data")
-        if points.ndim != 1:
-            raise FormatError("points data must be a flat list of indices")
-        return points
+        return payload["data"]  # InstanceMask checks and converts the list
     raise FormatError(f"unknown mask encoding {encoding!r}")
 
 
@@ -365,7 +354,7 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
                                 class_id=entry["class_id"], per_stage_points=per_stage,
                                 confidence=entry.get("confidence", 1.0))
             if "feature" in entry:
-                features[mask.instance_id] = np.asarray(entry["feature"], np.float64)
+                features[mask.instance_id] = _array(entry["feature"], np.float64, "feature")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
         masks.append(mask)

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .model import (SequencePointCloud, StageCloud, _EMPTY_INDEX, _frozen, _hand_over,
-                    _points_by_label)
+from .model import (SequencePointCloud, StageCloud, _EMPTY_INDEX, _array, _frozen,
+                    _hand_over, _points_by_label)
 
 DEFAULT_RESOLUTION = 0.02  # meters per voxel edge
 
@@ -146,7 +146,7 @@ def _mean_by(inverse: np.ndarray, features, n_groups: int, what: str) -> np.ndar
 
     A 1-D ``features`` is one column; ``what`` names the rows ("point", "voxel")
     in the error raised when their count differs from ``len(inverse)``."""
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _array(features, np.float64, f"{what}_features")
     if feats.ndim == 1:
         feats = feats[:, None]
     if len(feats) != len(inverse):
@@ -185,7 +185,7 @@ class FeatureHierarchy:
 
 def build_feature_hierarchy(grid: VoxelGrid4D, voxel_features: np.ndarray,
                             n_levels: int) -> FeatureHierarchy:
-    feats = _frozen(voxel_features, np.float64)
+    feats = _frozen(voxel_features, np.float64, "voxel_features")
     if len(feats) != grid.num_voxels:
         raise ValueError("voxel_features length must equal voxel count")
     levels = [(grid.keys, feats)]

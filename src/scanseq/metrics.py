@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, _hand_over)
+                    InstanceMask, SequencePointCloud, _array, _hand_over)
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
@@ -176,11 +176,11 @@ def assign_ambiguous_components(weights, present, rng: np.random.Generator) -> n
     Returns the (K, T) assignment matrix of member indices, -1 where a
     trajectory has no component at that stage.
     """
-    W = np.array(weights, dtype=np.float64, copy=True)
+    W = _array(weights, np.float64, "weights").copy()
     if W.ndim != 3:
         raise ValueError("weights must have shape (P, K, T)")
     n_preds, n_members, n_stages = W.shape
-    pres = np.asarray(present, dtype=bool)
+    pres = _array(present, bool, "present")
     if pres.shape != (n_members, n_stages):
         raise ValueError("present must have shape (K, T)")
     A = np.full((n_members, n_stages), -1, dtype=np.int64)
@@ -363,7 +363,7 @@ def average_precision(tp_labels: Sequence[bool], n_gt: int) -> Optional[float]:
     ground truth, returns None when there are also no predictions (class
     excluded from means) and 0.0 otherwise.
     """
-    return _pr_curves(np.asarray(tp_labels, dtype=bool).reshape(1, -1), n_gt)[2][0]
+    return _pr_curves(_array(tp_labels, bool, "tp_labels").reshape(1, -1), n_gt)[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +520,6 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
                                        if col >= 0 and labels[col] is not None)
 
     def _mean_ap(tau_set: Sequence[float]) -> Optional[float]:
-        if not tau_set:
-            return None
         class_means = []
         for c in class_ids:
             vals = [per_class_ap[c][tau] for tau in tau_set]
@@ -536,13 +534,9 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     t_map25 = _mean_ap([0.25]) if 0.25 in taus else None
 
     recall_taus = list(SWEEP_THRESHOLDS) if full_sweep else list(taus)
-    per_change_recall: dict[ChangeType, Optional[float]] = {}
-    for ct, total in change_totals.items():
-        if total == 0 or not recall_taus:
-            per_change_recall[ct] = None
-            continue
-        per_change_recall[ct] = float(np.mean(
-            [change_matched[tau][ct] / total for tau in recall_taus]))
+    per_change_recall = {ct: float(np.mean([change_matched[tau][ct] / total
+                                            for tau in recall_taus]))
+                         for ct, total in change_totals.items()}
 
     return EvaluationReport(
         sequence_id=seq.sequence_id, num_stages=seq.num_stages,

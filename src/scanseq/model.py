@@ -35,14 +35,17 @@ class ChangeType(enum.Enum):
     ADDED_REMOVED = "added_removed"
 
 
-def _frozen(values, dtype=None) -> np.ndarray:
-    """``values`` as a read-only C-contiguous array that no caller can write.
+def _frozen(values, dtype=None, name: str = "array", width=None) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array that no caller can write,
+    cast by :func:`_array` and of shape (N, ``width``) when those are given.
 
     An array the caller can still write to is copied. A read-only array is
     taken as is: whoever made it handed it over (see :func:`_hand_over`). An
     array that the conversion allocated here is frozen without a copy.
     """
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.asarray(values) if dtype is None else _array(values, dtype, name)
+    if width is not None and (arr.ndim != 2 or arr.shape[1] != width):
+        raise ValueError(f"{name} must have shape (N, {width}), got {arr.shape}")
     caller_owned = arr.flags.writeable and (arr is values or not arr.flags.owndata)
     if caller_owned or not arr.flags.c_contiguous:
         arr = arr.copy()
@@ -82,6 +85,23 @@ def _number(value, name: str, kind: type = float):
     return float(value)
 
 
+_LOSSLESS_KINDS = {np.dtype(np.int64): ("iu", "integers that fit in int64"),
+                   np.dtype(np.float64): ("iuf", "numbers"),
+                   np.dtype(bool): ("b", "booleans")}
+
+
+def _array(values, dtype, name: str) -> np.ndarray:
+    """``values`` as an int64, float64 or bool array. Elements the cast would
+    change (a float or a bool as an integer, a string or None as anything, an
+    integer beyond int64) are a TypeError naming the field ``name``."""
+    arr = np.asarray(values)
+    if arr.dtype != dtype and arr.size:
+        kinds, noun = _LOSSLESS_KINDS[np.dtype(dtype)]
+        if arr.dtype.kind not in kinds or not np.can_cast(arr.dtype, dtype):
+            raise TypeError(f"{name} must hold {noun}, not {arr.dtype} values")
+    return arr.astype(dtype, copy=False)
+
+
 def _int_key(key) -> int:
     """The integer a mapping key names: an integer, or a string spelling one
     as ``str`` does. ``int()`` alone also reads " 1", "1_0" and "00", so two
@@ -107,13 +127,6 @@ def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
             for h, points in zip(heads, np.split(order, heads[1:])) if ordered[h] >= 0}
 
 
-def _as_float_matrix(values, name: str, width: int) -> np.ndarray:
-    arr = _frozen(values, np.float64)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"{name} must have shape (N, {width}), got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class StageCloud:
     """One 3D scan: point positions in meters, optional colors and superpoints.
@@ -129,15 +142,15 @@ class StageCloud:
     segment_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pos = _as_float_matrix(self.positions, "positions", 3)
+        pos = _frozen(self.positions, np.float64, "positions", width=3)
         object.__setattr__(self, "positions", pos)
         if self.colors is not None:
-            col = _as_float_matrix(self.colors, "colors", 3)
+            col = _frozen(self.colors, np.float64, "colors", width=3)
             if len(col) != len(pos):
                 raise ValueError("colors length must equal point count")
             object.__setattr__(self, "colors", col)
         if self.segment_ids is not None:
-            seg = _frozen(self.segment_ids, np.int64)
+            seg = _frozen(self.segment_ids, np.int64, "segment_ids")
             if seg.shape != (len(pos),):
                 raise ValueError("segment_ids length must equal point count")
             object.__setattr__(self, "segment_ids", seg)
@@ -186,12 +199,12 @@ class InstanceMask:
     the map. Ground-truth masks use ``confidence`` 1.0 so predictions and
     ground truth share one type.
 
-    Point indices are sorted at construction (indices already in order are
-    taken as they are, through the same copy rule as every model array) but
-    deliberately *not* deduplicated: duplicate indices are a data error that
-    :func:`validate_sequence` must be able to report. Empty stage entries are
-    dropped; a mask may end up with no stages at all, which is likewise left to
-    the validator.
+    Each stage's point indices, a flat list of integers, are sorted at
+    construction (indices already in order are taken as they are, through the
+    same copy rule as every model array) but deliberately *not* deduplicated:
+    duplicate indices are a data error that :func:`validate_sequence` must be
+    able to report. Empty stage entries are dropped; a mask may end up with no
+    stages at all, which is likewise left to the validator.
     """
 
     instance_id: int
@@ -206,7 +219,9 @@ class InstanceMask:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
         cleaned: dict[int, np.ndarray] = {}
         for stage, points in self.per_stage_points.items():
-            arr = _frozen(points, np.int64).ravel()
+            arr = _frozen(points, np.int64, "point indices")
+            if arr.ndim != 1:
+                raise ValueError(f"stage {stage} point indices are not flat: shape {arr.shape}")
             if np.count_nonzero(arr[1:] < arr[:-1]):  # cheaper than np.any here
                 arr = _hand_over(np.sort(arr))
             if arr.size:

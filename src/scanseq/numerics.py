@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import expit, log_softmax, logsumexp
 
-from .model import _frozen, _hand_over, _number
+from .model import _array, _frozen, _hand_over, _number
 
 COSINE_CLAMP_EPS = 1e-6  # atanh(+-1) is infinite; collinear features are clamped
 
@@ -33,15 +33,12 @@ class RelationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=bool)
+        arr = _array(self.entries, bool, "relation matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("relation matrix must be square")
         if not np.array_equal(arr, arr.T):
             raise ValueError("relation matrix must be symmetric")
-        arr = arr.copy()
-        np.fill_diagonal(arr, False)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _hand_over(arr & ~np.eye(len(arr), dtype=bool)))
 
     @property
     def size(self) -> int:
@@ -64,7 +61,7 @@ def relation_from_instance_ids(instance_ids) -> RelationMatrix:
 
 def log_odds_similarity(features: np.ndarray) -> np.ndarray:
     """Pairwise 2*atanh(cosine) similarities; raises on zero-norm rows."""
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _array(features, np.float64, "features")
     norms = np.linalg.norm(feats, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm feature")
@@ -82,7 +79,7 @@ def contrastive_loss(features, relation: RelationMatrix) -> float:
     sits inside a single log (the "out" form). Returns 0.0 when no anchor has
     a positive.
     """
-    feats = np.asarray(features, dtype=np.float64)
+    feats = _array(features, np.float64, "features")
     if len(feats) != relation.size:
         raise ValueError("features and relation matrix disagree on S")
     anchors = relation.anchors
@@ -130,10 +127,10 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
     matching is solved exactly; predictions left unmatched contribute their
     no-object cross-entropy weighted by ``lambda_no_object`` to ``total_cost``.
     """
-    mask_logits = np.atleast_2d(np.asarray(pred_mask_logits, dtype=np.float64))
-    class_logits = np.atleast_2d(np.asarray(pred_class_logits, dtype=np.float64))
-    gt = np.atleast_2d(np.asarray(gt_masks, dtype=np.float64))
-    classes = np.asarray(gt_classes, dtype=np.int64)
+    mask_logits = np.atleast_2d(_array(pred_mask_logits, np.float64, "pred_mask_logits"))
+    class_logits = np.atleast_2d(_array(pred_class_logits, np.float64, "pred_class_logits"))
+    gt = np.atleast_2d(_array(gt_masks, np.float64, "gt_masks"))
+    classes = _array(gt_classes, np.int64, "gt_classes")
     n_pred, n_points = mask_logits.shape
     n_gt = len(gt)
     if class_logits.shape[0] != n_pred:
@@ -172,7 +169,7 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
 
 def solve_assignment(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-cost rectangular assignment of a raw cost matrix."""
-    cost = np.atleast_2d(np.asarray(cost_matrix, dtype=np.float64))
+    cost = np.atleast_2d(_array(cost_matrix, np.float64, "cost_matrix"))
     rows, cols = linear_sum_assignment(cost)
     return tuple(zip(rows.tolist(), cols.tolist())), float(cost[rows, cols].sum())
 
@@ -190,10 +187,8 @@ class MaskHierarchyStack:
     def __post_init__(self):
         levels = []
         for coords, mask in self.levels:
-            c = _frozen(coords, np.int64)
-            m = _frozen(mask, bool)
-            if c.ndim != 2 or c.shape[1] != 4:
-                raise ValueError("level coordinates must have shape (M, 4)")
+            c = _frozen(coords, np.int64, "level coordinates", width=4)
+            m = _frozen(mask, bool, "level mask")
             if len(m) != len(c):
                 raise ValueError("misaligned level: mask rows must match coordinates")
             levels.append((c, m))
@@ -220,8 +215,8 @@ def st_pool_masks(stack: MaskHierarchyStack, level: int) -> np.ndarray:
 
 def binarize_masks(superpoint_features, query_embeddings) -> np.ndarray:
     """Sigmoid(dot) > 0.5 mask decisions, i.e. strictly positive dot products."""
-    feats = np.atleast_2d(np.asarray(superpoint_features, dtype=np.float64))
-    queries = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
+    feats = np.atleast_2d(_array(superpoint_features, np.float64, "superpoint_features"))
+    queries = np.atleast_2d(_array(query_embeddings, np.float64, "query_embeddings"))
     if feats.shape[1] != queries.shape[1]:
         raise ValueError("feature and query dimensions differ")
     return feats @ queries.T > 0.0
@@ -244,14 +239,14 @@ def fourier_features_4d(coords, gaussian_matrix: Optional[np.ndarray] = None, *,
     an explicit ``gaussian_matrix`` (D/2 x 4) to share one projection across
     levels and stages, or ``d_out``/``seed`` to draw it here.
     """
-    pts = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    pts = np.atleast_2d(_array(coords, np.float64, "coords"))
     if pts.shape[1] != 4:
         raise ValueError("coords must have shape (N, 4)")
     if gaussian_matrix is None:
         if d_out is None or seed is None:
             raise ValueError("provide gaussian_matrix or both d_out and seed")
         gaussian_matrix = gaussian_projection_matrix(d_out, seed, scale)
-    g = np.asarray(gaussian_matrix, dtype=np.float64)
+    g = _array(gaussian_matrix, np.float64, "gaussian_matrix")
     if g.ndim != 2 or g.shape[1] != 4:
         raise ValueError("gaussian_matrix must have shape (D/2, 4)")
     proj = 2.0 * np.pi * (pts @ g.T)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
 
-from .model import StageCloud, _hand_over
+from .model import StageCloud, _array, _hand_over
 
 
 class PlyError(ValueError):
@@ -204,7 +204,7 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
     if cloud.segment_ids is not None:
         columns["segment"] = cloud.segment_ids
     if instances is not None:
-        instances = np.asarray(instances, dtype=np.int64)
+        instances = _array(instances, np.int64, "instances")
         if instances.shape != (n,):
             raise ValueError("instances length must equal point count")
         columns["instance"] = instances

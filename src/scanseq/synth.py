@@ -106,6 +106,9 @@ class SceneRecipe:
                                        for v in self.points_per_object))
         if len(self.size_range) != 2 or len(self.points_per_object) != 2:
             raise ValueError("size_range and points_per_object must be (low, high) pairs")
+        if not 1 <= self.points_per_object[0] <= self.points_per_object[1]:
+            raise ValueError(f"points_per_object must hold 1 <= low <= high, "
+                             f"not {list(self.points_per_object)}")
         put("ambiguous_groups", tuple(tuple(sorted(_number(m, "ambiguous group member", int)
                                                    for m in g))
                                       for g in self.ambiguous_groups))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,47 @@ def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, 
     assert "vertex property 'x' is listed twice" in err and "Traceback" not in err
 
 
+def _header_edit(old, new):
+    return lambda raw: raw.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw[:raw.index(b"end_header") + len(b"end_header")], "truncated header"),
+    (_header_edit(b"ply\n", b"ply\ncomment caf\xc3\xa9\n"), "header is not ascii"),
+    (_header_edit(b"format binary_little_endian", b"\ncomment by hand\nformat binary_pdp"),
+     "unknown format 'binary_pdp'"),
+    (_header_edit(b"element vertex", b"element face 0\nelement vertex"),
+     "vertex must be the first element"),
+    (_header_edit(b"end_header", b"element face 0\nelement vertex 3\nend_header"),
+     "vertex must be the first element"),
+    (lambda raw: re.sub(rb"element vertex \d+", b"element vertex many", raw, count=1),
+     "bad vertex element line"),
+    (_header_edit(b"property float x", b"property list uchar int x"),
+     "list properties on vertices are not supported"),
+    (_header_edit(b"property float x", b"property quad x"), "bad property line"),
+    (_header_edit(b"format binary_little_endian 1.0\n", b""), "header has no format line"),
+    (lambda raw: re.sub(rb"element vertex \d+\n", b"", raw, count=1),
+     "header has no vertex element"),
+    (None, "ascii body contains non-numeric values"),
+], ids=["truncated", "non-ascii", "unknown-format", "face-first", "second-vertex",
+        "vertex-count-word", "list-property", "unknown-type", "no-format", "no-vertex",
+        "ascii-word"])
+def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
+    manifest, preds = _write_scene(tmp_path)
+    ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
+    if edit is None:  # an ascii body with a word where a number belongs
+        cloud, instances = read_ply(ply, with_instances=True)
+        write_ply(ply, cloud, binary=False, instances=instances)
+        edit = lambda raw: re.sub(rb"end_header\n\S+", b"end_header\nx", raw, count=1)
+    ply.write_bytes(edit(ply.read_bytes()))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 _COST = {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0, 0]],
          "gt_masks": [[1, 0]], "gt_classes": [0]}
 _FOURIER = {"coords": [[0, 0, 0, 0]], "d_out": 4, "seed": 1}
@@ -557,11 +599,9 @@ def test_generate_integer_numpy_cannot_hold_exits_2(tmp_path, capsys, recipe):
 
 
 @pytest.mark.parametrize("op,payload", [
-    ("contrastive", '{"features": [[1, null], [0, 1]], "instance_ids": [1, 1]}'),
     ("contrastive", '{"features": [[1, 1e400], [0, 1]], "instance_ids": [1, 1]}'),
-    ("fourier", '{"coords": [[0, 0, 0, null]], "d_out": 4, "seed": 1}'),
     ("fourier", '{"coords": [[0, 0, 0, 1e400]], "d_out": 4, "seed": 1}'),
-], ids=["contrastive-null", "contrastive-1e400", "fourier-null", "fourier-1e400"])
+], ids=["contrastive-1e400", "fourier-1e400"])
 def test_losses_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys, op, payload):
     inp = tmp_path / "in.json"
     inp.write_text(payload)
@@ -571,6 +611,73 @@ def test_losses_non_finite_output_exits_2_and_writes_nothing(tmp_path, capsys, o
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "not JSON compliant" in err
     assert not out.exists()
+
+
+_POOL = {"coords": [[0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]], "mask": [True, False, False]}
+_CONTRASTIVE = {"features": [[1, 0], [0.9, 0.1], [0, 1]], "instance_ids": [1, 1, 2]}
+
+
+@pytest.mark.parametrize("op,payload,field", [
+    ("cost", {**_COST, "gt_classes": [1.5]}, "gt_classes"),
+    ("cost", {**_COST, "gt_classes": ["00"]}, "gt_classes"),
+    ("pool", {**_POOL, "coords": [[0, 0, 0, 0], [0, 0, 0, 1.5], [1, 0, 0, 0]]},
+     "coordinates"),
+    ("pool", {**_POOL, "coords": [[0, 0, 0, 0], [0, 0, 0, 2 ** 63], [1, 0, 0, 0]]},
+     "coordinates"),
+    ("fourier", {**_FOURIER, "coords": [[0, 0, 0, "00"]]}, "coords"),
+    ("contrastive", {**_CONTRASTIVE, "features": [[1, 0], ["00", 0.1], [0, 1]]},
+     "features"),
+    ("contrastive", {**_CONTRASTIVE, "features": [[1, 0], ["x", 0.1], [0, 1]]},
+     "features"),
+    ("contrastive", {"features": [[1, None], [0, 1]], "instance_ids": [1, 1]}, "features"),
+    ("fourier", {**_FOURIER, "coords": [[0, 0, 0, None]]}, "coords"),
+    ("pool", {**_POOL, "mask": [1, 0, 0]}, "mask"),
+], ids=["cost-class-float", "cost-class-string", "pool-coord-float", "pool-coord-2**63",
+        "fourier-coord-string", "contrastive-feature-00", "contrastive-feature-x",
+        "contrastive-null", "fourier-null", "pool-mask-int"])
+def test_losses_array_a_cast_would_change_exits_74(tmp_path, capsys, op, payload, field):
+    # each was read as a number before: 1.5 -> 1, "00" -> 0, null -> nan
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    code = main(["losses", "--op", op, "--in", str(inp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(inp) in err and f"{field} must hold" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("feature", [["0.5", "1"], [1.0, None], [[True, False]]],
+                         ids=["strings", "null", "bools"])
+def test_prediction_feature_must_hold_numbers(tmp_path, capsys, feature):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["feature"] = feature
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(preds) in err and "feature must hold numbers" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("recipe", [
+    {"seed": 3, "n_objects": 3, "n_stages": 3, "n_classes": 1, "points_per_object": [-1, 14],
+     "ambiguous_groups": [[0, 1]], "changes": [{"0": {"kind": "swap", "group_id": 0}}, {}]},
+    {"seed": 1, "n_objects": 3, "points_per_object": [-5, -3]},
+    {"seed": 1, "n_objects": 3, "points_per_object": [0, 3]},
+    {"seed": 1, "n_objects": 3, "points_per_object": [5, 3]},
+], ids=["low-negative", "both-negative", "low-zero", "low-above-high"])
+def test_generate_points_per_object_outside_its_range_exits_74(tmp_path, capsys, recipe):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    out = tmp_path / "scene"
+    code = main(["generate", "--recipe", str(recipe_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert "points_per_object must hold 1 <= low <= high" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_serialize_subcommand(tmp_path):

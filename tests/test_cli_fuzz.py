@@ -1,11 +1,12 @@
-"""Mutation fuzzing of the JSON readers through ``cli.main``.
+"""Mutation fuzzing of the JSON and PLY readers through ``cli.main``.
 
 One node of a valid synth-written manifest or prediction file, a scene
 recipe, or a ``losses`` payload of each op is replaced by a value from a
-fixed pool of wrong types and edge values. Whatever the node, ``main``
-returns a documented exit code (0, 2 for a validation failure, 74 for a
-format error) and raises nothing, and a run that exits 0 writes only
-standard JSON (no NaN or Infinity).
+fixed pool of wrong types and edge values; likewise one header line of a
+stage PLY is replaced by a line from a pool of header lines, or deleted.
+Whatever the mutation, ``main`` returns a documented exit code (0, 2 for a
+validation failure, 74 for a format error) and raises nothing, and a run
+that exits 0 writes only standard JSON (no NaN or Infinity).
 """
 
 import contextlib
@@ -23,6 +24,13 @@ from scanseq.formats import write_manifest, write_predictions
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
 POOL = (None, True, -1, 2 ** 63, 1.5, float("inf"), "x", "00", [], {})
+
+HEADER_POOL = (None, "", "comment x", "ply", "end_header", "format ascii 1.0",
+               "format binary_big_endian 1.0", "format x 1.0", "element vertex -1",
+               "element vertex x", "element vertex 1", f"element vertex {10 ** 12}",
+               "element face 0", "property float x", "property double x",
+               "property list uchar int x", "property quad x", "property int",
+               "property float instance", "property uchar instance")
 
 PAYLOADS = {
     "fourier": {"coords": [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]],
@@ -81,6 +89,8 @@ def files(tmp_path_factory):
     write_predictions(preds, perturb(seq, gt, PerturbationSpec(target_iou=0.8,
                                                                iou_tolerance=0.1)),
                       seq.sequence_id)
+    # a second copy of the scene, whose first stage PLY the header fuzz rewrites
+    write_manifest(root / "ply-scene", seq, gt)
     sources = {"manifest": manifest, "preds": preds, "recipe": root / "recipe.json"}
     sources["recipe"].write_text(json.dumps(RECIPE))
     for op, payload in PAYLOADS.items():
@@ -124,7 +134,34 @@ def test_one_replaced_node_exits_with_a_documented_code(files, target, data):
         code = main(_argv(target, mutated, out, sources))
     assert code in (0, 2, 74)
     if code == 0:
-        written = sorted(out.glob("*.json")) if out.is_dir() else [out]
-        assert written and all(p.exists() for p in written)
-        for p in written:
-            json.loads(p.read_text(), parse_constant=_refuse)
+        _check_written(out)
+
+
+def _check_written(out):
+    written = sorted(out.glob("*.json")) if out.is_dir() else [out]
+    assert written and all(p.exists() for p in written)
+    for p in written:
+        json.loads(p.read_text(), parse_constant=_refuse)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_replaced_ply_header_line_exits_with_a_documented_code(files, data):
+    root, sources = files
+    ply = root / "ply-scene" / "stage_000.ply"
+    pristine = (root / "scene" / "stage_000.ply").read_bytes()
+    end = pristine.index(b"end_header\n") + len(b"end_header\n")
+    lines = pristine[:end].decode("ascii").splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = data.draw(st.sampled_from(HEADER_POOL), label="replacement")
+    lines[at:at + 1] = [] if line is None else [line]
+    ply.write_bytes("".join(f"{l}\n" for l in lines).encode("ascii") + pristine[end:])
+    out = root / "out"
+    out.unlink(missing_ok=True)
+    argv = ["evaluate", "--gt", str(root / "ply-scene" / "manifest.json"),
+            "--pred", str(sources["preds"]), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 74)
+    if code == 0:
+        _check_written(out)

@@ -135,6 +135,18 @@ def test_ply_keeps_int32_extremes(tmp_path):
     assert instances.tolist() == [info.max, info.min]
 
 
+@pytest.mark.parametrize("instances,error,match", [
+    ([0, 1], ValueError, "instances length must equal point count"),
+    ([0, 1, 2 ** 31], ValueError, "instance id 2147483648 does not fit"),
+    ([0, 1.5, 2], TypeError, "instances must hold integers"),
+], ids=["short", "beyond-int32", "float"])
+def test_ply_rejects_bad_instances_on_write(tmp_path, instances, error, match):
+    path = tmp_path / "a.ply"
+    with pytest.raises(error, match=match):
+        write_ply(path, StageCloud(positions=np.zeros((3, 3))), instances=instances)
+    assert not path.exists()
+
+
 def test_ascii_ply_round_trips_values(tmp_path):
     cloud = StageCloud(positions=np.array([[0.125, -3.5, 7.0]]),
                        colors=np.array([[1.0, 0.0, 0.5019607843137255]]))

@@ -123,6 +123,36 @@ def test_ids_and_numbers_are_not_coerced(build, error, field):
         build()
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: InstanceMask(0, 1, {0: [0.5, 2.7]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: [3.0, 1.0]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: ["3", "1"]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: [True, False]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: [0, None]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: [2 ** 64]}), "point indices"),
+    (lambda: InstanceMask(0, 1, {0: np.array([1, 2], dtype=np.uint64)}), "point indices"),
+    (lambda: StageCloud(positions=[["1", 0, 2]]), "positions"),
+    (lambda: StageCloud(positions=[[True, False, True]]), "positions"),
+    (lambda: StageCloud(np.zeros((2, 3)), colors=[[0, 0, 0], [None, 0, 0]]), "colors"),
+    (lambda: StageCloud(np.zeros((2, 3)), segment_ids=[0.0, 1.5]), "segment_ids"),
+], ids=["float-index", "integral-float-index", "string-index", "bool-index",
+        "none-index", "index-2**64", "uint64-index", "string-position",
+        "bool-position", "none-color", "float-segment"])
+def test_model_arrays_refuse_a_lossy_cast(build, field):
+    # np.asarray(..., dtype=np.int64) would have read [0.5, 2.7] as [0, 2]
+    with pytest.raises(TypeError, match=field):
+        build()
+
+
+def test_model_arrays_take_every_lossless_cast():
+    m = InstanceMask(0, 1, {0: np.array([3, 1], dtype=np.uint32), 1: [], 2: np.empty(0)})
+    cloud = StageCloud(positions=[[1, 2, 3]], colors=np.ones((1, 3), np.float32),
+                       segment_ids=np.array([7], dtype=np.int8))
+    assert m.per_stage_points[0].dtype == np.int64 and m.stages == (0,)
+    assert cloud.positions.dtype == cloud.colors.dtype == np.float64
+    assert cloud.segment_ids.dtype == np.int64 and cloud.segment_ids.tolist() == [7]
+
+
 def test_integral_and_real_numbers_are_taken_as_python_numbers():
     m = InstanceMask(np.int64(3), np.int32(1), {np.int64(0): [0]}, confidence=1)
     group = AmbiguousGroup(np.uint8(2), (np.int64(5), 4))
@@ -179,11 +209,13 @@ def test_read_only_arrays_are_taken_without_a_copy(tmp_path):
 def test_mask_indices_in_order_are_not_sorted_again():
     ordered = np.array([1, 4, 4, 9])  # duplicates are kept for the validator
     ordered.flags.writeable = False
-    m = InstanceMask(0, 1, {0: ordered, 1: np.array([2, 2, 3]), 2: [[7, 3], [3, 1]]})
+    m = InstanceMask(0, 1, {0: ordered, 1: np.array([2, 2, 3]), 2: [7, 3, 3, 1]})
     assert np.shares_memory(m.per_stage_points[0], ordered)  # taken, not copied
     assert m.per_stage_points[1].tolist() == [2, 2, 3]
     assert m.per_stage_points[2].tolist() == [1, 3, 3, 7]
     assert not any(a.flags.writeable for a in m.per_stage_points.values())
+    with pytest.raises(ValueError, match="stage 2 point indices are not flat"):
+        InstanceMask(0, 1, {2: [[7, 3], [3, 1]]})  # was flattened
 
 
 def test_masks_take_grouped_and_decoded_indices_without_a_copy():
