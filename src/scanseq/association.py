@@ -16,10 +16,10 @@ from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import nearest_neighbor_labels
 from .model import InstanceMask, StageCloud, _array, _points_by_label
+from .numerics import _cosine, solve_assignment
 
 
 def _stage_of(masks: Sequence[InstanceMask]) -> int:
@@ -32,14 +32,6 @@ def _stage_of(masks: Sequence[InstanceMask]) -> int:
     if not stages:
         raise ValueError("association input has no masks")
     return stages.pop()
-
-
-def _cosine_matrix(a_feats: np.ndarray, b_feats: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a_feats, axis=1)
-    nb = np.linalg.norm(b_feats, axis=1)
-    if np.any(na == 0) or np.any(nb == 0):
-        raise ValueError("zero-norm instance feature")
-    return (a_feats @ b_feats.T) / np.outer(na, nb)
 
 
 def _feature_rows(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
@@ -73,10 +65,9 @@ def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
         b_idx = [i for i, m in enumerate(b) if m.class_id == class_id]
         pairs: dict[int, int] = {}
         if a_idx and b_idx:
-            sims = _cosine_matrix(_feature_rows(a, a_features, a_idx),
-                                  _feature_rows(b, b_features, b_idx))
-            rows, cols = linear_sum_assignment(-sims)
-            for r, c in zip(rows, cols):
+            sims = _cosine(_feature_rows(a, a_features, a_idx),
+                           _feature_rows(b, b_features, b_idx))
+            for r, c in solve_assignment(-sims)[0]:
                 if sims[r, c] >= similarity_floor:
                     pairs[a_idx[r]] = b_idx[c]
         for i in a_idx:

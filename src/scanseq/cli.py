@@ -16,22 +16,22 @@ does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
 both files; so is a scene or ``losses`` output too large to allocate, a scene
 with an integer numpy cannot hold, and an output holding a NaN or infinity,
-which is not written), 64 usage error (including a threshold outside [0, 1),
-a negative --seed, --threads below 1, --bits outside [1, 64 // dims] and a
---resolution that is not a positive finite number), 74 I/O or file-format
-failure (including JSON of the wrong shape or type or nested too deeply, a
-bool or string where a number belongs, an array element an exact cast would
-change (a string or null among numbers, a float among integers) in a mask, a
-feature or a ``losses`` payload, an RLE run that ends past its stage, a
-label file that is not one integer per line, a non-string sequence_id, an
-integer-named JSON key not spelled as ``str(int(key))``, a recipe that
-``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a non-finite
-number too) and a ``losses`` payload with a missing or wrongly typed field or
-an integer numpy cannot hold).
+which is not written), 64 usage error (including a threshold outside [0, 1), a
+negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
+a positive finite number), 74 I/O or file-format failure (including JSON of
+the wrong shape or type or nested too deeply, a malformed PLY, named in the
+message, a bool or string where a number belongs, an array element an exact
+cast would change (a string or null among numbers, a float among integers) in
+a mask, a feature or a ``losses`` payload, an RLE run that ends past its
+stage, a label file that is not one integer per line, a non-string
+sequence_id, an integer-named JSON key not spelled as ``str(int(key))``, a
+recipe that ``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a
+non-finite number too) and a ``losses`` payload with a missing or wrongly
+typed field or an integer numpy cannot hold).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
-another; --threads is accepted for compatibility and has no effect. Every
-JSON output is compact canonical JSON; ``serialize`` writes the voxel order,
-not the voxel keys, which the manifest and --resolution determine.
+another. Every JSON output is compact canonical JSON; ``serialize`` writes
+the voxel order, not the voxel keys, which the manifest and --resolution
+determine.
 """
 
 from __future__ import annotations
@@ -85,6 +85,28 @@ def _positive_finite_float(text: str) -> float:
     return value
 
 
+def _parse_thresholds(text: str) -> tuple[float, ...]:
+    values: set[float] = set()
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if token == "sweep":
+            values.update(metrics.SWEEP_THRESHOLDS)
+        else:
+            try:
+                value = float(token)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"threshold {token!r} is not a number") from None
+            if not 0.0 <= value < 1.0:  # also rejects nan
+                raise argparse.ArgumentTypeError(f"threshold {token!r} is not in [0, 1)")
+            values.add(value)
+    if not values:
+        raise argparse.ArgumentTypeError("no thresholds given")
+    return tuple(sorted(values))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scanseq",
                      description="Temporal instance segmentation tooling")
@@ -95,16 +117,13 @@ def _build_parser() -> _Parser:
                         help="sequence manifest JSON (repeatable)")
     p_eval.add_argument("--pred", action="append", required=True,
                         help="prediction file JSON (pairs with --gt)")
-    p_eval.add_argument("--thresholds", default="sweep,0.5,0.25",
+    p_eval.add_argument("--thresholds", type=_parse_thresholds, default="sweep,0.5,0.25",
                         help="comma-separated IoU thresholds; the word 'sweep' "
                              "expands to 0.50:0.95 step 0.05")
     p_eval.add_argument("--per-change-type", action="store_true",
                         help="include per-change-type recall in the report")
     p_eval.add_argument("--seed", type=_int_from(0), default=0,
                         help="seed for ambiguous-group disambiguation")
-    p_eval.add_argument("--threads", type=_int_from(1), default=1,
-                        help="accepted for compatibility; sequences are "
-                             "evaluated one after another")
     p_eval.add_argument("--out", required=True)
 
     p_assoc = sub.add_parser("associate", help="lift per-stage predictions to 4D")
@@ -134,24 +153,6 @@ def _build_parser() -> _Parser:
     p_loss.add_argument("--in", dest="input", required=True)
     p_loss.add_argument("--out", required=True)
     return parser
-
-
-def _parse_thresholds(text: str) -> tuple[float, ...]:
-    values: set[float] = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "sweep":
-            values.update(metrics.SWEEP_THRESHOLDS)
-        else:
-            value = float(token)
-            if not 0.0 <= value < 1.0:  # also rejects nan
-                raise ValueError(f"threshold {token!r} is not in [0, 1)")
-            values.add(value)
-    if not values:
-        raise ValueError("no thresholds given")
-    return tuple(sorted(values))
 
 
 def _read_checked_predictions(path, seq, gt):
@@ -206,13 +207,8 @@ def _cmd_evaluate(args) -> int:
     if len(args.gt) != len(args.pred):
         print("error: --gt and --pred must be paired", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        taus = _parse_thresholds(args.thresholds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     pairs = list(zip(args.gt, args.pred))
-    outcomes = [_evaluate_one(g, p, taus, args.seed) for g, p in pairs]
+    outcomes = [_evaluate_one(g, p, args.thresholds, args.seed) for g, p in pairs]
 
     failed = [_print_violations(gt_path, violations)
               for (gt_path, _), (_, violations) in zip(pairs, outcomes)]
@@ -327,10 +323,10 @@ def _loss_payload(op: str, data: dict) -> dict:
             "total_cost": result.total_cost,
         }
     if op == "fourier":
-        return {"features": numerics.fourier_features_4d(
-            data["coords"], d_out=_number(data["d_out"], "d_out", int),
-            seed=_number(data["seed"], "seed", int),
-            scale=_number(data.get("scale", 1.0), "scale"))}
+        matrix = numerics.gaussian_projection_matrix(
+            _number(data["d_out"], "d_out", int), _number(data["seed"], "seed", int),
+            _number(data.get("scale", 1.0), "scale"))
+        return {"features": numerics.fourier_features_4d(data["coords"], matrix)}
     stack = numerics.MaskHierarchyStack(  # pool
         levels=((data["coords"], data["mask"]),))
     return {"mask": numerics.st_pool_masks(stack, 0)}

@@ -223,12 +223,10 @@ def nearest_neighbor_labels(source: StageCloud, source_labels,
     if labels.shape[0] != source.point_count:
         raise ValueError("source_labels length must equal source point count")
     tree = cKDTree(source.positions)
-    k = min(2, source.point_count)
-    dist, idx = tree.query(query.positions, k=k)
-    if k == 1:
-        return labels[np.atleast_1d(idx)]
+    dist, idx = tree.query(query.positions, k=2)
     nearest = idx[:, 0].copy()
-    # k=2 exposes exact ties; resolve those few over a slightly inflated ball
+    # k=2 exposes exact ties (a one-point source has an infinite second
+    # distance, so none); resolve those few over a slightly inflated ball
     # with one consistent distance expression, lowest index winning
     tied = dist[:, 0] == dist[:, 1]
     for q in np.nonzero(tied)[0]:

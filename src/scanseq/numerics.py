@@ -10,7 +10,6 @@ positional features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -55,18 +54,25 @@ class RelationMatrix:
 
 
 def relation_from_instance_ids(instance_ids) -> RelationMatrix:
-    ids = np.asarray(instance_ids)
+    ids = _array(instance_ids, np.int64, "instance_ids")
+    if ids.ndim != 1:
+        raise TypeError(f"instance_ids must be a flat list, not of shape {ids.shape}")
     return RelationMatrix(ids[:, None] == ids[None, :])
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities of the rows of ``a`` and ``b``."""
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    if np.any(na == 0) or np.any(nb == 0):
+        raise ValueError("zero-norm feature")
+    return (a @ b.T) / np.outer(na, nb)
 
 
 def log_odds_similarity(features: np.ndarray) -> np.ndarray:
     """Pairwise 2*atanh(cosine) similarities; raises on zero-norm rows."""
     feats = _array(features, np.float64, "features")
-    norms = np.linalg.norm(feats, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("zero-norm feature")
-    cos = (feats @ feats.T) / np.outer(norms, norms)
-    cos = np.clip(cos, -1.0 + COSINE_CLAMP_EPS, 1.0 - COSINE_CLAMP_EPS)
+    cos = np.clip(_cosine(feats, feats), -1.0 + COSINE_CLAMP_EPS, 1.0 - COSINE_CLAMP_EPS)
     return 2.0 * np.arctanh(cos)
 
 
@@ -153,13 +159,13 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
     ce = -log_probs[:, classes]
 
     cost = cfg.lambda_dice * dice + cfg.lambda_bce * bce + cfg.lambda_cls * ce
-    rows, cols = linear_sum_assignment(cost)
-    matches = tuple(zip(rows.tolist(), cols.tolist()))
-    matched_preds = set(rows.tolist())
+    matches, matched_cost = solve_assignment(cost)
+    matched_preds = {i for i, _ in matches}
+    matched_gt = {j for _, j in matches}
     unmatched_preds = tuple(i for i in range(n_pred) if i not in matched_preds)
-    unmatched_gt = tuple(j for j in range(n_gt) if j not in set(cols.tolist()))
+    unmatched_gt = tuple(j for j in range(n_gt) if j not in matched_gt)
     no_object = -log_probs[:, -1]
-    total = float(cost[rows, cols].sum()
+    total = float(matched_cost
                   + cfg.lambda_no_object * sum(no_object[i] for i in unmatched_preds))
     return AssignmentResult(cost_matrix=_hand_over(cost), matches=matches,
                             unmatched_predictions=unmatched_preds,
@@ -230,22 +236,16 @@ def gaussian_projection_matrix(d_out: int, seed: int, scale: float = 1.0) -> np.
     return rng.normal(0.0, scale, size=(d_out // 2, 4))
 
 
-def fourier_features_4d(coords, gaussian_matrix: Optional[np.ndarray] = None, *,
-                        d_out: Optional[int] = None, seed: Optional[int] = None,
-                        scale: float = 1.0) -> np.ndarray:
+def fourier_features_4d(coords, gaussian_matrix) -> np.ndarray:
     """[sin(2*pi*G*c); cos(2*pi*G*c)] positional features for (x, y, z, t).
 
-    Coordinates are expected normalized to [0, 1]^4 per hierarchy level. Pass
-    an explicit ``gaussian_matrix`` (D/2 x 4) to share one projection across
-    levels and stages, or ``d_out``/``seed`` to draw it here.
+    Coordinates are expected normalized to [0, 1]^4 per hierarchy level.
+    ``gaussian_matrix`` (D/2 x 4, as :func:`gaussian_projection_matrix` draws
+    it) is shared across levels and stages.
     """
     pts = np.atleast_2d(_array(coords, np.float64, "coords"))
     if pts.shape[1] != 4:
         raise ValueError("coords must have shape (N, 4)")
-    if gaussian_matrix is None:
-        if d_out is None or seed is None:
-            raise ValueError("provide gaussian_matrix or both d_out and seed")
-        gaussian_matrix = gaussian_projection_matrix(d_out, seed, scale)
     g = _array(gaussian_matrix, np.float64, "gaussian_matrix")
     if g.ndim != 2 or g.shape[1] != 4:
         raise ValueError("gaussian_matrix must have shape (D/2, 4)")

@@ -40,8 +40,6 @@ _PROPERTY_DTYPES = {
     "double": "f8", "float64": "f8",
 }
 
-_SEGMENT_TYPES = ("i1", "u1", "i2", "u2", "i4", "u4")
-
 
 @dataclass
 class _Header:
@@ -113,6 +111,12 @@ def _parse_header(raw: bytes) -> _Header:
                    properties=properties, data_offset=newline + 1)
 
 
+def _integer_column(table: np.ndarray, name: str) -> np.ndarray:
+    if table.dtype[name].kind not in "iu":
+        raise PlyFormatError(f"the {name} property must have an integer type")
+    return table[name].astype(np.int64)
+
+
 def read_ply(path, with_instances: bool = False):
     """Read a PLY point cloud into a stage.
 
@@ -122,10 +126,18 @@ def read_ply(path, with_instances: bool = False):
     instances)``: the integer ``instance`` column as int64, or None when the
     file has no such property. Both encodings read into one table of the
     header's property types, so an ascii ``float`` is float32 as a binary one
-    is; an ascii value its type cannot hold is a PlyFormatError.
+    is; an ascii value its type cannot hold is a PlyFormatError. Every
+    PlyError names ``path``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    try:
+        return _decode(raw, with_instances)
+    except PlyError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _decode(raw: bytes, with_instances: bool):
     header = _parse_header(raw)
     names = [name for name, _ in header.properties]
     for coord in ("x", "y", "z"):
@@ -171,9 +183,7 @@ def read_ply(path, with_instances: bool = False):
         colors = structured_to_unstructured(table[["red", "green", "blue"]],
                                             np.float64, copy=True)
         colors /= 255.0
-    segments = None
-    if "segment" in names:
-        segments = table["segment"].astype(np.int64)
+    segments = _integer_column(table, "segment") if "segment" in names else None
     # every array is new and read_ply keeps none, so StageCloud need not copy
     cloud = StageCloud(positions=_hand_over(positions),
                        colors=None if colors is None else _hand_over(colors),
@@ -182,9 +192,7 @@ def read_ply(path, with_instances: bool = False):
         return cloud
     if "instance" not in names:
         return cloud, None
-    if dict(header.properties)["instance"][0] not in "iu":
-        raise PlyFormatError("the instance property must have an integer type")
-    return cloud, table["instance"].astype(np.int64)
+    return cloud, _integer_column(table, "instance")
 
 
 def write_ply(path, cloud: StageCloud, binary: bool = True,

@@ -22,8 +22,8 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud, _hand_over, _int_key,
-                    _number)
+                    InstanceMask, SequencePointCloud, StageCloud, _EMPTY_INDEX,
+                    _hand_over, _int_key, _number)
 
 
 class SceneGenerationError(RuntimeError):
@@ -398,7 +398,8 @@ def perturb(seq: SequencePointCloud, gt: GroundTruthAnnotation,
             for ca, cb in zip(comps[0::2], comps[1::2]):
                 stages = sorted(set(ca) | set(cb))
                 if policy == IdentityPolicy.MERGED:
-                    emit(class_id, {t: np.union1d(ca.get(t, _EMPTY), cb.get(t, _EMPTY))
+                    emit(class_id, {t: np.union1d(ca.get(t, _EMPTY_INDEX),
+                                                  cb.get(t, _EMPTY_INDEX))
                                     for t in stages})
                     continue
                 for even, odd in ((ca, cb), (cb, ca)):  # exchanged at odd stages
@@ -407,6 +408,3 @@ def perturb(seq: SequencePointCloud, gt: GroundTruthAnnotation,
             if len(comps) % 2:
                 emit(class_id, comps[-1])
     return preds
-
-
-_EMPTY = np.empty(0, dtype=np.int64)

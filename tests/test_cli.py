@@ -91,8 +91,7 @@ def test_evaluate_multiple_sequences_merges_reports(tmp_path):
     m2, p2 = _write_scene(tmp_path / "b", sequence_id="seq-b")
     out = tmp_path / "merged.json"
     code = main(["evaluate", "--gt", str(m1), "--pred", str(p1),
-                 "--gt", str(m2), "--pred", str(p2),
-                 "--threads", "2", "--out", str(out)])
+                 "--gt", str(m2), "--pred", str(p2), "--out", str(out)])
     assert code == 0
     merged = json.loads(out.read_text())
     assert [r["sequence_id"] for r in merged["reports"]] == ["seq-a", "seq-b"]
@@ -131,12 +130,12 @@ def test_evaluate_threshold_outside_unit_interval_exits_64(tmp_path, capsys, thr
     assert "not in [0, 1)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_evaluate_threads_below_one_exits_64(tmp_path, capsys, threads):
+def test_evaluate_threads_is_an_unrecognized_argument(tmp_path, capsys):
     manifest, preds = _write_scene(tmp_path)
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
-                 "--threads", threads, "--out", str(tmp_path / "r.json")])
+                 "--threads", "2", "--out", str(tmp_path / "r.json")])
     assert code == 64
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_evaluate_duplicate_prediction_ids_exits_2(tmp_path, capsys):
@@ -232,6 +231,44 @@ def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
     err = capsys.readouterr().err
     assert code == 74
     assert str(path) in err and "Traceback" not in err
+
+
+def _json_edit(change):
+    def edit(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+    return edit
+
+
+@pytest.mark.parametrize("legacy,target,edit,extra,code,message", [
+    (False, None, None, ["--pred", "other.json"], 64, "--gt and --pred must be paired"),
+    (False, None, None, ["--thresholds", ","], 64, "no thresholds given"),
+    (False, None, None, ["--thresholds", "0.5,abc"], 64, "threshold 'abc' is not a number"),
+    (False, "manifest", lambda text: text[:-2], [], 74, "not valid JSON"),
+    (False, "manifest", _json_edit(lambda d: d.update(kind="predictions")), [], 74,
+     "not a sequence manifest"),
+    (False, "preds", _json_edit(lambda d: d.update(kind="sequence_manifest")), [], 74,
+     "not a prediction file"),
+    (False, "manifest", _json_edit(lambda d: d["stages"][-1].update(stage_index=7)), [], 74,
+     "stage indices must be contiguous from 0"),
+    (True, "manifest", _json_edit(lambda d: d["stages"][0].update(instance_file="absent.txt")),
+     [], 74, "missing instance file absent.txt"),
+    (True, "manifest", _json_edit(lambda d: d["stages"][0].update(instance_file=7)), [], 74,
+     "instance_file must be a string"),
+], ids=["unpaired", "no-thresholds", "threshold-word", "manifest-not-json", "manifest-kind",
+        "preds-kind", "stage-gap", "instance-file-missing", "instance-file-int"])
+def test_evaluate_exit_paths(tmp_path, capsys, legacy, target, edit, extra, code, message):
+    manifest, preds = _write_scene(tmp_path, legacy=legacy)
+    paths = {"manifest": manifest, "preds": preds}
+    if target is not None:
+        paths[target].write_text(edit(paths[target].read_text()))
+    assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")] + extra) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    if target is not None:
+        assert str(paths[target]) in err
 
 
 @pytest.mark.parametrize("edit", [
@@ -504,7 +541,7 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert code == 74
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err and "Traceback" not in err
+    assert "stage_000.ply" in err and message in err and "Traceback" not in err
 
 
 _COST = {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0, 0]],
@@ -632,9 +669,13 @@ _CONTRASTIVE = {"features": [[1, 0], [0.9, 0.1], [0, 1]], "instance_ids": [1, 1,
     ("contrastive", {"features": [[1, None], [0, 1]], "instance_ids": [1, 1]}, "features"),
     ("fourier", {**_FOURIER, "coords": [[0, 0, 0, None]]}, "coords"),
     ("pool", {**_POOL, "mask": [1, 0, 0]}, "mask"),
+    ("contrastive", {**_CONTRASTIVE, "instance_ids": [1.5, 1.5, 2]}, "instance_ids"),
+    ("contrastive", {**_CONTRASTIVE, "instance_ids": ["a", "a", "b"]}, "instance_ids"),
+    ("contrastive", {**_CONTRASTIVE, "instance_ids": [True, True, False]}, "instance_ids"),
 ], ids=["cost-class-float", "cost-class-string", "pool-coord-float", "pool-coord-2**63",
         "fourier-coord-string", "contrastive-feature-00", "contrastive-feature-x",
-        "contrastive-null", "fourier-null", "pool-mask-int"])
+        "contrastive-null", "fourier-null", "pool-mask-int", "contrastive-ids-float",
+        "contrastive-ids-string", "contrastive-ids-bool"])
 def test_losses_array_a_cast_would_change_exits_74(tmp_path, capsys, op, payload, field):
     # each was read as a number before: 1.5 -> 1, "00" -> 0, null -> nan
     inp = tmp_path / "in.json"

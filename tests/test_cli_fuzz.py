@@ -3,16 +3,19 @@
 One node of a valid synth-written manifest or prediction file, a scene
 recipe, or a ``losses`` payload of each op is replaced by a value from a
 fixed pool of wrong types and edge values; likewise one header line of a
-stage PLY is replaced by a line from a pool of header lines, or deleted.
-Whatever the mutation, ``main`` returns a documented exit code (0, 2 for a
-validation failure, 74 for a format error) and raises nothing, and a run
-that exits 0 writes only standard JSON (no NaN or Infinity).
+stage PLY is replaced by a line from a pool of header lines, or deleted, and
+a stage PLY body is truncated, has bytes overwritten (binary) or one token
+replaced (ascii). Whatever the mutation, ``main`` returns a documented exit
+code (0, 2 for a validation failure, 74 for a format error) and raises
+nothing, and a run that exits 0 writes only standard JSON (no NaN or
+Infinity).
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from scanseq.cli import main
 from scanseq.formats import write_manifest, write_predictions
+from scanseq.ply import read_ply, write_ply
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
 POOL = (None, True, -1, 2 ** 63, 1.5, float("inf"), "x", "00", [], {})
@@ -31,6 +35,9 @@ HEADER_POOL = (None, "", "comment x", "ply", "end_header", "format ascii 1.0",
                "element face 0", "property float x", "property double x",
                "property list uchar int x", "property quad x", "property int",
                "property float instance", "property uchar instance")
+
+BODY_TOKENS = (b"", b"x", b"nan", b"inf", b"-1", b"1.5", b"1e39", b"-0", b"2147483648",
+               b"0x1")
 
 PAYLOADS = {
     "fourier": {"coords": [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]],
@@ -91,6 +98,11 @@ def files(tmp_path_factory):
                       seq.sequence_id)
     # a second copy of the scene, whose first stage PLY the header fuzz rewrites
     write_manifest(root / "ply-scene", seq, gt)
+    # and one whose first stage PLY the body fuzz rewrites, from the binary
+    # original or from this ascii copy of it
+    write_manifest(root / "body-scene", seq, gt)
+    cloud, instances = read_ply(root / "scene" / "stage_000.ply", with_instances=True)
+    write_ply(root / "stage_000-ascii.ply", cloud, binary=False, instances=instances)
     sources = {"manifest": manifest, "preds": preds, "recipe": root / "recipe.json"}
     sources["recipe"].write_text(json.dumps(RECIPE))
     for op, payload in PAYLOADS.items():
@@ -163,5 +175,38 @@ def test_one_replaced_ply_header_line_exits_with_a_documented_code(files, data):
     with contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 74)
+    if code == 0:
+        _check_written(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_mutated_ply_body_exits_with_a_documented_code(files, data):
+    root, sources = files
+    binary = data.draw(st.booleans(), label="binary")
+    pristine = (root / "scene" / "stage_000.ply" if binary
+                else root / "stage_000-ascii.ply").read_bytes()
+    start = pristine.index(b"end_header\n") + len(b"end_header\n")
+    body = pristine[start:]
+    if data.draw(st.booleans(), label="truncate"):
+        body = body[:data.draw(st.integers(0, len(body) - 1), label="length")]
+    elif binary:
+        at = data.draw(st.integers(0, len(body) - 1), label="offset")
+        new = data.draw(st.binary(min_size=1, max_size=8), label="bytes")[:len(body) - at]
+        body = body[:at] + new + body[at + len(new):]
+    else:
+        tokens = [m.span() for m in re.finditer(rb"\S+", body)]
+        begin, end = tokens[data.draw(st.integers(0, len(tokens) - 1), label="token")]
+        value = data.draw(st.sampled_from(BODY_TOKENS), label="value")
+        body = body[:begin] + value + body[end:]
+    (root / "body-scene" / "stage_000.ply").write_bytes(pristine[:start] + body)
+    out = root / "out"
+    out.unlink(missing_ok=True)
+    argv = ["evaluate", "--gt", str(root / "body-scene" / "manifest.json"),
+            "--pred", str(sources["preds"]), "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 64, 74) and "Traceback" not in err.getvalue()
     if code == 0:
         _check_written(out)

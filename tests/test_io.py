@@ -96,6 +96,37 @@ def test_ply_instance_property_must_be_integral(tmp_path):
             read_ply(path)
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+def test_ply_segment_property_must_be_integral(tmp_path, fmt):
+    # a float segment column was truncated: 1.5 and 2.7 read back as 1 and 2
+    path = tmp_path / "seg.ply"
+    header = "\n".join([
+        "ply", f"format {fmt} 1.0", "element vertex 2",
+        "property float x", "property float y", "property float z",
+        "property float segment", "end_header", ""]).encode()
+    values = np.array([[0, 0, 0, 1.5], [1, 1, 1, 2.7]], dtype="<f4")
+    body = b"0 0 0 1.5\n1 1 1 2.7\n" if fmt == "ascii" else values.tobytes()
+    path.write_bytes(header + body)
+    with pytest.raises(PlyFormatError, match="segment property must have an integer type"):
+        read_ply(path)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+@pytest.mark.parametrize("properties,error,message", [
+    (("x", "y"), PlyMissingPropertyError, "missing coordinate property 'z'"),
+    (("x", "y", "z"), PlyFormatError, "body shorter than vertex count"),
+], ids=["missing-z", "short-body"])
+def test_ply_errors_name_their_file(tmp_path, fmt, properties, error, message):
+    path = tmp_path / "stage.ply"
+    path.write_bytes("\n".join(
+        ["ply", f"format {fmt} 1.0", "element vertex 2"]
+        + [f"property float {name}" for name in properties] + ["end_header", ""]).encode())
+    with pytest.raises(error) as info:
+        read_ply(path)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+
 def test_ply_malformed_header(tmp_path):
     path = tmp_path / "junk.ply"
     path.write_bytes(b"not a ply at all")

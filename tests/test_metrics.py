@@ -591,3 +591,13 @@ def test_evaluate_per_change_recall_grouping():
     report = _evaluate_case(gts, preds, labels=labels)
     assert report.per_change_recall[ChangeType.STATIC] == 1.0
     assert report.per_change_recall[ChangeType.RIGID] == 0.0
+
+
+def test_evaluate_mixed_label_trajectory_is_ambiguous():
+    # each prediction stays at one position, so its trajectory takes member
+    # 0 at one stage and member 1 at the other, and their labels differ
+    from scanseq.model import ChangeType
+    gts, preds = case_identity_swap()
+    report = _evaluate_case(gts, preds, labels={0: "rigid", 1: "static"}, groups=[(0, 1)])
+    recall = {k: v for k, v in report.per_change_recall.items() if v is not None}
+    assert recall == {ChangeType.AMBIGUOUS: 1.0}
