@@ -130,12 +130,14 @@ def test_evaluate_threshold_outside_unit_interval_exits_64(tmp_path, capsys, thr
     assert "not in [0, 1)" in capsys.readouterr().err
 
 
-def test_evaluate_threads_is_an_unrecognized_argument(tmp_path, capsys):
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_evaluate_threads_below_one_exits_64(tmp_path, capsys, threads):
+    # --threads is no longer an option: every value, these included, is refused.
     manifest, preds = _write_scene(tmp_path)
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
-                 "--threads", "2", "--out", str(tmp_path / "r.json")])
+                 "--threads", threads, "--out", str(tmp_path / "r.json")])
     assert code == 64
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err
 
 
 def test_evaluate_duplicate_prediction_ids_exits_2(tmp_path, capsys):
