@@ -14,9 +14,10 @@ Exit codes: 0 success, 2 validation failure (violations on stderr, each after
 its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
-both files; so is a scene or ``losses`` output too large to allocate, a scene
-with an integer numpy cannot hold, and an output holding a NaN or infinity,
-which is not written), 64 usage error (including a threshold outside [0, 1), a
+both files; so is a manifest with no stage or a stage PLY with no points, a
+scene or ``losses`` output too large to allocate, a scene with an integer
+numpy cannot hold, and an output holding a NaN or infinity, which is not
+written), 64 usage error (including a threshold outside [0, 1), a
 negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
 a positive finite number), 74 I/O or file-format failure (including JSON of
 the wrong shape or type or nested too deeply, a malformed PLY, named in the
@@ -75,6 +76,7 @@ def _int_from(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
+    parse.__name__ = "integer"  # argparse names a type by it: "invalid integer value"
     return parse
 
 
@@ -83,6 +85,9 @@ def _positive_finite_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
+
+
+_positive_finite_float.__name__ = "positive number"
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -196,7 +201,7 @@ def _print_violations(path, violations) -> bool:
 
 
 def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
-    seq, gt = formats.read_manifest(gt_path)
+    seq, gt = formats._read_manifest(gt_path, geometry=False)  # scoring reads no geometry
     pred_file, violations = _read_checked_predictions(pred_path, seq, gt)
     if violations:
         return None, violations

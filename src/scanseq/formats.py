@@ -25,8 +25,8 @@ import numpy as np
 
 from .metrics import EvaluationReport
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
-                    StageCloud, _array, _hand_over, _int_key, _is, _points_by_label)
-from .ply import read_ply, write_ply
+                    _StageSizes, _array, _hand_over, _int_key, _is, _points_by_label)
+from .ply import _read_labels, read_ply, write_ply
 
 SCHEMA_VERSION = 1
 
@@ -240,29 +240,39 @@ def _read_instance_file(path: Path, entry: Mapping, point_count: int) -> np.ndar
 
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Load a manifest; raises :class:`FormatError` on schema problems."""
+    return _read_manifest(path, geometry=True)
+
+
+def _read_manifest(path, geometry: bool):
+    """:func:`read_manifest`. Without ``geometry`` the sequence is a
+    :class:`~scanseq.model._StageSizes`: each stage PLY passes every check of
+    :func:`read_ply`, but only its point count and ``instance`` column are kept."""
     path = Path(path)
     data = load_json(path)
     if data.get("kind") not in (None, "sequence_manifest"):
         raise FormatError(f"{path}: not a sequence manifest")
     _check_schema_version(data, path)
     root = path.parent
-    stages: list[StageCloud] = []
+    stages: list = []  # StageClouds with geometry, else point counts
     per_stage_instances: list[np.ndarray] = []
     entries = sorted(_entries(data, "stages", {"stage_index": int, "point_file": str},
                               path), key=lambda e: e["stage_index"])
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
-        if "instance_file" in entry:
-            cloud = read_ply(root / entry["point_file"])
-            inst_col = _read_instance_file(path, entry, cloud.point_count)
-        else:
+        if geometry:
             cloud, inst_col = read_ply(root / entry["point_file"], with_instances=True)
-            if inst_col is None:
-                raise FormatError(
-                    f"{path}: stage {entry['stage_index']} has no instance_file and "
-                    f"{entry['point_file']} has no instance property")
-        stages.append(cloud)
+            stages.append(cloud)
+            point_count = cloud.point_count
+        else:
+            point_count, inst_col = _read_labels(root / entry["point_file"])
+            stages.append(point_count)
+        if "instance_file" in entry:
+            inst_col = _read_instance_file(path, entry, point_count)
+        elif inst_col is None:
+            raise FormatError(
+                f"{path}: stage {entry['stage_index']} has no instance_file and "
+                f"{entry['point_file']} has no instance property")
         per_stage_instances.append(inst_col)
 
     annotations = _object(data, "annotations", path)
@@ -289,7 +299,13 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
         gt = GroundTruthAnnotation(tuple(masks), groups, change_labels)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return SequencePointCloud(stages=tuple(stages), sequence_id=_sequence_id(data, path)), gt
+    sequence_id = _sequence_id(data, path)
+    try:  # a sequence without stages or with an empty one is invalid, not malformed
+        seq = (SequencePointCloud(stages=tuple(stages), sequence_id=sequence_id)
+               if geometry else _StageSizes(tuple(stages), sequence_id))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return seq, gt
 
 
 # ---------------------------------------------------------------------------

@@ -376,12 +376,11 @@ def resolve_prediction_overlaps(preds: Sequence[InstanceMask],
 
     Contested points go to the higher-confidence mask (ties: lower instance
     id). Output order matches the input; masks may lose stages or end up
-    empty, but are never dropped.
+    empty, but are never dropped. Of ``seq`` it reads only ``stage_sizes()``.
     """
     priority = sorted(range(len(preds)),
                       key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    taken = {t: np.zeros(s.point_count, dtype=bool)
-             for t, s in enumerate(seq.stages)}
+    taken = {t: np.zeros(n, dtype=bool) for t, n in enumerate(seq.stage_sizes())}
     kept: list[Optional[dict[int, np.ndarray]]] = [None] * len(preds)
     for i in priority:
         mask = preds[i]
@@ -441,7 +440,8 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     """Evaluate predictions against ground truth over a threshold set.
 
     Inputs are assumed validated (see :func:`scanseq.model.validate_sequence`).
-    Prediction overlaps within a stage are resolved first: the
+    Of ``seq`` it reads only ``num_stages``, ``stage_sizes()`` and
+    ``sequence_id``, so no stage geometry need be loaded. Prediction overlaps within a stage are resolved first: the
     higher-confidence mask keeps contested points. One stage table then holds
     every (prediction, ground truth) pair, both sorted by instance id, and
     each class reads the rows of its predictions and the columns of its

@@ -169,13 +169,10 @@ class SequencePointCloud:
 
     def __post_init__(self):
         stages = tuple(self.stages)
-        if not stages:
-            raise ValueError("a sequence needs at least one stage")
         for t, stage in enumerate(stages):
             if not isinstance(stage, StageCloud):
                 raise TypeError(f"stage {t} is not a StageCloud")
-            if stage.point_count == 0:
-                raise ValueError(f"stage {t} has no points")
+        _check_stage_sizes([stage.point_count for stage in stages])
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -188,6 +185,34 @@ class SequencePointCloud:
 
     def stage_sizes(self) -> tuple[int, ...]:
         return tuple(s.point_count for s in self.stages)
+
+
+def _check_stage_sizes(sizes: Sequence[int]) -> None:
+    """A sequence's rule on its stages: at least one, none without points."""
+    if not sizes:
+        raise ValueError("a sequence needs at least one stage")
+    for t, n in enumerate(sizes):
+        if n == 0:
+            raise ValueError(f"stage {t} has no points")
+
+
+@dataclass(frozen=True)
+class _StageSizes:
+    """All that scoring reads of a :class:`SequencePointCloud`: its stage
+    count, stage sizes and id, with no geometry; the sizes obey the same rule."""
+
+    sizes: tuple[int, ...]
+    sequence_id: str = ""
+
+    def __post_init__(self):
+        _check_stage_sizes(self.sizes)
+
+    @property
+    def num_stages(self) -> int:
+        return len(self.sizes)
+
+    def stage_sizes(self) -> tuple[int, ...]:
+        return self.sizes
 
 
 @dataclass(frozen=True)
@@ -312,7 +337,7 @@ class ValidationResult:
         return tuple(v.code for v in self.violations)
 
 
-def _check_mask(mask: InstanceMask, seq: SequencePointCloud, origin: str,
+def _check_mask(mask: InstanceMask, sizes: tuple[int, ...], origin: str,
                 out: list[Violation]) -> None:
     if not mask.per_stage_points:
         out.append(Violation(
@@ -320,13 +345,13 @@ def _check_mask(mask: InstanceMask, seq: SequencePointCloud, origin: str,
             f"{origin} instance {mask.instance_id} references no points"))
         return
     for stage, points in mask.per_stage_points.items():
-        if stage < 0 or stage >= seq.num_stages:
+        if stage < 0 or stage >= len(sizes):
             out.append(Violation(
                 "stage_out_of_range",
                 f"{origin} instance {mask.instance_id} references stage {stage} "
-                f"outside 0..{seq.num_stages - 1}"))
+                f"outside 0..{len(sizes) - 1}"))
             continue
-        n = seq.stages[stage].point_count
+        n = sizes[stage]
         if points[0] < 0 or points[-1] >= n:
             out.append(Violation(
                 "point_out_of_range",
@@ -347,13 +372,15 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     violation code: ``stage_out_of_range``, ``point_out_of_range``,
     ``duplicate_point_in_mask``, ``empty_mask``, ``cross_class_ambiguous_group``,
     ``unknown_group_member``, ``ambiguous_group_too_small``,
-    ``member_in_multiple_groups``, ``duplicate_instance_id``.
+    ``member_in_multiple_groups``, ``duplicate_instance_id``. Of ``seq`` it
+    reads only ``stage_sizes()``.
     """
     out: list[Violation] = []
+    sizes = seq.stage_sizes()
     for mask in gt.instances:
-        _check_mask(mask, seq, "ground-truth", out)
+        _check_mask(mask, sizes, "ground-truth", out)
     for mask in preds:
-        _check_mask(mask, seq, "prediction", out)
+        _check_mask(mask, sizes, "prediction", out)
     for instance_id, n in Counter(m.instance_id for m in preds).items():
         if n > 1:
             out.append(Violation(

@@ -10,6 +10,7 @@ Unknown vertex properties are skipped; elements after ``vertex`` are ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.lib.recfunctions import structured_to_unstructured
@@ -111,12 +112,6 @@ def _parse_header(raw: bytes) -> _Header:
                    properties=properties, data_offset=newline + 1)
 
 
-def _integer_column(table: np.ndarray, name: str) -> np.ndarray:
-    if table.dtype[name].kind not in "iu":
-        raise PlyFormatError(f"the {name} property must have an integer type")
-    return table[name].astype(np.int64)
-
-
 def read_ply(path, with_instances: bool = False):
     """Read a PLY point cloud into a stage.
 
@@ -129,28 +124,63 @@ def read_ply(path, with_instances: bool = False):
     is; an ascii value its type cannot hold is a PlyFormatError. Every
     PlyError names ``path``.
     """
+    table = _read_table(path)
+    names = table.dtype.names
+    positions = structured_to_unstructured(table[["x", "y", "z"]], np.float64, copy=True)
+    colors = None
+    if all(c in names for c in ("red", "green", "blue")):
+        colors = structured_to_unstructured(table[["red", "green", "blue"]],
+                                            np.float64, copy=True)
+        colors /= 255.0
+    segments = _ids(table, "segment")
+    # every array is new and read_ply keeps none, so StageCloud need not copy
+    cloud = StageCloud(positions=_hand_over(positions),
+                       colors=None if colors is None else _hand_over(colors),
+                       segment_ids=None if segments is None else _hand_over(segments))
+    return (cloud, _ids(table, "instance")) if with_instances else cloud
+
+
+def _read_labels(path) -> tuple[int, Optional[np.ndarray]]:
+    """The point count and the ``instance`` column of the PLY at ``path``, as
+    :func:`read_ply` with ``with_instances`` gives them, after the same checks,
+    but with no positions or colors built."""
+    table = _read_table(path)
+    return len(table), _ids(table, "instance")
+
+
+def _ids(table: np.ndarray, name: str) -> Optional[np.ndarray]:
+    return table[name].astype(np.int64) if name in table.dtype.names else None
+
+
+def _read_table(path) -> np.ndarray:
+    """The vertex table of the PLY at ``path``, one field per vertex property
+    in the header's type. Every PlyError names ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return _decode(raw, with_instances)
+        return _decode(raw)
     except PlyError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _decode(raw: bytes, with_instances: bool):
+def _decode(raw: bytes) -> np.ndarray:
     header = _parse_header(raw)
     names = [name for name, _ in header.properties]
     for coord in ("x", "y", "z"):
         if coord not in names:
             raise PlyMissingPropertyError(f"missing coordinate property {coord!r}")
+    for name, code in header.properties:
+        if name in ("segment", "instance") and code[0] not in "iu":
+            raise PlyFormatError(f"the {name} property must have an integer type")
 
     dtype = np.dtype([(name, "<" + code) for name, code in header.properties])
     if header.binary:
-        body = raw[header.data_offset:header.data_offset
-                   + dtype.itemsize * header.vertex_count]
-        if len(body) != dtype.itemsize * header.vertex_count:
+        if len(raw) - header.data_offset < dtype.itemsize * header.vertex_count:
             raise PlyFormatError("binary body shorter than vertex count")
-        table = np.frombuffer(body, dtype=dtype)
+        # a view of the bytes read, not a memory map: a file cut short after
+        # this check would fault a mapping instead of raising here
+        table = np.frombuffer(raw, dtype=dtype, count=header.vertex_count,
+                              offset=header.data_offset)
     else:
         text = raw[header.data_offset:].decode("ascii", errors="replace").split()
         width = len(header.properties)
@@ -177,22 +207,7 @@ def _decode(raw: bytes, with_instances: bool):
                 raise PlyFormatError(f"property {name!r} holds a value beyond the "
                                      f"range of its type")
 
-    positions = structured_to_unstructured(table[["x", "y", "z"]], np.float64, copy=True)
-    colors = None
-    if all(c in names for c in ("red", "green", "blue")):
-        colors = structured_to_unstructured(table[["red", "green", "blue"]],
-                                            np.float64, copy=True)
-        colors /= 255.0
-    segments = _integer_column(table, "segment") if "segment" in names else None
-    # every array is new and read_ply keeps none, so StageCloud need not copy
-    cloud = StageCloud(positions=_hand_over(positions),
-                       colors=None if colors is None else _hand_over(colors),
-                       segment_ids=None if segments is None else _hand_over(segments))
-    if not with_instances:
-        return cloud
-    if "instance" not in names:
-        return cloud, None
-    return cloud, _integer_column(table, "instance")
+    return table
 
 
 def write_ply(path, cloud: StageCloud, binary: bool = True,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,18 +96,6 @@ def test_evaluate_multiple_sequences_merges_reports(tmp_path):
     assert code == 0
     merged = json.loads(out.read_text())
     assert [r["sequence_id"] for r in merged["reports"]] == ["seq-a", "seq-b"]
-
-
-def test_thread_count_env_var(tmp_path, monkeypatch):
-    m1, p1 = _write_scene(tmp_path / "a", sequence_id="seq-a")
-    m2, p2 = _write_scene(tmp_path / "b", sequence_id="seq-b")
-    monkeypatch.setenv("SCANSEQ_THREADS", "abc")  # ignored, not parsed
-    out = tmp_path / "merged.json"
-    code = main(["evaluate", "--gt", str(m1), "--pred", str(p1),
-                 "--gt", str(m2), "--pred", str(p2), "--out", str(out)])
-    assert code == 0
-    merged = json.loads(out.read_text())
-    assert len(merged["reports"]) == 2
 
 
 def test_evaluate_threshold_parsing(tmp_path):
@@ -247,6 +236,7 @@ def _json_edit(change):
     (False, None, None, ["--pred", "other.json"], 64, "--gt and --pred must be paired"),
     (False, None, None, ["--thresholds", ","], 64, "no thresholds given"),
     (False, None, None, ["--thresholds", "0.5,abc"], 64, "threshold 'abc' is not a number"),
+    (False, None, None, ["--seed", "x"], 64, "argument --seed: invalid integer value: 'x'"),
     (False, "manifest", lambda text: text[:-2], [], 74, "not valid JSON"),
     (False, "manifest", _json_edit(lambda d: d.update(kind="predictions")), [], 74,
      "not a sequence manifest"),
@@ -258,8 +248,9 @@ def _json_edit(change):
      [], 74, "missing instance file absent.txt"),
     (True, "manifest", _json_edit(lambda d: d["stages"][0].update(instance_file=7)), [], 74,
      "instance_file must be a string"),
-], ids=["unpaired", "no-thresholds", "threshold-word", "manifest-not-json", "manifest-kind",
-        "preds-kind", "stage-gap", "instance-file-missing", "instance-file-int"])
+], ids=["unpaired", "no-thresholds", "threshold-word", "seed-word", "manifest-not-json",
+        "manifest-kind", "preds-kind", "stage-gap", "instance-file-missing",
+        "instance-file-int"])
 def test_evaluate_exit_paths(tmp_path, capsys, legacy, target, edit, extra, code, message):
     manifest, preds = _write_scene(tmp_path, legacy=legacy)
     paths = {"manifest": manifest, "preds": preds}
@@ -546,6 +537,33 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
     assert "stage_000.ply" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("target,edit,code,named,message", [
+    ("stage_000.ply", lambda raw: raw[:-5], 74, "stage_000.ply",
+     "binary body shorter than vertex count"),
+    ("stage_000.ply", _header_edit(b"int instance", b"float instance"), 74, "stage_000.ply",
+     "the instance property must have an integer type"),
+    ("stage_000.ply", _header_edit(b"int segment", b"float segment"), 74, "stage_000.ply",
+     "the segment property must have an integer type"),
+    ("stage_000.ply", _header_edit(b"property float z\n", b""), 74, "stage_000.ply",
+     "missing coordinate property 'z'"),
+    ("stage_001.ply", _header_edit(b"element vertex", b"element vertex 0\ncomment"), 2,
+     "manifest.json", "stage 1 has no points"),
+    ("manifest.json", lambda raw: json.dumps({**json.loads(raw), "stages": []}).encode(), 2,
+     "manifest.json", "a sequence needs at least one stage"),
+], ids=["short-body", "float-instance", "float-segment", "missing-z", "empty-stage",
+        "no-stages"])
+def test_evaluate_stage_read_exit_codes(tmp_path, capsys, target, edit, code, named,
+                                        message):
+    manifest, preds = _write_scene(tmp_path)
+    path = manifest.parent / target
+    path.write_bytes(edit(path.read_bytes()))
+    assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")]) == code
+    err = capsys.readouterr().err
+    assert f"{manifest.parent / named}: " in err and message in err
+    assert "Traceback" not in err
+
+
 _COST = {"pred_mask_logits": [[1, -1]], "pred_class_logits": [[1, 0, 0]],
          "gt_masks": [[1, 0]], "gt_classes": [0]}
 _FOURIER = {"coords": [[0, 0, 0, 0]], "d_out": 4, "seed": 1}
@@ -747,6 +765,8 @@ def test_serialize_subcommand(tmp_path):
     (["--resolution", "0"], "positive finite"),
     (["--resolution", "-1"], "positive finite"),
     (["--resolution", "inf"], "positive finite"),
+    (["--bits", "x"], "argument --bits: invalid integer value: 'x'"),
+    (["--resolution", "x"], "argument --resolution: invalid positive number value: 'x'"),
 ])
 def test_serialize_bad_bits_or_resolution_exits_64(tmp_path, capsys, flags, message):
     manifest, _ = _write_scene(tmp_path)
@@ -942,3 +962,46 @@ def test_evaluate_negative_seed_exits_64(tmp_path, capsys, name):
     assert code == 64
     assert "--seed" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
+    # binary PLYs, ascii PLYs and text instance files give one report
+    recipe, spec = _pinned_scene("ambiguous-swapped")
+    seq, gt = generate(recipe)
+    preds = tmp_path / "preds.json"
+    write_predictions(preds, perturb(seq, gt, spec), seq.sequence_id)
+    binary = write_manifest(tmp_path / "binary", seq, gt)
+    ascii_ = write_manifest(tmp_path / "ascii", seq, gt)
+    for ply in sorted(ascii_.parent.glob("stage_*.ply")):
+        cloud, instances = read_ply(ply, with_instances=True)
+        write_ply(ply, cloud, binary=False, instances=instances)
+    legacy = write_legacy_manifest(tmp_path / "legacy", seq, gt)
+    reports = []
+    for manifest in (binary, ascii_, legacy):
+        out = tmp_path / f"{manifest.parent.name}.json"
+        assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                     "--per-change-type", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_evaluate_builds_no_geometry(tmp_path):
+    # float64 positions and colors alone take 48 bytes a point; scoring reads
+    # only stage sizes and instance labels, so its peak stays below that
+    recipe = SceneRecipe(seed=1, n_objects=40, points_per_object=(1500, 1500),
+                         sequence_id="memory")
+    seq, gt = generate(recipe)
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    preds = tmp_path / "preds.json"
+    write_predictions(preds, perturb(seq, gt, PerturbationSpec(target_iou=0.8)),
+                      seq.sequence_id)
+    argv = ["evaluate", "--gt", str(manifest), "--pred", str(preds),
+            "--out", str(tmp_path / "r.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.total_points == 120_000
+    assert peak < 48 * seq.total_points
