@@ -15,15 +15,17 @@ its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
 both files; so is a manifest with no stage or a stage PLY with no points, a
-scene or ``losses`` output too large to allocate, a scene with an integer
-numpy cannot hold, and an output holding a NaN or infinity, which is not
-written), 64 usage error (including a threshold outside [0, 1), a
-negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
-a positive finite number), 74 I/O or file-format failure (including JSON of
-the wrong shape or type or nested too deeply, a malformed PLY, named in the
-message, a bool or string where a number belongs, an array element an exact
-cast would change (a string or null among numbers, a float among integers) in
-a mask, a feature or a ``losses`` payload, an RLE run that ends past its
+scene or ``losses`` output too large to allocate, a ``losses --op fourier``
+draw or output over 10**7 values, a scene with an integer numpy cannot hold,
+and an output holding a NaN or infinity, which is not written), 64 usage error
+(including a threshold outside [0, 1), a negative --seed, --bits outside [1,
+64 // dims] and a --resolution that is not a positive finite number), 74 I/O
+or file-format failure (including JSON of the wrong shape or type or nested
+too deeply, a malformed PLY, named in the message (an ascii row of the wrong
+width or a ``5.0`` integer too), a bool or string where a number belongs, an
+array element an exact cast would change (a string or null among numbers, a
+float among integers) in a mask, a feature or a ``losses`` payload, RLE data
+not in one flat ``[start, length, ...]`` list, an RLE run that ends past its
 stage, a label file that is not one integer per line, a non-string
 sequence_id, an integer-named JSON key not spelled as ``str(int(key))``, a
 recipe that ``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a
@@ -53,6 +55,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
+
+# the most values losses --op fourier draws, (d_out / 2, 4), or outputs, (rows, d_out);
+# a value written as JSON takes ~90 B at peak (x86-64), so a run stays near 1 GB
+_FOURIER_MAX_VALUES = 10 ** 7
 
 _CURVE_FLAGS = {
     "zorder": curves.Curve.Z_ORDER,
@@ -328,9 +334,13 @@ def _loss_payload(op: str, data: dict) -> dict:
             "total_cost": result.total_cost,
         }
     if op == "fourier":
+        rows = np.size(data["coords"]) // 4  # fourier_features_4d refuses other widths
+        d_out = _number(data["d_out"], "d_out", int)
+        if max(2, rows) * d_out > _FOURIER_MAX_VALUES:
+            raise ValueError(f"fourier output too large to compute: {rows} coords "
+                             f"at d_out {d_out} exceed {_FOURIER_MAX_VALUES} values")
         matrix = numerics.gaussian_projection_matrix(
-            _number(data["d_out"], "d_out", int), _number(data["seed"], "seed", int),
-            _number(data.get("scale", 1.0), "scale"))
+            d_out, _number(data["seed"], "seed", int), _number(data.get("scale", 1.0), "scale"))
         return {"features": numerics.fourier_features_4d(data["coords"], matrix)}
     stack = numerics.MaskHierarchyStack(  # pool
         levels=((data["coords"], data["mask"]),))
@@ -342,13 +352,13 @@ def _cmd_losses(args) -> int:
     try:
         with np.errstate(all="ignore"):  # a non-finite result is refused when written
             payload = _loss_payload(args.op, data)
+        payload["schema_version"] = formats.SCHEMA_VERSION
+        formats.dump_canonical_json(args.out, payload)
     except (KeyError, IndexError, TypeError, OverflowError) as exc:
         raise formats.FormatError(
             f"{args.input}: bad {args.op} input ({type(exc).__name__}: {exc})") from exc
-    except MemoryError as exc:
+    except MemoryError as exc:  # computing the output or turning it into JSON
         raise ValueError(f"{args.op} output too large to compute ({exc})") from exc
-    payload["schema_version"] = formats.SCHEMA_VERSION
-    formats.dump_canonical_json(args.out, payload)
     return EXIT_OK
 
 

@@ -7,8 +7,7 @@ classes, ambiguous groups, change labels). Older manifests name a per-stage
 ``instance_file`` instead (one integer per line); it is still read.
 Prediction files are standalone JSON with per-stage masks stored either as
 explicit index lists or as run-length data over the sorted indices, one flat
-list ``[start0, length0, start1, length1, ...]`` (older files hold a list of
-``[start, length]`` pairs, which is still read).
+list ``[start0, length0, start1, length1, ...]``.
 
 All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
 significant digits, trailing newline — a parsed document re-dumps to the same bytes.
@@ -75,37 +74,30 @@ def load_json(path) -> dict:
 # Run-length encoding of sorted point indices
 
 
-def _rle_runs(indices) -> np.ndarray:
+def rle_encode(indices: np.ndarray) -> np.ndarray:
+    """Maximal runs over sorted strictly increasing indices, as the flat int64
+    array ``[s0, l0, s1, l1, ...]`` that prediction files store and
+    :func:`rle_decode` expands."""
     idx = _array(indices, np.int64, "indices")
     heads = np.flatnonzero(np.diff(idx, prepend=idx[:1] - 2) != 1)  # idx[0] always heads
-    return np.stack((idx[heads], np.diff(heads, append=idx.size)), axis=1)
-
-
-def rle_encode(indices: np.ndarray) -> list[list[int]]:
-    """Maximal (start, length) runs over sorted strictly increasing indices.
-
-    Prediction files store these pairs flattened: ``[s0, l0, s1, l1, ...]``.
-    """
-    return _rle_runs(indices).tolist()
+    return np.stack((idx[heads], np.diff(heads, append=idx.size)), axis=1).ravel()
 
 
 def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndarray:
-    """Expand flat ``[s0, l0, s1, l1, ...]`` runs, or ``[[s0, l0], ...]`` pairs.
+    """Expand the flat runs ``[s0, l0, s1, l1, ...]`` that :func:`rle_encode` gives.
 
-    Rejects anything not decoding to strictly increasing indices, and any run
-    that ends past ``stage_size`` (when given) or beyond int64.
+    Rejects any other layout (a list of ``[start, length]`` pairs too),
+    anything not decoding to strictly increasing indices, and any run that
+    ends past ``stage_size`` (when given) or beyond int64.
     """
     try:
         arr = _array(runs, np.int64, "RLE data")
     except (TypeError, ValueError) as exc:  # not integral, beyond int64 or ragged
         raise FormatError(str(exc)) from exc
-    if arr.ndim == 1:
-        if arr.size % 2:
-            raise FormatError(f"flat RLE data must have even length, not {arr.size}")
-        arr = arr.reshape(-1, 2)
-    elif arr.ndim != 2 or arr.shape[1] != 2:
-        raise FormatError(f"RLE runs must be [start, length] pairs, not {arr.shape}")
-    starts, lengths = arr.T
+    if arr.ndim != 1 or arr.size % 2:
+        raise FormatError(f"RLE data must be one flat list [s0, l0, s1, l1, ...] of "
+                          f"even length, not an array of shape {arr.shape}")
+    starts, lengths = arr.reshape(-1, 2).T
     end_limit = np.iinfo(np.int64).max if stage_size is None else stage_size
     too_long = lengths > end_limit - starts  # also catches an int64 overflow
     bad = np.flatnonzero((starts < 0) | (lengths < 1) | too_long)
@@ -121,7 +113,7 @@ def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndar
 
 def _mask_payload(points: np.ndarray, rle: bool) -> dict:
     if rle:
-        return {"encoding": "rle", "data": _rle_runs(points).ravel()}
+        return {"encoding": "rle", "data": rle_encode(points)}
     return {"encoding": "points", "data": points}
 
 

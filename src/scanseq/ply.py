@@ -1,14 +1,16 @@
 """Minimal PLY point-cloud reader and writer.
 
-Supports ascii and binary little-endian files whose first element is
-``vertex`` with float ``x, y, z`` properties, optional uchar ``red, green,
-blue``, an optional integer ``segment`` property and an optional integer
-``instance`` property (per-point instance ids, as 3RScan's ``objectId``).
-Unknown vertex properties are skipped; elements after ``vertex`` are ignored.
+Supports ascii (one vertex per line) and binary little-endian files whose
+first element is ``vertex`` with float ``x, y, z`` properties, optional uchar
+``red, green, blue`` and optional integer ``segment`` and ``instance``
+properties (per-point instance ids, as 3RScan's ``objectId``). Unknown vertex
+properties are skipped; elements after ``vertex`` are ignored.
 """
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,8 +123,8 @@ def read_ply(path, with_instances: bool = False):
     instances)``: the integer ``instance`` column as int64, or None when the
     file has no such property. Both encodings read into one table of the
     header's property types, so an ascii ``float`` is float32 as a binary one
-    is; an ascii value its type cannot hold is a PlyFormatError. Every
-    PlyError names ``path``.
+    is; an ascii row that is not one vertex of such values (``5.0`` is no
+    integer) is a PlyFormatError. Every PlyError names ``path``.
     """
     table = _read_table(path)
     names = table.dtype.names
@@ -165,48 +167,43 @@ def _read_table(path) -> np.ndarray:
 
 def _decode(raw: bytes) -> np.ndarray:
     header = _parse_header(raw)
-    names = [name for name, _ in header.properties]
+    dtype = np.dtype([(name, "<" + code) for name, code in header.properties])
     for coord in ("x", "y", "z"):
-        if coord not in names:
+        if coord not in dtype.names:
             raise PlyMissingPropertyError(f"missing coordinate property {coord!r}")
     for name, code in header.properties:
         if name in ("segment", "instance") and code[0] not in "iu":
             raise PlyFormatError(f"the {name} property must have an integer type")
 
-    dtype = np.dtype([(name, "<" + code) for name, code in header.properties])
     if header.binary:
         if len(raw) - header.data_offset < dtype.itemsize * header.vertex_count:
             raise PlyFormatError("binary body shorter than vertex count")
         # a view of the bytes read, not a memory map: a file cut short after
         # this check would fault a mapping instead of raising here
-        table = np.frombuffer(raw, dtype=dtype, count=header.vertex_count,
-                              offset=header.data_offset)
-    else:
-        text = raw[header.data_offset:].decode("ascii", errors="replace").split()
-        width = len(header.properties)
-        needed = width * header.vertex_count
-        if len(text) < needed:
-            raise PlyFormatError("ascii body shorter than vertex count")
-        try:
-            flat = np.array(text[:needed], dtype=np.float64).reshape(
-                header.vertex_count, width)
-        except ValueError as exc:
-            raise PlyFormatError("ascii body contains non-numeric values") from exc
-        table = np.empty(header.vertex_count, dtype=dtype)
-        for column, (name, code) in zip(flat.T, header.properties):
-            if code[0] in "iu":
-                info = np.iinfo(code)
-                if not (np.all(column == np.trunc(column))  # also false for nan
-                        and info.min <= column.min(initial=0)
-                        and column.max(initial=0) <= info.max):
-                    raise PlyFormatError(f"property {name!r} holds a value that is "
-                                         f"not an integer of its type")
-            with np.errstate(over="ignore"):
-                table[name] = column
-            if np.count_nonzero(np.isinf(table[name])) != np.count_nonzero(np.isinf(column)):
-                raise PlyFormatError(f"property {name!r} holds a value beyond the "
-                                     f"range of its type")
+        return np.frombuffer(raw, dtype=dtype, count=header.vertex_count,
+                             offset=header.data_offset)
 
+    # loadtxt allocates all max_rows rows first; a value takes 2 bytes, the last 1
+    if len(raw) - header.data_offset + 1 < 2 * len(dtype) * header.vertex_count:
+        raise PlyFormatError("ascii body shorter than vertex count")
+    # floats parse as float64, so that a value beyond float32 overflows the cast
+    wide = [(name, "<f8" if code[1] == "f" else code) for name, code in dtype.descr]
+    text = io.BytesIO(raw)
+    text.seek(header.data_offset)
+    try:
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("ignore", UserWarning)  # of blank lines: they hold no row
+            # older numpy reads "5.0" or "nan" into an int field via a float, only warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(text, dtype=wide, comments=None, ndmin=1,
+                               max_rows=header.vertex_count, encoding="ascii").astype(dtype)
+    except ValueError as exc:  # a value its type cannot hold, a row of the wrong width
+        # numpy's advice to pass ``usecols`` after the first ";" is no help here
+        raise PlyFormatError(f"ascii body: {str(exc).split(';')[0]}") from exc
+    except FloatingPointError as exc:
+        raise PlyFormatError("ascii body holds a value beyond the range of its type") from exc
+    if len(table) < header.vertex_count:
+        raise PlyFormatError("ascii body shorter than vertex count")
     return table
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scanseq.cli import main
+from scanseq.cli import _FOURIER_MAX_VALUES, main
 from scanseq.model import InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
@@ -188,6 +188,14 @@ def test_unsupported_schema_version_exits_74(tmp_path, capsys, target, version):
     assert f"{path}: unsupported schema_version {version!r}" in err
 
 
+def _rle_as_pairs(data):
+    """Rewrite every RLE mask as ``[[start, length], ...]`` pairs."""
+    for entry in data["instances"]:
+        for mask in entry["masks"].values():
+            runs = mask["data"]
+            mask["data"] = [runs[i:i + 2] for i in range(0, len(runs), 2)]
+
+
 def test_missing_schema_version_reads_as_current(tmp_path):
     manifest, preds = _write_scene(tmp_path)
     for path in (manifest, preds):
@@ -209,8 +217,10 @@ def test_missing_schema_version_reads_as_current(tmp_path):
     ("preds", lambda data: data["instances"][0].update(instance_id=True)),
     ("manifest", lambda data: data["annotations"].update(
         ambiguous_groups=[{"group_id": 0, "members": [True, 2]}])),
+    ("preds", _rle_as_pairs),
 ], ids=["annotations-list", "stage-index-string", "stages-int", "members-int",
-        "instances-int", "mask-map-list", "instance-id-bool", "member-bool"])
+        "instances-int", "mask-map-list", "instance-id-bool", "member-bool",
+        "rle-pairs"])
 def test_wrongly_typed_json_exits_74(tmp_path, capsys, target, edit):
     manifest, preds = _write_scene(tmp_path)
     path = manifest if target == "manifest" else preds
@@ -345,9 +355,8 @@ def test_deeply_nested_prediction_file_exits_74(tmp_path, capsys):
 
 @pytest.mark.parametrize("runs", [
     lambda n: [0, 10 ** 13],
-    lambda n: [[0, 10 ** 13]],
     lambda n: [0, 1, n - 10, 11],
-], ids=["flat", "pairs", "one-past-the-end"])
+], ids=["flat", "one-past-the-end"])
 def test_rle_run_past_its_stage_exits_74(tmp_path, capsys, runs):
     manifest, preds = _write_scene(tmp_path)
     n = read_manifest(manifest)[0].stages[0].point_count
@@ -496,6 +505,11 @@ def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, 
     assert "vertex property 'x' is listed twice" in err and "Traceback" not in err
 
 
+def _rewrite_as_ascii(ply):
+    cloud, instances = read_ply(ply, with_instances=True)
+    write_ply(ply, cloud, binary=False, instances=instances)
+
+
 def _header_edit(old, new):
     return lambda raw: raw.replace(old, new, 1)
 
@@ -517,17 +531,23 @@ def _header_edit(old, new):
     (_header_edit(b"format binary_little_endian 1.0\n", b""), "header has no format line"),
     (lambda raw: re.sub(rb"element vertex \d+\n", b"", raw, count=1),
      "header has no vertex element"),
-    (None, "ascii body contains non-numeric values"),
+    (lambda raw: re.sub(rb"end_header\n\S+", b"end_header\nx", raw, count=1),
+     "ascii body: could not convert string 'x'"),
+    (lambda raw: re.sub(rb"end_header\n[^\n]*", rb"\g<0> 7", raw, count=1),
+     "ascii body: "),  # numpy's own words follow, naming the row
+    (lambda raw: re.sub(rb"(end_header\n[^\n]*) ", rb"\1\n", raw, count=1),
+     "ascii body: "),  # numpy's own words follow, naming the row
+    (lambda raw: re.sub(rb"element vertex (\d+)",
+                        lambda m: b"element vertex %d" % (int(m[1]) + 1), raw, count=1),
+     "ascii body shorter than vertex count"),
 ], ids=["truncated", "non-ascii", "unknown-format", "face-first", "second-vertex",
         "vertex-count-word", "list-property", "unknown-type", "no-format", "no-vertex",
-        "ascii-word"])
+        "ascii-word", "ascii-extra-value", "ascii-wrapped-row", "ascii-missing-row"])
 def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
     manifest, preds = _write_scene(tmp_path)
     ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
-    if edit is None:  # an ascii body with a word where a number belongs
-        cloud, instances = read_ply(ply, with_instances=True)
-        write_ply(ply, cloud, binary=False, instances=instances)
-        edit = lambda raw: re.sub(rb"end_header\n\S+", b"end_header\nx", raw, count=1)
+    if message.startswith("ascii body"):  # these cases edit the stage written as ascii
+        _rewrite_as_ascii(ply)
     ply.write_bytes(edit(ply.read_bytes()))
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
                  "--out", str(tmp_path / "r.json")])
@@ -610,6 +630,53 @@ def test_losses_output_numpy_cannot_allocate_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: fourier output too large to compute")
     assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
+
+
+def test_losses_output_json_cannot_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    def dump(path, payload):
+        raise MemoryError()
+
+    monkeypatch.setattr("scanseq.formats.dump_canonical_json", dump)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_FOURIER))
+    code = main(["losses", "--op", "fourier", "--in", str(inp),
+                 "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: fourier output too large to compute")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows,d_out,code", [
+    (100, 16, 0),
+    (1, _FOURIER_MAX_VALUES // 2 + 2, 2),        # the (d_out / 2, 4) draw is over the cap
+    (1000, _FOURIER_MAX_VALUES // 1000 + 2, 2),  # the (rows, d_out) output is over it
+], ids=["below-cap", "draw-above-cap", "output-above-cap"])
+def test_losses_fourier_sizes_are_capped(tmp_path, capsys, rows, d_out, code):
+    inp, out = tmp_path / "in.json", tmp_path / "o.json"
+    inp.write_text(json.dumps({"coords": [[0.5, 0.5, 0.5, 0.5]] * rows, "d_out": d_out,
+                               "seed": 0}))
+    tracemalloc.start()
+    try:
+        assert main(["losses", "--op", "fourier", "--in", str(inp), "--out", str(out)]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the cap's values alone take 80 MB as float64
+    if code:
+        assert capsys.readouterr().err.startswith("error: fourier output too large to compute")
+        assert not out.exists()
+    else:
+        assert np.shape(json.loads(out.read_text())["features"]) == (rows, d_out)
+
+
+def test_losses_fourier_features_for_a_scene_level(tmp_path):
+    # 10,000 points at d_out 128: 1.28M values, well below the cap
+    inp, out = tmp_path / "in.json", tmp_path / "o.json"
+    inp.write_text(json.dumps({"coords": [[0.5, 0.5, 0.5, 0.5]] * 10_000, "d_out": 128,
+                               "seed": 0}))
+    assert main(["losses", "--op", "fourier", "--in", str(inp), "--out", str(out)]) == 0
+    assert np.shape(json.loads(out.read_text())["features"]) == (10_000, 128)
 
 
 @pytest.mark.parametrize("command,document,field", [
@@ -972,9 +1039,8 @@ def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
     write_predictions(preds, perturb(seq, gt, spec), seq.sequence_id)
     binary = write_manifest(tmp_path / "binary", seq, gt)
     ascii_ = write_manifest(tmp_path / "ascii", seq, gt)
-    for ply in sorted(ascii_.parent.glob("stage_*.ply")):
-        cloud, instances = read_ply(ply, with_instances=True)
-        write_ply(ply, cloud, binary=False, instances=instances)
+    for ply in ascii_.parent.glob("stage_*.ply"):
+        _rewrite_as_ascii(ply)
     legacy = write_legacy_manifest(tmp_path / "legacy", seq, gt)
     reports = []
     for manifest in (binary, ascii_, legacy):
@@ -985,13 +1051,20 @@ def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
-def test_evaluate_builds_no_geometry(tmp_path):
+@pytest.mark.parametrize("binary,bytes_per_point", [(True, 48), (False, 128)],
+                         ids=["binary", "ascii"])
+def test_evaluate_builds_no_geometry(tmp_path, binary, bytes_per_point):
     # float64 positions and colors alone take 48 bytes a point; scoring reads
-    # only stage sizes and instance labels, so its peak stays below that
+    # only stage sizes and instance labels, so its peak stays below that. An
+    # ascii stage is parsed into typed rows first, which may take more, but not
+    # a Python string per value (334 bytes a point)
     recipe = SceneRecipe(seed=1, n_objects=40, points_per_object=(1500, 1500),
                          sequence_id="memory")
     seq, gt = generate(recipe)
     manifest = write_manifest(tmp_path / "scene", seq, gt)
+    if not binary:
+        for ply in manifest.parent.glob("stage_*.ply"):
+            _rewrite_as_ascii(ply)
     preds = tmp_path / "preds.json"
     write_predictions(preds, perturb(seq, gt, PerturbationSpec(target_iou=0.8)),
                       seq.sequence_id)
@@ -1004,4 +1077,4 @@ def test_evaluate_builds_no_geometry(tmp_path):
     finally:
         tracemalloc.stop()
     assert seq.total_points == 120_000
-    assert peak < 48 * seq.total_points
+    assert peak < bytes_per_point * seq.total_points
