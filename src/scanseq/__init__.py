@@ -8,20 +8,19 @@ from .geometry import (DEFAULT_RESOLUTION, FeatureHierarchy, VoxelGrid4D,
                        nearest_neighbor_labels, pool_features_to_voxels,
                        pool_superpoint_features, voxelize)
 from .curves import (Curve, PatternSchedule, ScheduleMix, SerializationDims,
-                     SerializationPattern, decode_key, decode_keys, encode_key,
-                     encode_keys, make_schedule, serialize_sequence)
+                     SerializationPattern, decode_keys, encode_keys, make_schedule,
+                     serialize_sequence)
 from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DetectionAssignment,
                       DisambiguationResult, EvaluationReport, IoUProfile,
                       assign_ambiguous_components, assign_detections,
                       average_precision, disambiguate, evaluate,
                       overlap_candidates, resolve_prediction_overlaps, t_iou)
 from .association import associate_geometric, associate_semantic
-from .numerics import (AssignmentCostConfig, AssignmentResult,
-                       MaskHierarchyStack, RelationMatrix, assignment_cost,
-                       binarize_masks, contrastive_loss, fourier_features_4d,
-                       gaussian_projection_matrix, log_odds_similarity,
-                       relation_from_instance_ids, solve_assignment,
-                       st_pool_masks)
+from .numerics import (AssignmentCostConfig, AssignmentResult, RelationMatrix,
+                       assignment_cost, binarize_masks, contrastive_loss,
+                       fourier_features_4d, gaussian_projection_matrix,
+                       log_odds_similarity, relation_from_instance_ids,
+                       solve_assignment, st_pool_masks)
 from .synth import (ChangeOp, IdentityPolicy, PerturbationError,
                     PerturbationSpec, SceneGenerationError, SceneRecipe,
                     generate, perturb)

@@ -15,22 +15,24 @@ its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
 both files; so is a manifest with no stage or a stage PLY with no points, a
-scene or ``losses`` output too large to allocate, a ``losses --op fourier``
-draw or output over 10**7 values, a scene with an integer numpy cannot hold,
-and an output holding a NaN or infinity, which is not written), 64 usage error
-(including a threshold outside [0, 1), a negative --seed, --bits outside [1,
-64 // dims] and a --resolution that is not a positive finite number), 74 I/O
-or file-format failure (including JSON of the wrong shape or type or nested
-too deeply, a malformed PLY, named in the message (an ascii row of the wrong
-width or a ``5.0`` integer too), a bool or string where a number belongs, an
-array element an exact cast would change (a string or null among numbers, a
-float among integers) in a mask, a feature or a ``losses`` payload, RLE data
-not in one flat ``[start, length, ...]`` list, an RLE run that ends past its
-stage, a label file that is not one integer per line, a non-string
-sequence_id, an integer-named JSON key not spelled as ``str(int(key))``, a
-recipe that ``SceneRecipe``, ``ChangeOp`` or ``PerturbationSpec`` rejects (a
-non-finite number too) and a ``losses`` payload with a missing or wrongly
-typed field or an integer numpy cannot hold).
+scene or ``losses`` output too large to allocate, a ``losses`` array over
+10**7 values (``fourier``'s draw or output, ``cost``'s prediction by
+ground-truth matrices, ``contrastive``'s instance by instance ones), a scene
+with an integer numpy cannot hold, and an output holding a NaN or infinity,
+which is not written), 64 usage error (including a threshold outside [0, 1), a
+negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
+a positive finite number), 74 I/O or file-format failure (including JSON of
+the wrong shape or type or nested too deeply, a malformed PLY, named in the
+message (an ascii row of the wrong width or a ``5.0`` integer too, by its file
+line), a bool or string where a number belongs, an array element an exact cast
+would change (a string or null among numbers, a float among integers) in a
+mask, a feature or a ``losses`` payload, RLE data not in one flat ``[start,
+length, ...]`` list, an RLE run that ends past its stage, a label file that is
+not one integer per line, a non-string sequence_id, an integer-named JSON key
+not spelled as ``str(int(key))``, a recipe that ``SceneRecipe``, ``ChangeOp``
+or ``PerturbationSpec`` rejects (a non-finite number too) and a ``losses``
+payload with a missing or wrongly typed field or an integer numpy cannot
+hold).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another. Every JSON output is compact canonical JSON; ``serialize`` writes
 the voxel order, not the voxel keys, which the manifest and --resolution
@@ -56,9 +58,10 @@ EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-# the most values losses --op fourier draws, (d_out / 2, 4), or outputs, (rows, d_out);
-# a value written as JSON takes ~90 B at peak (x86-64), so a run stays near 1 GB
-_FOURIER_MAX_VALUES = 10 ** 7
+# the most values one array of a losses op may hold: fourier's draw, (d_out / 2, 4),
+# and output, (rows, d_out); cost's (P, G) matrices; contrastive's (S, S) ones.
+# A value written as JSON takes ~90 B at peak (x86-64), so a run stays near 1 GB
+_LOSSES_MAX_VALUES = 10 ** 7
 
 _CURVE_FLAGS = {
     "zorder": curves.Curve.Z_ORDER,
@@ -317,15 +320,28 @@ def _cmd_serialize(args) -> int:
     return EXIT_OK
 
 
+def _check_size(op: str, values: int, sizes: str) -> None:
+    """Refuse, before any numeric work, an op whose largest array the payload
+    sizes past :data:`_LOSSES_MAX_VALUES`."""
+    if values > _LOSSES_MAX_VALUES:
+        raise ValueError(f"{op} output too large to compute: {sizes} exceed "
+                         f"{_LOSSES_MAX_VALUES} values")
+
+
 def _loss_payload(op: str, data: dict) -> dict:
     if op == "contrastive":
-        relation = numerics.relation_from_instance_ids(data["instance_ids"])
+        ids = data["instance_ids"]
+        n = np.size(ids)
+        _check_size(op, n * n, f"{n} by {n} instance pairs")
+        relation = numerics.relation_from_instance_ids(ids)
         return {"loss": numerics.contrastive_loss(data["features"], relation)}
     if op == "cost":
         cfg = numerics.AssignmentCostConfig(**data.get("lambdas", {}))
-        result = numerics.assignment_cost(
-            data["pred_mask_logits"], data["pred_class_logits"], data["gt_masks"],
-            data["gt_classes"], cfg)
+        arrays = [data[key] for key in ("pred_mask_logits", "pred_class_logits",
+                                        "gt_masks", "gt_classes")]
+        n_pred, n_gt = len(np.atleast_2d(arrays[0])), len(np.atleast_2d(arrays[2]))
+        _check_size(op, n_pred * n_gt, f"{n_pred} predictions by {n_gt} ground-truth masks")
+        result = numerics.assignment_cost(*arrays, cfg)
         return {
             "cost_matrix": result.cost_matrix,
             "matches": result.matches,
@@ -336,15 +352,11 @@ def _loss_payload(op: str, data: dict) -> dict:
     if op == "fourier":
         rows = np.size(data["coords"]) // 4  # fourier_features_4d refuses other widths
         d_out = _number(data["d_out"], "d_out", int)
-        if max(2, rows) * d_out > _FOURIER_MAX_VALUES:
-            raise ValueError(f"fourier output too large to compute: {rows} coords "
-                             f"at d_out {d_out} exceed {_FOURIER_MAX_VALUES} values")
+        _check_size(op, max(2, rows) * d_out, f"{rows} coords at d_out {d_out}")
         matrix = numerics.gaussian_projection_matrix(
             d_out, _number(data["seed"], "seed", int), _number(data.get("scale", 1.0), "scale"))
         return {"features": numerics.fourier_features_4d(data["coords"], matrix)}
-    stack = numerics.MaskHierarchyStack(  # pool
-        levels=((data["coords"], data["mask"]),))
-    return {"mask": numerics.st_pool_masks(stack, 0)}
+    return {"mask": numerics.st_pool_masks(data["coords"], data["mask"])}  # pool
 
 
 def _cmd_losses(args) -> int:

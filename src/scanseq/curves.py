@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -218,18 +217,6 @@ def decode_keys(ranks, curve: Curve | str, ndims: int,
         x = _hilbert_walk(x, ndims, bits_per_axis, _hilbert_tables(ndims, inverse=True))
     parts = _compact_axes(x, ndims, bits_per_axis)
     return parts[:, np.argsort(_slot_order(curve, ndims))].astype(np.int64)
-
-
-def encode_key(coord: Sequence[int], curve: Curve | str,
-               bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> int:
-    """Curve rank of a single 3- or 4-tuple grid coordinate."""
-    return int(encode_keys(np.asarray(coord)[None, :], curve, bits_per_axis)[0])
-
-
-def decode_key(rank: int, curve: Curve | str, ndims: int,
-               bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> tuple[int, ...]:
-    return tuple(int(v) for v in
-                 decode_keys(np.asarray([rank]), curve, ndims, bits_per_axis)[0])
 
 
 @dataclass(frozen=True)

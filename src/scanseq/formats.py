@@ -7,7 +7,8 @@ classes, ambiguous groups, change labels). Older manifests name a per-stage
 ``instance_file`` instead (one integer per line); it is still read.
 Prediction files are standalone JSON with per-stage masks stored either as
 explicit index lists or as run-length data over the sorted indices, one flat
-list ``[start0, length0, start1, length1, ...]``.
+list ``[start0, length0, start1, length1, ...]``; both are read, run-length
+data is written.
 
 All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
 significant digits, trailing newline — a parsed document re-dumps to the same bytes.
@@ -109,12 +110,6 @@ def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndar
         raise FormatError("RLE runs do not decode to strictly increasing indices")
     offsets = np.cumsum(lengths) - lengths  # output position of each run's start
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
-def _mask_payload(points: np.ndarray, rle: bool) -> dict:
-    if rle:
-        return {"encoding": "rle", "data": rle_encode(points)}
-    return {"encoding": "points", "data": points}
 
 
 def _mask_from_payload(payload: Mapping, stage_size: Optional[int]):
@@ -253,7 +248,7 @@ def _read_manifest(path, geometry: bool):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
         if geometry:
-            cloud, inst_col = read_ply(root / entry["point_file"], with_instances=True)
+            cloud, inst_col = read_ply(root / entry["point_file"])
             stages.append(cloud)
             point_count = cloud.point_count
         else:
@@ -312,8 +307,7 @@ class PredictionFileContent:
 
 
 def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
-                      features: Optional[Mapping[int, np.ndarray]] = None,
-                      rle: bool = True) -> None:
+                      features: Optional[Mapping[int, np.ndarray]] = None) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "predictions",
@@ -325,7 +319,7 @@ def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
             "instance_id": mask.instance_id,
             "class_id": mask.class_id,
             "confidence": mask.confidence,
-            "masks": {str(t): _mask_payload(pts, rle)
+            "masks": {str(t): {"encoding": "rle", "data": rle_encode(pts)}
                       for t, pts in sorted(mask.per_stage_points.items())},
         }
         if features and mask.instance_id in features:

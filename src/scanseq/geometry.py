@@ -87,10 +87,6 @@ class VoxelGrid4D:
     def num_points(self) -> int:
         return len(self.point_to_voxel)
 
-    def points_in_voxel(self, voxel: int) -> np.ndarray:
-        """Ascending global point indices mapped to voxel row ``voxel``."""
-        return np.flatnonzero(self.point_to_voxel == voxel)
-
     def voxel_to_points(self) -> list[np.ndarray]:
         groups = _points_by_label(self.point_to_voxel)
         return [groups.get(v, _EMPTY_INDEX) for v in range(self.num_voxels)]

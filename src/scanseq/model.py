@@ -257,10 +257,6 @@ class InstanceMask:
     def stages(self) -> tuple[int, ...]:
         return tuple(sorted(self.per_stage_points))
 
-    @property
-    def total_points(self) -> int:
-        return sum(v.size for v in self.per_stage_points.values())
-
     def points_at(self, stage: int) -> np.ndarray:
         return self.per_stage_points.get(stage, _EMPTY_INDEX)
 

@@ -180,37 +180,19 @@ def solve_assignment(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     return tuple(zip(rows.tolist(), cols.tolist())), float(cost[rows, cols].sum())
 
 
-@dataclass(frozen=True)
-class MaskHierarchyStack:
-    """Per-level (coordinates, boolean masks) aligned to a feature hierarchy.
-
-    ``levels[r]`` is a pair of an (M, 4) integer coordinate array (i, j, k, t)
-    and a boolean mask of shape (M,) or (M, K) over those voxels.
-    """
-
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        levels = []
-        for coords, mask in self.levels:
-            c = _frozen(coords, np.int64, "level coordinates", width=4)
-            m = _frozen(mask, bool, "level mask")
-            if len(m) != len(c):
-                raise ValueError("misaligned level: mask rows must match coordinates")
-            levels.append((c, m))
-        object.__setattr__(self, "levels", tuple(levels))
-
-
-def st_pool_masks(stack: MaskHierarchyStack, level: int) -> np.ndarray:
+def st_pool_masks(coords, mask) -> np.ndarray:
     """OR attention masks across stages at voxels sharing (i, j, k).
 
-    Every voxel's pooled value is the logical OR over all voxels at the same
-    spatial cell (any stage); voxels with no cross-stage counterpart pass
+    ``coords`` is one hierarchy level's (M, 4) integer voxel coordinates
+    (i, j, k, t) and ``mask`` a boolean mask of shape (M,) or (M, K) over
+    them. Every voxel's pooled value is the logical OR over all voxels at the
+    same spatial cell (any stage); voxels with no cross-stage counterpart pass
     through unchanged. Idempotent.
     """
-    if not (0 <= level < len(stack.levels)):
-        raise ValueError(f"level {level} out of range")
-    coords, mask = stack.levels[level]
+    coords = _frozen(coords, np.int64, "level coordinates", width=4)
+    mask = _frozen(mask, bool, "level mask")
+    if len(mask) != len(coords):
+        raise ValueError("misaligned level: mask rows must match coordinates")
     _, inverse = np.unique(coords[:, :3], axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0 returned (M, 1) here
     n_groups = int(inverse.max()) + 1 if len(inverse) else 0

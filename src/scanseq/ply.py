@@ -74,6 +74,8 @@ def _parse_header(raw: bytes) -> _Header:
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < 2 and parts[0] in ("format", "element", "property"):
+            raise PlyFormatError(f"bad {parts[0]} line {line!r}")
         if parts[0] == "format":
             fmt_seen = True
             if parts[1] == "ascii":
@@ -114,17 +116,17 @@ def _parse_header(raw: bytes) -> _Header:
                    properties=properties, data_offset=newline + 1)
 
 
-def read_ply(path, with_instances: bool = False):
-    """Read a PLY point cloud into a stage.
+def read_ply(path) -> tuple[StageCloud, Optional[np.ndarray]]:
+    """Read a PLY point cloud into a stage and its per-point instance ids.
 
     Positions come from float ``x, y, z`` (meters); ``red, green, blue`` uchar
     columns become colors in [0, 1]; an integer ``segment`` column becomes
-    superpoint ids. With ``with_instances`` the result is ``(stage,
-    instances)``: the integer ``instance`` column as int64, or None when the
-    file has no such property. Both encodings read into one table of the
-    header's property types, so an ascii ``float`` is float32 as a binary one
-    is; an ascii row that is not one vertex of such values (``5.0`` is no
-    integer) is a PlyFormatError. Every PlyError names ``path``.
+    superpoint ids. The result is ``(stage, instances)``: ``instances`` is the
+    integer ``instance`` column as int64, or None when the file has no such
+    property. Both encodings read into one table of the header's property
+    types, so an ascii ``float`` is float32 as a binary one is; an ascii row
+    that is not one vertex of such values (``5.0`` is no integer) is a
+    PlyFormatError naming its file line. Every PlyError names ``path``.
     """
     table = _read_table(path)
     names = table.dtype.names
@@ -139,13 +141,13 @@ def read_ply(path, with_instances: bool = False):
     cloud = StageCloud(positions=_hand_over(positions),
                        colors=None if colors is None else _hand_over(colors),
                        segment_ids=None if segments is None else _hand_over(segments))
-    return (cloud, _ids(table, "instance")) if with_instances else cloud
+    return cloud, _ids(table, "instance")
 
 
 def _read_labels(path) -> tuple[int, Optional[np.ndarray]]:
     """The point count and the ``instance`` column of the PLY at ``path``, as
-    :func:`read_ply` with ``with_instances`` gives them, after the same checks,
-    but with no positions or colors built."""
+    :func:`read_ply` gives them, after the same checks, but with no positions
+    or colors built."""
     table = _read_table(path)
     return len(table), _ids(table, "instance")
 
@@ -186,25 +188,52 @@ def _decode(raw: bytes) -> np.ndarray:
     # loadtxt allocates all max_rows rows first; a value takes 2 bytes, the last 1
     if len(raw) - header.data_offset + 1 < 2 * len(dtype) * header.vertex_count:
         raise PlyFormatError("ascii body shorter than vertex count")
-    # floats parse as float64, so that a value beyond float32 overflows the cast
-    wide = [(name, "<f8" if code[1] == "f" else code) for name, code in dtype.descr]
     text = io.BytesIO(raw)
     text.seek(header.data_offset)
     try:
-        with warnings.catch_warnings(), np.errstate(over="raise"):
-            warnings.simplefilter("ignore", UserWarning)  # of blank lines: they hold no row
-            # older numpy reads "5.0" or "nan" into an int field via a float, only warning
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(text, dtype=wide, comments=None, ndmin=1,
-                               max_rows=header.vertex_count, encoding="ascii").astype(dtype)
-    except ValueError as exc:  # a value its type cannot hold, a row of the wrong width
-        # numpy's advice to pass ``usecols`` after the first ";" is no help here
-        raise PlyFormatError(f"ascii body: {str(exc).split(';')[0]}") from exc
-    except FloatingPointError as exc:
-        raise PlyFormatError("ascii body holds a value beyond the range of its type") from exc
+        table = _ascii_rows(text, dtype, header.vertex_count)
+    except (ValueError, FloatingPointError) as exc:
+        raise PlyFormatError(_first_bad_row(raw, header, dtype, exc)) from exc
     if len(table) < header.vertex_count:
         raise PlyFormatError("ascii body shorter than vertex count")
     return table
+
+
+def _ascii_rows(text, dtype: np.dtype, rows: int) -> np.ndarray:
+    """At most ``rows`` rows of ascii ``text`` as ``dtype``. A value its type
+    cannot hold or a row of the wrong width is a ValueError, a float beyond
+    float32 a FloatingPointError."""
+    # floats parse as float64, so that a value beyond float32 overflows the cast
+    wide = [(name, "<f8" if code[1] == "f" else code) for name, code in dtype.descr]
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("ignore", UserWarning)  # of blank lines: they hold no row
+        # older numpy reads "5.0" or "nan" into an int field via a float, only warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(text, dtype=wide, comments=None, ndmin=1, max_rows=rows,
+                          encoding="ascii").astype(dtype)
+
+
+def _first_bad_row(raw: bytes, header: _Header, dtype: np.dtype, exc: Exception) -> str:
+    """The error of an ascii body that :func:`_ascii_rows` refused with
+    ``exc``, naming the file line of its first bad row: the last line of the
+    shortest prefix of the body that it refuses, found by bisection. Rows
+    parse alone, so each step parses only the lines after the prefix read."""
+    lines = raw[header.data_offset:].split(b"\n")
+    good, bad = 0, len(lines)  # line counts of a prefix read and of one refused
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _ascii_rows(io.BytesIO(b"\n".join(lines[good:mid])), dtype, header.vertex_count)
+            good = mid
+        except (ValueError, FloatingPointError) as found:
+            bad, exc = mid, found
+    width = len(lines[bad - 1].split())
+    line = "line %d" % (raw.count(b"\n", 0, header.data_offset) + bad)
+    if width != len(dtype):
+        return f"{line}: a vertex row of width {width}, not {len(dtype)}"
+    if isinstance(exc, FloatingPointError):
+        return f"{line}: a value beyond the range of its type"
+    return f"{line}: a value its property type cannot hold"
 
 
 def write_ply(path, cloud: StageCloud, binary: bool = True,

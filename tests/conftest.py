@@ -51,7 +51,7 @@ def write_legacy_manifest(directory, seq, gt, stages=None) -> Path:
         if stages is not None and entry["stage_index"] not in stages:
             continue
         point_path = manifest.parent / entry["point_file"]
-        cloud, instances = read_ply(point_path, with_instances=True)
+        cloud, instances = read_ply(point_path)
         write_ply(point_path, cloud)
         entry["instance_file"] = f"stage_{entry['stage_index']:03d}.instances.txt"
         (manifest.parent / entry["instance_file"]).write_text(

@@ -337,8 +337,7 @@ def test_criterion_09_temporal_separation(seed, n_stages, n_levels, resolution):
             spatial.setdefault(tuple(key[:3]), []).append(key[3])
         for values in spatial.values():
             assert len(set(values)) == len(values)
-        for v in range(grid.num_voxels):
-            pts = grid.points_in_voxel(v)
+        for v, pts in enumerate(grid.voxel_to_points()):
             stage_of = np.searchsorted(grid.stage_offsets, pts, side="right") - 1
             assert np.all(stage_of == grid.keys[v, 3])
         grid = downsample_level(grid)

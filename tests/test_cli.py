@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scanseq.cli import _FOURIER_MAX_VALUES, main
+from scanseq.cli import _LOSSES_MAX_VALUES, main
 from scanseq.model import InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
@@ -490,7 +491,7 @@ def test_generate_scene_numpy_cannot_allocate_exits_2(tmp_path, capsys):
 def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, command):
     manifest, preds = _write_scene(tmp_path)
     ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
-    cloud, instances = read_ply(ply, with_instances=True)
+    cloud, instances = read_ply(ply)
     write_ply(ply, cloud, binary=binary, instances=instances)
     ply.write_bytes(ply.read_bytes().replace(
         b"property float x\n", b"property float x\nproperty float x\n", 1))
@@ -506,7 +507,7 @@ def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, 
 
 
 def _rewrite_as_ascii(ply):
-    cloud, instances = read_ply(ply, with_instances=True)
+    cloud, instances = read_ply(ply)
     write_ply(ply, cloud, binary=False, instances=instances)
 
 
@@ -531,22 +532,31 @@ def _header_edit(old, new):
     (_header_edit(b"format binary_little_endian 1.0\n", b""), "header has no format line"),
     (lambda raw: re.sub(rb"element vertex \d+\n", b"", raw, count=1),
      "header has no vertex element"),
+    (_header_edit(b"format binary_little_endian 1.0", b"format"), "bad format line 'format'"),
+    (_header_edit(b"element vertex", b"element\nelement vertex"), "bad element line 'element'"),
+    (_header_edit(b"property float x", b"property\nproperty float x"),
+     "bad property line 'property'"),
+    # the ascii stage's 8 vertex properties end its header on line 12
     (lambda raw: re.sub(rb"end_header\n\S+", b"end_header\nx", raw, count=1),
-     "ascii body: could not convert string 'x'"),
+     "stage_000.ply: line 13: a value its property type cannot hold"),
+    (lambda raw: re.sub(rb"(end_header\n(?:[^\n]*\n){2})\S+", rb"\1x", raw, count=1),
+     "stage_000.ply: line 15: a value its property type cannot hold"),
     (lambda raw: re.sub(rb"end_header\n[^\n]*", rb"\g<0> 7", raw, count=1),
-     "ascii body: "),  # numpy's own words follow, naming the row
+     "stage_000.ply: line 13: a vertex row of width 9, not 8"),
     (lambda raw: re.sub(rb"(end_header\n[^\n]*) ", rb"\1\n", raw, count=1),
-     "ascii body: "),  # numpy's own words follow, naming the row
+     "stage_000.ply: line 13: a vertex row of width 7, not 8"),
     (lambda raw: re.sub(rb"element vertex (\d+)",
                         lambda m: b"element vertex %d" % (int(m[1]) + 1), raw, count=1),
      "ascii body shorter than vertex count"),
 ], ids=["truncated", "non-ascii", "unknown-format", "face-first", "second-vertex",
         "vertex-count-word", "list-property", "unknown-type", "no-format", "no-vertex",
-        "ascii-word", "ascii-extra-value", "ascii-wrapped-row", "ascii-missing-row"])
+        "bare-format", "bare-element", "bare-property",
+        "ascii-word", "ascii-word-third-row", "ascii-extra-value", "ascii-wrapped-row",
+        "ascii-missing-row"])
 def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
     manifest, preds = _write_scene(tmp_path)
     ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
-    if message.startswith("ascii body"):  # these cases edit the stage written as ascii
+    if message.startswith(("stage_000.ply: line", "ascii body")):  # of the ascii stage
         _rewrite_as_ascii(ply)
     ply.write_bytes(edit(ply.read_bytes()))
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
@@ -560,6 +570,8 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
 @pytest.mark.parametrize("target,edit,code,named,message", [
     ("stage_000.ply", lambda raw: raw[:-5], 74, "stage_000.ply",
      "binary body shorter than vertex count"),
+    ("stage_000.ply", lambda raw: raw[:20], 74, "stage_000.ply",
+     "not a PLY file (missing 'ply'/'end_header')"),
     ("stage_000.ply", _header_edit(b"int instance", b"float instance"), 74, "stage_000.ply",
      "the instance property must have an integer type"),
     ("stage_000.ply", _header_edit(b"int segment", b"float segment"), 74, "stage_000.ply",
@@ -570,7 +582,7 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
      "manifest.json", "stage 1 has no points"),
     ("manifest.json", lambda raw: json.dumps({**json.loads(raw), "stages": []}).encode(), 2,
      "manifest.json", "a sequence needs at least one stage"),
-], ids=["short-body", "float-instance", "float-segment", "missing-z", "empty-stage",
+], ids=["short-body", "cut-to-20-bytes", "float-instance", "float-segment", "missing-z", "empty-stage",
         "no-stages"])
 def test_evaluate_stage_read_exit_codes(tmp_path, capsys, target, edit, code, named,
                                         message):
@@ -649,8 +661,8 @@ def test_losses_output_json_cannot_allocate_exits_2(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("rows,d_out,code", [
     (100, 16, 0),
-    (1, _FOURIER_MAX_VALUES // 2 + 2, 2),        # the (d_out / 2, 4) draw is over the cap
-    (1000, _FOURIER_MAX_VALUES // 1000 + 2, 2),  # the (rows, d_out) output is over it
+    (1, _LOSSES_MAX_VALUES // 2 + 2, 2),        # the (d_out / 2, 4) draw is over the cap
+    (1000, _LOSSES_MAX_VALUES // 1000 + 2, 2),  # the (rows, d_out) output is over it
 ], ids=["below-cap", "draw-above-cap", "output-above-cap"])
 def test_losses_fourier_sizes_are_capped(tmp_path, capsys, rows, d_out, code):
     inp, out = tmp_path / "in.json", tmp_path / "o.json"
@@ -668,6 +680,35 @@ def test_losses_fourier_sizes_are_capped(tmp_path, capsys, rows, d_out, code):
         assert not out.exists()
     else:
         assert np.shape(json.loads(out.read_text())["features"]) == (rows, d_out)
+
+
+_SIDE = math.isqrt(_LOSSES_MAX_VALUES) + 1  # an (n, n) matrix of this side is over the cap
+
+
+@pytest.mark.parametrize("op", ["contrastive", "cost"])
+@pytest.mark.parametrize("n,code", [(100, 0), (_SIDE, 2)], ids=["below-cap", "above-cap"])
+def test_losses_quadratic_sizes_are_capped(tmp_path, capsys, op, n, code):
+    # n instance ids make (n, n) relation and similarity matrices; n predictions
+    # and n ground-truth masks make (n, n) cost terms, whatever the point count
+    payload = ({"features": [[1.0, i % 2] for i in range(n)],
+                "instance_ids": [i % 3 for i in range(n)]} if op == "contrastive" else
+               {"pred_mask_logits": [[1.0]] * n, "pred_class_logits": [[1.0, 0.0]] * n,
+                "gt_masks": [[1.0]] * n, "gt_classes": [0] * n})
+    inp, out = tmp_path / "in.json", tmp_path / "o.json"
+    inp.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        assert main(["losses", "--op", op, "--in", str(inp), "--out", str(out)]) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20  # the cap's values alone take 80 MB as float64
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {op} output too large to compute: {n} ")
+        assert f"exceed {_LOSSES_MAX_VALUES} values" in err and not out.exists()
+    else:
+        assert out.exists()
 
 
 def test_losses_fourier_features_for_a_scene_level(tmp_path):
@@ -937,9 +978,12 @@ BAD_ASSOCIATION_INPUTS = {
 def test_associate_bad_input_exits_2(tmp_path, capsys, case, mode):
     manifest, stage_files = _association_scene(tmp_path)
     masks, sequence_id = BAD_ASSOCIATION_INPUTS[case]
-    bad = tmp_path / "bad.json"
-    write_predictions(bad, masks, sequence_id,
-                      features={m.instance_id: np.eye(3)[0] for m in masks}, rle=False)
+    bad = tmp_path / "bad.json"  # as index lists: RLE cannot hold an unordered stage
+    bad.write_text(json.dumps({"sequence_id": sequence_id, "instances": [
+        {"instance_id": m.instance_id, "class_id": m.class_id, "confidence": m.confidence,
+         "feature": [1.0, 0.0, 0.0],
+         "masks": {str(t): {"encoding": "points", "data": pts.tolist()}
+                   for t, pts in m.per_stage_points.items()}} for m in masks]}))
     out = tmp_path / "merged.json"
     code = main(["associate", "--mode", mode, "--pred-a", str(bad),
                  "--pred-b", str(stage_files[1]), "--manifest", str(manifest),

@@ -34,7 +34,8 @@ HEADER_POOL = (None, "", "comment x", "ply", "end_header", "format ascii 1.0",
                "element vertex x", "element vertex 1", f"element vertex {10 ** 12}",
                "element face 0", "property float x", "property double x",
                "property list uchar int x", "property quad x", "property int",
-               "property float instance", "property uchar instance")
+               "property float instance", "property uchar instance", "format", "element",
+               "property")
 
 BODY_TOKENS = (b"", b"x", b"nan", b"inf", b"-1", b"1.5", b"1e39", b"-0", b"2147483648",
                b"0x1")
@@ -101,7 +102,7 @@ def files(tmp_path_factory):
     # and one whose first stage PLY the body fuzz rewrites, from the binary
     # original or from this ascii copy of it
     write_manifest(root / "body-scene", seq, gt)
-    cloud, instances = read_ply(root / "scene" / "stage_000.ply", with_instances=True)
+    cloud, instances = read_ply(root / "scene" / "stage_000.ply")
     write_ply(root / "stage_000-ascii.ply", cloud, binary=False, instances=instances)
     sources = {"manifest": manifest, "preds": preds, "recipe": root / "recipe.json"}
     sources["recipe"].write_text(json.dumps(RECIPE))

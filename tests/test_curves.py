@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from scanseq import curves
 from scanseq.curves import (Curve, ScheduleMix, SerializationDims,
-                            SerializationPattern, decode_key, decode_keys,
-                            encode_key, encode_keys, make_schedule,
-                            serialize_sequence)
+                            SerializationPattern, decode_keys, encode_keys,
+                            make_schedule, serialize_sequence)
 from scanseq.geometry import VoxelGrid4D, voxelize
 from scanseq.model import SequencePointCloud, StageCloud
 
@@ -28,7 +27,7 @@ def full_grid(d, bits):
 
 def test_zorder_2d_footprint_matches_bit_interleaving():
     # 2D view through d=3 with z fixed to 0: x is the least significant axis
-    ranks = {(x, y): encode_key((x, y, 0), Curve.Z_ORDER, 2)
+    ranks = {(x, y): int(encode_keys([(x, y, 0)], Curve.Z_ORDER, 2)[0])
              for x in range(2) for y in range(2)}
     assert sorted(ranks, key=ranks.get) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -36,7 +35,7 @@ def test_zorder_2d_footprint_matches_bit_interleaving():
 def test_hilbert_first_order_shape():
     # the four z=0 cells of the first-order 3D curve trace the classic
     # 2D first-order shape: (0,0) (0,1) (1,1) (1,0)
-    ranks = {(x, y): encode_key((x, y, 0), Curve.HILBERT, 1)
+    ranks = {(x, y): int(encode_keys([(x, y, 0)], Curve.HILBERT, 1)[0])
              for x in range(2) for y in range(2)}
     assert sorted(ranks, key=ranks.get) == [(0, 0), (0, 1), (1, 1), (1, 0)]
 
@@ -162,20 +161,11 @@ def test_decode_accepts_empty_and_full_width_ranks():
 
 def test_out_of_range_coordinates_rejected():
     with pytest.raises(ValueError, match="out of range"):
-        encode_key((8, 0, 0), Curve.Z_ORDER, 3)
+        encode_keys([(8, 0, 0)], Curve.Z_ORDER, 3)
     with pytest.raises(ValueError, match="out of range"):
-        encode_key((-1, 0, 0), Curve.Z_ORDER, 3)
+        encode_keys([(-1, 0, 0)], Curve.Z_ORDER, 3)
     with pytest.raises(ValueError, match="rank out of range"):
-        decode_key(1 << 9, Curve.Z_ORDER, 3, 3)
-
-
-def test_scalar_and_vector_paths_agree():
-    rng = np.random.default_rng(0)
-    coords = rng.integers(0, 16, size=(50, 4))
-    for curve in ALL_CURVES:
-        vec = encode_keys(coords, curve, 4)
-        scalar = [encode_key(tuple(c), curve, 4) for c in coords]
-        assert vec.tolist() == scalar
+        decode_keys([1 << 9], Curve.Z_ORDER, 3, 3)
 
 
 def _grid_from(stage_points):
@@ -284,8 +274,8 @@ def test_trans_variants_are_axis_rotations():
     assert p3.axis_permutation == (2, 0, 1)
     p4 = SerializationPattern(Curve.HILBERT_TRANS, SerializationDims.SPATIOTEMPORAL_4D)
     assert p4.axis_permutation == (3, 0, 1, 2)
-    assert encode_key((1, 2, 3), Curve.Z_ORDER_TRANS, 3) == \
-        encode_key((3, 1, 2), Curve.Z_ORDER, 3)
+    assert encode_keys([(1, 2, 3)], Curve.Z_ORDER_TRANS, 3).tolist() == \
+        encode_keys([(3, 1, 2)], Curve.Z_ORDER, 3).tolist()
 
 
 ALL_PATTERNS = tuple(SerializationPattern(c, dims)

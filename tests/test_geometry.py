@@ -10,7 +10,7 @@ from scanseq.geometry import (VoxelGrid4D, build_feature_hierarchy,
                               pool_features_to_voxels, pool_superpoint_features,
                               voxelize)
 from scanseq.model import SequencePointCloud, StageCloud
-from scanseq.numerics import MaskHierarchyStack, st_pool_masks
+from scanseq.numerics import st_pool_masks
 
 import oracles
 from conftest import make_sequence
@@ -57,7 +57,7 @@ def test_point_to_voxel_covers_every_point_once():
     seq = make_sequence([40, 60], seed=3)
     grid = voxelize(seq, resolution=0.5)
     assert grid.num_points == 100
-    sizes = [grid.points_in_voxel(v).size for v in range(grid.num_voxels)]
+    sizes = [pts.size for pts in grid.voxel_to_points()]
     assert sum(sizes) == 100
 
 
@@ -154,19 +154,17 @@ def test_voxel_grid_fields_cannot_be_reassigned():
         grid.point_to_voxel[0] = 1
 
 
-def test_writing_a_points_in_voxel_result_changes_no_later_answer():
+def test_writing_a_voxel_to_points_result_changes_no_later_answer():
     grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, 0], [1, 0, 0, 0]]),
                        np.array([0, 1, 0]), np.array([0, 3]))
-    grid.points_in_voxel(0)[:] = 2
-    assert grid.points_in_voxel(0).tolist() == [0, 2]
-    assert grid.points_in_voxel(1).tolist() == [1]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.voxel_to_points()[0][:] = 2
     assert [p.tolist() for p in grid.voxel_to_points()] == [[0, 2], [1]]
 
 
 def test_voxel_with_no_points_has_an_empty_index():
     grid = VoxelGrid4D(1.0, np.array([[0, 0, 0, 0], [1, 0, 0, 0]]),
                        np.array([1, 1]), np.array([0, 2]))
-    assert grid.points_in_voxel(0).size == 0
     assert [p.tolist() for p in grid.voxel_to_points()] == [[], [0, 1]]
 
 
@@ -209,16 +207,12 @@ def test_pooling_and_inverse_maps_match_per_group_loops(seed, n_stages, n_levels
     levels = [(keys, rng.random(_shape(len(keys), mask_width)) < 0.3)
               for keys, _ in hier.levels]
     levels.append((np.empty((0, 4), dtype=np.int64), np.zeros(_shape(0, mask_width), bool)))
-    stack = MaskHierarchyStack(levels=tuple(levels))
-    for r, (coords, mask) in enumerate(levels):
-        assert np.array_equal(st_pool_masks(stack, r), oracles.st_pool_masks(coords, mask))
+    for coords, mask in levels:
+        assert np.array_equal(st_pool_masks(coords, mask), oracles.st_pool_masks(coords, mask))
 
     for _ in range(n_levels):
         assert [p.tolist() for p in grid.voxel_to_points()] == oracles.voxel_to_points(
             grid.point_to_voxel, grid.num_voxels)
-        for v in range(grid.num_voxels):
-            assert grid.points_in_voxel(v).tolist() == oracles.points_in_voxel(
-                grid.point_to_voxel, v)
         grid = downsample_level(grid)
 
 
@@ -248,8 +242,7 @@ def test_temporal_separation_property(seed, n_stages, n_levels):
     grid = voxelize(seq, resolution=0.1)
     for _ in range(n_levels):
         # each voxel's points all come from the stage recorded in its key
-        for v in range(grid.num_voxels):
-            pts = grid.points_in_voxel(v)
+        for v, pts in enumerate(grid.voxel_to_points()):
             stage_of = np.searchsorted(grid.stage_offsets, pts, side="right") - 1
             assert np.all(stage_of == grid.keys[v, 3])
         spatial = {}

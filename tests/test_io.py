@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from scanseq.formats import (FormatError, dump_canonical_json, read_manifest,
                              write_report)
 from scanseq.metrics import evaluate
 from scanseq.model import StageCloud, validate_sequence
-from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, read_ply,
-                         write_ply)
+from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, _ascii_rows, _decode,
+                         read_ply, write_ply)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
 from conftest import annotation, make_sequence, mask, write_legacy_manifest
@@ -28,9 +29,9 @@ def test_ascii_ply_reads_exact_positions(tmp_path):
         "end_header",
         "0.5 0 0", "0 1.25 0", "0 0 -2",
     ]) + "\n")
-    cloud = read_ply(path)
+    cloud, instances = read_ply(path)
     assert cloud.positions.tolist() == [[0.5, 0, 0], [0, 1.25, 0], [0, 0, -2]]
-    assert cloud.colors is None and cloud.segment_ids is None
+    assert cloud.colors is None and cloud.segment_ids is None and instances is None
 
 
 def test_ply_missing_z_property(tmp_path):
@@ -84,15 +85,15 @@ def test_ply_instance_property_must_be_integral(tmp_path):
         "property float x", "property float y", "property float z",
         "property int instance", "end_header", "0 0 0 3", "1 1 1 -1",
     ]) + "\n")
-    cloud, instances = read_ply(path, with_instances=True)
+    cloud, instances = read_ply(path)
     assert cloud.point_count == 2 and instances.tolist() == [3, -1]
     text = path.read_text()
     path.write_text(text.replace("int instance", "float instance"))
     with pytest.raises(PlyFormatError, match="integer type"):
-        read_ply(path, with_instances=True)
+        read_ply(path)
     for bad in ("1.5", "5.0", "nan", "inf", "3000000000"):
         path.write_text(text.replace("0 0 0 3", f"0 0 0 {bad}"))
-        with pytest.raises(PlyFormatError, match=f"could not convert string '{bad}'"):
+        with pytest.raises(PlyFormatError, match="line 9: a value its property type cannot"):
             read_ply(path)
 
 
@@ -141,7 +142,7 @@ def test_binary_ply_round_trips_byte_exactly(tmp_path):
                        segment_ids=rng.integers(0, 9, size=40))
     first = tmp_path / "a.ply"
     write_ply(first, cloud, binary=True)
-    reread = read_ply(first)
+    reread, _ = read_ply(first)
     second = tmp_path / "b.ply"
     write_ply(second, reread, binary=True)
     assert first.read_bytes() == second.read_bytes()
@@ -161,7 +162,7 @@ def test_ply_keeps_int32_extremes(tmp_path):
     cloud = StageCloud(positions=np.zeros((2, 3)), segment_ids=[info.min, info.max])
     path = tmp_path / "a.ply"
     write_ply(path, cloud, instances=[info.max, info.min])
-    reread, instances = read_ply(path, with_instances=True)
+    reread, instances = read_ply(path)
     assert reread.segment_ids.tolist() == [info.min, info.max]
     assert instances.tolist() == [info.max, info.min]
 
@@ -183,7 +184,7 @@ def test_ascii_ply_round_trips_values(tmp_path):
                        colors=np.array([[1.0, 0.0, 0.5019607843137255]]))
     path = tmp_path / "a.ply"
     write_ply(path, cloud, binary=False)
-    reread = read_ply(path)
+    reread, _ = read_ply(path)
     assert np.allclose(reread.positions, cloud.positions)
     assert np.allclose(reread.colors, cloud.colors)
 
@@ -192,7 +193,7 @@ def test_ascii_ply_round_trips_every_float32(tmp_path):
     positions = np.random.default_rng(0).uniform(-100, 100, (5000, 3)).astype(np.float32)
     path = tmp_path / "a.ply"
     write_ply(path, StageCloud(positions=positions), binary=False)
-    assert np.array_equal(read_ply(path).positions, positions)
+    assert np.array_equal(read_ply(path)[0].positions, positions)
 
 
 def test_ascii_and_binary_ply_read_the_same_values(tmp_path):
@@ -208,7 +209,7 @@ def test_ascii_and_binary_ply_read_the_same_values(tmp_path):
     for binary in (True, False):
         path = tmp_path / f"{binary}.ply"
         write_ply(path, cloud, binary=binary, instances=np.arange(50) - 1)
-        reads.append(read_ply(path, with_instances=True))
+        reads.append(read_ply(path))
     (b_cloud, b_inst), (a_cloud, a_inst) = reads
     assert np.allclose(a_cloud.positions, b_cloud.positions, rtol=1e-7, atol=0)
     # a float property reads as float32 in both encodings
@@ -227,6 +228,39 @@ def test_ascii_ply_float_beyond_its_type_rejected(tmp_path):
     ]) + "\n")
     with pytest.raises(PlyFormatError, match="beyond the range"):
         read_ply(path)
+
+
+def test_ascii_ply_error_names_the_first_line_a_prefix_parse_refuses():
+    # the error path bisects, parsing only the lines after the prefix already
+    # read; growing the prefix one line at a time must stop at the same line
+    rng = np.random.default_rng(1)
+    tokens = [b"0", b"1", b"-1", b"x", b"1.5", b"1e39", b"300", b"2147483648"]
+    header = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\n"
+              "property float y\nproperty float z\nproperty uchar red\n"
+              "property int instance\nend_header\n")  # 9 lines
+    dtype = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("red", "<u1"),
+                      ("instance", "<i4")])
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        lines = [b" ".join(tokens[rng.integers(len(tokens) if rng.random() < 0.1 else 3)]
+                           for _ in range(rng.choice([5, 5, 5, 4, 6, 0])))
+                 for _ in range(n + int(rng.integers(0, 3)))]
+        try:
+            _decode(header.format(n).encode() + b"\n".join(lines) + b"\n")
+            continue
+        except PlyFormatError as exc:
+            message = str(exc)
+        if not message.startswith("line "):
+            continue  # a body shorter than its vertex count
+        for k in range(1, len(lines) + 1):
+            try:
+                _ascii_rows(io.BytesIO(b"\n".join(lines[:k])), dtype, n)
+            except (ValueError, FloatingPointError):
+                break
+        assert message.startswith(f"line {9 + k}: ")
+        checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +357,19 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
     seq, gt = _scene()
     preds = perturb(seq, gt, PerturbationSpec(target_iou=0.8, seed=1))
     features = {preds[0].instance_id: np.array([0.1, 0.2, 0.3])}
-    for rle in (True, False):
-        path = tmp_path / f"preds_{rle}.json"
-        write_predictions(path, preds, seq.sequence_id, features=features, rle=rle)
+    rle_path = tmp_path / "preds_rle.json"
+    write_predictions(rle_path, preds, seq.sequence_id, features=features)
+    data = json.loads(rle_path.read_text())
+    masks = [m for e in data["instances"] for m in e["masks"].values()]
+    assert all(m["encoding"] == "rle" for m in masks)
+    assert all(isinstance(v, int) for m in masks for v in m["data"])  # flat
+    dump_canonical_json(tmp_path / "again.json", data)
+    assert (tmp_path / "again.json").read_bytes() == rle_path.read_bytes()
+    for m in masks:  # the same file with explicit index lists, which is also read
+        m.update(encoding="points", data=rle_decode(m["data"]))
+    points_path = tmp_path / "preds_points.json"
+    dump_canonical_json(points_path, data)
+    for path in (rle_path, points_path):
         content = read_predictions(path)
         assert content.sequence_id == seq.sequence_id
         assert len(content.instances) == len(preds)
@@ -337,11 +381,6 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
                 assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
         assert np.allclose(content.features[preds[0].instance_id],
                            [0.1, 0.2, 0.3], atol=1e-6)
-        masks = [m for e in json.loads(path.read_text())["instances"]
-                 for m in e["masks"].values()]
-        assert all(isinstance(v, int) for m in masks for v in m["data"])  # flat
-        dump_canonical_json(tmp_path / "again.json", json.loads(path.read_text()))
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_manifest_has_no_class_files(tmp_path):
@@ -364,7 +403,7 @@ def test_manifest_keeps_instance_ids_in_the_ply(tmp_path):
     for t in range(seq.num_stages):
         path = manifest.parent / f"stage_{t:03d}.ply"
         assert b"property int instance\n" in path.read_bytes()[:400]
-        cloud, instances = read_ply(path, with_instances=True)
+        cloud, instances = read_ply(path)
         expected = np.full(cloud.point_count, -1)
         for m in gt.instances:
             expected[m.points_at(t)] = m.instance_id

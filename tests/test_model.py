@@ -202,7 +202,7 @@ def test_read_only_arrays_are_taken_without_a_copy(tmp_path):
     positions.flags.writeable = False
     assert StageCloud(positions).positions is positions
     write_ply(tmp_path / "s.ply", make_cloud(20, with_segments=True))
-    cloud = read_ply(tmp_path / "s.ply")
+    cloud, _ = read_ply(tmp_path / "s.ply")
     assert not any(a.flags.writeable for a in (cloud.positions, cloud.segment_ids))
 
 

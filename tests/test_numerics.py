@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanseq.numerics import (AssignmentCostConfig, MaskHierarchyStack,
-                              RelationMatrix, assignment_cost, binarize_masks,
-                              contrastive_loss, fourier_features_4d,
+from scanseq.numerics import (AssignmentCostConfig, RelationMatrix, assignment_cost,
+                              binarize_masks, contrastive_loss, fourier_features_4d,
                               gaussian_projection_matrix, relation_from_instance_ids,
                               solve_assignment, st_pool_masks)
 
@@ -151,30 +150,16 @@ def test_assignment_cost_dimension_mismatch():
 # Spatio-temporal mask pooling
 
 
-def _stack(coords, mask):
-    return MaskHierarchyStack(levels=((np.asarray(coords), np.asarray(mask)),))
-
-
-def test_mask_stack_keeps_no_caller_array():
-    coords = np.array([[0, 0, 0, 0], [0, 0, 0, 1]])
-    mask = np.array([True, False])
-    stack = MaskHierarchyStack(levels=((coords, mask),))
-    coords[0, 0] = 7
-    mask[0] = False
-    assert stack.levels[0][0][0, 0] == 0 and stack.levels[0][1][0]
-    assert not any(a.flags.writeable for a in stack.levels[0])
-
-
 def test_or_pooling_across_stages():
     coords = [[0, 0, 0, 0], [0, 0, 0, 1]]
-    pooled = st_pool_masks(_stack(coords, [True, False]), 0)
+    pooled = st_pool_masks(coords, [True, False])
     assert pooled.tolist() == [True, True]
 
 
 def test_disjoint_voxels_pass_through():
     coords = [[0, 0, 0, 0], [5, 5, 5, 1]]
     mask = [True, False]
-    pooled = st_pool_masks(_stack(coords, mask), 0)
+    pooled = st_pool_masks(coords, mask)
     assert pooled.tolist() == mask
 
 
@@ -183,7 +168,7 @@ def test_pooling_matches_group_by_oracle_and_is_idempotent():
     coords = np.column_stack([rng.integers(0, 3, size=(120, 3)),
                               rng.integers(0, 4, size=120)])
     mask = rng.uniform(size=(120, 5)) < 0.3
-    pooled = st_pool_masks(_stack(coords, mask), 0)
+    pooled = st_pool_masks(coords, mask)
     groups = {}
     for row, key in enumerate(map(tuple, coords[:, :3].tolist())):
         groups.setdefault(key, []).append(row)
@@ -191,14 +176,12 @@ def test_pooling_matches_group_by_oracle_and_is_idempotent():
         expected = np.any(mask[rows], axis=0)
         for row in rows:
             assert pooled[row].tolist() == expected.tolist()
-    assert np.array_equal(st_pool_masks(_stack(coords, pooled), 0), pooled)
+    assert np.array_equal(st_pool_masks(coords, pooled), pooled)
 
 
 def test_pooling_rejects_misaligned_levels():
     with pytest.raises(ValueError, match="misaligned"):
-        st_pool_masks(_stack(np.zeros((3, 4), dtype=int), np.zeros(2, bool)), 0)
-    with pytest.raises(ValueError, match="out of range"):
-        st_pool_masks(_stack(np.zeros((2, 4), dtype=int), np.zeros(2, bool)), 1)
+        st_pool_masks(np.zeros((3, 4), dtype=int), np.zeros(2, bool))
 
 
 # ---------------------------------------------------------------------------
