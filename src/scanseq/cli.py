@@ -15,11 +15,13 @@ its file's name; ``associate`` checks each prediction file as ``evaluate``
 does, and that all its masks sit at one stage; ``--mode semantic`` also needs
 every instance to carry a finite, nonzero 1-D feature, of one length across
 both files; so is a manifest with no stage or a stage PLY with no points, a
-scene or ``losses`` output too large to allocate, a ``losses`` array over
-10**7 values (``fourier``'s draw or output, ``cost``'s prediction by
-ground-truth matrices, ``contrastive``'s instance by instance ones), a scene
-with an integer numpy cannot hold, and an output holding a NaN or infinity,
-which is not written), 64 usage error (including a threshold outside [0, 1), a
+position that quantizes beyond int64 at --resolution, a scene of over 10**7
+points (every stage at its largest) or too large to allocate, a ``losses``
+output too large to allocate or an array of it over 10**7 values
+(``fourier``'s draw or output, ``cost``'s prediction by ground-truth
+matrices, ``contrastive``'s instance by instance ones), a scene with an
+integer numpy cannot hold, and an output holding a NaN or infinity, which is
+not written), 64 usage error (including a threshold outside [0, 1), a
 negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
 a positive finite number), 74 I/O or file-format failure (including JSON of
 the wrong shape or type or nested too deeply, a malformed PLY, named in the
@@ -27,10 +29,11 @@ message (an ascii row of the wrong width or a ``5.0`` integer too, by its file
 line), a bool or string where a number belongs, an array element an exact cast
 would change (a string or null among numbers, a float among integers) in a
 mask, a feature or a ``losses`` payload, RLE data not in one flat ``[start,
-length, ...]`` list, an RLE run that ends past its stage, a label file that is
-not one integer per line, a non-string sequence_id, an integer-named JSON key
-not spelled as ``str(int(key))``, a recipe that ``SceneRecipe``, ``ChangeOp``
-or ``PerturbationSpec`` rejects (a non-finite number too) and a ``losses``
+length, ...]`` list, an RLE run that ends past its stage, a manifest stage
+that names an ``instance_file`` or whose PLY has no ``instance`` property, a
+non-string sequence_id, an integer-named JSON key not spelled as
+``str(int(key))``, a recipe that ``SceneRecipe``, ``ChangeOp`` or
+``PerturbationSpec`` rejects (a non-finite number too) and a ``losses``
 payload with a missing or wrongly typed field or an integer numpy cannot
 hold).
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after

@@ -3,8 +3,7 @@
 A *manifest* directory holds one PLY per stage, whose int ``instance``
 vertex property gives each point's instance id (-1 for background), tied
 together by ``manifest.json`` which also carries the annotations (instance
-classes, ambiguous groups, change labels). Older manifests name a per-stage
-``instance_file`` instead (one integer per line); it is still read.
+classes, ambiguous groups, change labels).
 Prediction files are standalone JSON with per-stage masks stored either as
 explicit index lists or as run-length data over the sorted indices, one flat
 list ``[start0, length0, start1, length1, ...]``; both are read, run-length
@@ -205,26 +204,6 @@ def _object(container: Mapping, key: str, path) -> Mapping:
     return value
 
 
-def _read_instance_file(path: Path, entry: Mapping, point_count: int) -> np.ndarray:
-    """The text instance labels of an older manifest's stage ``entry``."""
-    if not isinstance(entry["instance_file"], str):
-        raise FormatError(f"{path}: instance_file must be a string")
-    inst_path = path.parent / entry["instance_file"]
-    if not inst_path.exists():
-        raise FormatError(f"{path}: missing instance file {entry['instance_file']}")
-    try:
-        inst_col = np.loadtxt(inst_path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise FormatError(f"{inst_path}: not one integer per line ({exc})") from exc
-    if inst_col.ndim != 1:
-        raise FormatError(f"{inst_path}: not one integer per line")
-    if len(inst_col) != point_count:
-        raise FormatError(
-            f"{path}: row counts do not match point count at stage "
-            f"{entry['stage_index']}")
-    return inst_col
-
-
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Load a manifest; raises :class:`FormatError` on schema problems."""
     return _read_manifest(path, geometry=True)
@@ -247,19 +226,15 @@ def _read_manifest(path, geometry: bool):
     if [e["stage_index"] for e in entries] != list(range(len(entries))):
         raise FormatError(f"{path}: stage indices must be contiguous from 0")
     for entry in entries:
-        if geometry:
-            cloud, inst_col = read_ply(root / entry["point_file"])
-            stages.append(cloud)
-            point_count = cloud.point_count
-        else:
-            point_count, inst_col = _read_labels(root / entry["point_file"])
-            stages.append(point_count)
-        if "instance_file" in entry:
-            inst_col = _read_instance_file(path, entry, point_count)
-        elif inst_col is None:
+        if "instance_file" in entry:  # refused, not ignored: its writer expects those ids scored
             raise FormatError(
-                f"{path}: stage {entry['stage_index']} has no instance_file and "
-                f"{entry['point_file']} has no instance property")
+                f"{path}: stage {entry['stage_index']} names an instance_file; instance "
+                f"ids are read only from the stage PLY's instance property")
+        point_path = root / entry["point_file"]
+        stage, inst_col = (read_ply if geometry else _read_labels)(point_path)
+        stages.append(stage)
+        if inst_col is None:
+            raise FormatError(f"{point_path}: has no instance property")
         per_stage_instances.append(inst_col)
 
     annotations = _object(data, "annotations", path)

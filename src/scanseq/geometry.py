@@ -9,7 +9,7 @@ the spatial coordinates only; the temporal coordinate is never pooled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -108,7 +108,12 @@ def voxelize(seq: SequencePointCloud,
         pos = stage.positions
         if not np.all(np.isfinite(pos)):
             raise ValueError(f"invalid coordinate: stage {t} has non-finite positions")
-        ijk = np.floor(pos / resolution).astype(np.int64)
+        with np.errstate(over="ignore"):  # an infinite quotient is refused below
+            cells = np.floor(pos / resolution)
+        if not (-2.0 ** 63 <= cells.min() and cells.max() < 2.0 ** 63):
+            raise ValueError(f"invalid coordinate: stage {t} has a position that quantizes "
+                             f"beyond int64 at resolution {resolution}")
+        ijk = cells.astype(np.int64)
         block = np.empty((len(ijk), 4), dtype=np.int64)
         block[:, :3] = ijk
         block[:, 3] = t

@@ -128,12 +128,11 @@ def _tiou_matrix(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray) -> np.
 def t_iou(pred: InstanceMask, gt: InstanceMask) -> IoUProfile:
     """Temporal IoU profile of a prediction against a ground-truth instance."""
     stages, inter, psize, gsize = _stage_tables([pred], [gt])
-    inter = inter[:, 0, 0]
-    union = psize[:, 0] + gsize[:, 0] - inter
-    per_stage = {t: i / u for t, i, u in zip(stages, inter.tolist(), union.tolist())}
-    overall = int(inter.sum()) / int(union.sum()) if stages else 0.0
-    value = min(per_stage.values()) if per_stage else 0.0
-    return IoUProfile(per_stage_iou=per_stage, overall_iou=overall, t_iou=value)
+    per_stage = dict(zip(stages, _stage_iou(inter, psize, gsize)[:, 0, 0].tolist()))
+    both = int(inter.sum())
+    overall = both / (int(psize.sum()) + int(gsize.sum()) - both) if stages else 0.0
+    return IoUProfile(per_stage_iou=per_stage, overall_iou=overall,
+                      t_iou=_tiou_matrix(inter, psize, gsize)[0, 0].item())
 
 
 def overlap_candidates(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],

@@ -100,6 +100,10 @@ class SceneRecipe:
             put(name, _number(getattr(self, name), name, int))
         for name in ("extent", "placement_margin"):
             put(name, _number(getattr(self, name), name))
+        if isinstance(self.primitives, str) or not self.primitives or not all(
+                p in ("box", "sphere") for p in self.primitives):
+            raise ValueError(f"primitives must be a non-empty list of names from "
+                             f"box, sphere, not {self.primitives!r}")
         put("primitives", tuple(self.primitives))
         put("size_range", tuple(_number(v, "size_range") for v in self.size_range))
         put("points_per_object", tuple(_number(v, "points_per_object", int)
@@ -114,8 +118,12 @@ class SceneRecipe:
                                       for g in self.ambiguous_groups))
         put("changes", tuple({_int_key(k): (v if isinstance(v, ChangeOp) else ChangeOp(**v))
                               for k, v in dict(step).items()} for step in self.changes))
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
+        for name, low in (("n_objects", 0), ("n_stages", 1), ("n_classes", 1),
+                          ("background_points", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.extent <= 0:
+            raise ValueError("extent must be > 0")
         if len(self.changes) not in (0, self.n_stages - 1):
             raise ValueError("changes must list one mapping per stage transition")
         if not isinstance(self.sequence_id, str):
@@ -126,12 +134,10 @@ def _sample_local_points(rng: np.random.Generator, primitive: str,
                          sizes: np.ndarray, count: int) -> np.ndarray:
     if primitive == "box":
         return rng.uniform(-0.5, 0.5, size=(count, 3)) * sizes
-    if primitive == "sphere":
-        direction = rng.normal(size=(count, 3))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radius = (sizes[0] / 2) * np.cbrt(rng.uniform(size=(count, 1)))
-        return direction * radius
-    raise ValueError(f"unknown primitive {primitive!r}")
+    direction = rng.normal(size=(count, 3))  # a sphere
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radius = (sizes[0] / 2) * np.cbrt(rng.uniform(size=(count, 1)))
+    return direction * radius
 
 
 def _place_centers(rng: np.random.Generator, recipe: SceneRecipe,
@@ -160,10 +166,19 @@ def _yaw_matrix(yaw_deg: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+_MAX_SCENE_POINTS = 10 ** 7  # about 1.1 GB at peak while a scene is built
+
+
 def generate(recipe: SceneRecipe) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
-    """Build a sequence and its ground truth from a recipe, deterministically."""
-    rng = np.random.default_rng(recipe.seed)
+    """Build a sequence and its ground truth from a recipe, deterministically;
+    one that could realize over 10**7 points is refused before any allocation."""
     n = recipe.n_objects
+    stage_points = n * recipe.points_per_object[1] + recipe.background_points
+    if recipe.n_stages * max(1, stage_points) > _MAX_SCENE_POINTS:
+        raise SceneGenerationError(
+            f"scene too large to realize: {recipe.n_stages} stages of up to "
+            f"{stage_points} points exceed {_MAX_SCENE_POINTS} points")
+    rng = np.random.default_rng(recipe.seed)
     group_of = {}
     for gi, members in enumerate(recipe.ambiguous_groups):
         for m in members:
@@ -263,8 +278,6 @@ def generate(recipe: SceneRecipe) -> tuple[SequencePointCloud, GroundTruthAnnota
     change_labels: dict[int, ChangeType] = {}
     for i, seen in enumerate(kinds):
         per_stage = {t: masks[i] for t, masks in enumerate(stage_masks) if i in masks}
-        if not per_stage:
-            raise SceneGenerationError(f"instance {i} is present at no stage")
         instances.append(InstanceMask(instance_id=i, class_id=classes[i],
                                       per_stage_points=per_stage, confidence=1.0))
         change_labels[i] = (ChangeType.ADDED_REMOVED if seen & {"add", "remove"}

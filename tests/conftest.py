@@ -1,15 +1,10 @@
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from scanseq.formats import dump_canonical_json, write_manifest
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud)
-from scanseq.ply import read_ply, write_ply
 
 
 def make_cloud(n_points: int, seed: int = 0, with_segments: bool = False,
@@ -39,25 +34,6 @@ def annotation(instances, groups=(), labels=None) -> GroundTruthAnnotation:
         ambiguous_groups=tuple(AmbiguousGroup(group_id=i, member_instance_ids=m)
                                for i, m in enumerate(groups)),
         change_labels=labels or {})
-
-
-def write_legacy_manifest(directory, seq, gt, stages=None) -> Path:
-    """Write a manifest in the older text-label layout: the PLYs of ``stages``
-    (default all) lose their ``instance`` property, and each such stage names
-    an ``instance_file`` holding one instance id per line instead."""
-    manifest = write_manifest(directory, seq, gt)
-    data = json.loads(manifest.read_text())
-    for entry in data["stages"]:
-        if stages is not None and entry["stage_index"] not in stages:
-            continue
-        point_path = manifest.parent / entry["point_file"]
-        cloud, instances = read_ply(point_path)
-        write_ply(point_path, cloud)
-        entry["instance_file"] = f"stage_{entry['stage_index']:03d}.instances.txt"
-        (manifest.parent / entry["instance_file"]).write_text(
-            "".join(f"{i}\n" for i in instances), encoding="ascii")
-    dump_canonical_json(manifest, data)
-    return manifest
 
 
 @pytest.fixture

@@ -13,16 +13,14 @@ from scanseq.model import InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
                              write_predictions, dump_canonical_json)
 from scanseq.ply import read_ply, write_ply
+from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import write_legacy_manifest
 
-
-def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True, legacy=False):
+def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
     recipe = SceneRecipe(seed=2, n_objects=4, sequence_id=sequence_id)
     seq, gt = generate(recipe)
-    writer = write_legacy_manifest if legacy else write_manifest
-    manifest = writer(tmp_path / "scene", seq, gt)
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
     preds = perturb(seq, gt, PerturbationSpec(
         target_iou=1.0 if perfect else 0.7,
         confidence_jitter=0.0))
@@ -141,8 +139,8 @@ def test_evaluate_duplicate_prediction_ids_exits_2(tmp_path, capsys):
     assert "duplicate_instance_id" in capsys.readouterr().err
 
 
-def _evaluate_with_edited_manifest(tmp_path, edit, legacy=False):
-    manifest, preds = _write_scene(tmp_path, legacy=legacy)
+def _evaluate_with_edited_manifest(tmp_path, edit):
+    manifest, preds = _write_scene(tmp_path)
     data = json.loads(manifest.read_text())
     edit(data)
     manifest.write_text(json.dumps(data))
@@ -150,13 +148,46 @@ def _evaluate_with_edited_manifest(tmp_path, edit, legacy=False):
                  "--out", str(tmp_path / "r.json")])
 
 
-@pytest.mark.parametrize("key", ["stage_index", "point_file", "instance_file"])
+def _drop_instance_property(tmp_path, data):
+    ply = tmp_path / "scene" / data["stages"][0]["point_file"]
+    write_ply(ply, read_ply(ply)[0])
+
+
+@pytest.mark.parametrize("key", ["stage_index", "point_file", "instance"])
 def test_manifest_stage_missing_key_exits_74(tmp_path, capsys, key):
-    code = _evaluate_with_edited_manifest(
-        tmp_path, lambda data: data["stages"][0].pop(key),
-        legacy=key == "instance_file")  # only older manifests name the file
-    assert code == 74
-    assert key in capsys.readouterr().err
+    def drop(data):  # "instance" is the stage PLY's vertex property
+        if key == "instance":
+            _drop_instance_property(tmp_path, data)
+        else:
+            data["stages"][0].pop(key)
+    assert _evaluate_with_edited_manifest(tmp_path, drop) == 74
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    if key == "instance":
+        ply = tmp_path / "scene" / "stage_000.ply"
+        assert err == f"error: {ply}: has no instance property\n"
+
+
+@pytest.mark.parametrize("has_instances", [True, False], ids=["ply-instances", "no-ply-instances"])
+@pytest.mark.parametrize("command", ["evaluate", "serialize", "associate"])
+def test_manifest_naming_an_instance_file_exits_74(tmp_path, capsys, command, has_instances):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(manifest.read_text())
+    data["stages"][0]["instance_file"] = "stage_000.instances.txt"
+    manifest.write_text(json.dumps(data))
+    if not has_instances:
+        _drop_instance_property(tmp_path, data)
+    out = str(tmp_path / "out.json")
+    argv = {"evaluate": ["evaluate", "--gt", str(manifest), "--pred", str(preds)],
+            "serialize": ["serialize", "--curve", "zorder", "--dims", "3",
+                          "--manifest", str(manifest)],
+            "associate": ["associate", "--mode", "semantic", "--pred-a", str(preds),
+                          "--pred-b", str(preds), "--manifest", str(manifest)]}[command]
+    assert main(argv + ["--out", out]) == 74
+    err = capsys.readouterr().err
+    assert err == (f"error: {manifest}: stage 0 names an instance_file; instance ids "
+                   f"are read only from the stage PLY's instance property\n")
+    assert not Path(out).exists()
 
 
 def test_manifest_group_without_members_exits_74(tmp_path, capsys):
@@ -243,27 +274,22 @@ def _json_edit(change):
     return edit
 
 
-@pytest.mark.parametrize("legacy,target,edit,extra,code,message", [
-    (False, None, None, ["--pred", "other.json"], 64, "--gt and --pred must be paired"),
-    (False, None, None, ["--thresholds", ","], 64, "no thresholds given"),
-    (False, None, None, ["--thresholds", "0.5,abc"], 64, "threshold 'abc' is not a number"),
-    (False, None, None, ["--seed", "x"], 64, "argument --seed: invalid integer value: 'x'"),
-    (False, "manifest", lambda text: text[:-2], [], 74, "not valid JSON"),
-    (False, "manifest", _json_edit(lambda d: d.update(kind="predictions")), [], 74,
+@pytest.mark.parametrize("target,edit,extra,code,message", [
+    (None, None, ["--pred", "other.json"], 64, "--gt and --pred must be paired"),
+    (None, None, ["--thresholds", ","], 64, "no thresholds given"),
+    (None, None, ["--thresholds", "0.5,abc"], 64, "threshold 'abc' is not a number"),
+    (None, None, ["--seed", "x"], 64, "argument --seed: invalid integer value: 'x'"),
+    ("manifest", lambda text: text[:-2], [], 74, "not valid JSON"),
+    ("manifest", _json_edit(lambda d: d.update(kind="predictions")), [], 74,
      "not a sequence manifest"),
-    (False, "preds", _json_edit(lambda d: d.update(kind="sequence_manifest")), [], 74,
+    ("preds", _json_edit(lambda d: d.update(kind="sequence_manifest")), [], 74,
      "not a prediction file"),
-    (False, "manifest", _json_edit(lambda d: d["stages"][-1].update(stage_index=7)), [], 74,
+    ("manifest", _json_edit(lambda d: d["stages"][-1].update(stage_index=7)), [], 74,
      "stage indices must be contiguous from 0"),
-    (True, "manifest", _json_edit(lambda d: d["stages"][0].update(instance_file="absent.txt")),
-     [], 74, "missing instance file absent.txt"),
-    (True, "manifest", _json_edit(lambda d: d["stages"][0].update(instance_file=7)), [], 74,
-     "instance_file must be a string"),
 ], ids=["unpaired", "no-thresholds", "threshold-word", "seed-word", "manifest-not-json",
-        "manifest-kind", "preds-kind", "stage-gap", "instance-file-missing",
-        "instance-file-int"])
-def test_evaluate_exit_paths(tmp_path, capsys, legacy, target, edit, extra, code, message):
-    manifest, preds = _write_scene(tmp_path, legacy=legacy)
+        "manifest-kind", "preds-kind", "stage-gap"])
+def test_evaluate_exit_paths(tmp_path, capsys, target, edit, extra, code, message):
+    manifest, preds = _write_scene(tmp_path)
     paths = {"manifest": manifest, "preds": preds}
     if target is not None:
         paths[target].write_text(edit(paths[target].read_text()))
@@ -273,24 +299,6 @@ def test_evaluate_exit_paths(tmp_path, capsys, legacy, target, edit, extra, code
     assert message in err and "Traceback" not in err
     if target is not None:
         assert str(paths[target]) in err
-
-
-@pytest.mark.parametrize("edit", [
-    lambda lines: ["x"] + lines[1:],
-    lambda lines: ["1.5"] + lines[1:],
-    lambda lines: ["99999999999999999999"] + lines[1:],
-    lambda lines: ["1 2"] + lines[1:],
-    lambda lines: [f"{line} {line}" for line in lines],
-], ids=["letter", "float", "beyond-int64", "two-columns-once", "two-columns"])
-def test_unparsable_instance_label_exits_74(tmp_path, capsys, edit):
-    manifest, preds = _write_scene(tmp_path, legacy=True)
-    labels = manifest.parent / "stage_000.instances.txt"
-    labels.write_text("\n".join(edit(labels.read_text().splitlines())) + "\n")
-    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
-                 "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 74
-    assert str(labels) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target", ["manifest", "preds"])
@@ -436,22 +444,31 @@ def test_generate_recipe_target_iou_by_instance_id(tmp_path):
     assert json.loads(out.read_text())["t_map"] < 1.0
 
 
-@pytest.mark.parametrize("recipe", [
-    {"bogus": 1},
-    {"n_objects": "x"},
-    {"perturbation": {"nope": 1}},
-    {"changes": [{"0": {"kind": "rigid", "speed": 2}}]},
-    {"n_stages": 0},
-    {"perturbation": {"target_iou": {"0": "x"}}},
+@pytest.mark.parametrize("recipe,field", [
+    ({"bogus": 1}, "bogus"),
+    ({"n_objects": "x"}, "n_objects"),
+    ({"perturbation": {"nope": 1}}, "nope"),
+    ({"changes": [{"0": {"kind": "rigid", "speed": 2}}]}, "speed"),
+    ({"n_stages": 0}, "n_stages"),
+    ({"perturbation": {"target_iou": {"0": "x"}}}, "target_iou"),
+    ({"primitives": "box"}, "primitives"),
+    ({"seed": 1, "n_objects": 1, "primitives": ["box", "cone"]}, "primitives"),
+    ({"primitives": []}, "primitives"),
+    ({"n_classes": 0}, "n_classes"),
+    ({"extent": -5}, "extent"),
+    ({"n_objects": -1}, "n_objects"),
+    ({"background_points": -1}, "background_points"),
 ], ids=["unknown-field", "n-objects-string", "unknown-perturbation-field",
-        "unknown-change-field", "no-stages", "target-iou-string"])
-def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe):
+        "unknown-change-field", "no-stages", "target-iou-string", "primitives-string",
+        "primitive-unknown", "no-primitives", "no-classes", "negative-extent",
+        "negative-objects", "negative-background"])
+def test_generate_malformed_recipe_exits_74(tmp_path, capsys, recipe, field):
     recipe_path = tmp_path / "recipe.json"
     recipe_path.write_text(json.dumps(recipe))
     code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
     err = capsys.readouterr().err
     assert code == 74
-    assert str(recipe_path) in err and "Traceback" not in err
+    assert str(recipe_path) in err and field in err and "Traceback" not in err
 
 
 def test_generate_recipe_change_key_spelled_otherwise_exits_74(tmp_path, capsys):
@@ -484,6 +501,35 @@ def test_generate_scene_numpy_cannot_allocate_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: scene too large to realize") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("recipe", [
+    {"n_objects": 1, "points_per_object": [10 ** 7, 10 ** 7]},
+    {"n_objects": 0, "background_points": 1, "n_stages": 10 ** 7 + 1},
+], ids=["points", "stages"])
+def test_generate_scene_over_the_point_cap_exits_2_before_allocating(tmp_path, capsys,
+                                                                     recipe):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10 * 2 ** 20
+    assert capsys.readouterr().err.startswith("error: scene too large to realize: ")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("cap,code", [(1600, 0), (1599, 2)], ids=["at-cap", "over-cap"])
+def test_generate_point_cap_counts_every_stage_at_the_largest_size(tmp_path, monkeypatch,
+                                                                   cap, code):
+    # the default recipe: 2 stages of up to 4 objects of 200 points
+    monkeypatch.setattr(synth, "_MAX_SCENE_POINTS", cap)
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text("{}")
+    assert main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")]) == code
 
 
 @pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
@@ -896,6 +942,18 @@ def test_serialize_grid_too_wide_for_bits_exits_2(tmp_path, capsys):
     assert "grid extent exceeds 2^1" in capsys.readouterr().err
 
 
+def test_serialize_resolution_quantizing_beyond_int64_exits_2(tmp_path, capsys):
+    # an unchecked cast turns every such cell into INT64_MIN: one voxel a stage
+    manifest, _ = _write_scene(tmp_path)
+    out = tmp_path / "order.json"
+    code = main(["serialize", "--curve", "hilbert", "--dims", "4", "--manifest", str(manifest),
+                 "--resolution", "1e-300", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: invalid coordinate: stage 0 has a position that "
+                                       "quantizes beyond int64 at resolution 1e-300\n")
+    assert not out.exists()
+
+
 def test_losses_subcommands(tmp_path):
     cases = {
         "contrastive": {"features": [[1, 0], [0.9, 0.1], [0, 1]],
@@ -1076,7 +1134,7 @@ def test_evaluate_negative_seed_exits_64(tmp_path, capsys, name):
 
 
 def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
-    # binary PLYs, ascii PLYs and text instance files give one report
+    # binary and ascii PLYs give one report
     recipe, spec = _pinned_scene("ambiguous-swapped")
     seq, gt = generate(recipe)
     preds = tmp_path / "preds.json"
@@ -1085,14 +1143,13 @@ def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
     ascii_ = write_manifest(tmp_path / "ascii", seq, gt)
     for ply in ascii_.parent.glob("stage_*.ply"):
         _rewrite_as_ascii(ply)
-    legacy = write_legacy_manifest(tmp_path / "legacy", seq, gt)
     reports = []
-    for manifest in (binary, ascii_, legacy):
+    for manifest in (binary, ascii_):
         out = tmp_path / f"{manifest.parent.name}.json"
         assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
                      "--per-change-type", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
-    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert reports[1] == reports[0]
 
 
 @pytest.mark.parametrize("binary,bytes_per_point", [(True, 48), (False, 128)],

@@ -364,3 +364,12 @@ def test_serialize_rejects_malformed_grid_keys(keys, match):
     # the grid refuses such keys when it is built, so no serialization sees them
     with pytest.raises(ValueError, match=match):
         _grid_of_keys(keys)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: decode_keys([0, 1], Curve.Z_ORDER, ndims=5), "ndims must be 3 or 4"),
+    (lambda: make_schedule(0, 0), "n_layers must be >= 1"),
+], ids=["decode-five-dims", "schedule-no-layers"])
+def test_curve_arguments_out_of_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

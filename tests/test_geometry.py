@@ -353,3 +353,42 @@ def test_nn_is_permutation_invariant_in_query_order():
     shuffled = nearest_neighbor_labels(source, labels,
                                        StageCloud(positions=query_pos[perm]))
     assert np.array_equal(base[perm], shuffled)
+
+
+@pytest.mark.parametrize("position,resolution", [
+    (1.0, 1e-300), (-1.0, 1e-300), (1e300, 1e-10), (2.0 ** 63, 1.0)],
+    ids=["tiny-resolution", "tiny-resolution-negative", "overflowing-quotient",
+         "first-cell-past-int64"])
+def test_voxelize_refuses_a_cell_beyond_int64(position, resolution):
+    # the cast would wrap every such cell to INT64_MIN and merge them
+    seq = seq_from_positions([[0.0, 0.0, 0.0]], [[0.0, position, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="invalid coordinate: stage 1 has a position "
+                                         "that quantizes beyond int64"):
+        voxelize(seq, resolution)
+
+
+def test_voxelize_takes_the_last_cell_inside_int64():
+    grid = voxelize(seq_from_positions([[-2.0 ** 63, 0.0, 0.0]]), 1.0)
+    assert grid.keys.tolist() == [[np.iinfo(np.int64).min, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda grid: pool_features_to_voxels(grid, np.ones(grid.num_points + 1)),
+     "point_features length must equal point count"),
+    (lambda grid: build_feature_hierarchy(grid, np.ones((grid.num_voxels - 1, 2)), 2),
+     "voxel_features length must equal voxel count"),
+], ids=["pool-point-features", "hierarchy-voxel-features"])
+def test_pooling_refuses_features_of_the_wrong_length(call, message):
+    grid = voxelize(make_sequence([30, 20], seed=2), resolution=0.5)
+    with pytest.raises(ValueError, match=message):
+        call(grid)
+
+
+@pytest.mark.parametrize("source,labels,message", [
+    (StageCloud(positions=np.empty((0, 3))), [], "source cloud is empty"),
+    (StageCloud(positions=np.zeros((3, 3))), [1, 2],
+     "source_labels length must equal source point count"),
+], ids=["empty-source", "short-labels"])
+def test_nn_refuses_an_empty_source_or_misaligned_labels(source, labels, message):
+    with pytest.raises(ValueError, match=message):
+        nearest_neighbor_labels(source, labels, StageCloud(positions=np.zeros((2, 3))))

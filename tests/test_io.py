@@ -14,7 +14,7 @@ from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, _ascii_rows, _
                          read_ply, write_ply)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import annotation, make_sequence, mask, write_legacy_manifest
+from conftest import annotation, make_sequence, mask
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +385,11 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
 
 def test_manifest_has_no_class_files(tmp_path):
     seq, gt = _scene()
-    layouts = ((write_manifest, ("ply",), {"stage_index", "point_file"}),
-               (write_legacy_manifest, ("instances.txt", "ply"),
-                {"stage_index", "point_file", "instance_file"}))
-    for writer, kinds, keys in layouts:
-        manifest = writer(tmp_path / writer.__name__, seq, gt)
-        names = sorted(p.name for p in manifest.parent.iterdir())
-        assert names == ["manifest.json"] + [
-            f"stage_{t:03d}.{kind}" for t in range(seq.num_stages) for kind in kinds]
-        assert all(set(entry) == keys
-                   for entry in json.loads(manifest.read_text())["stages"])
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    names = sorted(p.name for p in manifest.parent.iterdir())
+    assert names == ["manifest.json"] + [f"stage_{t:03d}.ply" for t in range(seq.num_stages)]
+    assert all(set(entry) == {"stage_index", "point_file"}
+               for entry in json.loads(manifest.read_text())["stages"])
 
 
 def test_manifest_keeps_instance_ids_in_the_ply(tmp_path):
@@ -408,16 +403,6 @@ def test_manifest_keeps_instance_ids_in_the_ply(tmp_path):
         for m in gt.instances:
             expected[m.points_at(t)] = m.instance_id
         assert np.array_equal(instances, expected)
-
-
-@pytest.mark.parametrize("stages", [None, (0,)], ids=["legacy", "mixed"])
-def test_legacy_manifest_reads_like_new(tmp_path, stages):
-    seq, gt = _scene()
-    new = write_manifest(tmp_path / "new", seq, gt)
-    old = write_legacy_manifest(tmp_path / "old", seq, gt, stages=stages)
-    again = write_manifest(tmp_path / "again", *read_manifest(old)).parent
-    assert {p.name: p.read_bytes() for p in again.iterdir()} == \
-        {p.name: p.read_bytes() for p in new.parent.iterdir()}
 
 
 def test_manifest_rejects_instance_id_beyond_int32(tmp_path):
@@ -452,16 +437,6 @@ def test_manifest_ignores_listed_class_file(tmp_path, garbage):
     expected = write_manifest(tmp_path / "expected", expected_seq, expected_gt).parent
     assert {p.name: p.read_bytes() for p in again.iterdir()} == \
         {p.name: p.read_bytes() for p in expected.iterdir()}
-
-
-def test_manifest_row_count_mismatch_detected(tmp_path):
-    seq, gt = _scene()
-    manifest = write_legacy_manifest(tmp_path / "scene", seq, gt)
-    bad = tmp_path / "scene" / "stage_000.instances.txt"
-    lines = bad.read_text().splitlines()
-    bad.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(FormatError, match="row counts"):
-        read_manifest(manifest)
 
 
 def test_unknown_mask_encoding_rejected(tmp_path):

@@ -601,3 +601,12 @@ def test_evaluate_mixed_label_trajectory_is_ambiguous():
     report = _evaluate_case(gts, preds, labels={0: "rigid", 1: "static"}, groups=[(0, 1)])
     recall = {k: v for k, v in report.per_change_recall.items() if v is not None}
     assert recall == {ChangeType.AMBIGUOUS: 1.0}
+
+
+@pytest.mark.parametrize("weights,present,message", [
+    (np.zeros((2, 3)), np.ones((2, 3), dtype=bool), r"weights must have shape \(P, K, T\)"),
+    (np.zeros((1, 2, 3)), np.ones((3, 2), dtype=bool), r"present must have shape \(K, T\)"),
+], ids=["two-dim-weights", "present-transposed"])
+def test_assign_ambiguous_components_refuses_misshapen_input(weights, present, message):
+    with pytest.raises(ValueError, match=message):
+        assign_ambiguous_components(weights, present, np.random.default_rng(0))

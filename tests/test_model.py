@@ -231,3 +231,16 @@ def test_masks_take_grouped_and_decoded_indices_without_a_copy():
 def test_change_labels_are_normalized_to_enum():
     gt = annotation([mask(0, 1, {0: [0]})], labels={0: "rigid"})
     assert gt.change_labels[0] is ChangeType.RIGID
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: StageCloud(positions=np.zeros((3, 3)), colors=np.zeros((2, 3))), ValueError,
+     "colors length must equal point count"),
+    (lambda: StageCloud(positions=np.zeros((3, 3)), segment_ids=[0, 1, 2, 3]), ValueError,
+     "segment_ids length must equal point count"),
+    (lambda: SequencePointCloud(stages=(make_cloud(4), np.zeros((4, 3)))), TypeError,
+     "stage 1 is not a StageCloud"),
+], ids=["short-colors", "long-segment-ids", "stage-not-a-cloud"])
+def test_clouds_refuse_misaligned_or_foreign_parts(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -249,3 +249,13 @@ def test_fourier_input_validation():
         fourier_features_4d(np.zeros((2, 3)), gaussian_projection_matrix(4, 0))
     with pytest.raises(ValueError):
         gaussian_projection_matrix(7, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: RelationMatrix(np.zeros((2, 3), dtype=bool)), "relation matrix must be square"),
+    (lambda: fourier_features_4d(np.zeros((2, 4)), np.ones((3, 3))),
+     r"gaussian_matrix must have shape \(D/2, 4\)"),
+], ids=["relation-not-square", "fourier-three-column-matrix"])
+def test_numeric_inputs_of_the_wrong_shape_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

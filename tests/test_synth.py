@@ -284,3 +284,8 @@ def test_scene_bytes_are_pinned(tmp_path, name):
             digest.update(path.relative_to(tmp_path).as_posix().encode())
             digest.update(path.read_bytes())
     assert digest.hexdigest() == PINNED_SCENES[name]
+
+
+def test_change_op_translation_needs_three_numbers():
+    with pytest.raises(ValueError, match="translation must hold 3 numbers, not 2"):
+        ChangeOp("rigid", translation=(1, 2))
