@@ -27,6 +27,6 @@ from .synth import (ChangeOp, IdentityPolicy, PerturbationError,
 from .ply import PlyError, PlyFormatError, PlyMissingPropertyError, read_ply, write_ply
 from .formats import (FormatError, PredictionFileContent, read_manifest,
                       read_predictions, report_to_dict, rle_decode, rle_encode,
-                      write_manifest, write_predictions, write_report)
+                      write_manifest, write_predictions)
 
 __version__ = "0.1.0"

@@ -10,32 +10,15 @@ Subcommands::
                       --dims {3,4} --manifest manifest.json --out order.json
     scanseq losses    --op {contrastive,cost,fourier,pool} --in in.json --out out.json
 
-Exit codes: 0 success, 2 validation failure (violations on stderr, each after
-its file's name; ``associate`` checks each prediction file as ``evaluate``
-does, and that all its masks sit at one stage; ``--mode semantic`` also needs
-every instance to carry a finite, nonzero 1-D feature, of one length across
-both files; so is a manifest with no stage or a stage PLY with no points, a
-position that quantizes beyond int64 at --resolution, a scene of over 10**7
-points (every stage at its largest) or too large to allocate, a ``losses``
-output too large to allocate or an array of it over 10**7 values
-(``fourier``'s draw or output, ``cost``'s prediction by ground-truth
-matrices, ``contrastive``'s instance by instance ones), a scene with an
-integer numpy cannot hold, and an output holding a NaN or infinity, which is
-not written), 64 usage error (including a threshold outside [0, 1), a
-negative --seed, --bits outside [1, 64 // dims] and a --resolution that is not
-a positive finite number), 74 I/O or file-format failure (including JSON of
-the wrong shape or type or nested too deeply, a malformed PLY, named in the
-message (an ascii row of the wrong width or a ``5.0`` integer too, by its file
-line), a bool or string where a number belongs, an array element an exact cast
-would change (a string or null among numbers, a float among integers) in a
-mask, a feature or a ``losses`` payload, RLE data not in one flat ``[start,
-length, ...]`` list, an RLE run that ends past its stage, a manifest stage
-that names an ``instance_file`` or whose PLY has no ``instance`` property, a
-non-string sequence_id, an integer-named JSON key not spelled as
-``str(int(key))``, a recipe that ``SceneRecipe``, ``ChangeOp`` or
-``PerturbationSpec`` rejects (a non-finite number too) and a ``losses``
-payload with a missing or wrongly typed field or an integer numpy cannot
-hold).
+Exit codes: 0 success; 2 validation failure: the inputs are well formed but
+cannot be scored, generated or computed (violations on stderr, each after its
+file's name); 64 usage error: a bad flag or option value; 74 I/O or
+file-format failure: a file that cannot be read or does not follow its schema,
+named in the message. README "CLI" gives each subcommand's cases and "File
+formats" each schema's rules, among them three refusals: a prediction mask in
+the ``points`` layout (only flat RLE is read), a JSON object that repeats a
+key (74 both), and a threshold with more than two decimals (64), which would
+share its report key with another.
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another. Every JSON output is compact canonical JSON; ``serialize`` writes
 the voxel order, not the voxel keys, which the manifest and --resolution
@@ -118,6 +101,9 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
                     f"threshold {token!r} is not a number") from None
             if not 0.0 <= value < 1.0:  # also rejects nan
                 raise argparse.ArgumentTypeError(f"threshold {token!r} is not in [0, 1)")
+            if float(formats._tau_key(value)) != value:  # its report key would misname it
+                raise argparse.ArgumentTypeError(
+                    f"threshold {token!r} has more than two decimals")
             values.add(value)
     if not values:
         raise argparse.ArgumentTypeError("no thresholds given")
@@ -134,7 +120,8 @@ def _build_parser() -> _Parser:
                         help="sequence manifest JSON (repeatable)")
     p_eval.add_argument("--pred", action="append", required=True,
                         help="prediction file JSON (pairs with --gt)")
-    p_eval.add_argument("--thresholds", type=_parse_thresholds, default="sweep,0.5,0.25",
+    p_eval.add_argument("--thresholds", type=_parse_thresholds,
+                        default=metrics.DEFAULT_THRESHOLDS,
                         help="comma-separated IoU thresholds; the word 'sweep' "
                              "expands to 0.50:0.95 step 0.05")
     p_eval.add_argument("--per-change-type", action="store_true",

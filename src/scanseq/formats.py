@@ -4,10 +4,9 @@ A *manifest* directory holds one PLY per stage, whose int ``instance``
 vertex property gives each point's instance id (-1 for background), tied
 together by ``manifest.json`` which also carries the annotations (instance
 classes, ambiguous groups, change labels).
-Prediction files are standalone JSON with per-stage masks stored either as
-explicit index lists or as run-length data over the sorted indices, one flat
-list ``[start0, length0, start1, length1, ...]``; both are read, run-length
-data is written.
+Prediction files are standalone JSON with per-stage masks stored as run-length
+data over the sorted indices, one flat list ``[start0, length0, start1,
+length1, ...]``.
 
 All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
 significant digits, trailing newline — a parsed document re-dumps to the same bytes.
@@ -58,11 +57,27 @@ def dump_canonical_json(path, payload) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a FormatError, since
+    the last value would silently replace the first."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"an object repeats the key {key!r}")
+            seen.add(key)
+    return data
+
+
 def load_json(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
@@ -115,11 +130,10 @@ def _mask_from_payload(payload: Mapping, stage_size: Optional[int]):
     if not isinstance(payload, Mapping):
         raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
-    if encoding == "rle":
-        return _hand_over(rle_decode(payload["data"], stage_size))
-    if encoding == "points":
-        return payload["data"]  # InstanceMask checks and converts the list
-    raise FormatError(f"unknown mask encoding {encoding!r}")
+    if encoding != "rle":  # "points" index lists too: flat RLE is the one mask layout
+        raise FormatError(f"mask encoding {encoding!r} is not read; write each mask as "
+                          f"flat RLE runs [s0, l0, s1, l1, ...], as rle_encode gives them")
+    return _hand_over(rle_decode(payload["data"], stage_size))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +357,16 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
 # Evaluation reports
 
 
-def report_to_dict(report: EvaluationReport) -> dict:
-    def tau_key(tau: float) -> str:
-        return f"{tau:.2f}"
+def _tau_key(tau: float) -> str:
+    """A threshold's key in a report."""
+    return f"{tau:.2f}"
 
+
+def report_to_dict(report: EvaluationReport) -> dict:
+    """A report as a JSON object; thresholds that share a key are a ValueError."""
+    keys = [_tau_key(t) for t in report.thresholds]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"thresholds {report.thresholds} share a two-decimal key")
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "evaluation_report",
@@ -359,7 +379,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "per_class": {
             str(c): {
                 "n_ground_truth": report.n_ground_truth[c],
-                "ap": {tau_key(t): report.per_class_ap[c][t]
+                "ap": {_tau_key(t): report.per_class_ap[c][t]
                        for t in report.thresholds},
             } for c in report.class_ids
         },
@@ -367,16 +387,13 @@ def report_to_dict(report: EvaluationReport) -> dict:
                               for ct, val in sorted(report.per_change_recall.items(),
                                                     key=lambda kv: kv[0].value)},
         "counts": {
-            str(c): {tau_key(t): {"tp": tp, "fp": fp, "fn": fn}
+            str(c): {_tau_key(t): {"tp": tp, "fp": fp, "fn": fn}
                      for t, (tp, fp, fn) in report.counts[c].items()}
             for c in report.class_ids
         },
         "pr_curves": {
-            str(c): {tau_key(t): report.pr_curves[c][t] for t in report.thresholds}
+            str(c): {_tau_key(t): report.pr_curves[c][t] for t in report.thresholds}
             for c in report.class_ids
         },
     }
 
-
-def write_report(path, report: EvaluationReport) -> None:
-    dump_canonical_json(path, report_to_dict(report))

@@ -1,10 +1,11 @@
 """Minimal PLY point-cloud reader and writer.
 
-Supports ascii (one vertex per line) and binary little-endian files whose
+Reads ascii (one vertex per line) and binary little-endian files whose
 first element is ``vertex`` with float ``x, y, z`` properties, optional uchar
 ``red, green, blue`` and optional integer ``segment`` and ``instance``
 properties (per-point instance ids, as 3RScan's ``objectId``). Unknown vertex
-properties are skipped; elements after ``vertex`` are ignored.
+properties are skipped; elements after ``vertex`` are ignored. Writes
+binary little-endian only.
 """
 
 from __future__ import annotations
@@ -236,14 +237,13 @@ def _first_bad_row(raw: bytes, header: _Header, dtype: np.dtype, exc: Exception)
     return f"{line}: a value its property type cannot hold"
 
 
-def write_ply(path, cloud: StageCloud, binary: bool = True,
-              instances=None) -> None:
-    """Write a stage as PLY; binary little-endian by default.
+def write_ply(path, cloud: StageCloud, instances=None) -> None:
+    """Write a stage as binary little-endian PLY.
 
     Positions are stored as float32, colors as uchar (rounded from [0, 1]),
     segments as int32. ``instances``, one id per point, becomes an int32
     ``instance`` property. A segment or instance id outside int32 is a
-    ValueError. A binary file written here reads back byte-exactly.
+    ValueError. A file written here reads back byte-exactly.
     """
     n = cloud.point_count
     fields = [("x", "f4"), ("y", "f4"), ("z", "f4")]
@@ -276,17 +276,11 @@ def write_ply(path, cloud: StageCloud, binary: bool = True,
         table[name] = ids
 
     type_names = {"f4": "float", "u1": "uchar", "i4": "int"}
-    header_lines = ["ply",
-                    "format binary_little_endian 1.0" if binary else "format ascii 1.0",
-                    f"element vertex {n}"]
+    header_lines = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
     header_lines += [f"property {type_names[code]} {name}" for name, code in fields]
     header_lines.append("end_header")
     header = ("\n".join(header_lines) + "\n").encode("ascii")
 
     with open(path, "wb") as fh:
         fh.write(header)
-        if binary:
-            fh.write(table.tobytes())
-        else:
-            np.savetxt(fh, table, fmt=["%.9g" if code == "f4" else "%d"
-                                       for _, code in fields])
+        fh.write(table.tobytes())

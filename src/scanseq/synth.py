@@ -260,13 +260,15 @@ def generate(recipe: SceneRecipe) -> tuple[SequencePointCloud, GroundTruthAnnota
             elif op.kind == "non_rigid":
                 pts = positions[i]
                 positions[i] = pts + op.amplitude * np.sin(2 * np.pi * pts / op.wavelength)
-            elif op.kind == "swap" and op.group_id not in swapped_groups:
+            elif op.kind == "swap":  # every op of a group is checked, the first one acts
                 if op.group_id is None or not 0 <= op.group_id < len(recipe.ambiguous_groups):
                     raise SceneGenerationError(f"swap references unknown group {op.group_id}")
                 members = recipe.ambiguous_groups[op.group_id]
                 if i not in members:
                     raise SceneGenerationError(
                         f"instance {i} swaps under group {op.group_id} it is not part of")
+                if op.group_id in swapped_groups:
+                    continue
                 swapped_groups.add(op.group_id)
                 centroids = [positions[m].mean(axis=0) for m in members]
                 for idx, m in enumerate(members):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud)
+from scanseq.ply import _decode
 
 
 def make_cloud(n_points: int, seed: int = 0, with_segments: bool = False,
@@ -13,6 +16,20 @@ def make_cloud(n_points: int, seed: int = 0, with_segments: bool = False,
     segments = rng.integers(0, n_segments, size=n_points) if with_segments else None
     return StageCloud(positions=rng.uniform(-2, 2, size=(n_points, 3)),
                       segment_ids=segments)
+
+
+def ascii_copy(binary_ply, out=None) -> None:
+    """Write the binary little-endian PLY ``binary_ply`` as ascii to ``out``
+    (default: in place): the same header with ``format ascii 1.0``, then one
+    row per vertex, floats as ``%.9g`` (which spells every float32 exactly)
+    and integers as ``%d``."""
+    raw = Path(binary_ply).read_bytes()
+    table = _decode(raw)
+    header = raw[:raw.index(b"end_header\n") + len(b"end_header\n")]
+    with open(binary_ply if out is None else out, "wb") as fh:
+        fh.write(header.replace(b"format binary_little_endian 1.0", b"format ascii 1.0", 1))
+        np.savetxt(fh, table, fmt=["%.9g" if table.dtype[name].kind == "f" else "%d"
+                                   for name in table.dtype.names])
 
 
 def make_sequence(stage_sizes, seed: int = 0, sequence_id: str = "seq") -> SequencePointCloud:

@@ -16,6 +16,8 @@ from scanseq.ply import read_ply, write_ply
 from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
+from conftest import ascii_copy
+
 
 def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
     recipe = SceneRecipe(seed=2, n_objects=4, sequence_id=sequence_id)
@@ -66,12 +68,12 @@ def test_evaluate_mismatched_sequence_id_exits_2(tmp_path, capsys):
 def test_evaluate_validation_failure_exits_2(tmp_path, capsys):
     manifest, preds = _write_scene(tmp_path)
     data = json.loads(preds.read_text())
-    data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [999999]}
+    data["instances"][0]["masks"]["5"] = {"encoding": "rle", "data": [0, 1]}
     preds.write_text(json.dumps(data))
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert "point_out_of_range" in capsys.readouterr().err
+    assert "stage_out_of_range" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_64(tmp_path, capsys):
@@ -107,6 +109,61 @@ def test_evaluate_threshold_parsing(tmp_path):
     assert report["thresholds"] == [0.25, 0.5]
     assert report["t_map"] is None  # sweep not requested
     assert report["t_map50"] == 1.0
+
+
+def test_threshold_with_more_than_two_decimals_exits_64(tmp_path, capsys):
+    # 0.501 and 0.502 would share the report key "0.50", one result replacing the other
+    manifest, preds = _write_scene(tmp_path)
+    out = tmp_path / "r.json"
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--thresholds", "0.501,0.502,0.2", "--out", str(out)])
+    assert code == 64
+    assert "threshold '0.501' has more than two decimals" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (file, edit of its text, command): each edit repeats one key of one object
+_REPEATED_KEYS = {
+    "prediction-mask": ("preds.json", lambda text: text.replace(
+        '"masks":{', '"masks":{"0":{"data":[0,1],"encoding":"rle"},', 1), "evaluate"),
+    "manifest": ("scene/manifest.json",
+                 lambda text: text.replace("{", '{"sequence_id":"other",', 1), "evaluate"),
+    "recipe": ("recipe.json", lambda _: '{"seed": 1, "n_objects": 2, "seed": 2}', "generate"),
+    "losses": ("in.json", lambda _: '{"features": [[1, 0]], "instance_ids": [0], '
+                                    '"features": [[0, 1]]}', "losses"),
+}
+
+
+@pytest.mark.parametrize("case", _REPEATED_KEYS)
+def test_repeated_json_key_exits_74(tmp_path, capsys, case):
+    # the last value would silently replace the first
+    manifest, preds = _write_scene(tmp_path)
+    name, edit, command = _REPEATED_KEYS[case]
+    path = tmp_path / name
+    path.write_text(edit(path.read_text() if path.exists() else ""))
+    out = str(tmp_path / "out")
+    argv = {"evaluate": ["evaluate", "--gt", str(manifest), "--pred", str(preds)],
+            "generate": ["generate", "--recipe", str(path)],
+            "losses": ["losses", "--op", "contrastive", "--in", str(path)]}[command]
+    code = main(argv + ["--out", out])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert err.startswith(f"error: {path}: an object repeats the key ")
+    assert "Traceback" not in err and not Path(out).exists()
+
+
+def test_points_mask_exits_74(tmp_path, capsys):
+    # the explicit index lists read before: flat RLE is the one mask layout
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [0, 1]}
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(preds) in err and "Traceback" not in err
+    assert "mask encoding 'points' is not read; write each mask as flat RLE runs" in err
 
 
 @pytest.mark.parametrize("thresholds", ["nan", "inf", "-1", "1.5", "sweep,1.0"])
@@ -379,10 +436,10 @@ def test_rle_run_past_its_stage_exits_74(tmp_path, capsys, runs):
     assert f"in a stage of {n} points" in err and "Traceback" not in err
 
 
-def test_points_mask_beyond_int64_exits_74(tmp_path, capsys):
+def test_rle_run_beyond_int64_exits_74(tmp_path, capsys):
     manifest, preds = _write_scene(tmp_path)
     data = json.loads(preds.read_text())
-    data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [2 ** 64]}
+    data["instances"][0]["masks"]["0"] = {"encoding": "rle", "data": [2 ** 64, 1]}
     preds.write_text(json.dumps(data))
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
                  "--out", str(tmp_path / "r.json")])
@@ -492,6 +549,22 @@ def test_generate_change_for_unknown_instance_exits_2(tmp_path, capsys, key, kin
     assert err == f"error: change for unknown instance {key}\n"
 
 
+@pytest.mark.parametrize("recipe,code,message", [
+    ({"n_objects": 1, "n_stages": 3, "changes": [{}]}, 74,
+     "bad recipe (changes must list one mapping per stage transition)"),
+    ({"n_objects": 1, "n_stages": 2, "changes": [{"0": {"kind": "remove"}}]}, 2,
+     "a stage ended up with no points"),
+    ({"n_objects": 1, "points_per_object": [1, 1], "perturbation": {"target_iou": 0.3}}, 2,
+     "mask too small to erode toward the target"),
+], ids=["changes-per-transition", "empty-stage", "mask-too-small"])
+def test_generate_refused_recipe_exits_with_its_code(tmp_path, capsys, recipe, code, message):
+    recipe_path = tmp_path / "recipe.json"
+    recipe_path.write_text(json.dumps(recipe))
+    assert main(["generate", "--recipe", str(recipe_path), "--out", str(tmp_path / "s")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_generate_scene_numpy_cannot_allocate_exits_2(tmp_path, capsys):
     # petabytes: numpy refuses the allocation outright
     recipe_path = tmp_path / "recipe.json"
@@ -537,8 +610,8 @@ def test_generate_point_cap_counts_every_stage_at_the_largest_size(tmp_path, mon
 def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, command):
     manifest, preds = _write_scene(tmp_path)
     ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
-    cloud, instances = read_ply(ply)
-    write_ply(ply, cloud, binary=binary, instances=instances)
+    if not binary:
+        ascii_copy(ply)
     ply.write_bytes(ply.read_bytes().replace(
         b"property float x\n", b"property float x\nproperty float x\n", 1))
     out = str(tmp_path / "out.json")
@@ -550,11 +623,6 @@ def test_ply_with_a_repeated_vertex_property_exits_74(tmp_path, capsys, binary, 
     assert main(argv) == 74
     err = capsys.readouterr().err
     assert "vertex property 'x' is listed twice" in err and "Traceback" not in err
-
-
-def _rewrite_as_ascii(ply):
-    cloud, instances = read_ply(ply)
-    write_ply(ply, cloud, binary=False, instances=instances)
 
 
 def _header_edit(old, new):
@@ -603,7 +671,7 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
     manifest, preds = _write_scene(tmp_path)
     ply = manifest.parent / json.loads(manifest.read_text())["stages"][0]["point_file"]
     if message.startswith(("stage_000.ply: line", "ascii body")):  # of the ascii stage
-        _rewrite_as_ascii(ply)
+        ascii_copy(ply)
     ply.write_bytes(edit(ply.read_bytes()))
     code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
                  "--out", str(tmp_path / "r.json")])
@@ -676,6 +744,21 @@ def test_losses_fourier_integers_must_be_json_integers(tmp_path, capsys, payload
     err = capsys.readouterr().err
     assert code == 74
     assert str(inp) in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("op,payload,message", [
+    ("contrastive", {"features": [[1, 0], [0, 1], [1, 1]], "instance_ids": [0, 1]},
+     "error: features and relation matrix disagree on S\n"),
+    ("cost", {**_COST, "lambdas": {"lambda_dice": -1}},
+     "error: lambda_dice must be non-negative\n"),
+], ids=["contrastive-features-ids-disagree", "cost-negative-lambda"])
+def test_losses_value_the_op_rejects_exits_2(tmp_path, capsys, op, payload, message):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    assert main(["losses", "--op", op, "--in", str(inp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_losses_output_numpy_cannot_allocate_exits_2(tmp_path, capsys):
@@ -1020,9 +1103,6 @@ def _single(instance_id, per_stage):
 # (masks, sequence id) of one association input; the scene has stages 0 and 1
 BAD_ASSOCIATION_INPUTS = {
     "stage-beyond-manifest": ([_single(0, {2: [0, 1]})], "assoc"),
-    "point-1e9": ([_single(0, {0: [0, 10 ** 9]})], "assoc"),
-    "point-minus-1": ([_single(0, {0: [-1, 0]})], "assoc"),
-    "duplicate-point": ([_single(0, {0: [0, 0, 1]})], "assoc"),
     "duplicate-instance-id": ([_single(0, {0: [0]}), _single(0, {0: [1]})], "assoc"),
     "two-stage-mask": ([_single(0, {0: [0], 1: [0]})], "assoc"),
     "masks-at-two-stages": ([_single(0, {0: [0]}), _single(1, {1: [0]})], "assoc"),
@@ -1034,22 +1114,57 @@ BAD_ASSOCIATION_INPUTS = {
 @pytest.mark.parametrize("mode", ["semantic", "geometric"])
 @pytest.mark.parametrize("case", BAD_ASSOCIATION_INPUTS)
 def test_associate_bad_input_exits_2(tmp_path, capsys, case, mode):
-    manifest, stage_files = _association_scene(tmp_path)
     masks, sequence_id = BAD_ASSOCIATION_INPUTS[case]
-    bad = tmp_path / "bad.json"  # as index lists: RLE cannot hold an unordered stage
-    bad.write_text(json.dumps({"sequence_id": sequence_id, "instances": [
-        {"instance_id": m.instance_id, "class_id": m.class_id, "confidence": m.confidence,
-         "feature": [1.0, 0.0, 0.0],
-         "masks": {str(t): {"encoding": "points", "data": pts.tolist()}
-                   for t, pts in m.per_stage_points.items()}} for m in masks]}))
-    out = tmp_path / "merged.json"
-    code = main(["associate", "--mode", mode, "--pred-a", str(bad),
-                 "--pred-b", str(stage_files[1]), "--manifest", str(manifest),
-                 "--out", str(out)])
+    code, bad, out = _associate_with(tmp_path, mode, masks, sequence_id)
     err = capsys.readouterr().err
     assert code == 2
     assert str(bad) in err and "Traceback" not in err
     assert not out.exists()
+
+
+# a point outside its stage: its run is refused before it is expanded
+@pytest.mark.parametrize("mode", ["semantic", "geometric"])
+@pytest.mark.parametrize("points,message", [
+    ([0, 10 ** 9], "invalid RLE run [1000000000, 1] in a stage of"),
+    ([-1, 0], "invalid RLE run [-1, 2] in a stage of"),
+], ids=["point-1e9", "point-minus-1"])
+def test_associate_point_outside_its_stage_exits_74(tmp_path, capsys, mode, points,
+                                                    message):
+    code, bad, out = _associate_with(tmp_path, mode, [_single(0, {0: points})], "assoc")
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(bad) in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_associate_points_mask_exits_74(tmp_path, capsys):
+    manifest, stage_files = _association_scene(tmp_path)
+    data = json.loads(stage_files[0].read_text())
+    data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [0, 1]}
+    stage_files[0].write_text(json.dumps(data))
+    out = tmp_path / "merged.json"
+    code = main(["associate", "--mode", "geometric", "--pred-a", str(stage_files[0]),
+                 "--pred-b", str(stage_files[1]), "--manifest", str(manifest),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(stage_files[0]) in err and "mask encoding 'points' is not read" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _associate_with(tmp_path, mode, masks, sequence_id):
+    """``associate`` of ``masks``, written as ``sequence_id``'s, against the
+    stage-1 file of :func:`_association_scene`: its exit code, the input path
+    and the output path."""
+    manifest, stage_files = _association_scene(tmp_path)
+    bad = tmp_path / "bad.json"
+    write_predictions(bad, masks, sequence_id,
+                      features={m.instance_id: np.array([1.0, 0.0, 0.0]) for m in masks})
+    out = tmp_path / "merged.json"
+    code = main(["associate", "--mode", mode, "--pred-a", str(bad),
+                 "--pred-b", str(stage_files[1]), "--manifest", str(manifest),
+                 "--out", str(out)])
+    return code, bad, out
 
 
 @pytest.mark.parametrize("features,message", [
@@ -1142,7 +1257,7 @@ def test_evaluate_report_bytes_agree_across_stage_layouts(tmp_path):
     binary = write_manifest(tmp_path / "binary", seq, gt)
     ascii_ = write_manifest(tmp_path / "ascii", seq, gt)
     for ply in ascii_.parent.glob("stage_*.ply"):
-        _rewrite_as_ascii(ply)
+        ascii_copy(ply)
     reports = []
     for manifest in (binary, ascii_):
         out = tmp_path / f"{manifest.parent.name}.json"
@@ -1165,7 +1280,7 @@ def test_evaluate_builds_no_geometry(tmp_path, binary, bytes_per_point):
     manifest = write_manifest(tmp_path / "scene", seq, gt)
     if not binary:
         for ply in manifest.parent.glob("stage_*.ply"):
-            _rewrite_as_ascii(ply)
+            ascii_copy(ply)
     preds = tmp_path / "preds.json"
     write_predictions(preds, perturb(seq, gt, PerturbationSpec(target_iou=0.8)),
                       seq.sequence_id)

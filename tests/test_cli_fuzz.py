@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 
 from scanseq.cli import main
 from scanseq.formats import write_manifest, write_predictions
-from scanseq.ply import read_ply, write_ply
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
+
+from conftest import ascii_copy
 
 POOL = (None, True, -1, 2 ** 63, 1.5, float("inf"), "x", "00", [], {})
 
@@ -102,8 +103,7 @@ def files(tmp_path_factory):
     # and one whose first stage PLY the body fuzz rewrites, from the binary
     # original or from this ascii copy of it
     write_manifest(root / "body-scene", seq, gt)
-    cloud, instances = read_ply(root / "scene" / "stage_000.ply")
-    write_ply(root / "stage_000-ascii.ply", cloud, binary=False, instances=instances)
+    ascii_copy(root / "scene" / "stage_000.ply", root / "stage_000-ascii.ply")
     sources = {"manifest": manifest, "preds": preds, "recipe": root / "recipe.json"}
     sources["recipe"].write_text(json.dumps(RECIPE))
     for op, payload in PAYLOADS.items():

@@ -6,15 +6,14 @@ import pytest
 
 from scanseq.formats import (FormatError, dump_canonical_json, read_manifest,
                              read_predictions, report_to_dict, rle_decode,
-                             rle_encode, write_manifest, write_predictions,
-                             write_report)
+                             rle_encode, write_manifest, write_predictions)
 from scanseq.metrics import evaluate
 from scanseq.model import StageCloud, validate_sequence
 from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, _ascii_rows, _decode,
                          read_ply, write_ply)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import annotation, make_sequence, mask
+from conftest import annotation, ascii_copy, make_sequence, mask
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +140,10 @@ def test_binary_ply_round_trips_byte_exactly(tmp_path):
                        colors=rng.integers(0, 256, size=(40, 3)) / 255.0,
                        segment_ids=rng.integers(0, 9, size=40))
     first = tmp_path / "a.ply"
-    write_ply(first, cloud, binary=True)
+    write_ply(first, cloud)
     reread, _ = read_ply(first)
     second = tmp_path / "b.ply"
-    write_ply(second, reread, binary=True)
+    write_ply(second, reread)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -183,7 +182,8 @@ def test_ascii_ply_round_trips_values(tmp_path):
     cloud = StageCloud(positions=np.array([[0.125, -3.5, 7.0]]),
                        colors=np.array([[1.0, 0.0, 0.5019607843137255]]))
     path = tmp_path / "a.ply"
-    write_ply(path, cloud, binary=False)
+    write_ply(path, cloud)
+    ascii_copy(path)
     reread, _ = read_ply(path)
     assert np.allclose(reread.positions, cloud.positions)
     assert np.allclose(reread.colors, cloud.colors)
@@ -192,7 +192,8 @@ def test_ascii_ply_round_trips_values(tmp_path):
 def test_ascii_ply_round_trips_every_float32(tmp_path):
     positions = np.random.default_rng(0).uniform(-100, 100, (5000, 3)).astype(np.float32)
     path = tmp_path / "a.ply"
-    write_ply(path, StageCloud(positions=positions), binary=False)
+    write_ply(path, StageCloud(positions=positions))
+    ascii_copy(path)
     assert np.array_equal(read_ply(path)[0].positions, positions)
 
 
@@ -208,7 +209,9 @@ def test_ascii_and_binary_ply_read_the_same_values(tmp_path):
     reads = []
     for binary in (True, False):
         path = tmp_path / f"{binary}.ply"
-        write_ply(path, cloud, binary=binary, instances=np.arange(50) - 1)
+        write_ply(path, cloud, instances=np.arange(50) - 1)
+        if not binary:
+            ascii_copy(path)
         reads.append(read_ply(path))
     (b_cloud, b_inst), (a_cloud, a_inst) = reads
     assert np.allclose(a_cloud.positions, b_cloud.positions, rtol=1e-7, atol=0)
@@ -365,22 +368,23 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
     assert all(isinstance(v, int) for m in masks for v in m["data"])  # flat
     dump_canonical_json(tmp_path / "again.json", data)
     assert (tmp_path / "again.json").read_bytes() == rle_path.read_bytes()
-    for m in masks:  # the same file with explicit index lists, which is also read
-        m.update(encoding="points", data=rle_decode(m["data"]))
+    content = read_predictions(rle_path)
+    assert content.sequence_id == seq.sequence_id
+    assert len(content.instances) == len(preds)
+    for a, b in zip(preds, content.instances):
+        assert a.instance_id == b.instance_id
+        assert a.class_id == b.class_id
+        assert a.confidence == pytest.approx(b.confidence, abs=1e-5)
+        for t in a.per_stage_points:
+            assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
+    assert np.allclose(content.features[preds[0].instance_id], [0.1, 0.2, 0.3], atol=1e-6)
+    # the same file with one explicit index list, a layout no longer read
+    masks[0].update(encoding="points", data=rle_decode(masks[0]["data"]))
     points_path = tmp_path / "preds_points.json"
     dump_canonical_json(points_path, data)
-    for path in (rle_path, points_path):
-        content = read_predictions(path)
-        assert content.sequence_id == seq.sequence_id
-        assert len(content.instances) == len(preds)
-        for a, b in zip(preds, content.instances):
-            assert a.instance_id == b.instance_id
-            assert a.class_id == b.class_id
-            assert a.confidence == pytest.approx(b.confidence, abs=1e-5)
-            for t in a.per_stage_points:
-                assert np.array_equal(a.per_stage_points[t], b.per_stage_points[t])
-        assert np.allclose(content.features[preds[0].instance_id],
-                           [0.1, 0.2, 0.3], atol=1e-6)
+    with pytest.raises(FormatError, match=r"mask encoding 'points' is not read; write "
+                                          r"each mask as flat RLE runs"):
+        read_predictions(points_path)
 
 
 def test_manifest_has_no_class_files(tmp_path):
@@ -460,12 +464,20 @@ def test_manifest_rejects_ground_truth_sharing_points(tmp_path):
 # Reports and canonical JSON
 
 
+def test_report_thresholds_sharing_a_key_are_refused():
+    # both would be reported under "0.50", one result replacing the other
+    seq, gt = _scene()
+    report = evaluate(seq, gt, [], thresholds=(0.501, 0.502, 0.2))
+    with pytest.raises(ValueError, match="share a two-decimal key"):
+        report_to_dict(report)
+
+
 def test_report_serialization_is_stable(tmp_path):
     seq, gt = _scene()
     preds = perturb(seq, gt, PerturbationSpec(target_iou=0.7, seed=3))
     report = evaluate(seq, gt, preds)
     path1 = tmp_path / "r1.json"
-    write_report(path1, report)
+    dump_canonical_json(path1, report_to_dict(report))
     parsed = json.loads(path1.read_text())
     path2 = tmp_path / "r2.json"
     dump_canonical_json(path2, parsed)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scanseq import metrics
-from scanseq.formats import write_report
+from scanseq.formats import dump_canonical_json, report_to_dict
 from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, InstanceMask
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
@@ -51,7 +51,7 @@ SCENES = {"ambiguous": _ambiguous_scene, "dropped": _dropped_scene}
 
 def _report_bytes(tmp_path, seq, gt, preds) -> bytes:
     path = tmp_path / "report.json"
-    write_report(path, metrics.evaluate(seq, gt, preds, rng_seed=3))
+    dump_canonical_json(path, report_to_dict(metrics.evaluate(seq, gt, preds, rng_seed=3)))
     return path.read_bytes()
 
 

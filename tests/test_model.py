@@ -244,3 +244,10 @@ def test_change_labels_are_normalized_to_enum():
 def test_clouds_refuse_misaligned_or_foreign_parts(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_instance_by_id_of_an_absent_id_raises_key_error():
+    gt = annotation([mask(0, 1, {0: [0]}), mask(2, 1, {0: [1]})])
+    assert gt.instance_by_id(2).instance_id == 2
+    with pytest.raises(KeyError, match="^1$"):
+        gt.instance_by_id(1)

@@ -131,6 +131,16 @@ def test_out_of_range_references_raise(recipe, message):
         generate(recipe)
 
 
+def test_every_swap_op_of_a_group_is_checked():
+    # instance 0's swap already moves group 0 in this step; instance 3's is still checked
+    swap = ChangeOp("swap", group_id=0)
+    recipe = SceneRecipe(seed=1, n_objects=4, ambiguous_groups=((0, 1),),
+                         changes=({0: swap, 3: swap},))
+    with pytest.raises(SceneGenerationError,
+                       match="instance 3 swaps under group 0 it is not part of"):
+        generate(recipe)
+
+
 def test_ambiguous_members_share_shape_and_class():
     recipe = SceneRecipe(seed=29, n_objects=4, ambiguous_groups=((0, 1),))
     seq, gt = generate(recipe)
