@@ -1,15 +1,14 @@
 """Temporally-consistent instance segmentation metrics and 4D scan tooling."""
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, StageCloud,
-                    ValidationResult, Violation, validate_sequence)
+                    InstanceMask, SequencePointCloud, StageCloud, Violation,
+                    validate_sequence)
 from .geometry import (DEFAULT_RESOLUTION, FeatureHierarchy, VoxelGrid4D,
                        build_feature_hierarchy, downsample_level,
                        nearest_neighbor_labels, pool_features_to_voxels,
                        pool_superpoint_features, voxelize)
-from .curves import (Curve, PatternSchedule, ScheduleMix, SerializationDims,
-                     SerializationPattern, decode_keys, encode_keys, make_schedule,
-                     serialize_sequence)
+from .curves import (Curve, ScheduleMix, SerializationDims, SerializationPattern,
+                     decode_keys, encode_keys, make_schedule, serialize_sequence)
 from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DetectionAssignment,
                       DisambiguationResult, EvaluationReport, IoUProfile,
                       assign_ambiguous_components, assign_detections,

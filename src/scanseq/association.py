@@ -34,30 +34,57 @@ def _stage_of(masks: Sequence[InstanceMask]) -> int:
     return stages.pop()
 
 
+def _feature_violations(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
+                        width: Optional[int]) -> tuple[list[str], Optional[int]]:
+    """Findings on the features of one semantic-association input, and the
+    feature length found: every instance needs a finite, nonzero 1-D feature,
+    all of one length (``width``, once an input has set it)."""
+    found = []
+    for m in masks:
+        vec = features.get(m.instance_id)
+        vec = vec if vec is None else _array(vec, np.float64, "feature")
+        if vec is None:
+            problem = "has no feature"
+        elif vec.ndim != 1 or not np.isfinite(vec).all() or not vec.any():
+            problem = "has a feature that is not a finite, nonzero 1-D vector"
+        elif width is not None and vec.size != width:
+            problem = f"has a feature of length {vec.size}, not {width}"
+        else:
+            width = vec.size
+            continue
+        found.append(f"invalid_feature: instance {m.instance_id} {problem}")
+    return found, width
+
+
 def _feature_rows(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
                   idx: list[int]) -> np.ndarray:
-    return np.stack([_array(features[masks[i].instance_id], np.float64, "feature").ravel()
+    return np.stack([_array(features[masks[i].instance_id], np.float64, "feature")
                      for i in idx])
 
 
 def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
                        a_features: Mapping[int, np.ndarray],
-                       b_features: Mapping[int, np.ndarray],
-                       similarity_floor: float = 0.0) -> list[InstanceMask]:
+                       b_features: Mapping[int, np.ndarray]) -> list[InstanceMask]:
     """Merge per-stage predictions by class-wise feature similarity.
 
     ``a_features`` and ``b_features`` map instance id to feature vector (as
-    ``PredictionFileContent.features``). Within each class predicted in both
+    ``PredictionFileContent.features``): every instance of both inputs needs
+    a finite, nonzero 1-D feature, all of one length, else a ValueError names
+    each instance that breaks the rule. Within each class predicted in both
     stages, an optimal assignment on negative cosine similarity pairs
-    instances; pairs below ``similarity_floor`` stay unmatched. Matched pairs
+    instances; a pair of negative similarity stays unmatched. Matched pairs
     become one two-stage instance with the mean confidence; everything
     unmatched stays a single-stage instance. Never merges across predicted
     classes.
     """
+    found, width = [], None
     for masks, features in ((a, a_features), (b, b_features)):
         _stage_of(masks)  # raises unless the input sits at one stage
-        if any(m.instance_id not in features for m in masks):
-            raise ValueError("semantic association requires instance features")
+        problems, width = _feature_violations(masks, features, width)
+        found += problems
+    if found:
+        raise ValueError("semantic association requires instance features: "
+                         + "; ".join(found))
     merged: list[InstanceMask] = []
     matched_b: set[int] = set()
     for class_id in sorted({m.class_id for m in a}):
@@ -68,7 +95,7 @@ def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
             sims = _cosine(_feature_rows(a, a_features, a_idx),
                            _feature_rows(b, b_features, b_idx))
             for r, c in solve_assignment(-sims)[0]:
-                if sims[r, c] >= similarity_floor:
+                if sims[r, c] >= 0.0:
                     pairs[a_idx[r]] = b_idx[c]
         for i in a_idx:
             mask_a = a[i]
@@ -89,21 +116,19 @@ def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
 
 
 def associate_geometric(a: Sequence[InstanceMask], b_cloud: StageCloud,
-                        a_cloud: StageCloud, b_stage: Optional[int] = None) -> list[InstanceMask]:
+                        a_cloud: StageCloud, b_stage: int) -> list[InstanceMask]:
     """Extend stage-1 instances to stage-2 points via nearest neighbors.
 
     Every stage-2 point inherits the instance label of its nearest stage-1
     point (exact search, ties to the lowest index). Where stage-1 masks
     overlap, a point belongs to the most confident, then the earliest, of
     them. Stage-1 points covered by no prediction carry "no instance", which
-    propagates: their nearest stage-2 points join no mask. ``b_stage``
-    defaults to the stage after ``a``'s.
+    propagates: their nearest stage-2 points join no mask. The transferred
+    points sit at stage ``b_stage``.
     """
     if a_cloud.point_count == 0:
         raise ValueError("stage-1 cloud is empty")
     a_stage = _stage_of(a)
-    if b_stage is None:
-        b_stage = a_stage + 1
     labels = np.full(a_cloud.point_count, -1, dtype=np.int64)
     for i in sorted(range(len(a)), key=lambda i: (-a[i].confidence, i)):
         pts = a[i].per_stage_points[a_stage]

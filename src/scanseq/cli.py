@@ -95,7 +95,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
             values.update(metrics.SWEEP_THRESHOLDS)
         else:
             try:
-                value = float(token)
+                value = float(token) + 0.0  # -0.0 + 0.0 is 0.0: one report key
             except ValueError:
                 raise argparse.ArgumentTypeError(
                     f"threshold {token!r} is not a number") from None
@@ -168,29 +168,9 @@ def _read_checked_predictions(path, seq, gt):
         violations.append(
             f"sequence_id_mismatch: predictions are for "
             f"{pred_file.sequence_id!r}, manifest is {seq.sequence_id!r}")
-    result = validate_sequence(seq, gt, pred_file.instances)
-    violations.extend(f"{v.code}: {v.message}" for v in result.violations)
+    violations.extend(f"{v.code}: {v.message}"
+                      for v in validate_sequence(seq, gt, pred_file.instances))
     return pred_file, violations
-
-
-def _feature_violations(content, width):
-    """Findings on a prediction file's features for semantic association, and
-    the feature length found: every instance needs a finite, nonzero 1-D
-    feature, all of one length (``width``, once a file has set it)."""
-    found = []
-    for m in content.instances:
-        vec = content.features.get(m.instance_id)
-        if vec is None:
-            problem = "has no feature"
-        elif vec.ndim != 1 or not np.isfinite(vec).all() or not vec.any():
-            problem = "has a feature that is not a finite, nonzero 1-D vector"
-        elif width is not None and vec.size != width:
-            problem = f"has a feature of length {vec.size}, not {width}"
-        else:
-            width = vec.size
-            continue
-        found.append(f"invalid_feature: instance {m.instance_id} {problem}")
-    return found, width
 
 
 def _print_violations(path, violations) -> bool:
@@ -244,7 +224,8 @@ def _cmd_associate(args) -> int:
             except ValueError as exc:
                 violations.append(str(exc))
         if args.mode == "semantic":
-            found, width = _feature_violations(content, width)
+            found, width = association._feature_violations(content.instances,
+                                                           content.features, width)
             violations += found
         failed |= _print_violations(path, violations)
         inputs.append(content)

@@ -56,12 +56,6 @@ class ScheduleMix(str, enum.Enum):
 _TRANS_PERMS = {3: (2, 0, 1), 4: (3, 0, 1, 2)}  # axis rotation x->y->z(->t)->x
 
 
-def _axis_permutation(curve: Curve, ndims: int) -> tuple[int, ...]:
-    if curve in (Curve.Z_ORDER_TRANS, Curve.HILBERT_TRANS):
-        return _TRANS_PERMS[ndims]
-    return tuple(range(ndims))
-
-
 def _check_bits(d: int, bits: int) -> None:
     if bits < 1:
         raise ValueError("bits_per_axis must be >= 1")
@@ -180,7 +174,8 @@ def _hilbert_walk(x: np.ndarray, d: int, bits: int, tables) -> np.ndarray:
 
 def _slot_order(curve: Curve, d: int) -> list[int]:
     """Coordinate columns from the least significant interleave slot up."""
-    perm = list(_axis_permutation(curve, d))
+    trans = curve in (Curve.Z_ORDER_TRANS, Curve.HILBERT_TRANS)
+    perm = list(_TRANS_PERMS[d] if trans else range(d))
     return perm if curve in (Curve.Z_ORDER, Curve.Z_ORDER_TRANS) else perm[::-1]
 
 
@@ -234,10 +229,6 @@ class SerializationPattern:
     def ndims(self) -> int:
         return 3 if self.dims == SerializationDims.SPATIAL_3D else 4
 
-    @property
-    def axis_permutation(self) -> tuple[int, ...]:
-        return _axis_permutation(self.curve, self.ndims)
-
 
 def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
                        bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
@@ -279,18 +270,10 @@ _TEMPORAL_POOL = tuple(SerializationPattern(c, SerializationDims.SPATIOTEMPORAL_
                        for c in Curve)
 
 
-@dataclass(frozen=True)
-class PatternSchedule:
-    """Per-layer pattern orderings, a pure function of (seed, layer index)."""
-
-    layers: tuple[tuple[SerializationPattern, ...], ...]
-    rng_seed: int
-    mix: ScheduleMix
-
-
-def make_schedule(seed: int, n_layers: int,
-                  mix: ScheduleMix | str = ScheduleMix.MIXED) -> PatternSchedule:
-    """Shuffle the pattern pool independently per layer.
+def make_schedule(seed: int, n_layers: int, mix: ScheduleMix | str = ScheduleMix.MIXED
+                  ) -> tuple[tuple[SerializationPattern, ...], ...]:
+    """Shuffle the pattern pool independently per layer: one pattern ordering
+    per layer, a pure function of (seed, layer index).
 
     ``spatial_only`` layers shuffle the four 3D patterns, ``temporal_only``
     the four 4D patterns, and ``mixed`` the union of both pools.
@@ -308,4 +291,4 @@ def make_schedule(seed: int, n_layers: int,
         rng = np.random.default_rng((int(seed), layer))
         order = rng.permutation(len(pool))
         layers.append(tuple(pool[i] for i in order))
-    return PatternSchedule(layers=tuple(layers), rng_seed=int(seed), mix=mix)
+    return tuple(layers)

@@ -249,6 +249,10 @@ def _read_manifest(path, geometry: bool):
         stages.append(stage)
         if inst_col is None:
             raise FormatError(f"{point_path}: has no instance property")
+        low = inst_col.min(initial=-1)
+        if low < -1:  # neither an instance nor the background
+            raise FormatError(f"{point_path}: instance id {low} is below -1, "
+                              f"the background mark")
         per_stage_instances.append(inst_col)
 
     annotations = _object(data, "annotations", path)

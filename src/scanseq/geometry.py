@@ -83,10 +83,6 @@ class VoxelGrid4D:
     def num_voxels(self) -> int:
         return len(self.keys)
 
-    @property
-    def num_points(self) -> int:
-        return len(self.point_to_voxel)
-
     def voxel_to_points(self) -> list[np.ndarray]:
         groups = _points_by_label(self.point_to_voxel)
         return [groups.get(v, _EMPTY_INDEX) for v in range(self.num_voxels)]
@@ -100,8 +96,8 @@ def voxelize(seq: SequencePointCloud,
     floor(z/res), t). Duplicate keys within one stage merge; keys never merge
     across stages because t is part of the key.
     """
-    if not (resolution > 0):
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:  # also false for NaN
+        raise ValueError(f"resolution must be a positive finite number, not {resolution}")
     blocks = []
     offsets = [0]
     for t, stage in enumerate(seq.stages):
@@ -178,10 +174,6 @@ class FeatureHierarchy:
         object.__setattr__(self, "levels", tuple((_frozen(coords), _frozen(feats))
                                                  for coords, feats in self.levels))
         object.__setattr__(self, "pool_maps", tuple(_frozen(m) for m in self.pool_maps))
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
 
 
 def build_feature_hierarchy(grid: VoxelGrid4D, voxel_features: np.ndarray,

@@ -208,19 +208,16 @@ def assign_ambiguous_components(weights, present, rng: np.random.Generator) -> n
 class DisambiguationResult:
     """Trajectories replacing an ambiguous group's members for evaluation.
 
-    ``assignment[i, s]`` is the member index (into ``member_ids``) whose
-    component at ``stages[s]`` belongs to trajectory i, or -1. Trajectories
-    that received no component are not materialized; ``trajectory_rows`` maps
-    each mask in ``trajectories`` back to its assignment row. Trajectory masks
-    carry synthetic negative instance ids local to the group.
+    ``assignment[i, s]`` is the member index (into the group's
+    ``member_instance_ids``) whose component at ``stages[s]`` belongs to
+    trajectory i, or -1. Trajectories that received no component are not
+    materialized; the mask of trajectory i carries the synthetic instance id
+    ``-(i + 1)``.
     """
 
-    member_ids: tuple[int, ...]
     stages: tuple[int, ...]
     assignment: np.ndarray
     trajectories: tuple[InstanceMask, ...]
-    trajectory_rows: tuple[int, ...]
-    matched_predictions: Mapping[int, tuple[int, ...]]
 
 
 def _group_assignment(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray,
@@ -262,23 +259,15 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
     A = _group_assignment(inter, psize, gsize, confidence, rng_seed)
 
-    rows = [i for i in range(len(members)) if (A[i] >= 0).any()]
     trajectories = tuple(
         InstanceMask(instance_id=-(i + 1), class_id=members[0].class_id,
                      per_stage_points={t: members[k].per_stage_points[t]
                                        for t, k in zip(stages, A[i]) if k >= 0},
                      confidence=1.0)
-        for i in rows)
-    touches = _gather_columns(inter, gsize, A[rows])[0].any(axis=0)
-    matched = {idx: tuple(preds[i].instance_id for i in np.flatnonzero(touches[:, idx]))
-               for idx in range(len(rows))}
-
+        for i in range(len(members)) if (A[i] >= 0).any())
     on = gsize.any(axis=1)
-    return DisambiguationResult(
-        member_ids=tuple(group.member_instance_ids),
-        stages=tuple(t for t, keep in zip(stages, on) if keep),
-        assignment=_hand_over(A[:, on]), trajectories=trajectories,
-        trajectory_rows=tuple(rows), matched_predictions=matched)
+    return DisambiguationResult(stages=tuple(t for t, keep in zip(stages, on) if keep),
+                                assignment=_hand_over(A[:, on]), trajectories=trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +406,10 @@ class EvaluationReport:
     pr_curves: Mapping[int, Mapping[float, tuple[tuple[float, float], ...]]]
     n_ground_truth: Mapping[int, int]
 
-    def class_ap(self, class_id: int, tau: float) -> Optional[float]:
-        return self.per_class_ap[class_id][tau]
 
-
-def _trajectory_label(member_ids: Iterable[int],
+def _trajectory_label(members: Iterable[int],
                       change_labels: Mapping[int, ChangeType]) -> Optional[ChangeType]:
-    labels = {change_labels.get(mid) for mid in member_ids}
+    labels = {change_labels.get(mid) for mid in members}
     labels.discard(None)
     if not labels:
         return None
@@ -459,7 +445,8 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     TP/(TP+FN), grouped by the annotated change label of each ground-truth
     instance, over the sweep thresholds.
     """
-    taus = tuple(sorted(set(float(t) for t in (thresholds or DEFAULT_THRESHOLDS))))
+    # adding 0.0 turns -0.0 into 0.0, so that each threshold has one report key
+    taus = tuple(sorted({float(t) + 0.0 for t in (thresholds or DEFAULT_THRESHOLDS)}))
     resolved = sorted(resolve_prediction_overlaps(preds, seq),
                       key=lambda m: m.instance_id)
     gts = sorted(gt.instances, key=lambda m: m.instance_id)

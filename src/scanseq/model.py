@@ -253,10 +253,6 @@ class InstanceMask:
                 cleaned[_int_key(stage)] = arr
         object.__setattr__(self, "per_stage_points", cleaned)
 
-    @property
-    def stages(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_stage_points))
-
     def points_at(self, stage: int) -> np.ndarray:
         return self.per_stage_points.get(stage, _EMPTY_INDEX)
 
@@ -283,10 +279,6 @@ class AmbiguousGroup:
         object.__setattr__(self, "group_id", group_id)
         object.__setattr__(self, "member_instance_ids", members)
 
-    @property
-    def n_amb(self) -> int:
-        return len(self.member_instance_ids)
-
 
 @dataclass(frozen=True)
 class GroundTruthAnnotation:
@@ -306,12 +298,6 @@ class GroundTruthAnnotation:
         labels = {_int_key(k): ChangeType(v) for k, v in dict(self.change_labels).items()}
         object.__setattr__(self, "change_labels", labels)
 
-    def instance_by_id(self, instance_id: int) -> InstanceMask:
-        for mask in self.instances:
-            if mask.instance_id == instance_id:
-                return mask
-        raise KeyError(instance_id)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -319,18 +305,6 @@ class Violation:
 
     code: str
     message: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
 
 
 def _check_mask(mask: InstanceMask, sizes: tuple[int, ...], origin: str,
@@ -361,8 +335,10 @@ def _check_mask(mask: InstanceMask, sizes: tuple[int, ...], origin: str,
 
 
 def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
-                      preds: Sequence[InstanceMask] = ()) -> ValidationResult:
+                      preds: Sequence[InstanceMask] = ()) -> tuple[Violation, ...]:
     """Check cross-object consistency; total (never raises on bad data).
+
+    Returns every finding, an empty (so falsy) tuple when there is none.
 
     Every model invariant that construction cannot enforce maps to exactly one
     violation code: ``stage_out_of_range``, ``point_out_of_range``,
@@ -386,10 +362,11 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     by_id = {m.instance_id: m for m in gt.instances}
     seen_members: dict[int, int] = {}
     for group in gt.ambiguous_groups:
-        if group.n_amb < 2:
+        size = len(group.member_instance_ids)
+        if size < 2:
             out.append(Violation(
                 "ambiguous_group_too_small",
-                f"ambiguous group {group.group_id} has {group.n_amb} member(s)"))
+                f"ambiguous group {group.group_id} has {size} member(s)"))
         classes = set()
         for member in group.member_instance_ids:
             if member not in by_id:
@@ -411,4 +388,4 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
                 "cross_class_ambiguous_group",
                 f"ambiguous group {group.group_id} mixes classes "
                 f"{sorted(classes)}"))
-    return ValidationResult(tuple(out))
+    return tuple(out)

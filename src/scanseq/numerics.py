@@ -48,10 +48,6 @@ class RelationMatrix:
         """Indices with at least one positive (the set the loss averages over)."""
         return np.nonzero(self.entries.any(axis=1))[0]
 
-    @property
-    def excluded(self) -> np.ndarray:
-        return np.nonzero(~self.entries.any(axis=1))[0]
-
 
 def relation_from_instance_ids(instance_ids) -> RelationMatrix:
     ids = _array(instance_ids, np.int64, "instance_ids")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, product
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -140,18 +140,34 @@ def _sample_local_points(rng: np.random.Generator, primitive: str,
     return direction * radius
 
 
+_NEIGHBOURS = tuple(product((-1, 0, 1), repeat=3))
+
+
 def _place_centers(rng: np.random.Generator, recipe: SceneRecipe,
                    max_size: np.ndarray) -> np.ndarray:
+    """Draw each object's center until it clears every placed center by more
+    than the sum of their radii. A draw is tested only against the centers in
+    its own and the 26 neighbouring cells of a uniform grid whose cell is
+    twice the largest radius, since centers farther apart always clear each
+    other; the draws are those of a test against every placed center."""
     half = recipe.extent / 2
     centers = np.zeros((recipe.n_objects, 3))
     radii = max_size / 2 + recipe.placement_margin
+    # the 1e-9 keeps rounding in a cell index from hiding a conflict; the floor
+    # bounds the cells per axis when every radius is tiny or negative
+    cell = max(2 * radii.max(initial=0.0) * (1 + 1e-9), recipe.extent * 1e-6)
+    placed: dict[tuple[int, int, int], list[int]] = {}
     for i in range(recipe.n_objects):
         for _ in range(recipe.max_placement_retries):
             cand = rng.uniform(-half, half, size=3)
             cand[2] = abs(cand[2]) / 2  # keep objects near the floor plane
-            if i == 0 or np.all(np.linalg.norm(centers[:i] - cand, axis=1)
-                                > radii[:i] + radii[i]):
+            x, y, z = np.floor(cand / cell).astype(int).tolist()
+            near = [j for dx, dy, dz in _NEIGHBOURS
+                    for j in placed.get((x + dx, y + dy, z + dz), ())]
+            if not near or np.all(np.linalg.norm(centers[near] - cand, axis=1)
+                                  > radii[near] + radii[i]):
                 centers[i] = cand
+                placed.setdefault((x, y, z), []).append(i)
                 break
         else:
             raise SceneGenerationError(

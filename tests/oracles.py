@@ -331,6 +331,24 @@ def brute_force_voxel_count(stage_positions, resolution):
     return len(keys)
 
 
+def brute_force_place_centers(rng, recipe, max_size):
+    """Object centers drawn as ``synth.generate`` draws them, each draw tested
+    against every placed center; None when an object finds no place."""
+    half = recipe.extent / 2
+    centers = np.zeros((recipe.n_objects, 3))
+    radii = max_size / 2 + recipe.placement_margin
+    for i in range(recipe.n_objects):
+        for _ in range(recipe.max_placement_retries):
+            cand = rng.uniform(-half, half, size=3)
+            cand[2] = abs(cand[2]) / 2
+            if np.all(np.linalg.norm(centers[:i] - cand, axis=1) > radii[:i] + radii[i]):
+                centers[i] = cand
+                break
+        else:
+            return None
+    return centers
+
+
 # ---------------------------------------------------------------------------
 # Grouped pooling and inverse maps, one group at a time
 #

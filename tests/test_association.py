@@ -49,12 +49,14 @@ def test_different_classes_never_match():
 
 
 def test_assignment_matches_brute_force_injection():
+    # positive features have positive cosines, so the 0.0 similarity floor
+    # never drops a pair and the assignment alone decides the matches
     rng = np.random.default_rng(0)
-    a_feats = rng.normal(size=(4, 6))
-    b_feats = rng.normal(size=(3, 6))
+    a_feats = rng.uniform(0.1, 1.0, size=(4, 6))
+    b_feats = rng.uniform(0.1, 1.0, size=(3, 6))
     a, a_map = _pset(0, [_pred(1, range(10 * i, 10 * i + 5), a_feats[i]) for i in range(4)])
     b, b_map = _pset(1, [_pred(1, range(10 * i, 10 * i + 5), b_feats[i]) for i in range(3)])
-    merged = associate_semantic(a, b, a_map, b_map, similarity_floor=-1.0)
+    merged = associate_semantic(a, b, a_map, b_map)
     total = 0.0
     for m in merged:
         if len(m.per_stage_points) == 2:
@@ -84,6 +86,22 @@ def test_missing_features_raise():
         associate_semantic(a, b, a_feats, b_feats)
 
 
+@pytest.mark.parametrize("features,message", [
+    ({0: [1.0, 0.0]}, "instance 0 has a feature of length 2, not 3"),
+    ({0: [np.nan, 1.0, 0.0]}, "instance 0 has a feature that is not a finite"),
+    ({0: [[1.0, 0.0, 0.0]]}, "instance 0 has a feature that is not a finite"),
+    ({0: [0.0, 0.0, 0.0]}, "instance 0 has a feature that is not a finite, nonzero"),
+    ({}, "instance 0 has no feature"),
+], ids=["other-length", "nan", "two-dimensional", "zero", "missing"])
+def test_semantic_feature_rule_is_the_cli_rule(features, message):
+    # the findings `scanseq associate --mode semantic` prints, as one ValueError
+    a, a_feats = _pset(0, [_pred(1, range(5), np.array([1.0, 0.0, 0.0]))])
+    b, _ = _pset(1, [_pred(1, range(5)), _pred(1, range(5, 9))])
+    b_feats = {1: np.array([0.0, 1.0, 0.0]), **features}
+    with pytest.raises(ValueError, match=f"invalid_feature: {message}"):
+        associate_semantic(a, b, a_feats, b_feats)
+
+
 def test_semantic_preserves_point_counts_per_stage():
     rng = np.random.default_rng(1)
     a, a_feats = _pset(0, [_pred(1, rng.choice(100, 12, replace=False), rng.normal(size=3))
@@ -110,7 +128,7 @@ def test_copied_stage_transfers_exactly():
     pos = rng.normal(size=(60, 3))
     cloud = StageCloud(positions=pos)
     a, _ = _pset(0, [_pred(1, range(0, 30)), _pred(2, range(30, 60))])
-    merged = associate_geometric(a, StageCloud(positions=pos.copy()), cloud)
+    merged = associate_geometric(a, StageCloud(positions=pos.copy()), cloud, 1)
     assert merged[0].per_stage_points[1].tolist() == list(range(0, 30))
     assert merged[1].per_stage_points[1].tolist() == list(range(30, 60))
 
@@ -120,7 +138,7 @@ def test_nearest_object_dominates():
     a_cloud = StageCloud(positions=a_pos)
     a, _ = _pset(0, [_pred(1, range(0, 10)), _pred(1, range(10, 20))])
     b_cloud = StageCloud(positions=np.full((5, 3), 9.5))
-    merged = associate_geometric(a, b_cloud, a_cloud)
+    merged = associate_geometric(a, b_cloud, a_cloud, 1)
     assert 1 not in merged[0].per_stage_points  # far object gets nothing
     assert merged[1].per_stage_points[1].tolist() == list(range(5))
 
@@ -137,7 +155,7 @@ def test_matches_exhaustive_nn_transfer():
         masks.append(_pred(1, pts))
     a, _ = _pset(0, masks)
     merged = associate_geometric(a, StageCloud(positions=b_pos),
-                                 StageCloud(positions=a_pos))
+                                 StageCloud(positions=a_pos), 1)
     nearest = oracles.brute_force_nearest(a_pos.tolist(), b_pos.tolist())
     for i, m in enumerate(merged):
         expected = sorted(q for q, src in enumerate(nearest) if labels[src] == i)
@@ -149,7 +167,7 @@ def test_empty_stage1_cloud_raises():
     a, _ = _pset(0, [_pred(1, [0])])
     with pytest.raises(ValueError, match="empty"):
         associate_geometric(a, StageCloud(positions=np.zeros((1, 3))),
-                            StageCloud(positions=np.zeros((0, 3))))
+                            StageCloud(positions=np.zeros((0, 3))), 1)
 
 
 def test_geometric_ids_are_subset_of_stage1_ids():
@@ -157,7 +175,7 @@ def test_geometric_ids_are_subset_of_stage1_ids():
     a_cloud = StageCloud(positions=rng.normal(size=(50, 3)))
     a, _ = _pset(0, [_pred(1, range(0, 20)), _pred(3, range(20, 50))])
     merged = associate_geometric(a, StageCloud(positions=rng.normal(size=(40, 3))),
-                                 a_cloud)
+                                 a_cloud, 1)
     assert [m.instance_id for m in merged] == [0, 1]
     transferred = np.concatenate(
         [m.per_stage_points.get(1, np.empty(0, int)) for m in merged])

@@ -111,6 +111,18 @@ def test_evaluate_threshold_parsing(tmp_path):
     assert report["t_map50"] == 1.0
 
 
+def test_negative_zero_threshold_is_keyed_as_zero(tmp_path):
+    manifest, preds = _write_scene(tmp_path, perfect=False)
+    reports = []
+    for thresholds in ("--thresholds=-0.0,0.5", "--thresholds=0.0,0.5"):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                     thresholds, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"thresholds":[0.0,0.5]' in reports[0] and b'"-0.00"' not in reports[0]
+
+
 def test_threshold_with_more_than_two_decimals_exits_64(tmp_path, capsys):
     # 0.501 and 0.502 would share the report key "0.50", one result replacing the other
     manifest, preds = _write_scene(tmp_path)
@@ -692,12 +704,15 @@ def test_malformed_stage_ply_exits_74(tmp_path, capsys, edit, message):
      "the segment property must have an integer type"),
     ("stage_000.ply", _header_edit(b"property float z\n", b""), 74, "stage_000.ply",
      "missing coordinate property 'z'"),
+    # the last 4 bytes of a written stage PLY are its last vertex's int32 instance id
+    ("stage_000.ply", lambda raw: raw[:-4] + (-5).to_bytes(4, "little", signed=True), 74,
+     "stage_000.ply", "instance id -5 is below -1"),
     ("stage_001.ply", _header_edit(b"element vertex", b"element vertex 0\ncomment"), 2,
      "manifest.json", "stage 1 has no points"),
     ("manifest.json", lambda raw: json.dumps({**json.loads(raw), "stages": []}).encode(), 2,
      "manifest.json", "a sequence needs at least one stage"),
-], ids=["short-body", "cut-to-20-bytes", "float-instance", "float-segment", "missing-z", "empty-stage",
-        "no-stages"])
+], ids=["short-body", "cut-to-20-bytes", "float-instance", "float-segment", "missing-z",
+        "instance-below-minus-one", "empty-stage", "no-stages"])
 def test_evaluate_stage_read_exit_codes(tmp_path, capsys, target, edit, code, named,
                                         message):
     manifest, preds = _write_scene(tmp_path)

@@ -256,26 +256,26 @@ def test_4d_serialization_preserves_duplicate_spatial_voxels():
 def test_schedule_pools_and_determinism():
     spatial = make_schedule(0, 4, ScheduleMix.SPATIAL_ONLY)
     assert all(p.dims == SerializationDims.SPATIAL_3D
-               for layer in spatial.layers for p in layer)
+               for layer in spatial for p in layer)
     temporal = make_schedule(0, 4, ScheduleMix.TEMPORAL_ONLY)
     assert all(p.dims == SerializationDims.SPATIOTEMPORAL_4D
-               for layer in temporal.layers for p in layer)
+               for layer in temporal for p in layer)
     assert make_schedule(7, 5, "mixed") == make_schedule(7, 5, ScheduleMix.MIXED)
     mixed = make_schedule(7, 64, ScheduleMix.MIXED)
-    seen = {p.dims for layer in mixed.layers for p in layer}
+    seen = {p.dims for layer in mixed for p in layer}
     assert seen == {SerializationDims.SPATIAL_3D, SerializationDims.SPATIOTEMPORAL_4D}
     # every layer is a permutation of the full pool
-    for layer in mixed.layers:
+    assert len(mixed) == 64
+    for layer in mixed:
         assert len(set(layer)) == len(layer) == 8
 
 
 def test_trans_variants_are_axis_rotations():
-    p3 = SerializationPattern(Curve.Z_ORDER_TRANS, SerializationDims.SPATIAL_3D)
-    assert p3.axis_permutation == (2, 0, 1)
-    p4 = SerializationPattern(Curve.HILBERT_TRANS, SerializationDims.SPATIOTEMPORAL_4D)
-    assert p4.axis_permutation == (3, 0, 1, 2)
+    # x->y->z->x in 3D and x->y->z->t->x in 4D
     assert encode_keys([(1, 2, 3)], Curve.Z_ORDER_TRANS, 3).tolist() == \
         encode_keys([(3, 1, 2)], Curve.Z_ORDER, 3).tolist()
+    assert encode_keys([(1, 2, 3, 4)], Curve.HILBERT_TRANS, 3).tolist() == \
+        encode_keys([(4, 1, 2, 3)], Curve.HILBERT, 3).tolist()
 
 
 ALL_PATTERNS = tuple(SerializationPattern(c, dims)

@@ -49,14 +49,19 @@ def test_voxelize_rejects_bad_input():
     seq = seq_from_positions([[0.0, 0.0, np.nan]])
     with pytest.raises(ValueError, match="invalid coordinate"):
         voxelize(seq, resolution=0.02)
-    with pytest.raises(ValueError):
-        voxelize(make_sequence([5]), resolution=0.0)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.5, np.inf, np.nan])
+def test_voxelize_refuses_a_resolution_that_is_not_positive_and_finite(resolution):
+    # an infinite resolution would put every point of a stage in one voxel
+    with pytest.raises(ValueError, match="resolution must be a positive finite number"):
+        voxelize(make_sequence([5]), resolution=resolution)
 
 
 def test_point_to_voxel_covers_every_point_once():
     seq = make_sequence([40, 60], seed=3)
     grid = voxelize(seq, resolution=0.5)
-    assert grid.num_points == 100
+    assert len(grid.point_to_voxel) == 100
     sizes = [pts.size for pts in grid.voxel_to_points()]
     assert sum(sizes) == 100
 
@@ -183,7 +188,7 @@ def test_pooling_and_inverse_maps_match_per_group_loops(seed, n_stages, n_levels
         *[rng.uniform(-1, 1, size=(rng.integers(1, 60), 3)) for _ in range(n_stages)])
     grid = voxelize(seq, resolution=0.5)
 
-    point_feats = rng.normal(size=_shape(grid.num_points, feature_width))
+    point_feats = rng.normal(size=_shape(len(grid.point_to_voxel), feature_width))
     assert np.array_equal(pool_features_to_voxels(grid, point_feats),
                           oracles.pool_features_to_voxels(grid.point_to_voxel, point_feats,
                                                           grid.num_voxels))
@@ -258,7 +263,7 @@ def test_hierarchy_levels_align_with_pool_maps():
     grid = voxelize(seq, resolution=0.05)
     feats = pool_features_to_voxels(grid, np.ones((400, 2)))
     hier = build_feature_hierarchy(grid, feats, n_levels=3)
-    assert hier.num_levels == 3
+    assert len(hier.levels) == 3
     for r in range(2):
         coords, _ = hier.levels[r]
         parent_coords, _ = hier.levels[r + 1]
@@ -373,7 +378,7 @@ def test_voxelize_takes_the_last_cell_inside_int64():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda grid: pool_features_to_voxels(grid, np.ones(grid.num_points + 1)),
+    (lambda grid: pool_features_to_voxels(grid, np.ones(len(grid.point_to_voxel) + 1)),
      "point_features length must equal point count"),
     (lambda grid: build_feature_hierarchy(grid, np.ones((grid.num_voxels - 1, 2)), 2),
      "voxel_features length must equal voxel count"),

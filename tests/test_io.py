@@ -349,7 +349,7 @@ def test_manifest_round_trip(tmp_path):
     assert [g.member_instance_ids for g in gt2.ambiguous_groups] == \
         [g.member_instance_ids for g in gt.ambiguous_groups]
     assert gt0_labels_equal(gt, gt2)
-    assert validate_sequence(seq2, gt2, []).ok
+    assert not validate_sequence(seq2, gt2, [])
 
 
 def gt0_labels_equal(a, b):
@@ -470,6 +470,15 @@ def test_report_thresholds_sharing_a_key_are_refused():
     report = evaluate(seq, gt, [], thresholds=(0.501, 0.502, 0.2))
     with pytest.raises(ValueError, match="share a two-decimal key"):
         report_to_dict(report)
+
+
+def test_negative_zero_threshold_is_reported_as_zero():
+    seq, gt = _scene()
+    preds = perturb(seq, gt, PerturbationSpec(target_iou=0.7, seed=3))
+    entry = report_to_dict(evaluate(seq, gt, preds, thresholds=(-0.0, 0.5)))
+    assert entry == report_to_dict(evaluate(seq, gt, preds, thresholds=(0.0, 0.5)))
+    assert json.dumps(entry["thresholds"]) == "[0.0, 0.5]"
+    assert all(list(ap["ap"]) == ["0.00", "0.50"] for ap in entry["per_class"].values())
 
 
 def test_report_serialization_is_stable(tmp_path):

@@ -173,9 +173,9 @@ def test_stage_table_consumers_match_pairwise_oracle(monkeypatch):
         weights, present, stages = oracles.pairwise_disambiguation_weights(gts, preds)
         assert weights_seen == [(weights, present)]
         assert result.stages == tuple(stages)
-        for idx, traj in enumerate(result.trajectories):
-            assert result.matched_predictions[idx] == \
-                oracles.pairwise_overlap_candidates(preds, [traj], 1)[traj.instance_id]
+        for traj in result.trajectories:
+            assert overlap_candidates(preds, [traj], 1) == \
+                oracles.pairwise_overlap_candidates(preds, [traj], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,8 @@ def test_disambiguate_symmetric_swap_yields_perfect_trajectories():
         for traj in result.trajectories)
     assert tious == [1.0, 1.0]
     # each trajectory's candidate set is exactly its perfect prediction
-    assert sorted(result.matched_predictions.values()) == [(10,), (11,)]
+    assert sorted(overlap_candidates([p1, p2], [traj], 1)[traj.instance_id]
+                  for traj in result.trajectories) == [(10,), (11,)]
 
 
 def test_disambiguation_assignment_is_read_only():
@@ -229,7 +230,7 @@ def test_disambiguate_merge_claims_higher_weight_member():
     sizes = sorted(t.per_stage_points[0].size for t in result.trajectories)
     assert sizes == [40, 60]
     # the prediction's trajectory is the higher-IoU member (m1: 60/100 > m2)
-    row0 = result.trajectories[result.trajectory_rows.index(0)]
+    row0 = next(t for t in result.trajectories if t.instance_id == -1)  # row 0
     assert row0.per_stage_points[0].tolist() == list(range(0, 60))
 
 
@@ -382,7 +383,7 @@ def test_evaluate_counts_points_shared_by_overlapping_ground_truth():
     assert t_iou(pred, g0).t_iou == 1.0
     report = _evaluate_case([g0, g1], [pred], stage_sizes=(100,))
     assert report.counts[1][0.9] == (1, 0, 1)
-    assert report.class_ap(1, 0.9) == 0.5
+    assert report.per_class_ap[1][0.9] == 0.5
 
 
 def test_evaluate_swap_vs_identity_geometry():
@@ -390,12 +391,12 @@ def test_evaluate_swap_vs_identity_geometry():
     # tau=0.25; identity-preserving half-coverage predictions score 1.
     gts, swap_preds = case_identity_swap()
     report = _evaluate_case(gts, swap_preds)
-    assert report.class_ap(1, 0.25) == 0.0
+    assert report.per_class_ap[1][0.25] == 0.0
     assert report.t_map25 == 0.0
 
     gt_half, half_preds = case_half_coverage()
     report = _evaluate_case(gt_half, half_preds)
-    assert report.class_ap(1, 0.25) == 1.0
+    assert report.per_class_ap[1][0.25] == 1.0
     assert report.t_map25 == 1.0
 
 
@@ -565,8 +566,8 @@ def test_evaluate_includes_zero_ap_classes():
     preds = [mask(0, 2, {0: range(10, 20)}, confidence=0.5)]
     report = _evaluate_case(gts, preds, stage_sizes=(50,))
     assert set(report.class_ids) == {1, 2}
-    assert report.class_ap(1, 0.25) == 0.0  # gt present, no predictions
-    assert report.class_ap(2, 0.25) == 0.0  # predictions with no gt
+    assert report.per_class_ap[1][0.25] == 0.0  # gt present, no predictions
+    assert report.per_class_ap[2][0.25] == 0.0  # predictions with no gt
     assert report.n_ground_truth[2] == 0
 
 

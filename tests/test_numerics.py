@@ -72,7 +72,7 @@ def test_relation_matrix_invariants():
     rel = relation_from_instance_ids([4, 4, 7])
     assert not rel.entries.diagonal().any()
     assert np.array_equal(rel.entries, rel.entries.T)
-    assert rel.excluded.tolist() == [2]
+    assert np.flatnonzero(~rel.entries.any(axis=1)).tolist() == [2]
     with pytest.raises(ValueError, match="symmetric"):
         RelationMatrix(np.array([[0, 1], [0, 0]], dtype=bool))
 

@@ -3,12 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from scanseq import synth
 from scanseq.formats import write_manifest, write_predictions
 from scanseq.metrics import evaluate, t_iou
 from scanseq.model import ChangeType, validate_sequence
 from scanseq.synth import (ChangeOp, IdentityPolicy, PerturbationError,
                            PerturbationSpec, SceneGenerationError, SceneRecipe,
                            generate, perturb)
+
+import oracles
 
 
 def test_all_static_plan_keeps_clouds_identical():
@@ -25,7 +28,7 @@ def test_generated_scenes_validate():
                          changes=({0: ChangeOp("swap", group_id=0)}, {}),
                          background_points=100)
     seq, gt = generate(recipe)
-    assert validate_sequence(seq, gt, []).ok
+    assert not validate_sequence(seq, gt, [])
 
 
 def test_swap_exchanges_centroids_exactly():
@@ -33,7 +36,7 @@ def test_swap_exchanges_centroids_exactly():
                          changes=({1: ChangeOp("swap", group_id=0)},))
     seq, gt = generate(recipe)
     def centroid(instance, stage):
-        pts = gt.instance_by_id(instance).per_stage_points[stage]
+        pts = gt.instances[instance].per_stage_points[stage]
         return seq.stages[stage].positions[pts].mean(axis=0)
     assert np.allclose(centroid(1, 1), centroid(2, 0), atol=1e-9)
     assert np.allclose(centroid(2, 1), centroid(1, 0), atol=1e-9)
@@ -45,8 +48,8 @@ def test_rigid_translation_moves_centroid_exactly():
                          changes=({0: ChangeOp("rigid", translation=(1, 0, 0),
                                                yaw_deg=30.0)},))
     seq, gt = generate(recipe)
-    pts0 = gt.instance_by_id(0).per_stage_points[0]
-    pts1 = gt.instance_by_id(0).per_stage_points[1]
+    pts0 = gt.instances[0].per_stage_points[0]
+    pts1 = gt.instances[0].per_stage_points[1]
     c0 = seq.stages[0].positions[pts0].mean(axis=0)
     c1 = seq.stages[1].positions[pts1].mean(axis=0)
     assert np.allclose(c1 - c0, [1, 0, 0], atol=1e-9)
@@ -58,8 +61,8 @@ def test_rigid_change_is_an_exact_se3_map():
                          changes=({0: ChangeOp("rigid", translation=(0.4, -0.2, 0.1),
                                                yaw_deg=45.0)},))
     seq, gt = generate(recipe)
-    a = seq.stages[0].positions[gt.instance_by_id(0).per_stage_points[0]]
-    b = seq.stages[1].positions[gt.instance_by_id(0).per_stage_points[1]]
+    a = seq.stages[0].positions[gt.instances[0].per_stage_points[0]]
+    b = seq.stages[1].positions[gt.instances[0].per_stage_points[1]]
     # recover the rigid transform by procrustes and check the residual
     ca, cb = a.mean(0), b.mean(0)
     h = (a - ca).T @ (b - cb)
@@ -78,8 +81,8 @@ def test_add_remove_presence_schedule():
                          changes=({0: ChangeOp("remove")}, {1: ChangeOp("add")}))
     # instance 1 must be absent until its add transition
     seq, gt = generate(recipe)
-    m0 = gt.instance_by_id(0)
-    m1 = gt.instance_by_id(1)
+    m0 = gt.instances[0]
+    m1 = gt.instances[1]
     assert sorted(m0.per_stage_points) == [0]
     assert sorted(m1.per_stage_points) == [2]
     assert gt.change_labels[0] is ChangeType.ADDED_REMOVED
@@ -91,8 +94,8 @@ def test_non_rigid_is_the_declared_sinusoid():
                          changes=({0: ChangeOp("non_rigid", amplitude=0.05,
                                                wavelength=0.7)},))
     seq, gt = generate(recipe)
-    a = seq.stages[0].positions[gt.instance_by_id(0).per_stage_points[0]]
-    b = seq.stages[1].positions[gt.instance_by_id(0).per_stage_points[1]]
+    a = seq.stages[0].positions[gt.instances[0].per_stage_points[0]]
+    b = seq.stages[1].positions[gt.instances[0].per_stage_points[1]]
     assert np.allclose(b, a + 0.05 * np.sin(2 * np.pi * a / 0.7), atol=1e-12)
     assert gt.change_labels[0] is ChangeType.NON_RIGID
 
@@ -141,10 +144,40 @@ def test_every_swap_op_of_a_group_is_checked():
         generate(recipe)
 
 
+def test_second_swap_op_of_a_group_in_one_step_acts_once():
+    # a group of two swapped twice would be back in place
+    group = ((0, 1),)
+    once = generate(SceneRecipe(seed=7, n_objects=3, ambiguous_groups=group,
+                                changes=({0: ChangeOp("swap", group_id=0)},)))[0]
+    both = generate(SceneRecipe(seed=7, n_objects=3, ambiguous_groups=group,
+                                changes=({0: ChangeOp("swap", group_id=0),
+                                          1: ChangeOp("swap", group_id=0)},)))[0]
+    assert np.array_equal(both.stages[1].positions, once.stages[1].positions)
+    assert not np.array_equal(both.stages[1].positions, both.stages[0].positions)
+
+
+@pytest.mark.parametrize("seed,n_objects,extent,margin", [
+    (0, 40, 4.0, 0.05), (1, 60, 5.0, 0.0), (2, 25, 3.0, -0.1), (3, 200, 30.0, 0.2),
+    (4, 30, 2.5, 0.05)])
+def test_placement_draws_as_a_test_against_every_placed_center(seed, n_objects, extent,
+                                                              margin):
+    recipe = SceneRecipe(seed=seed, n_objects=n_objects, extent=extent,
+                         placement_margin=margin, max_placement_retries=200)
+    max_size = np.random.default_rng(seed).uniform(0.2, 0.8, size=n_objects)
+    max_size[::3] = max_size[0]  # equal radii, as ambiguous group members have
+
+    try:
+        got = synth._place_centers(np.random.default_rng(seed), recipe, max_size)
+    except SceneGenerationError:
+        got = None
+    want = oracles.brute_force_place_centers(np.random.default_rng(seed), recipe, max_size)
+    assert (got is None and want is None) or np.array_equal(got, want)
+
+
 def test_ambiguous_members_share_shape_and_class():
     recipe = SceneRecipe(seed=29, n_objects=4, ambiguous_groups=((0, 1),))
     seq, gt = generate(recipe)
-    a, b = gt.instance_by_id(0), gt.instance_by_id(1)
+    a, b = gt.instances[0], gt.instances[1]
     assert a.class_id == b.class_id
     assert a.per_stage_points[0].size == b.per_stage_points[0].size
 
@@ -204,6 +237,13 @@ def test_unreachable_target_raises():
     seq, gt = generate(SceneRecipe(seed=47, n_objects=1, points_per_object=(8, 8)))
     with pytest.raises(PerturbationError):
         perturb(seq, gt, PerturbationSpec(target_iou=0.6))
+
+
+@pytest.mark.parametrize("target", [0.0, -0.5, 1.5])
+def test_target_outside_the_unit_interval_raises(target):
+    seq, gt = generate(SceneRecipe(seed=47, n_objects=2))
+    with pytest.raises(PerturbationError, match=r"outside \(0, 1\]"):
+        perturb(seq, gt, PerturbationSpec(target_iou=target))
 
 
 def test_predictions_are_disjoint_within_stages():
