@@ -6,7 +6,8 @@ assignment; *geometric* matching transfers stage-1 instance labels to stage-2
 points through exact nearest neighbors.
 
 Each input is a sequence of single-stage :class:`InstanceMask` that all sit at
-one stage. Inputs are not range-checked here: ``validate_sequence`` does that.
+one stage, and the two inputs sit at two different stages (ValueError
+otherwise). Inputs are not range-checked here: ``validate_sequence`` does that.
 Output instance ids are positions.
 """
 
@@ -32,6 +33,13 @@ def _stage_of(masks: Sequence[InstanceMask]) -> int:
     if not stages:
         raise ValueError("association input has no masks")
     return stages.pop()
+
+
+def _check_two_stages(a_stage: int, b_stage: int) -> None:
+    """ValueError unless the two association inputs sit at different stages."""
+    if a_stage == b_stage:
+        raise ValueError(f"association inputs must sit at two stages, "
+                         f"both sit at stage {a_stage}")
 
 
 def _feature_violations(masks: Sequence[InstanceMask], features: Mapping[int, np.ndarray],
@@ -77,9 +85,9 @@ def associate_semantic(a: Sequence[InstanceMask], b: Sequence[InstanceMask],
     unmatched stays a single-stage instance. Never merges across predicted
     classes.
     """
+    _check_two_stages(_stage_of(a), _stage_of(b))
     found, width = [], None
     for masks, features in ((a, a_features), (b, b_features)):
-        _stage_of(masks)  # raises unless the input sits at one stage
         problems, width = _feature_violations(masks, features, width)
         found += problems
     if found:
@@ -124,11 +132,12 @@ def associate_geometric(a: Sequence[InstanceMask], b_cloud: StageCloud,
     overlap, a point belongs to the most confident, then the earliest, of
     them. Stage-1 points covered by no prediction carry "no instance", which
     propagates: their nearest stage-2 points join no mask. The transferred
-    points sit at stage ``b_stage``.
+    points sit at stage ``b_stage``, which must differ from the stage of ``a``.
     """
     if a_cloud.point_count == 0:
         raise ValueError("stage-1 cloud is empty")
     a_stage = _stage_of(a)
+    _check_two_stages(a_stage, b_stage)
     labels = np.full(a_cloud.point_count, -1, dtype=np.int64)
     for i in sorted(range(len(a)), key=lambda i: (-a[i].confidence, i)):
         pts = a[i].per_stage_points[a_stage]

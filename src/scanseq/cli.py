@@ -231,6 +231,11 @@ def _cmd_associate(args) -> int:
         inputs.append(content)
     if failed:
         return EXIT_VALIDATION
+    try:
+        association._check_two_stages(*stages)
+    except ValueError as exc:
+        _print_violations(f"{args.pred_a}, {args.pred_b}", [str(exc)])
+        return EXIT_VALIDATION
     a, b = inputs
     if args.mode == "semantic":
         merged = association.associate_semantic(a.instances, b.instances,

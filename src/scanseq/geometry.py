@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .model import (SequencePointCloud, StageCloud, _EMPTY_INDEX, _array, _frozen,
                     _hand_over, _points_by_label)
@@ -215,6 +214,9 @@ def nearest_neighbor_labels(source: StageCloud, source_labels,
     labels = np.asarray(source_labels)
     if labels.shape[0] != source.point_count:
         raise ValueError("source_labels length must equal source point count")
+    # imported on call: a command that needs no scipy skips its ~45 MB load
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(source.positions)
     dist, idx = tree.query(query.positions, k=2)
     nearest = idx[:, 0].copy()

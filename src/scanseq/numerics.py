@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import expit, log_softmax, logsumexp
 
 from .model import _array, _frozen, _hand_over, _number
 
@@ -81,6 +79,9 @@ def contrastive_loss(features, relation: RelationMatrix) -> float:
     sits inside a single log (the "out" form). Returns 0.0 when no anchor has
     a positive.
     """
+    # imported on call: a command that needs no scipy skips its ~45 MB load
+    from scipy.special import logsumexp
+
     feats = _array(features, np.float64, "features")
     if len(feats) != relation.size:
         raise ValueError("features and relation matrix disagree on S")
@@ -129,6 +130,9 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
     matching is solved exactly; predictions left unmatched contribute their
     no-object cross-entropy weighted by ``lambda_no_object`` to ``total_cost``.
     """
+    # imported on call: a command that needs no scipy skips its ~45 MB load
+    from scipy.special import expit, log_softmax
+
     mask_logits = np.atleast_2d(_array(pred_mask_logits, np.float64, "pred_mask_logits"))
     class_logits = np.atleast_2d(_array(pred_class_logits, np.float64, "pred_class_logits"))
     gt = np.atleast_2d(_array(gt_masks, np.float64, "gt_masks"))
@@ -171,6 +175,9 @@ def assignment_cost(pred_mask_logits, pred_class_logits, gt_masks, gt_classes,
 
 def solve_assignment(cost_matrix) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-cost rectangular assignment of a raw cost matrix."""
+    # imported on call: a command that needs no scipy skips its ~45 MB load
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.atleast_2d(_array(cost_matrix, np.float64, "cost_matrix"))
     rows, cols = linear_sum_assignment(cost)
     return tuple(zip(rows.tolist(), cols.tolist())), float(cost[rows, cols].sum())

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.recfunctions import structured_to_unstructured
 
 from .model import StageCloud, _array, _hand_over
 
@@ -131,11 +130,11 @@ def read_ply(path) -> tuple[StageCloud, Optional[np.ndarray]]:
     """
     table = _read_table(path)
     names = table.dtype.names
-    positions = structured_to_unstructured(table[["x", "y", "z"]], np.float64, copy=True)
+    positions = np.stack([table[c] for c in ("x", "y", "z")], axis=1, dtype=np.float64)
     colors = None
     if all(c in names for c in ("red", "green", "blue")):
-        colors = structured_to_unstructured(table[["red", "green", "blue"]],
-                                            np.float64, copy=True)
+        colors = np.stack([table[c] for c in ("red", "green", "blue")], axis=1,
+                          dtype=np.float64)
         colors /= 255.0
     segments = _ids(table, "segment")
     # every array is new and read_ply keeps none, so StageCloud need not copy

@@ -7,7 +7,9 @@ import pytest
 
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud)
+from scanseq.formats import write_manifest, write_predictions
 from scanseq.ply import _decode
+from scanseq.synth import SceneRecipe, generate
 
 
 def make_cloud(n_points: int, seed: int = 0, with_segments: bool = False,
@@ -56,3 +58,23 @@ def annotation(instances, groups=(), labels=None) -> GroundTruthAnnotation:
 @pytest.fixture
 def two_stage_sequence() -> SequencePointCloud:
     return make_sequence([200, 200])
+
+
+def association_scene(tmp_path):
+    """A 2-stage scene and one single-stage prediction file per stage."""
+    recipe = SceneRecipe(seed=6, n_objects=3, n_classes=2, sequence_id="assoc")
+    seq, gt = generate(recipe)
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    stage_files = []
+    for t in range(2):
+        masks = []
+        feats = {}
+        for inst in sorted(gt.instances, key=lambda m: m.instance_id):
+            masks.append(type(inst)(
+                instance_id=inst.instance_id, class_id=inst.class_id,
+                per_stage_points={t: inst.per_stage_points[t]}, confidence=0.9))
+            feats[inst.instance_id] = np.eye(3)[inst.instance_id % 3]
+        path = tmp_path / f"stage{t}.json"
+        write_predictions(path, masks, "assoc", features=feats)
+        stage_files.append(path)
+    return manifest, stage_files

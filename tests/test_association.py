@@ -102,6 +102,21 @@ def test_semantic_feature_rule_is_the_cli_rule(features, message):
         associate_semantic(a, b, a_feats, b_feats)
 
 
+@pytest.mark.parametrize("mode", ["semantic", "geometric"])
+def test_inputs_at_one_stage_raise(mode):
+    # a semantic merge kept only b's points at the shared stage (a's vanished
+    # in the dict update), and a geometric one transferred a onto its own cloud
+    f = np.array([1.0, 0.0])
+    a, a_feats = _pset(0, [_pred(1, [0, 1, 2], f)])
+    b, b_feats = _pset(0, [_pred(1, [5, 6], f)])
+    cloud = StageCloud(positions=np.arange(21.0).reshape(7, 3))
+    with pytest.raises(ValueError, match="must sit at two stages, both sit at stage 0"):
+        if mode == "semantic":
+            associate_semantic(a, b, a_feats, b_feats)
+        else:
+            associate_geometric(a, cloud, cloud, 0)
+
+
 def test_semantic_preserves_point_counts_per_stage():
     rng = np.random.default_rng(1)
     a, a_feats = _pset(0, [_pred(1, rng.choice(100, 12, replace=False), rng.normal(size=3))

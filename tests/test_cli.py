@@ -16,7 +16,7 @@ from scanseq.ply import read_ply, write_ply
 from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import ascii_copy
+from conftest import ascii_copy, association_scene
 
 
 def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
@@ -840,6 +840,10 @@ def test_losses_quadratic_sizes_are_capped(tmp_path, capsys, op, n, code):
                 "gt_masks": [[1.0]] * n, "gt_classes": [0] * n})
     inp, out = tmp_path / "in.json", tmp_path / "o.json"
     inp.write_text(json.dumps(payload))
+    # the ops load scipy on their first call; loading it before the window
+    # opens keeps that one-time import out of the op's own allocations
+    import scipy.optimize  # noqa: F401
+    import scipy.special  # noqa: F401
     tracemalloc.start()
     try:
         assert main(["losses", "--op", op, "--in", str(inp), "--out", str(out)]) == code
@@ -1076,28 +1080,8 @@ def test_losses_subcommands(tmp_path):
     assert cost["matches"] == [[0, 0], [1, 1]]
 
 
-def _association_scene(tmp_path):
-    """A 2-stage scene and one single-stage prediction file per stage."""
-    recipe = SceneRecipe(seed=6, n_objects=3, n_classes=2, sequence_id="assoc")
-    seq, gt = generate(recipe)
-    manifest = write_manifest(tmp_path / "scene", seq, gt)
-    stage_files = []
-    for t in range(2):
-        masks = []
-        feats = {}
-        for inst in sorted(gt.instances, key=lambda m: m.instance_id):
-            masks.append(type(inst)(
-                instance_id=inst.instance_id, class_id=inst.class_id,
-                per_stage_points={t: inst.per_stage_points[t]}, confidence=0.9))
-            feats[inst.instance_id] = np.eye(3)[inst.instance_id % 3]
-        path = tmp_path / f"stage{t}.json"
-        write_predictions(path, masks, "assoc", features=feats)
-        stage_files.append(path)
-    return manifest, stage_files
-
-
 def test_associate_semantic_and_geometric(tmp_path):
-    manifest, stage_files = _association_scene(tmp_path)
+    manifest, stage_files = association_scene(tmp_path)
     for mode in ("semantic", "geometric"):
         out = tmp_path / f"{mode}.json"
         code = main(["associate", "--mode", mode,
@@ -1108,6 +1092,23 @@ def test_associate_semantic_and_geometric(tmp_path):
         merged = read_predictions(out)
         assert merged.sequence_id == "assoc"
         assert any(len(m.per_stage_points) == 2 for m in merged.instances)
+
+
+@pytest.mark.parametrize("mode", ["semantic", "geometric"])
+def test_associate_inputs_at_one_stage_exit_2(tmp_path, capsys, mode):
+    # a semantic merge kept only pred-b's points at the shared stage, and a
+    # geometric one transferred pred-a onto its own cloud; both exited 0
+    manifest, stage_files = association_scene(tmp_path)
+    twin = tmp_path / "stage0-twin.json"
+    twin.write_bytes(stage_files[0].read_bytes())
+    out = tmp_path / "merged.json"
+    code = main(["associate", "--mode", mode, "--pred-a", str(stage_files[0]),
+                 "--pred-b", str(twin), "--manifest", str(manifest), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"{stage_files[0]}, {twin}: association inputs must sit at two "
+                   f"stages, both sit at stage 0\n")
+    assert not out.exists()
 
 
 def _single(instance_id, per_stage):
@@ -1153,7 +1154,7 @@ def test_associate_point_outside_its_stage_exits_74(tmp_path, capsys, mode, poin
 
 
 def test_associate_points_mask_exits_74(tmp_path, capsys):
-    manifest, stage_files = _association_scene(tmp_path)
+    manifest, stage_files = association_scene(tmp_path)
     data = json.loads(stage_files[0].read_text())
     data["instances"][0]["masks"]["0"] = {"encoding": "points", "data": [0, 1]}
     stage_files[0].write_text(json.dumps(data))
@@ -1169,9 +1170,9 @@ def test_associate_points_mask_exits_74(tmp_path, capsys):
 
 def _associate_with(tmp_path, mode, masks, sequence_id):
     """``associate`` of ``masks``, written as ``sequence_id``'s, against the
-    stage-1 file of :func:`_association_scene`: its exit code, the input path
+    stage-1 file of :func:`association_scene`: its exit code, the input path
     and the output path."""
-    manifest, stage_files = _association_scene(tmp_path)
+    manifest, stage_files = association_scene(tmp_path)
     bad = tmp_path / "bad.json"
     write_predictions(bad, masks, sequence_id,
                       features={m.instance_id: np.array([1.0, 0.0, 0.0]) for m in masks})
@@ -1190,7 +1191,7 @@ def _associate_with(tmp_path, mode, masks, sequence_id):
     ({}, "instance 0 has no feature"),
 ], ids=["other-length", "nan", "two-dimensional", "zero", "missing"])
 def test_associate_semantic_bad_feature_exits_2(tmp_path, capsys, features, message):
-    manifest, stage_files = _association_scene(tmp_path)
+    manifest, stage_files = association_scene(tmp_path)
     data = json.loads(stage_files[1].read_text())
     for entry in data["instances"]:
         entry.pop("feature", None)
