@@ -15,10 +15,7 @@ cannot be scored, generated or computed (violations on stderr, each after its
 file's name); 64 usage error: a bad flag or option value; 74 I/O or
 file-format failure: a file that cannot be read or does not follow its schema,
 named in the message. README "CLI" gives each subcommand's cases and "File
-formats" each schema's rules, among them three refusals: a prediction mask in
-the ``points`` layout (only flat RLE is read), a JSON object that repeats a
-key (74 both), and a threshold with more than two decimals (64), which would
-share its report key with another.
+formats" each schema's rules.
 ``evaluate`` accepts repeated --gt/--pred pairs and evaluates them one after
 another. Every JSON output is compact canonical JSON; ``serialize`` writes
 the voxel order, not the voxel keys, which the manifest and --resolution
@@ -28,6 +25,7 @@ determine.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -79,6 +77,8 @@ def _positive_finite_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    if formats._to_json(value) != value:  # the "resolution" written would name another
+        raise argparse.ArgumentTypeError(f"must have at most 6 significant digits, got {text}")
     return value
 
 
@@ -86,28 +86,16 @@ _positive_finite_float.__name__ = "positive number"
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
-    values: set[float] = set()
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == "sweep":
-            values.update(metrics.SWEEP_THRESHOLDS)
-        else:
-            try:
-                value = float(token) + 0.0  # -0.0 + 0.0 is 0.0: one report key
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"threshold {token!r} is not a number") from None
-            if not 0.0 <= value < 1.0:  # also rejects nan
-                raise argparse.ArgumentTypeError(f"threshold {token!r} is not in [0, 1)")
-            if float(formats._tau_key(value)) != value:  # its report key would misname it
-                raise argparse.ArgumentTypeError(
-                    f"threshold {token!r} has more than two decimals")
-            values.add(value)
-    if not values:
-        raise argparse.ArgumentTypeError("no thresholds given")
-    return tuple(sorted(values))
+    values: list[float] = []
+    for token in filter(None, map(str.strip, text.split(","))):
+        try:
+            values += metrics.SWEEP_THRESHOLDS if token == "sweep" else [float(token)]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"threshold {token!r} is not a number") from None
+    try:
+        return metrics._thresholds(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -318,13 +306,8 @@ def _loss_payload(op: str, data: dict) -> dict:
         n_pred, n_gt = len(np.atleast_2d(arrays[0])), len(np.atleast_2d(arrays[2]))
         _check_size(op, n_pred * n_gt, f"{n_pred} predictions by {n_gt} ground-truth masks")
         result = numerics.assignment_cost(*arrays, cfg)
-        return {
-            "cost_matrix": result.cost_matrix,
-            "matches": result.matches,
-            "unmatched_predictions": result.unmatched_predictions,
-            "unmatched_ground_truth": result.unmatched_ground_truth,
-            "total_cost": result.total_cost,
-        }
+        # not dataclasses.asdict, whose deep copy would copy the cost matrix
+        return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
     if op == "fourier":
         rows = np.size(data["coords"]) // 4  # fourier_features_4d refuses other widths
         d_out = _number(data["d_out"], "d_out", int)

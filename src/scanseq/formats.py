@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .metrics import EvaluationReport
+from .metrics import EvaluationReport, _tau_key
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
                     _StageSizes, _array, _hand_over, _int_key, _is, _points_by_label)
 from .ply import _read_labels, read_ply, write_ply
@@ -361,16 +361,9 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
 # Evaluation reports
 
 
-def _tau_key(tau: float) -> str:
-    """A threshold's key in a report."""
-    return f"{tau:.2f}"
-
-
 def report_to_dict(report: EvaluationReport) -> dict:
-    """A report as a JSON object; thresholds that share a key are a ValueError."""
-    keys = [_tau_key(t) for t in report.thresholds]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"thresholds {report.thresholds} share a two-decimal key")
+    """A report as a JSON object; a threshold its key would misspell is a ValueError."""
+    keys = {t: _tau_key(t) for t in report.thresholds}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "evaluation_report",
@@ -383,20 +376,19 @@ def report_to_dict(report: EvaluationReport) -> dict:
         "per_class": {
             str(c): {
                 "n_ground_truth": report.n_ground_truth[c],
-                "ap": {_tau_key(t): report.per_class_ap[c][t]
-                       for t in report.thresholds},
+                "ap": {keys[t]: report.per_class_ap[c][t] for t in report.thresholds},
             } for c in report.class_ids
         },
         "per_change_recall": {ct.value: val
                               for ct, val in sorted(report.per_change_recall.items(),
                                                     key=lambda kv: kv[0].value)},
         "counts": {
-            str(c): {_tau_key(t): {"tp": tp, "fp": fp, "fn": fn}
+            str(c): {keys[t]: {"tp": tp, "fp": fp, "fn": fn}
                      for t, (tp, fp, fn) in report.counts[c].items()}
             for c in report.class_ids
         },
         "pr_curves": {
-            str(c): {_tau_key(t): report.pr_curves[c][t] for t in report.thresholds}
+            str(c): {keys[t]: report.pr_curves[c][t] for t in report.thresholds}
             for c in report.class_ids
         },
     }

@@ -22,6 +22,7 @@ whole pipeline reduces to standard mAP.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -33,6 +34,30 @@ from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
+
+
+def _tau_key(tau: float) -> str:
+    """A threshold's two-decimal report key; a ValueError if it misspells ``tau``."""
+    key = f"{tau:.2f}"
+    if float(key) != tau:
+        raise ValueError(f"threshold '{tau}' has more than two decimals")
+    return key
+
+
+def _thresholds(values: Iterable[float]) -> tuple[float, ...]:
+    """The sorted distinct ``values``, each a number in [0, 1) its report key spells."""
+    taus = set()
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"threshold '{value}' is not a number")
+        tau = float(value) + 0.0  # -0.0 + 0.0 is 0.0: one report key
+        if not 0.0 <= tau < 1.0:  # also refuses nan
+            raise ValueError(f"threshold '{value}' is not in [0, 1)")
+        _tau_key(tau)
+        taus.add(tau)
+    if not taus:
+        raise ValueError("no thresholds given")
+    return tuple(sorted(taus))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +246,7 @@ class DisambiguationResult:
 
 
 def _group_assignment(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray,
-                      confidence: np.ndarray, seed) -> np.ndarray:
+                      confidence: np.ndarray, rng_seed: int, group_id: int) -> np.ndarray:
     """Trajectory assignment of one ambiguous group from its stage tables.
 
     ``inter``, ``psize`` and ``gsize`` are the tables of the group's candidate
@@ -235,7 +260,7 @@ def _group_assignment(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray,
          * confidence[:, None, None])
     A = np.full(gsize.shape[::-1], -1, dtype=np.int64)
     A[:, on] = assign_ambiguous_components(W, (gsize[on] > 0).T,
-                                           np.random.default_rng(seed))
+                                           np.random.default_rng((rng_seed, group_id)))
     return A
 
 
@@ -245,19 +270,19 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     """Pseudo-disambiguate one ambiguous group, guided by its predictions.
 
     ``gts`` must contain every group member; ``candidate_preds`` are the
-    predictions overlapping any member (same class). The weight of prediction
-    p for member k at stage t is the per-stage IoU times p's confidence. The
-    random fill of unclaimed components draws from
-    ``numpy.random.default_rng(rng_seed)``: stages in ascending order, members
-    in ascending index order, each placed at a uniformly drawn open trajectory
-    cell.
+    predictions overlapping any member (same class). The weight of prediction p
+    for member k at stage t is the per-stage IoU times p's confidence. The
+    random fill of unclaimed components draws from the numpy generator seeded
+    by ``(rng_seed, group.group_id)``, the stream :func:`evaluate` gives the
+    group: stages in ascending order, members in ascending index order, each
+    placed at a uniformly drawn open trajectory cell.
     """
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
     preds = list(candidate_preds)
     stages, inter, psize, gsize = _stage_tables(preds, members)
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
-    A = _group_assignment(inter, psize, gsize, confidence, rng_seed)
+    A = _group_assignment(inter, psize, gsize, confidence, rng_seed, group.group_id)
 
     trajectories = tuple(
         InstanceMask(instance_id=-(i + 1), class_id=members[0].class_id,
@@ -426,27 +451,27 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
 
     Inputs are assumed validated (see :func:`scanseq.model.validate_sequence`).
     Of ``seq`` it reads only ``num_stages``, ``stage_sizes()`` and
-    ``sequence_id``, so no stage geometry need be loaded. Prediction overlaps within a stage are resolved first: the
-    higher-confidence mask keeps contested points. One stage table then holds
-    every (prediction, ground truth) pair, both sorted by instance id, and
-    each class reads the rows of its predictions and the columns of its
-    ground truth. A class's columns are its instances outside ambiguous
-    groups, then the trajectories of each of its groups (groups by id). A
-    group is pseudo-disambiguated as :func:`disambiguate` does, from the
-    table's slice of its candidates (the class's predictions overlapping a
-    member) and its members, with the random stream
-    ``numpy.random.default_rng((rng_seed, group_id))``, so results are
-    deterministic and independent of evaluation order. A trajectory's column
-    takes, per stage, the column of the member it was assigned.
+    ``sequence_id``, so no stage geometry need be loaded. Prediction overlaps
+    within a stage are resolved first: the higher-confidence mask keeps
+    contested points. One stage table then holds every (prediction, ground
+    truth) pair, both sorted by instance id, and each class reads the rows of
+    its predictions and the columns of its ground truth. A class's columns are
+    its instances outside ambiguous groups, then the trajectories of each of
+    its groups (groups by id). A group is pseudo-disambiguated as
+    :func:`disambiguate` does, on the same ``(rng_seed, group_id)`` random
+    stream, from the table's slice of its candidates (the class's predictions
+    overlapping a member) and its members, so results are deterministic and
+    independent of evaluation order. A trajectory's column takes, per stage,
+    the column of the member it was assigned.
 
-    ``t_map`` averages per-class AP over the sweep thresholds present in
-    ``thresholds`` (default: the full default set), ``t_map50``/``t_map25``
-    read the single-threshold columns. Per-change-type recall averages
-    TP/(TP+FN), grouped by the annotated change label of each ground-truth
-    instance, over the sweep thresholds.
+    Thresholds that ``scanseq evaluate --thresholds`` refuses are a ValueError
+    (default :data:`DEFAULT_THRESHOLDS`). ``t_map`` averages per-class AP over
+    the sweep thresholds present, ``t_map50``/``t_map25`` read the
+    single-threshold columns. Per-change-type recall averages TP/(TP+FN),
+    grouped by the annotated change label of each ground-truth instance, over
+    the sweep thresholds.
     """
-    # adding 0.0 turns -0.0 into 0.0, so that each threshold has one report key
-    taus = tuple(sorted({float(t) + 0.0 for t in (thresholds or DEFAULT_THRESHOLDS)}))
+    taus = _thresholds(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
     resolved = sorted(resolve_prediction_overlaps(preds, seq),
                       key=lambda m: m.instance_id)
     gts = sorted(gt.instances, key=lambda m: m.instance_id)
@@ -481,7 +506,7 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
             cands = rows[touches[np.ix_(rows, members)].any(axis=1)]
             A = _group_assignment(inter[:, cands][:, :, members], psize[:, cands],
                                   gsize[:, members], confidence[cands],
-                                  (rng_seed, grp.group_id))
+                                  rng_seed, grp.group_id)
             for row in A[(A >= 0).any(axis=1)]:
                 columns.append(np.where(row >= 0, members[row], -1))
                 labels.append(_trajectory_label(

@@ -173,8 +173,8 @@ def composed_evaluation(seq, gt, preds, taus, rng_seed):
     Per class: the overlap-resolved predictions by id; as columns, the
     ground truth outside ambiguous groups by id, then the trajectories of
     each of the class's groups (groups by id), each group disambiguated from
-    the class's predictions sharing a (stage, point) with any member, with
-    the random stream ``(rng_seed, group_id)``; then greedy matching and AP.
+    the class's predictions sharing a (stage, point) with any member at
+    ``rng_seed``; then greedy matching and AP.
     """
     resolved = metrics.resolve_prediction_overlaps(preds, seq)
     by_id = {g.instance_id: g for g in gt.instances}
@@ -194,7 +194,7 @@ def composed_evaluation(seq, gt, preds, taus, rng_seed):
                 _stage_intersection(p.per_stage_points.get(t, []), pts)
                 for m in members for t, pts in m.per_stage_points.items())]
             columns += metrics.disambiguate(group, gt.instances, candidates,
-                                            rng_seed=(rng_seed, group.group_id)).trajectories
+                                            rng_seed=rng_seed).trajectories
         out[c] = {}
         for tau in taus:
             found = metrics.assign_detections(class_preds, columns, tau)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from scanseq import cli, metrics
 from scanseq.cli import _LOSSES_MAX_VALUES, main
 from scanseq.model import InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, write_manifest,
@@ -16,7 +20,7 @@ from scanseq.ply import read_ply, write_ply
 from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import ascii_copy, association_scene
+from conftest import annotation, ascii_copy, association_scene, make_sequence, mask
 
 
 def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
@@ -185,6 +189,57 @@ def test_evaluate_threshold_outside_unit_interval_exits_64(tmp_path, capsys, thr
                  "--thresholds", thresholds, "--out", str(tmp_path / "r.json")])
     assert code == 64
     assert "not in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taus,message", [
+    ((math.nan,), "threshold 'nan' is not in [0, 1)"),
+    ((math.inf,), "threshold 'inf' is not in [0, 1)"),
+    ((-1.0,), "threshold '-1.0' is not in [0, 1)"),
+    ((1.0,), "threshold '1.0' is not in [0, 1)"),
+    ((1.5,), "threshold '1.5' is not in [0, 1)"),
+    ((0.501,), "threshold '0.501' has more than two decimals"),
+    ((), "no thresholds given"),
+], ids=["nan", "inf", "negative", "one", "above-one", "three-decimals", "empty"])
+def test_library_evaluate_refuses_what_the_cli_refuses(tmp_path, capsys, taus, message):
+    manifest, preds = _write_scene(tmp_path)
+    seq, gt = read_manifest(manifest)
+    with pytest.raises(ValueError) as refused:
+        metrics.evaluate(seq, gt, read_predictions(preds).instances, taus)
+    assert str(refused.value) == message
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds), "--thresholds",
+                 ",".join(map(str, taus)), "--out", str(tmp_path / "r.json")])
+    assert code == 64
+    assert capsys.readouterr().err.endswith(f"error: argument --thresholds: {message}\n")
+
+
+_THRESHOLD_TOKENS = st.one_of(
+    st.just("sweep"), st.just("nan"), st.just(""), st.just("-0.0"),
+    st.integers(0, 99).map(lambda i: f"{i / 100:.2f}"),
+    st.integers(0, 999).map(lambda i: f"{i / 1000:.3f}"),
+    st.integers(1, 150).map(lambda i: f"-{i / 100}"),
+    st.integers(100, 300).map(lambda i: f"{i / 100}"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(_THRESHOLD_TOKENS, max_size=5))
+@example(tokens=["0.501"])
+@example(tokens=["nan"])
+@example(tokens=[""])
+def test_cli_thresholds_and_library_evaluate_refuse_alike(tokens):
+    # the --thresholds text and the values it spells, given to evaluate
+    seq = make_sequence([6, 6])
+    gt = annotation([mask(0, 1, {0: [0, 1, 2], 1: [1, 2]})])
+    preds = [mask(5, 1, {0: [0, 1], 1: [1, 2, 3]}, confidence=0.8)]
+    values = [v for token in tokens if token
+              for v in (metrics.SWEEP_THRESHOLDS if token == "sweep" else [float(token)])]
+    try:
+        parsed = cli._parse_thresholds(",".join(tokens))
+    except argparse.ArgumentTypeError as exc:
+        with pytest.raises(ValueError) as refused:
+            metrics.evaluate(seq, gt, preds, values)
+        assert str(refused.value) == str(exc)
+    else:
+        assert metrics.evaluate(seq, gt, preds, values).thresholds == parsed
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -1023,6 +1078,9 @@ def test_serialize_subcommand(tmp_path):
     (["--resolution", "inf"], "positive finite"),
     (["--bits", "x"], "argument --bits: invalid integer value: 'x'"),
     (["--resolution", "x"], "argument --resolution: invalid positive number value: 'x'"),
+    # "resolution" would be written as 0.0123457, which voxelizes to other keys
+    (["--resolution", "0.0123456789"],
+     "must have at most 6 significant digits, got 0.0123456789"),
 ])
 def test_serialize_bad_bits_or_resolution_exits_64(tmp_path, capsys, flags, message):
     manifest, _ = _write_scene(tmp_path)

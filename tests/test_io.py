@@ -7,7 +7,7 @@ import pytest
 from scanseq.formats import (FormatError, dump_canonical_json, read_manifest,
                              read_predictions, report_to_dict, rle_decode,
                              rle_encode, write_manifest, write_predictions)
-from scanseq.metrics import evaluate
+from scanseq.metrics import EvaluationReport, evaluate
 from scanseq.model import StageCloud, validate_sequence
 from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, _ascii_rows, _decode,
                          read_ply, write_ply)
@@ -467,8 +467,18 @@ def test_manifest_rejects_ground_truth_sharing_points(tmp_path):
 def test_report_thresholds_sharing_a_key_are_refused():
     # both would be reported under "0.50", one result replacing the other
     seq, gt = _scene()
-    report = evaluate(seq, gt, [], thresholds=(0.501, 0.502, 0.2))
-    with pytest.raises(ValueError, match="share a two-decimal key"):
+    with pytest.raises(ValueError, match="more than two decimals"):
+        evaluate(seq, gt, [], thresholds=(0.501, 0.502, 0.2))
+
+
+def test_report_refuses_a_key_that_misspells_its_threshold():
+    # a lone 0.501 shares no key, but "0.50" would name another threshold
+    report = EvaluationReport(
+        sequence_id="s", num_stages=1, thresholds=(0.501,), class_ids=(1,),
+        per_class_ap={1: {0.501: 1.0}}, t_map=None, t_map50=None, t_map25=None,
+        per_change_recall={}, counts={1: {0.501: (1, 0, 0)}},
+        pr_curves={1: {0.501: ((1.0, 1.0),)}}, n_ground_truth={1: 1})
+    with pytest.raises(ValueError, match="threshold '0.501' has more than two decimals"):
         report_to_dict(report)
 
 

@@ -218,6 +218,19 @@ def test_disambiguation_assignment_is_read_only():
         result.assignment[0, 0] = 1
 
 
+def test_disambiguate_draws_the_stream_evaluate_gives_the_group():
+    # the random fill of group 3 draws from (seed, 3), as in evaluate
+    gts = [mask(k, 1, {t: range(10 * k, 10 * k + 10) for t in range(3 - (k == 3))})
+           for k in range(4)]
+    group = AmbiguousGroup(3, (0, 1, 2, 3))
+    present = np.array([[True] * 3] * 3 + [[True, True, False]])
+    for seed in range(20):
+        expected = assign_ambiguous_components(np.zeros((0, 4, 3)), present,
+                                               np.random.default_rng((seed, 3)))
+        result = disambiguate(group, gts, [], rng_seed=seed)
+        assert result.assignment.tolist() == expected.tolist()
+
+
 def test_disambiguate_merge_claims_higher_weight_member():
     # one prediction covering both members at the single stage: it claims the
     # member with the larger IoU; the other member fills the second trajectory
