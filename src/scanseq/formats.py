@@ -5,8 +5,10 @@ vertex property gives each point's instance id (-1 for background), tied
 together by ``manifest.json`` which also carries the annotations (instance
 classes, ambiguous groups, change labels).
 Prediction files are standalone JSON with per-stage masks stored as run-length
-data over the sorted indices, one flat list ``[start0, length0, start1,
-length1, ...]``.
+data over the sorted indices, the flat runs ``[start0, length0, start1,
+length1, ...]``: written as base64 of little-endian int64 (``"rle_base64"``),
+read also as a JSON list (``"rle"``). A file's masks are decoded together,
+into one buffer.
 
 All JSON emitted here is canonical: sorted keys, no whitespace, floats at 6
 significant digits, trailing newline — a parsed document re-dumps to the same bytes.
@@ -14,6 +16,7 @@ significant digits, trailing newline — a parsed document re-dumps to the same 
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,42 +101,116 @@ def rle_encode(indices: np.ndarray) -> np.ndarray:
     return np.stack((idx[heads], np.diff(heads, append=idx.size)), axis=1).ravel()
 
 
-def rle_decode(runs: Sequence[int], stage_size: Optional[int] = None) -> np.ndarray:
-    """Expand the flat runs ``[s0, l0, s1, l1, ...]`` that :func:`rle_encode` gives.
+def rle_decode(runs: Sequence[int] | str, stage_size: Optional[int] = None) -> np.ndarray:
+    """Expand the flat runs ``[s0, l0, s1, l1, ...]`` that :func:`rle_encode`
+    gives, as a list or as the base64 string that prediction files hold, into
+    a read-only array.
 
     Rejects any other layout (a list of ``[start, length]`` pairs too),
     anything not decoding to strictly increasing indices, and any run that
     ends past ``stage_size`` (when given) or beyond int64.
     """
+    return _decode_runs([(_base64_runs if isinstance(runs, str) else _list_runs)(runs)],
+                        [stage_size])[0]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+_RUN_BYTES = 16  # one run: its start and its length as little-endian int64
+
+
+def _list_runs(data) -> np.ndarray:
+    """Flat runs given as a list of JSON integers, as an int64 array."""
+    if isinstance(data, list) and bool in set(map(type, data)):  # numpy reads true as 1
+        raise FormatError("RLE data must hold integers that fit in int64, not bool values")
     try:
-        arr = _array(runs, np.int64, "RLE data")
+        arr = _array(data, np.int64, "RLE data")
     except (TypeError, ValueError) as exc:  # not integral, beyond int64 or ragged
         raise FormatError(str(exc)) from exc
     if arr.ndim != 1 or arr.size % 2:
         raise FormatError(f"RLE data must be one flat list [s0, l0, s1, l1, ...] of "
                           f"even length, not an array of shape {arr.shape}")
-    starts, lengths = arr.reshape(-1, 2).T
-    end_limit = np.iinfo(np.int64).max if stage_size is None else stage_size
-    too_long = lengths > end_limit - starts  # also catches an int64 overflow
-    bad = np.flatnonzero((starts < 0) | (lengths < 1) | too_long)
-    if bad.size:
-        within = "" if stage_size is None else f" in a stage of {stage_size} points"
-        raise FormatError(
-            f"invalid RLE run [{starts[bad[0]]}, {lengths[bad[0]]}]{within}")
-    if (starts[1:] < starts[:-1] + lengths[:-1]).any():
-        raise FormatError("RLE runs do not decode to strictly increasing indices")
-    offsets = np.cumsum(lengths) - lengths  # output position of each run's start
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+    return arr
 
 
-def _mask_from_payload(payload: Mapping, stage_size: Optional[int]):
+def _base64_runs(data) -> np.ndarray:
+    """Flat runs given as standard, padded base64 of little-endian int64, as an
+    int64 array."""
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, or not in the alphabet
+        raise FormatError(f"rle_base64 data is not padded standard base64 ({exc})") from exc
+    if len(raw) % _RUN_BYTES:
+        raise FormatError(f"rle_base64 data decodes to {len(raw)} bytes, not a whole "
+                          f"number of {_RUN_BYTES}-byte [start, length] runs")
+    return np.frombuffer(raw, dtype="<i8")
+
+
+def _payload_runs(payload) -> np.ndarray:
+    """The flat runs of one stage mask of a prediction file."""
     if not isinstance(payload, Mapping):
         raise FormatError("a stage mask must be an object")
     encoding = payload.get("encoding")
-    if encoding != "rle":  # "points" index lists too: flat RLE is the one mask layout
-        raise FormatError(f"mask encoding {encoding!r} is not read; write each mask as "
-                          f"flat RLE runs [s0, l0, s1, l1, ...], as rle_encode gives them")
-    return _hand_over(rle_decode(payload["data"], stage_size))
+    if encoding == "rle_base64":
+        return _base64_runs(payload["data"])
+    if encoding == "rle":
+        return _list_runs(payload["data"])
+    # "points" index lists too: flat RLE is the one mask layout
+    raise FormatError(f"mask encoding {encoding!r} is not read; write each mask as "
+                      f"flat RLE runs [s0, l0, s1, l1, ...], as rle_encode gives them")
+
+
+class _RunError(FormatError):
+    """A run that :func:`_decode_runs` refuses, in its ``mask``-th array."""
+
+    def __init__(self, message: str, mask: int):
+        super().__init__(message)
+        self.mask = mask
+
+
+def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[int]]
+                 ) -> list[np.ndarray]:
+    """Expand the flat runs of many masks at once: read-only views of one buffer.
+
+    Every run of ``arrays[i]`` must end within ``stage_sizes[i]`` points (or
+    within int64 when it is None), and each array's runs must decode to
+    strictly increasing indices. The first array with a faulty run raises a
+    :class:`_RunError`, before anything is expanded.
+    """
+    if not arrays:
+        return []
+    counts = np.fromiter((a.size // 2 for a in arrays), np.int64, len(arrays))
+    starts, lengths = np.concatenate(arrays, dtype=np.int64).reshape(-1, 2).T
+    owner = np.repeat(np.arange(len(arrays)), counts)
+    limits = np.array([_INT64_MAX if n is None else n for n in stage_sizes], np.int64)
+    # limit - start and start + length wrap only at a bad run, whose array is refused
+    bad = (starts < 0) | (lengths < 1) | (lengths > limits[owner] - starts)
+    ends = starts + lengths
+    crossing = (starts[1:] < ends[:-1]) & (owner[1:] == owner[:-1])
+    first_bad = owner[bad.argmax()] if bad.any() else len(arrays)
+    first_crossing = owner[crossing.argmax() + 1] if crossing.any() else len(arrays)
+    if first_bad < len(arrays) and first_bad <= first_crossing:
+        run = bad.argmax()
+        size = stage_sizes[first_bad]
+        within = "" if size is None else f" in a stage of {size} points"
+        raise _RunError(f"invalid RLE run [{starts[run]}, {lengths[run]}]{within}",
+                        int(first_bad))
+    if first_crossing < len(arrays):
+        raise _RunError("RLE runs do not decode to strictly increasing indices",
+                        int(first_crossing))
+    if lengths.sum(dtype=np.float64) > 2.0 ** 62:  # refused before an int64 sum can wrap
+        raise MemoryError("RLE runs expand to more indices than any buffer holds")
+    # Each index is the one before it plus 1, except at a run's head, which
+    # jumps from the previous run's last index to its own start: one buffer of
+    # ones, the jumps written in, and a cumulative sum in place.
+    heads = np.cumsum(lengths) - lengths  # output position of each run's start
+    out = np.ones(lengths.sum(), np.int64)
+    if out.size:
+        out[0] = starts[0]
+        out[heads[1:]] = starts[1:] - ends[:-1] + 1
+        np.cumsum(out, out=out)
+    bounds = np.append(heads, out.size)[np.cumsum(counts)].tolist()  # each array's end
+    _hand_over(out)
+    return [out[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +389,8 @@ def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
             "instance_id": mask.instance_id,
             "class_id": mask.class_id,
             "confidence": mask.confidence,
-            "masks": {str(t): {"encoding": "rle", "data": rle_encode(pts)}
+            "masks": {str(t): {"encoding": "rle_base64", "data": base64.b64encode(
+                rle_encode(pts).astype("<i8", copy=False).tobytes()).decode("ascii")}
                       for t, pts in sorted(mask.per_stage_points.items())},
         }
         if features and mask.instance_id in features:
@@ -321,36 +399,66 @@ def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
     dump_canonical_json(path, payload)
 
 
+_ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
                      ) -> PredictionFileContent:
-    """Load a prediction file; raises :class:`FormatError` on schema problems.
+    """Load a prediction file; raises :class:`FormatError` on schema problems,
+    naming the first faulty entry in file order.
 
-    With ``stage_sizes`` (points per stage of the sequence the predictions
-    are for), an RLE run that ends past its stage is a format error, found
-    before the run is expanded. A stage the sequence lacks is bounded by its
-    largest stage, and left to :func:`validate_sequence` to report.
+    Every mask of the file is expanded by one :func:`rle_decode` pass, into
+    read-only views of one buffer that the masks keep. With ``stage_sizes``
+    (points per stage of the sequence the predictions are for), an RLE run
+    that ends past its stage is a format error, found before any run is
+    expanded. A stage the sequence lacks is bounded by its largest stage, and
+    left to :func:`validate_sequence` to report.
     """
     data = load_json(path)
     if data.get("kind") not in (None, "predictions"):
         raise FormatError(f"{path}: not a prediction file")
     _check_schema_version(data, path)
     sequence_id = _sequence_id(data, path)
-    masks = []
-    features: dict[int, np.ndarray] = {}
     size_of = dict(enumerate(stage_sizes or ()))
     largest = max(size_of.values(), default=None)
-    for entry in _entries(data, "instances", {"masks": dict}, path):
+    entries = _entries(data, "instances", {"masks": dict}, path)
+    # Every mask's runs first, to be decoded together. A fault ends the scan
+    # and is raised when the loop below reaches its entry, after the faults
+    # of the entries before it.
+    stages, runs, bounds, owners = [], [], [], []  # one each per stage mask
+    fault = None  # (entry index, exception)
+    for i, entry in enumerate(entries):
         try:
-            per_stage = {}
             for t, payload in entry["masks"].items():
                 t = _int_key(t)
-                per_stage[t] = _mask_from_payload(payload, size_of.get(t, largest))
+                runs.append(_payload_runs(payload))
+                stages.append(t)
+                bounds.append(size_of.get(t, largest))
+                owners.append(i)
+        except _ENTRY_FAULTS as exc:
+            fault = (i, exc)
+            break
+    try:
+        points = _decode_runs(runs, bounds)
+    except _RunError as exc:  # in an entry before any fault found above
+        fault = (owners[exc.mask], exc)
+        points = _decode_runs(runs[:exc.mask], bounds[:exc.mask])  # the masks before it
+    masks = []
+    features: dict[int, np.ndarray] = {}
+    at = 0  # the entry's first stage mask
+    for i, entry in enumerate(entries):
+        try:
+            if fault is not None and fault[0] == i:
+                raise fault[1]
+            n = len(entry["masks"])
             mask = InstanceMask(instance_id=entry["instance_id"],
-                                class_id=entry["class_id"], per_stage_points=per_stage,
+                                class_id=entry["class_id"],
+                                per_stage_points=dict(zip(stages[at:at + n], points[at:at + n])),
                                 confidence=entry.get("confidence", 1.0))
+            at += n
             if "feature" in entry:
                 features[mask.instance_id] = _array(entry["feature"], np.float64, "feature")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except _ENTRY_FAULTS as exc:
             raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
         masks.append(mask)
     return PredictionFileContent(sequence_id=sequence_id, instances=tuple(masks),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import base64
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud)
-from scanseq.formats import write_manifest, write_predictions
+from scanseq.formats import dump_canonical_json, write_manifest, write_predictions
 from scanseq.ply import _decode
 from scanseq.synth import SceneRecipe, generate
 
@@ -32,6 +34,18 @@ def ascii_copy(binary_ply, out=None) -> None:
         fh.write(header.replace(b"format binary_little_endian 1.0", b"format ascii 1.0", 1))
         np.savetxt(fh, table, fmt=["%.9g" if table.dtype[name].kind == "f" else "%d"
                                    for name in table.dtype.names])
+
+
+def list_copy(predictions, out=None) -> None:
+    """Write the prediction file ``predictions`` with every ``rle_base64``
+    mask as the same runs in a flat JSON list (``"rle"``), to ``out``
+    (default: in place), as canonical JSON."""
+    data = json.loads(Path(predictions).read_text())
+    for entry in data["instances"]:
+        for payload in entry["masks"].values():
+            raw = base64.b64decode(payload["data"], validate=True)
+            payload.update(encoding="rle", data=np.frombuffer(raw, "<i8").tolist())
+    dump_canonical_json(predictions if out is None else out, data)
 
 
 def make_sequence(stage_sizes, seed: int = 0, sequence_id: str = "seq") -> SequencePointCloud:

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from scanseq import cli, metrics
 from scanseq.cli import _LOSSES_MAX_VALUES, main
 from scanseq.model import InstanceMask
-from scanseq.formats import (read_manifest, read_predictions, write_manifest,
-                             write_predictions, dump_canonical_json)
+from scanseq.formats import (read_manifest, read_predictions, rle_decode, rle_encode,
+                             write_manifest, write_predictions, dump_canonical_json)
 from scanseq.ply import read_ply, write_ply
 from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
@@ -348,8 +348,8 @@ def _rle_as_pairs(data):
     """Rewrite every RLE mask as ``[[start, length], ...]`` pairs."""
     for entry in data["instances"]:
         for mask in entry["masks"].values():
-            runs = mask["data"]
-            mask["data"] = [runs[i:i + 2] for i in range(0, len(runs), 2)]
+            runs = rle_encode(rle_decode(mask["data"]))
+            mask.update(encoding="rle", data=runs.reshape(-1, 2).tolist())
 
 
 def test_missing_schema_version_reads_as_current(tmp_path):
@@ -501,6 +501,20 @@ def test_rle_run_past_its_stage_exits_74(tmp_path, capsys, runs):
     err = capsys.readouterr().err
     assert code == 74
     assert f"in a stage of {n} points" in err and "Traceback" not in err
+
+
+def test_bool_among_list_runs_exits_74(tmp_path, capsys):
+    # numpy would read the true as a run length of 1
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["masks"]["0"] = {"encoding": "rle", "data": [0, True, 5, 2]}
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert f"{preds}: bad prediction entry (RLE data must hold integers" in err
+    assert "Traceback" not in err
 
 
 def test_rle_run_beyond_int64_exits_74(tmp_path, capsys):

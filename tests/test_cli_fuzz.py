@@ -5,12 +5,15 @@ recipe, or a ``losses`` payload of each op is replaced by a value from a
 fixed pool of wrong types and edge values; likewise one header line of a
 stage PLY is replaced by a line from a pool of header lines, or deleted, and
 a stage PLY body is truncated, has bytes overwritten (binary) or one token
-replaced (ascii). Whatever the mutation, ``main`` returns a documented exit
-code (0, 2 for a validation failure, 74 for a format error) and raises
-nothing, and a run that exits 0 writes only standard JSON (no NaN or
-Infinity).
+replaced (ascii). A prediction file's base64 mask payload is edited one
+character at a time or given a known fault, and one run of its list copy is
+replaced by a pool value. Whatever the mutation, ``main`` returns a
+documented exit code (0, 2 for a validation failure, 74 for a format error)
+and raises nothing, and a run that exits 0 writes only standard JSON (no NaN
+or Infinity).
 """
 
+import base64
 import contextlib
 import copy
 import io
@@ -18,15 +21,16 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanseq.cli import main
-from scanseq.formats import write_manifest, write_predictions
+from scanseq.formats import read_manifest, write_manifest, write_predictions
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import ascii_copy
+from conftest import ascii_copy, list_copy
 
 POOL = (None, True, -1, 2 ** 63, 1.5, float("inf"), "x", "00", [], {})
 
@@ -211,3 +215,140 @@ def test_one_mutated_ply_body_exits_with_a_documented_code(files, data):
     assert code in (0, 2, 64, 74) and "Traceback" not in err.getvalue()
     if code == 0:
         _check_written(out)
+
+
+def _packed(runs) -> str:
+    return base64.b64encode(np.array(runs, "<i8").tobytes()).decode("ascii")
+
+
+# name -> (edit of a base64 payload in a stage of n points, the message it gives)
+PAYLOAD_FAULTS = {
+    "not-base64": (lambda text, n: text[:4] + "!" + text[5:],
+                   "rle_base64 data is not padded standard base64"),
+    "non-ascii": (lambda text, n: text[:4] + "\u00e9" + text[5:],
+                  "rle_base64 data is not padded standard base64"),
+    "newline": (lambda text, n: text[:8] + "\n" + text[8:],
+                "rle_base64 data is not padded standard base64"),
+    "bad-padding": (lambda text, n: _packed([[0, 1]]).rstrip("="),
+                    "rle_base64 data is not padded standard base64"),
+    "odd-length": (lambda text, n: base64.b64encode(
+        base64.b64decode(text) + bytes(8)).decode("ascii"),
+        "bytes, not a whole number of 16-byte [start, length] runs"),
+    "negative-start": (lambda text, n: _packed([[-1, 2]]),
+                       "invalid RLE run [-1, 2] in a stage of {n} points"),
+    "zero-length": (lambda text, n: _packed([[0, 1], [3, 0]]),
+                    "invalid RLE run [3, 0] in a stage of {n} points"),
+    "past-stage": (lambda text, n: _packed([[0, 1], [n - 1, 2]]),
+                   "invalid RLE run [{m}, 2] in a stage of {n} points"),
+    "descending": (lambda text, n: _packed([[5, 2], [0, 1]]),
+                   "RLE runs do not decode to strictly increasing indices"),
+    "overlapping": (lambda text, n: _packed([[0, 3], [2, 1]]),
+                    "RLE runs do not decode to strictly increasing indices"),
+    "end-overflows": (lambda text, n: _packed([[2 ** 63 - 2, 5]]),
+                      f"invalid RLE run [{2 ** 63 - 2}, 5] in a stage of {{n}} points"),
+}
+
+
+def _with_faults(files, faults, name="faulty-preds.json"):
+    """The prediction file with ``faults[i]`` (if not None) applied to the
+    first payload of entry ``i``; returns its path and each fault's message."""
+    root, sources = files
+    sizes = read_manifest(sources["manifest"])[0].stage_sizes()
+    document = json.loads(sources["preds"].read_text())
+    messages = []
+    for entry, fault in zip(document["instances"], faults):
+        if fault is None:
+            continue
+        stage, payload = next(iter(entry["masks"].items()))
+        n = sizes[int(stage)]
+        edit, message = PAYLOAD_FAULTS[fault]
+        payload["data"] = edit(payload["data"], n)
+        messages.append(message.format(n=n, m=n - 1))
+    mutated = root / name
+    mutated.write_text(json.dumps(document))
+    return mutated, messages
+
+
+def _evaluate(files, preds):
+    """``cli.main`` evaluating ``preds``: its exit code and standard error."""
+    root, sources = files
+    out = root / "out"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--gt", str(sources["manifest"]), "--pred", str(preds),
+                     "--out", str(out)])
+    if code == 0:
+        _check_written(out)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("fault", PAYLOAD_FAULTS)
+def test_one_faulty_base64_payload_exits_74(files, fault):
+    mutated, (message,) = _with_faults(files, [fault])
+    code, err = _evaluate(files, mutated)
+    assert code == 74 and "Traceback" not in err
+    assert err.startswith(f"error: {mutated}: bad prediction entry (")
+    assert message in err
+
+
+@pytest.mark.parametrize("faults", [
+    ("negative-start", "descending"),
+    ("descending", "negative-start"),
+    ("not-base64", "past-stage"),
+    ("past-stage", "not-base64"),
+    ("odd-length", "zero-length"),
+], ids="-then-".join)
+def test_faults_in_two_entries_name_the_first(files, faults):
+    mutated, messages = _with_faults(files, faults)
+    code, err = _evaluate(files, mutated)
+    assert code == 74 and "Traceback" not in err
+    assert messages[0] in err and messages[1] not in err
+
+
+def test_an_entry_fault_before_a_run_fault_is_named_first(files):
+    mutated, _ = _with_faults(files, [None, "past-stage"])
+    document = json.loads(mutated.read_text())
+    document["instances"][0]["instance_id"] = True
+    mutated.write_text(json.dumps(document))
+    code, err = _evaluate(files, mutated)
+    assert code == 74 and "Traceback" not in err
+    assert "instance_id must be an integer, not True" in err and "RLE run" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_edited_base64_character_exits_with_a_documented_code(files, data):
+    root, sources = files
+    document = json.loads(sources["preds"].read_text())
+    payloads = [m for entry in document["instances"] for m in entry["masks"].values()]
+    payload = payloads[data.draw(st.integers(0, len(payloads) - 1), label="payload")]
+    text = payload["data"]
+    at = data.draw(st.integers(0, len(text)), label="at")
+    char = data.draw(st.sampled_from("A/+=!\u00e9\n -_"), label="char")
+    cut = data.draw(st.integers(0, 1), label="replace") if at < len(text) else 0
+    payload["data"] = text[:at] + char + text[at + cut:]
+    mutated = root / "edited-preds.json"
+    mutated.write_text(json.dumps(document))
+    code, err = _evaluate(files, mutated)
+    assert code in (0, 2, 74) and "Traceback" not in err
+    if code == 74:
+        assert str(mutated) in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_replaced_list_run_exits_with_a_documented_code(files, data):
+    root, sources = files
+    listed = root / "listed-preds.json"
+    list_copy(sources["preds"], listed)
+    document = json.loads(listed.read_text())
+    runs = [m["data"] for entry in document["instances"] for m in entry["masks"].values()]
+    chosen = runs[data.draw(st.integers(0, len(runs) - 1), label="payload")]
+    chosen[data.draw(st.integers(0, len(chosen) - 1), label="at")] = data.draw(
+        st.sampled_from(POOL), label="value")
+    listed.write_text(json.dumps(document))
+    code, err = _evaluate(files, listed)
+    assert code in (0, 2, 74) and "Traceback" not in err
+    if code == 74:
+        assert str(listed) in err

@@ -1,8 +1,11 @@
+import base64
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scanseq.formats import (FormatError, dump_canonical_json, read_manifest,
                              read_predictions, report_to_dict, rle_decode,
@@ -320,6 +323,37 @@ def test_rle_decode_rejects_malformed_runs(runs):
         rle_decode(runs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 2 ** 63 - 2), max_size=40)
+       | st.sets(st.integers(0, 60), max_size=40))
+def test_rle_decode_reads_the_list_and_the_string_form_alike(indices):
+    idx = np.array(sorted(indices), dtype=np.int64)
+    runs = rle_encode(idx)
+    text = base64.b64encode(runs.astype("<i8").tobytes()).decode("ascii")
+    for form in (runs.tolist(), text):
+        decoded = rle_decode(form)
+        assert decoded.tolist() == idx.tolist() and not decoded.flags.writeable
+
+
+@pytest.mark.parametrize("runs", [[0, True, 5, 2], [False, 1], [0, 2, 5, True]])
+def test_rle_decode_refuses_a_bool_among_integers(runs):
+    # numpy would read true as 1 and false as 0
+    with pytest.raises(FormatError, match="RLE data must hold integers that fit in "
+                                          "int64, not bool values"):
+        rle_decode(runs)
+
+
+def test_rle_decode_refuses_a_string_that_is_not_runs():
+    for text, message in [("AAAA!AAA", "not padded standard base64"),
+                          ("AAAAAAAAAAA", "not padded standard base64"),
+                          ("AAAAAAAAAAA=", "decodes to 8 bytes, not a whole number of "
+                                           "16-byte"),
+                          (base64.b64encode(np.array([3, 2, 4, 1], "<i8").tobytes())
+                           .decode(), "strictly increasing")]:
+        with pytest.raises(FormatError, match=message):
+            rle_decode(text)
+
+
 # ---------------------------------------------------------------------------
 # Manifest and prediction round trips
 
@@ -364,8 +398,11 @@ def test_prediction_round_trip_rle_and_explicit(tmp_path):
     write_predictions(rle_path, preds, seq.sequence_id, features=features)
     data = json.loads(rle_path.read_text())
     masks = [m for e in data["instances"] for m in e["masks"].values()]
-    assert all(m["encoding"] == "rle" for m in masks)
-    assert all(isinstance(v, int) for m in masks for v in m["data"])  # flat
+    assert all(m["encoding"] == "rle_base64" for m in masks)
+    for entry, pred in zip(data["instances"], preds):  # the flat runs, as int64
+        assert {int(t): np.frombuffer(base64.b64decode(m["data"], validate=True),
+                                      "<i8").tolist() for t, m in entry["masks"].items()} \
+            == {t: rle_encode(pts).tolist() for t, pts in pred.per_stage_points.items()}
     dump_canonical_json(tmp_path / "again.json", data)
     assert (tmp_path / "again.json").read_bytes() == rle_path.read_bytes()
     content = read_predictions(rle_path)

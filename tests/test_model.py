@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanseq.formats import _mask_from_payload
+from scanseq.formats import rle_decode
 from scanseq.geometry import VoxelGrid4D
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud,
@@ -223,7 +223,7 @@ def test_mask_indices_in_order_are_not_sorted_again():
 
 def test_masks_take_grouped_and_decoded_indices_without_a_copy():
     groups = _points_by_label(np.array([1, 0, 1, -1, 0]))
-    decoded = _mask_from_payload({"encoding": "rle", "data": [2, 3]}, 10)
+    decoded = rle_decode([2, 3], 10)
     m = InstanceMask(0, 1, {0: groups[1], 1: decoded})
     assert np.shares_memory(m.per_stage_points[0], groups[1])
     assert np.shares_memory(m.per_stage_points[1], decoded)

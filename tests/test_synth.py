@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from scanseq import synth
-from scanseq.formats import write_manifest, write_predictions
+from scanseq.cli import main
+from scanseq.formats import read_predictions, write_manifest, write_predictions
 from scanseq.metrics import evaluate, t_iou
 from scanseq.model import ChangeType, validate_sequence
 from scanseq.synth import (ChangeOp, IdentityPolicy, PerturbationError,
@@ -12,6 +13,7 @@ from scanseq.synth import (ChangeOp, IdentityPolicy, PerturbationError,
                            generate, perturb)
 
 import oracles
+from conftest import list_copy
 
 
 def test_all_static_plan_keeps_clouds_identical():
@@ -310,12 +312,12 @@ def _pinned_recipes():
 # identity policies. A deliberate change of what synth draws or of the
 # writers updates these values and says why in CHANGES.md.
 PINNED_SCENES = {
-    "rigid-non-rigid": "91e8e14001f8d8aaa59477391e2b9e5333d688bb0c508a8fb63e13b66a07fa27",
-    "swap": "54aed6e80c63099387f78de220058e7aad43b347d5876454d81fe9288436d502",
-    "add-remove": "0645f3182d4b1306f87c13cfbf2030f3803505f558fa8c8f9c93a44c757af143",
-    "every-kind": "3fdfb3e392f98e4c05a0515270dc2a38aec765d7f9c67cf20c6c67a70dd0b752",
-    "one-stage": "e7243c55c4aa5e1b901e240f12ab4b965d84c6c08748fc363dd408a578802ad3",
-    "one-class": "bba3963b2bfbc3703a1e9d37fd695ffea6432ee14da3fbefd8e1a45524ddd2bc",
+    "rigid-non-rigid": "82aa5cff3ba8478623b52d119a2f717bfa02399d004c573deb2f2102c72be1bc",
+    "swap": "1c8a538be512ff3d0f9bccb9917cf7cbb617490184a9dec22cb474b50236e5cd",
+    "add-remove": "f961c3b240680b0317220d278061ddd08645d13da99c9aaccfd52c6898b684e8",
+    "every-kind": "6b320960915b7918988bf54a3601b6fb8a496da6f079f972aca6ec6f890d44dd",
+    "one-stage": "a8b4dd63013990c50014d7a8a48ccbcbc7e23a6ed3f47d8455c503f1e5fbf3a8",
+    "one-class": "59a0bef6f80feb86961448f727c0b58bc83764a2a3397c678cf7708bb8994841",
 }
 
 
@@ -334,6 +336,33 @@ def test_scene_bytes_are_pinned(tmp_path, name):
             digest.update(path.relative_to(tmp_path).as_posix().encode())
             digest.update(path.read_bytes())
     assert digest.hexdigest() == PINNED_SCENES[name]
+
+
+@pytest.mark.parametrize("name", PINNED_SCENES)
+def test_list_and_base64_payloads_read_and_score_alike(tmp_path, name):
+    # prediction files written before rle_base64 hold flat lists of runs
+    seq, gt = generate(_pinned_recipes()[name])
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    for policy in IdentityPolicy:
+        spec = PerturbationSpec(target_iou=0.8, seed=7, iou_tolerance=0.05,
+                                identity_policy=policy)
+        packed = tmp_path / f"{policy.value}.json"
+        write_predictions(packed, perturb(seq, gt, spec), seq.sequence_id)
+        listed = tmp_path / f"{policy.value}-list.json"
+        list_copy(packed, listed)
+        assert '"rle_base64"' not in listed.read_text()
+        masks = [[(m.instance_id, m.class_id, m.confidence,
+                   {t: p.tolist() for t, p in m.per_stage_points.items()})
+                  for m in read_predictions(path, seq.stage_sizes()).instances]
+                 for path in (packed, listed)]
+        assert masks[0] == masks[1]
+        reports = []
+        for path in (packed, listed):
+            out = tmp_path / f"{path.stem}-report.json"
+            assert main(["evaluate", "--gt", str(manifest), "--pred", str(path),
+                         "--per-change-type", "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 def test_change_op_translation_needs_three_numbers():
