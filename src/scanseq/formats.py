@@ -16,7 +16,6 @@ significant digits, trailing newline — a parsed document re-dumps to the same 
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,9 +105,10 @@ def rle_decode(runs: Sequence[int] | str, stage_size: Optional[int] = None) -> n
     gives, as a list or as the base64 string that prediction files hold, into
     a read-only array.
 
-    Rejects any other layout (a list of ``[start, length]`` pairs too),
-    anything not decoding to strictly increasing indices, and any run that
-    ends past ``stage_size`` (when given) or beyond int64.
+    Rejects any other layout (a list of ``[start, length]`` pairs too), a
+    bool among the values, anything not decoding to strictly increasing
+    indices, and any run that ends past ``stage_size`` (when given) or beyond
+    int64.
     """
     return _decode_runs([(_base64_runs if isinstance(runs, str) else _list_runs)(runs)],
                         [stage_size])[0]
@@ -119,9 +119,7 @@ _RUN_BYTES = 16  # one run: its start and its length as little-endian int64
 
 
 def _list_runs(data) -> np.ndarray:
-    """Flat runs given as a list of JSON integers, as an int64 array."""
-    if isinstance(data, list) and bool in set(map(type, data)):  # numpy reads true as 1
-        raise FormatError("RLE data must hold integers that fit in int64, not bool values")
+    """Flat runs given as a sequence of integers, as an int64 array."""
     try:
         arr = _array(data, np.int64, "RLE data")
     except (TypeError, ValueError) as exc:  # not integral, beyond int64 or ragged
@@ -129,12 +127,16 @@ def _list_runs(data) -> np.ndarray:
     if arr.ndim != 1 or arr.size % 2:
         raise FormatError(f"RLE data must be one flat list [s0, l0, s1, l1, ...] of "
                           f"even length, not an array of shape {arr.shape}")
+    if not isinstance(data, np.ndarray) and bool in set(map(type, data)):
+        # numpy reads a true among integers as 1 and a false as 0
+        raise FormatError("RLE data must hold integers that fit in int64, not bool values")
     return arr
 
 
 def _base64_runs(data) -> np.ndarray:
     """Flat runs given as standard, padded base64 of little-endian int64, as an
     int64 array."""
+    import base64  # imported on call: a command that reads no predictions skips it
     try:
         raw = base64.b64decode(data, validate=True)
     except (TypeError, ValueError) as exc:  # not a string, or not in the alphabet
@@ -378,6 +380,8 @@ class PredictionFileContent:
 
 def write_predictions(path, instances: Sequence[InstanceMask], sequence_id: str,
                       features: Optional[Mapping[int, np.ndarray]] = None) -> None:
+    import base64  # imported on call: a command that writes no predictions skips it
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "predictions",
@@ -407,12 +411,13 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     """Load a prediction file; raises :class:`FormatError` on schema problems,
     naming the first faulty entry in file order.
 
-    Every mask of the file is expanded by one :func:`rle_decode` pass, into
-    read-only views of one buffer that the masks keep. With ``stage_sizes``
-    (points per stage of the sequence the predictions are for), an RLE run
-    that ends past its stage is a format error, found before any run is
-    expanded. A stage the sequence lacks is bounded by its largest stage, and
-    left to :func:`validate_sequence` to report.
+    Every mask of the file is expanded by one :func:`_decode_runs` pass (the
+    kernel that :func:`rle_decode` wraps), into read-only views of one buffer
+    that the masks keep. With ``stage_sizes`` (points per stage of the
+    sequence the predictions are for), an RLE run that ends past its stage is
+    a format error, found before any run is expanded. A stage the sequence
+    lacks is bounded by its largest stage, and left to
+    :func:`validate_sequence` to report.
     """
     data = load_json(path)
     if data.get("kind") not in (None, "predictions"):

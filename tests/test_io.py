@@ -335,7 +335,8 @@ def test_rle_decode_reads_the_list_and_the_string_form_alike(indices):
         assert decoded.tolist() == idx.tolist() and not decoded.flags.writeable
 
 
-@pytest.mark.parametrize("runs", [[0, True, 5, 2], [False, 1], [0, 2, 5, True]])
+@pytest.mark.parametrize("runs", [[0, True, 5, 2], [False, 1], [0, 2, 5, True],
+                                  (0, True, 5, 2)])
 def test_rle_decode_refuses_a_bool_among_integers(runs):
     # numpy would read true as 1 and false as 0
     with pytest.raises(FormatError, match="RLE data must hold integers that fit in "
