@@ -1,7 +1,7 @@
 """Space-filling-curve serialization of 3D and merged 4D voxel sets.
 
-Two codec families: Z-order (Morton bit interleaving, by magic-number bit
-spreading) and Hilbert (a state-table walk over the interleaved coordinates,
+Two codec families: Z-order (Morton bit interleaving, by a 16-bit spread
+table) and Hilbert (a state-table walk over the interleaved coordinates,
 one lookup per two levels). The Hilbert table is derived on first use per
 dimensionality from Skilling's transpose transform ("Programming the Hilbert
 curve", 2004) on a two-level grid, so ranks are Skilling's. Both are exact
@@ -78,16 +78,26 @@ def _spread_masks(d: int, bits: int) -> tuple[np.uint64, ...]:
                  for s in (1 << k for k in range((bits - 1).bit_length() + 1)))
 
 
+@functools.cache
+def _spread_table(d: int) -> np.ndarray:
+    """(65536,) read-only uint64 table: bit b of a 16-bit value moved to bit b*d."""
+    table = np.zeros(1 << 16, dtype=np.uint64)
+    for b in range(16):  # the values with top bit b are those below 2^b plus bit b
+        np.bitwise_or(table[:1 << b], np.uint64(1 << b * d), out=table[1 << b:2 << b])
+    return np.frombuffer(table.tobytes(), np.uint64)  # read-only: every caller shares it
+
+
 def _spread_axes(columns, d: int, bits: int) -> np.ndarray:
     """Interleave bit b of the i-th of d uint64 columns into bit b*d + i by
-    magic-number spreading: log2(bits) shift/mask steps per column."""
-    masks = _spread_masks(d, bits)
+    table lookup: one ``take`` per 16 bits of each column."""
+    table = _spread_table(d)
     out = None
     for i, v in enumerate(columns):
-        for k in range(len(masks) - 2, -1, -1):
-            v = (v | (v << np.uint64((d - 1) << k))) & masks[k]
-        v = v << np.uint64(i)  # a fresh array, also when bits == 1 left v the input
-        out = v if out is None else np.bitwise_or(out, v, out=out)
+        for low in range(0, bits, 16):
+            chunk = v if bits <= 16 else (v >> np.uint64(low)) & np.uint64(0xFFFF)
+            part = table.take(chunk.view(np.int64))
+            np.left_shift(part, np.uint64(low * d + i), out=part)
+            out = part if out is None else np.bitwise_or(out, part, out=out)
     return out
 
 
@@ -157,15 +167,27 @@ def _hilbert_tables(d: int, inverse: bool = False) -> tuple[np.ndarray, ...]:
 
 def _hilbert_walk(x: np.ndarray, d: int, bits: int, tables) -> np.ndarray:
     """Map the d-bit levels of x, top first, through a state table: a leading
-    one-level step when bits is odd, then one lookup per two levels."""
+    one-level step when bits is odd, then one lookup per two levels.
+
+    Levels above the highest set bit of any x only advance a scalar state:
+    the curve starts at the origin, so on that all-zero path every state maps
+    digit 0 to digit 0, in both directions.
+    """
     lead_digit, lead_next, pair_digit, pair_next = tables
-    out, row = np.zeros_like(x), np.zeros_like(x)
+    used = int(x.max()).bit_length() if x.size else 0  # the levels at or above it are 0
+    out, row = np.zeros_like(x), np.uint64(0)
     top = bits * d
     if bits % 2:
         top -= d
-        c = (x >> np.uint64(top)).view(np.int64)
-        out, row = lead_digit.take(c) << np.uint64(top), lead_next.take(c)
+        if used > top:
+            c = (x >> np.uint64(top)).view(np.int64)
+            out, row = lead_digit.take(c) << np.uint64(top), lead_next.take(c)
+        else:
+            row = lead_next[0]
     for shift in range(top - 2 * d, -1, -2 * d):
+        if used <= shift:
+            row = pair_next[row]
+            continue
         idx = (row + ((x >> np.uint64(shift)) & np.uint64((1 << 2 * d) - 1))).view(np.int64)
         out |= pair_digit.take(idx) << np.uint64(shift)
         row = pair_next.take(idx)
@@ -234,10 +256,10 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
                        bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
     """Total order over all voxels of a grid under one pattern.
 
-    Returns a permutation of voxel row indices (empty for an empty grid). One
-    pass over the keys finds each axis's minimum and maximum: the extent of
-    every axis, t included, must be below 2^bits_per_axis, and each coordinate
-    column is shifted to start at 0 as it is encoded. ``spatial_3d`` is
+    Returns a permutation of voxel row indices (empty for an empty grid). Each
+    axis's minimum and span are found once per grid: the extent of every axis,
+    t included, must be below 2^bits_per_axis at every call, and each
+    coordinate column is shifted to start at 0 as it is encoded. ``spatial_3d`` is
     stage-major: it orders each stage by its 3D codes and concatenates the
     stages by ascending t; ``spatiotemporal_4d`` merges all stages with t as
     a fourth axis.
@@ -246,8 +268,7 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     if not grid.num_voxels:
         return np.empty(0, dtype=np.int64)
     columns = grid.keys.T
-    lo = [c.min() for c in columns]
-    span = [int(c.max()) - int(m) for c, m in zip(columns, lo)]
+    lo, span = grid._bounds
     if max(span) >= (1 << bits_per_axis):
         raise ValueError(f"grid extent exceeds 2^{bits_per_axis} cells per axis")
     # modular uint64 arithmetic: exact, since every shifted value is < 2^bits

@@ -127,9 +127,6 @@ def _list_runs(data) -> np.ndarray:
     if arr.ndim != 1 or arr.size % 2:
         raise FormatError(f"RLE data must be one flat list [s0, l0, s1, l1, ...] of "
                           f"even length, not an array of shape {arr.shape}")
-    if not isinstance(data, np.ndarray) and bool in set(map(type, data)):
-        # numpy reads a true among integers as 1 and a false as 0
-        raise FormatError("RLE data must hold integers that fit in int64, not bool values")
     return arr
 
 

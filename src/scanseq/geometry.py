@@ -8,6 +8,7 @@ the spatial coordinates only; the temporal coordinate is never pooled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +51,11 @@ def _pack_rows(coords: np.ndarray) -> np.ndarray:
 def _unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unique rows in lexicographic order plus the row -> unique-row map."""
     packed = _pack_rows(coords)
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    return coords[first], inverse
+    # equal packed values are equal rows, so no first index (a stable sort) is needed
+    unique, inverse = np.unique(packed, return_inverse=True)
+    rows = np.empty((len(unique), coords.shape[1]), dtype=coords.dtype)
+    rows[inverse] = coords
+    return rows, inverse
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,13 @@ class VoxelGrid4D:
     @property
     def num_voxels(self) -> int:
         return len(self.keys)
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[tuple[np.integer, ...], tuple[int, ...]]:
+        """Each axis's minimum key and span (maximum - minimum), found once:
+        the keys are read-only, so they cannot go stale."""
+        lo = tuple(c.min() for c in self.keys.T)  # strided columns reduce faster than axis=0
+        return lo, tuple(int(c.max()) - int(m) for c, m in zip(self.keys.T, lo))
 
     def voxel_to_points(self) -> list[np.ndarray]:
         groups = _points_by_label(self.point_to_voxel)

@@ -90,15 +90,33 @@ _LOSSLESS_KINDS = {np.dtype(np.int64): ("iu", "integers that fit in int64"),
                    np.dtype(bool): ("b", "booleans")}
 
 
+def _holds_bool(values) -> bool:
+    """Whether lists or tuples, nested to any depth, hold a bool or np.bool_."""
+    level = values
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds:
+            return True
+        nested = tuple(k for k in kinds if issubclass(k, (list, tuple)))
+        level = [item for v in level if type(v) in nested for item in v] if nested else ()
+    return False
+
+
 def _array(values, dtype, name: str) -> np.ndarray:
     """``values`` as an int64, float64 or bool array. Elements the cast would
-    change (a float or a bool as an integer, a string or None as anything, an
-    integer beyond int64) are a TypeError naming the field ``name``."""
+    change (a float as an integer, a bool as a number, a string or None as
+    anything, an integer beyond int64) are a TypeError naming the field ``name``."""
     arr = np.asarray(values)
     if arr.dtype != dtype and arr.size:
         kinds, noun = _LOSSLESS_KINDS[np.dtype(dtype)]
         if arr.dtype.kind not in kinds or not np.can_cast(arr.dtype, dtype):
             raise TypeError(f"{name} must hold {noun}, not {arr.dtype} values")
+    # numpy reads a JSON true among numbers as 1 and a false as 0. Only lists
+    # and tuples are scanned: an array says what it holds, and an all-bool
+    # list made a bool array, refused above unless bools are the target
+    if isinstance(values, (list, tuple)) and arr.dtype != bool and _holds_bool(values):
+        raise TypeError(f"{name} must hold {_LOSSLESS_KINDS[np.dtype(dtype)][1]}, "
+                        "not bool values")
     return arr.astype(dtype, copy=False)
 
 

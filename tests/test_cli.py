@@ -1048,6 +1048,43 @@ def test_prediction_feature_must_hold_numbers(tmp_path, capsys, feature):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("op,payload,field", [
+    ("cost", {**_COST, "gt_classes": [0, True]},
+     "gt_classes must hold integers that fit in int64"),
+    ("cost", {**_COST, "gt_masks": [[1, False]]}, "gt_masks must hold numbers"),
+    ("fourier", {**_FOURIER, "coords": [[0, 0, True, 0]]}, "coords must hold numbers"),
+    ("contrastive", {**_CONTRASTIVE, "features": [[1, 0], [True, 0.1], [0, 1]]},
+     "features must hold numbers"),
+    ("contrastive", {**_CONTRASTIVE, "instance_ids": [1, True, 2]},
+     "instance_ids must hold integers that fit in int64"),
+], ids=["cost-class", "cost-mask", "fourier-coord", "contrastive-feature",
+        "contrastive-id"])
+def test_losses_bool_among_numbers_exits_74(tmp_path, capsys, op, payload, field):
+    # numpy read each true as 1 and each false as 0 before
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    code = main(["losses", "--op", op, "--in", str(inp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(inp) in err and f"{field}, not bool values" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("feature", [[0.5, True], [False, 2]])
+def test_prediction_feature_bool_among_numbers_exits_74(tmp_path, capsys, feature):
+    manifest, preds = _write_scene(tmp_path)
+    data = json.loads(preds.read_text())
+    data["instances"][0]["feature"] = feature
+    preds.write_text(json.dumps(data))
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 74
+    assert str(preds) in err and "feature must hold numbers, not bool values" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("recipe", [
     {"seed": 3, "n_objects": 3, "n_stages": 3, "n_classes": 1, "points_per_object": [-1, 14],
      "ambiguous_groups": [[0, 1]], "changes": [{"0": {"kind": "swap", "group_id": 0}}, {}]},

@@ -92,6 +92,22 @@ def test_ranks_equal_oracle_random(curve, d, bits):
     _assert_matches_oracle(coords, ranks, curve, d, bits)
 
 
+@pytest.mark.parametrize("curve", ALL_CURVES)
+@pytest.mark.parametrize("d,bits", [(3, 20), (3, 21), (4, 15), (4, 16)])
+def test_codecs_match_oracle_below_every_level(curve, d, bits):
+    # coordinates below 2^k (ranks below 2^(d*k)) leave every level at or
+    # above k zero, which the Hilbert walk skips by advancing its state alone;
+    # k = 0 is the all-zero input
+    rng = np.random.default_rng([d, bits, list(Curve).index(curve)])
+    for k in range(bits):
+        coords = rng.integers(0, 1 << k, size=(12, d))
+        ranks = rng.integers(0, 1 << (d * k), size=12, dtype=np.uint64)
+        _assert_matches_oracle(coords, ranks, curve, d, bits)
+    empty = np.empty((0, d), dtype=np.int64)
+    assert encode_keys(empty, curve, bits).shape == (0,)
+    assert decode_keys(np.empty(0, dtype=np.uint64), curve, d, bits).shape == (0, d)
+
+
 def test_hilbert_state_tables_have_the_reachable_state_counts():
     # Skilling's 4D curve has 192 states, more than the <= 64 of Hamilton's
     # (e, d) curve, which is why the table is derived rather than written out
@@ -330,6 +346,46 @@ def test_serialize_sequence_matches_lexsort_oracle(case):
     order = serialize_sequence(grid, pattern, bits)
     assert order.dtype == np.int64
     assert order.tolist() == expected.tolist()
+
+
+def test_a_grid_serialized_again_orders_as_a_fresh_equal_grid():
+    # the grid keeps its bounds after the first call; later calls, at other
+    # patterns and widths, must order as a grid that never computed them
+    keys = np.unique(np.random.default_rng(4).integers(-50, 50, size=(400, 4)), axis=0)
+    grid = _grid_of_keys(keys)
+    for bits in (7, 16, 12):
+        for pattern in ALL_PATTERNS:
+            assert serialize_sequence(grid, pattern, bits).tolist() == \
+                serialize_sequence(_grid_of_keys(keys.copy()), pattern, bits).tolist()
+
+
+@pytest.mark.parametrize("widths", [(10, 11), (11, 10)])
+def test_extent_is_checked_at_every_call_of_one_grid(widths):
+    # x spans 2^10 cells past its minimum: too wide at 10 bits, not at 11
+    grid = _grid_of_keys([[-3, 0, 0, 0], [(1 << 10) - 3, 5, 0, 0]])
+    for pattern in ALL_PATTERNS:
+        for bits in widths:
+            if bits == 10:
+                with pytest.raises(ValueError, match="grid extent exceeds 2\\^10"):
+                    serialize_sequence(grid, pattern, bits)
+            else:
+                assert sorted(serialize_sequence(grid, pattern, bits).tolist()) == [0, 1]
+
+
+@pytest.mark.parametrize("dims", list(SerializationDims))
+def test_zorder_orders_do_not_depend_on_the_width(dims):
+    # z-order ranks at a wider width gain only zero bits on top, so every
+    # width from the needed one up to 64 // d gives one order; in 3D widths
+    # past 16 spread each column with a second 16-bit table lookup
+    rng = np.random.default_rng(9)
+    keys = np.unique(rng.integers(0, 1 << 12, size=(500, 4)), axis=0)
+    keys[:, 3] = rng.integers(0, 3, size=len(keys))
+    keys = np.unique(keys, axis=0)
+    grid = _grid_of_keys(keys)
+    pattern = SerializationPattern(Curve.Z_ORDER, dims)
+    orders = {tuple(serialize_sequence(grid, pattern, bits).tolist())
+              for bits in range(12, 64 // pattern.ndims + 1)}
+    assert len(orders) == 1
 
 
 def test_empty_grid_serializes_to_an_empty_order():

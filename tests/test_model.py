@@ -5,7 +5,7 @@ from scanseq.formats import rle_decode
 from scanseq.geometry import VoxelGrid4D
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud,
-                           _points_by_label, validate_sequence)
+                           _array, _points_by_label, validate_sequence)
 from scanseq.ply import read_ply, write_ply
 
 from conftest import annotation, make_cloud, make_sequence, mask
@@ -145,6 +145,31 @@ def test_model_arrays_refuse_a_lossy_cast(build, field):
     # np.asarray(..., dtype=np.int64) would have read [0.5, 2.7] as [0, 2]
     with pytest.raises(TypeError, match=field):
         build()
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: InstanceMask(0, 1, {0: [4, True]}), "point indices must hold integers"),
+    (lambda: InstanceMask(0, 1, {0: (np.False_, 3)}), "point indices must hold integers"),
+    (lambda: StageCloud(positions=[[True, 0, 2]]), "positions must hold numbers"),
+    (lambda: StageCloud(positions=[[0.5, 0, 2], (1, (np.True_), 3)]),
+     "positions must hold numbers"),
+    (lambda: StageCloud(np.zeros((2, 3)), colors=[[0, 0, 0], [0, False, 1]]),
+     "colors must hold numbers"),
+    (lambda: StageCloud(np.zeros((2, 3)), segment_ids=[0, True]),
+     "segment_ids must hold integers"),
+], ids=["index", "numpy-index", "position", "numpy-position-in-tuple", "color",
+        "segment"])
+def test_model_arrays_refuse_a_bool_among_numbers(build, field):
+    # numpy reads [4, True] as [4, 1] and [[True, 0, 2]] as [[1., 0., 2.]]
+    with pytest.raises(TypeError, match=f"^{field}[^,]*, not bool values$"):
+        build()
+
+
+def test_bool_arrays_are_still_taken_where_bools_are_meant():
+    for values in ([True, False], np.array([True, False])):
+        assert _array(values, bool, "mask").tolist() == [True, False]
+    assert _array([[1, 2], [3, 4]], np.int64, "x").tolist() == [[1, 2], [3, 4]]
+    assert _array([], np.float64, "x").shape == (0,)
 
 
 def test_model_arrays_take_every_lossless_cast():
