@@ -168,11 +168,15 @@ def _print_violations(path, violations) -> bool:
 
 
 def _evaluate_one(gt_path: str, pred_path: str, taus, seed: int):
-    seq, gt = formats._read_manifest(gt_path, geometry=False)  # scoring reads no geometry
-    pred_file, violations = _read_checked_predictions(pred_path, seq, gt)
-    if violations:
-        return None, violations
-    return metrics.evaluate(seq, gt, pred_file.instances, taus, rng_seed=seed), []
+    try:
+        seq, gt = formats._read_manifest(gt_path, geometry=False)  # scoring reads no geometry
+        pred_file, violations = _read_checked_predictions(pred_path, seq, gt)
+        if violations:
+            return None, violations
+        return metrics.evaluate(seq, gt, pred_file.instances, taus, rng_seed=seed), []
+    except MemoryError as exc:
+        raise ValueError(f"{pred_path}: too large to score against {gt_path} "
+                         f"({str(exc) or 'out of memory'})") from exc
 
 
 def _cmd_evaluate(args) -> int:
@@ -201,7 +205,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_associate(args) -> int:
-    seq = formats.read_manifest(args.manifest)[0]
+    seq = formats._read_manifest(args.manifest, geometry=True)[0]
     inputs, stages, failed, width = [], [], False, None
     for path in (args.pred_a, args.pred_b):
         content, violations = _read_checked_predictions(path, seq,
@@ -261,9 +265,9 @@ def _cmd_serialize(args) -> int:
         print(f"error: --bits {args.bits} exceeds {64 // int(args.dims)} "
               f"for --dims {args.dims}", file=sys.stderr)
         return EXIT_USAGE
-    # the ground truth is not needed: dropping it at once frees its masks
+    # the ground truth is not needed: dropping it at once frees its labels
     # before voxelize allocates
-    seq = formats.read_manifest(args.manifest)[0]
+    seq = formats._read_manifest(args.manifest, geometry=True)[0]
     grid = voxelize(seq, resolution=args.resolution)
     pattern = curves.SerializationPattern(
         _CURVE_FLAGS[args.curve],

@@ -16,6 +16,7 @@ significant digits, trailing newline — a parsed document re-dumps to the same 
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,8 @@ import numpy as np
 
 from .metrics import EvaluationReport, _tau_key
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
-                    _StageSizes, _array, _hand_over, _int_key, _is, _points_by_label)
+                    _GroundTruthColumns, _StageSizes, _array, _hand_over, _int_key, _is,
+                    _points_by_label)
 from .ply import _read_labels, read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -39,12 +41,17 @@ class FormatError(ValueError):
 # Canonical JSON
 
 
+@functools.lru_cache(maxsize=1 << 12)  # a report's PR curves repeat each value ~40 times
+def _round6(value: float) -> float:
+    return float(f"{value:.6g}")
+
+
 def _to_json(value):
     """Callers' numpy arrays and scalars as JSON types; floats at 6 significant digits."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist() if value.dtype.kind in "biu" else _to_json(value.tolist())
     if isinstance(value, float):
-        return float(f"{value:.6g}")
+        return _round6(value) if value else value  # ±0.0: one cache key, each its own rounding
     if isinstance(value, dict):
         return {k: _to_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -296,13 +303,38 @@ def _object(container: Mapping, key: str, path) -> Mapping:
 
 def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
     """Load a manifest; raises :class:`FormatError` on schema problems."""
-    return _read_manifest(path, geometry=True)
+    seq, columns = _read_manifest(path, geometry=True)
+    points: list[dict[int, np.ndarray]] = [{} for _ in columns.instance_ids]
+    for t, (layer,) in columns.layers.items():
+        for j, pts in _points_by_label(layer - 1).items():  # -1: no instance
+            points[j][t] = pts
+    return seq, GroundTruthAnnotation(
+        tuple(map(InstanceMask, columns.instance_ids, columns.class_ids, points)),
+        columns.ambiguous_groups, columns.change_labels)
+
+
+def _label_layer(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each point's index into ``ids`` (ascending) + 1, 0 at the background's
+    -1 and -1 at an id ``ids`` lacks: read from a table indexed by id while the
+    largest id is below the point count, else found by binary search."""
+    top = int(column.max(initial=-1))
+    if top < column.size:
+        table = np.full(top + 2, -1, dtype=np.intp)
+        table[-1] = 0  # what the background's -1 reads
+        inside = np.flatnonzero((ids >= 0) & (ids <= top))
+        table[ids[inside]] = inside + 1
+        return table[column]
+    pos = np.searchsorted(ids, column)
+    layer = np.where(np.append(ids, -2)[pos] == column, pos + 1, -1)
+    layer[column < 0] = 0
+    return layer
 
 
 def _read_manifest(path, geometry: bool):
-    """:func:`read_manifest`. Without ``geometry`` the sequence is a
-    :class:`~scanseq.model._StageSizes`: each stage PLY passes every check of
-    :func:`read_ply`, but only its point count and ``instance`` column are kept."""
+    """:func:`read_manifest`, the ground truth as label columns and no mask.
+    Without ``geometry`` the sequence is a :class:`~scanseq.model._StageSizes`:
+    the stage PLYs pass every check of :func:`read_ply`, but only their point
+    counts and ``instance`` columns are kept."""
     path = Path(path)
     data = load_json(path)
     if data.get("kind") not in (None, "sequence_manifest"):
@@ -334,25 +366,25 @@ def _read_manifest(path, geometry: bool):
     annotations = _object(data, "annotations", path)
     class_of = {e["instance_id"]: e["class_id"] for e in _entries(
         annotations, "instances", {"instance_id": int, "class_id": int}, path)}
-    per_instance: dict[int, dict[int, np.ndarray]] = {}
+    ids = sorted(class_of)
+    known = np.array([min(max(i, -2), _INT64_MAX) for i in ids], np.int64)  # no PLY id beyond
+    layers, sizes, unknown = {}, {}, []
     for t, inst_col in enumerate(per_stage_instances):
-        for instance_id, points in _points_by_label(inst_col).items():
-            per_instance.setdefault(instance_id, {})[t] = points
-    masks = []
-    for instance_id in sorted(set(class_of) | set(per_instance)):
-        if instance_id not in class_of:
-            raise FormatError(
-                f"{path}: instance {instance_id} appears in point files but "
-                f"not in annotations.instances")
-        masks.append(InstanceMask(
-            instance_id=instance_id, class_id=class_of[instance_id],
-            per_stage_points=per_instance.get(instance_id, {}), confidence=1.0))
+        layers[t] = (_label_layer(inst_col, known),)
+        try:
+            sizes[t] = np.bincount(layers[t][0], minlength=len(ids) + 1)[1:]
+        except ValueError:  # a -1: an id not annotated
+            unknown.append(int(inst_col[layers[t][0] < 0].min()))
+        per_stage_instances[t] = None  # each column freed once mapped
+    if unknown:
+        raise FormatError(f"{path}: instance {min(unknown)} appears in point files but "
+                          f"not in annotations.instances")
     groups = _entries(annotations, "ambiguous_groups",
                       {"group_id": int, "members": list}, path)
     change_labels = _object(annotations, "change_labels", path)
     try:
         groups = tuple(AmbiguousGroup(g["group_id"], tuple(g["members"])) for g in groups)
-        gt = GroundTruthAnnotation(tuple(masks), groups, change_labels)
+        gt = GroundTruthAnnotation((), groups, change_labels)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     sequence_id = _sequence_id(data, path)
@@ -361,7 +393,8 @@ def _read_manifest(path, geometry: bool):
                if geometry else _StageSizes(tuple(stages), sequence_id))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return seq, gt
+    return seq, _GroundTruthColumns(tuple(ids), tuple(class_of[i] for i in ids), layers,
+                                    sizes, gt.ambiguous_groups, gt.change_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
-                    InstanceMask, SequencePointCloud, _array, _hand_over)
+from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation, InstanceMask,
+                    SequencePointCloud, _array, _GroundTruthColumns, _hand_over)
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
@@ -79,47 +79,53 @@ class IoUProfile:
     t_iou: float
 
 
-def _stage_tables(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]):
-    """Per-stage intersection counts and mask sizes of every (pred, gt) pair.
-
-    Returns ``(stages, inter, psize, gsize)``: the sorted stages where any mask
-    is present, ``inter[s, i, j]`` = |preds[i] & gts[j]| at ``stages[s]`` and
-    the sizes ``psize[s, i]`` and ``gsize[s, j]``. Per stage, the ground-truth
-    masks are written into a point-indexed label array in layers of mutually
-    disjoint masks (one layer unless ground-truth masks overlap), and each
-    prediction's points are counted against each layer with one ``bincount``
-    over the labels they hit, so the counts stay exact when masks overlap on
-    either side and no array larger than one mask is built per prediction.
-    Point indices must be non-negative and sorted (as
-    :class:`~scanseq.model.InstanceMask` keeps them).
-    """
-    stages = sorted({t for m in (*preds, *gts) for t in m.per_stage_points})
-    n_preds, n_gts = len(preds), len(gts)
-    psize = np.array([[p.points_at(t).size for p in preds] for t in stages],
-                     dtype=np.int64).reshape(len(stages), n_preds)
-    gsize = np.array([[g.points_at(t).size for g in gts] for t in stages],
-                     dtype=np.int64).reshape(len(stages), n_gts)
-    inter = np.zeros((len(stages), n_preds, n_gts), dtype=np.int64)
-    for s, t in enumerate(stages):
-        pending = [(j, g.per_stage_points[t]) for j, g in enumerate(gts)
-                   if t in g.per_stage_points]
-        p_masks = [(i, p.per_stage_points[t]) for i, p in enumerate(preds)
-                   if psize[s, i]]
-        if not pending or not p_masks:
-            continue
-        width = 1 + max(int(m[-1]) for _, m in (*p_masks, *pending) if m.size)
+def _label_layers(gts: Sequence[InstanceMask]) -> _GroundTruthColumns:
+    """Ground-truth masks as label columns, in their order: a mask goes into the
+    first layer of a stage where it overlaps no other. Points must be
+    non-negative and sorted, as :class:`~scanseq.model.InstanceMask` keeps them."""
+    layers, sizes = {}, {}
+    for t in sorted({t for g in gts for t in g.per_stage_points}):
+        pending = [(j, g.points_at(t)) for j, g in enumerate(gts) if t in g.per_stage_points]
+        sizes[t] = np.array([g.points_at(t).size for g in gts], dtype=np.int64)
+        width, layers[t] = 1 + max(int(pts[-1]) for _, pts in pending), ()
         while pending:
-            # label 0 is "no ground truth"
-            label = np.zeros(width, dtype=np.int32)
+            label = np.zeros(width, dtype=np.intp)  # 0 is "no ground truth"
             overlapping = []
             for j, pts in pending:
                 if label[pts].any():
                     overlapping.append((j, pts))
                 else:
                     label[pts] = j + 1
-            for i, pts in p_masks:
-                inter[s, i] += np.bincount(label[pts], minlength=n_gts + 1)[1:]
+            layers[t] += (label,)
             pending = overlapping
+    return _GroundTruthColumns(tuple(g.instance_id for g in gts),
+                               tuple(g.class_id for g in gts), layers, sizes)
+
+
+def _stage_tables(preds: Sequence[InstanceMask], truth: _GroundTruthColumns):
+    """``(stages, inter, psize, gsize)``: the sorted stages where any mask or
+    column is present, ``inter[s, i, j]`` = |preds[i] & column j| at
+    ``stages[s]``, and the sizes ``psize[s, i]`` and ``gsize[s, j]``. A
+    prediction is counted against each label layer of a stage with one
+    ``bincount`` (points past the layers hit none): exact when masks overlap."""
+    stages = sorted({t for p in preds for t in p.per_stage_points} | set(truth.layers))
+    n_preds, n_gts = len(preds), len(truth.instance_ids)
+    psize = np.array([[p.points_at(t).size for p in preds] for t in stages],
+                     dtype=np.int64).reshape(len(stages), n_preds)
+    gsize = np.zeros((len(stages), n_gts), dtype=np.int64)
+    inter = np.zeros((len(stages), n_preds, n_gts), dtype=np.int64)
+    for s, t in enumerate(stages):
+        if t not in truth.layers:
+            continue
+        gsize[s], layers = truth.sizes[t], truth.layers[t]
+        for i, p in enumerate(preds):
+            pts = p.points_at(t)
+            if not pts.size:
+                continue
+            if pts[-1] >= layers[0].size:
+                pts = pts[:np.searchsorted(pts, layers[0].size)]
+            for layer in layers:
+                inter[s, i] += np.bincount(layer[pts], minlength=n_gts + 1)[1:]
     return stages, inter, psize, gsize
 
 
@@ -152,7 +158,7 @@ def _tiou_matrix(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray) -> np.
 
 def t_iou(pred: InstanceMask, gt: InstanceMask) -> IoUProfile:
     """Temporal IoU profile of a prediction against a ground-truth instance."""
-    stages, inter, psize, gsize = _stage_tables([pred], [gt])
+    stages, inter, psize, gsize = _stage_tables([pred], _label_layers([gt]))
     per_stage = dict(zip(stages, _stage_iou(inter, psize, gsize)[:, 0, 0].tolist()))
     both = int(inter.sum())
     overall = both / (int(psize.sum()) + int(gsize.sum()) - both) if stages else 0.0
@@ -171,7 +177,7 @@ def overlap_candidates(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask
     """
     class_preds = [p for p in preds if p.class_id == class_id]
     class_gts = [g for g in gts if g.class_id == class_id]
-    touches = _stage_tables(class_preds, class_gts)[1].any(axis=0)
+    touches = _stage_tables(class_preds, _label_layers(class_gts))[1].any(axis=0)
     return {g.instance_id: tuple(class_preds[i].instance_id
                                  for i in np.flatnonzero(touches[:, j]))
             for j, g in enumerate(class_gts)}
@@ -280,7 +286,7 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
     preds = list(candidate_preds)
-    stages, inter, psize, gsize = _stage_tables(preds, members)
+    stages, inter, psize, gsize = _stage_tables(preds, _label_layers(members))
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
     A = _group_assignment(inter, psize, gsize, confidence, rng_seed, group.group_id)
 
@@ -345,7 +351,7 @@ def assign_detections(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask]
     preds = list(preds)
     order = sorted(range(len(preds)),
                    key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    _, inter, psize, gsize = _stage_tables(preds, gts)
+    _, inter, psize, gsize = _stage_tables(preds, _label_layers(gts))
     matched = _greedy_match(_tiou_matrix(inter, psize, gsize), order, [tau])[0].tolist()
     matched_gt = {preds[i].instance_id: gts[col].instance_id
                   for i, col in zip(order, matched) if col >= 0}
@@ -474,16 +480,18 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     taus = _thresholds(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
     resolved = sorted(resolve_prediction_overlaps(preds, seq),
                       key=lambda m: m.instance_id)
-    gts = sorted(gt.instances, key=lambda m: m.instance_id)
-    stages, inter, psize, gsize = _stage_tables(resolved, gts)
+    truth = gt if isinstance(gt, _GroundTruthColumns) else _label_layers(
+        sorted(gt.instances, key=lambda m: m.instance_id))
+    stages, inter, psize, gsize = _stage_tables(resolved, truth)
     touches = inter.any(axis=0)
     confidence = np.array([p.confidence for p in resolved], dtype=np.float64)
-    column_of = {g.instance_id: j for j, g in enumerate(gts)}
+    gt_ids, gt_classes = truth.instance_ids, truth.class_ids
+    column_of = {instance_id: j for j, instance_id in enumerate(gt_ids)}
     groups = sorted((grp for grp in gt.ambiguous_groups if grp.member_instance_ids),
                     key=lambda grp: grp.group_id)
     member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
 
-    class_ids = tuple(sorted({m.class_id for m in gts} | {m.class_id for m in resolved}))
+    class_ids = tuple(sorted(set(gt_classes) | {m.class_id for m in resolved}))
     per_class_ap: dict[int, dict[float, Optional[float]]] = {c: {} for c in class_ids}
     counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
     pr_curves: dict[int, dict[float, tuple]] = {c: {} for c in class_ids}
@@ -494,14 +502,13 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     for c in class_ids:
         rows = np.array([i for i, p in enumerate(resolved) if p.class_id == c],
                         dtype=np.intp)
-        plain = [j for j, g in enumerate(gts)
-                 if g.class_id == c and g.instance_id not in member_of_group]
+        plain = [j for j, (instance_id, class_id) in enumerate(zip(gt_ids, gt_classes))
+                 if class_id == c and instance_id not in member_of_group]
         columns = [np.full(len(stages), j) for j in plain]
-        labels: list[Optional[ChangeType]] = [
-            gt.change_labels.get(gts[j].instance_id) for j in plain]
+        labels: list[Optional[ChangeType]] = [gt.change_labels.get(gt_ids[j]) for j in plain]
         for grp in groups:
             members = np.array([column_of[m] for m in grp.member_instance_ids])
-            if gts[members[0]].class_id != c:
+            if gt_classes[members[0]] != c:
                 continue
             cands = rows[touches[np.ix_(rows, members)].any(axis=1)]
             A = _group_assignment(inter[:, cands][:, :, members], psize[:, cands],

@@ -318,6 +318,20 @@ class GroundTruthAnnotation:
 
 
 @dataclass(frozen=True)
+class _GroundTruthColumns:
+    """Ground truth as scoring reads it: column j is instance ``instance_ids[j]``.
+    Per stage t, ``layers[t]`` holds intp arrays of each point's column + 1 (0:
+    none; one layer unless columns overlap), ``sizes[t]`` each column's points."""
+
+    instance_ids: tuple[int, ...]
+    class_ids: tuple[int, ...]
+    layers: Mapping[int, tuple[np.ndarray, ...]]
+    sizes: Mapping[int, np.ndarray]
+    ambiguous_groups: tuple[AmbiguousGroup, ...] = ()
+    change_labels: Mapping[int, ChangeType] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class Violation:
     """One validation finding; ``code`` is stable, ``message`` is for humans."""
 
@@ -367,8 +381,15 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     """
     out: list[Violation] = []
     sizes = seq.stage_sizes()
-    for mask in gt.instances:
-        _check_mask(mask, sizes, "ground-truth", out)
+    if isinstance(gt, _GroundTruthColumns):  # a column holds no bad point, but may hold none
+        class_of = dict(zip(gt.instance_ids, gt.class_ids))
+        points = sum(gt.sizes.values(), np.zeros(len(class_of), np.int64))
+        out += [Violation("empty_mask", f"ground-truth instance {i} references no points")
+                for i, n in zip(gt.instance_ids, points.tolist()) if not n]
+    else:
+        class_of = {m.instance_id: m.class_id for m in gt.instances}
+        for mask in gt.instances:
+            _check_mask(mask, sizes, "ground-truth", out)
     for mask in preds:
         _check_mask(mask, sizes, "prediction", out)
     for instance_id, n in Counter(m.instance_id for m in preds).items():
@@ -377,7 +398,6 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
                 "duplicate_instance_id",
                 f"prediction instance id {instance_id} is used by {n} masks"))
 
-    by_id = {m.instance_id: m for m in gt.instances}
     seen_members: dict[int, int] = {}
     for group in gt.ambiguous_groups:
         size = len(group.member_instance_ids)
@@ -387,13 +407,13 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
                 f"ambiguous group {group.group_id} has {size} member(s)"))
         classes = set()
         for member in group.member_instance_ids:
-            if member not in by_id:
+            if member not in class_of:
                 out.append(Violation(
                     "unknown_group_member",
                     f"ambiguous group {group.group_id} references unknown "
                     f"instance {member}"))
                 continue
-            classes.add(by_id[member].class_id)
+            classes.add(class_of[member])
             if member in seen_members:
                 out.append(Violation(
                     "member_in_multiple_groups",

@@ -94,6 +94,17 @@ def _stage_intersection(a, b):
     return np.intersect1d(a, b).size
 
 
+def pairwise_stage_tables(preds, gts):
+    """(stages, inter[s][i][j], psize[s][i], gsize[s][j]) over the stages
+    where any mask is present: one intersection per (stage, pred, gt)."""
+    stages = sorted({t for m in (*preds, *gts) for t in m.per_stage_points})
+    inter = [[[_stage_intersection(p.per_stage_points.get(t, []), g.per_stage_points.get(t, []))
+               for g in gts] for p in preds] for t in stages]
+    psize = [[len(p.per_stage_points.get(t, [])) for p in preds] for t in stages]
+    gsize = [[len(g.per_stage_points.get(t, [])) for g in gts] for t in stages]
+    return stages, inter, psize, gsize
+
+
 def pairwise_t_iou(pred, gt):
     """(per-stage IoU dict, overall IoU, t-IoU) of two masks."""
     per_stage = {}

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scanseq import cli, metrics
+from scanseq import association, cli, formats, geometry, metrics, model
 from scanseq.cli import _LOSSES_MAX_VALUES, main
-from scanseq.model import InstanceMask
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, InstanceMask
 from scanseq.formats import (read_manifest, read_predictions, rle_decode, rle_encode,
                              write_manifest, write_predictions, dump_canonical_json)
 from scanseq.ply import read_ply, write_ply
@@ -1419,3 +1420,127 @@ def test_evaluate_builds_no_geometry(tmp_path, binary, bytes_per_point):
         tracemalloc.stop()
     assert seq.total_points == 120_000
     assert peak < bytes_per_point * seq.total_points
+
+
+# ---------------------------------------------------------------------------
+# The manifest's instance column, read without ground-truth masks
+
+
+def _command_argv(command, tmp_path, manifest, stage_files):
+    """The argv of ``command`` on the association scene, writing to ``o.json``."""
+    inputs = {"evaluate": ["--gt", str(manifest), "--pred", str(stage_files[0])],
+              "serialize": ["--curve", "hilbert", "--dims", "4", "--manifest", str(manifest)],
+              "associate": ["--mode", "geometric", "--pred-a", str(stage_files[0]),
+                            "--pred-b", str(stage_files[1]), "--manifest", str(manifest)]}
+    return [command, *inputs[command], "--out", str(tmp_path / "o.json")]
+
+
+@pytest.mark.parametrize("instance_id", [-2 ** 70, -5, -1, 7, 2 ** 40, 2 ** 70])
+def test_annotated_instance_without_points_exits_2(tmp_path, capsys, instance_id):
+    # -1 marks background points, not instance -1; ids beyond int64 are no PLY id
+    manifest, stage_files = association_scene(tmp_path)
+    data = json.loads(manifest.read_text())
+    data["annotations"]["instances"].append({"instance_id": instance_id, "class_id": 0})
+    manifest.write_text(json.dumps(data))
+    assert main(_command_argv("evaluate", tmp_path, manifest, stage_files)) == 2
+    assert capsys.readouterr().err == (f"{manifest}: empty_mask: ground-truth instance "
+                                       f"{instance_id} references no points\n")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "serialize", "associate"])
+def test_unannotated_point_file_id_exits_74(tmp_path, capsys, command):
+    # the smallest id of any stage that annotations.instances lacks is named
+    manifest, stage_files = association_scene(tmp_path)
+    data = json.loads(manifest.read_text())
+    annotated = data["annotations"]["instances"]
+    data["annotations"]["instances"] = [e for e in annotated if e["instance_id"] == 1]
+    manifest.write_text(json.dumps(data))
+    assert main(_command_argv(command, tmp_path, manifest, stage_files)) == 74
+    assert capsys.readouterr().err == (f"error: {manifest}: instance 0 appears in point "
+                                       f"files but not in annotations.instances\n")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "serialize", "associate"])
+def test_point_file_id_below_minus_one_exits_74(tmp_path, capsys, command):
+    manifest, stage_files = association_scene(tmp_path)
+    ply = manifest.parent / "stage_001.ply"
+    # the last 4 bytes of a written stage PLY are its last vertex's int32 instance id
+    ply.write_bytes(ply.read_bytes()[:-4] + (-7).to_bytes(4, "little", signed=True))
+    assert main(_command_argv(command, tmp_path, manifest, stage_files)) == 74
+    assert capsys.readouterr().err == (f"error: {ply}: instance id -7 is below -1, "
+                                       f"the background mark\n")
+
+
+def _shuffled(seq, gt, preds, rng):
+    """The scene with every stage's rows permuted (masks following their
+    points) and ground-truth ids re-spelled in reverse order near 2**31, the
+    most a written stage PLY's int32 ``instance`` property holds: a table
+    indexed by id would take 17 GB."""
+    rows = [rng.permutation(stage.point_count) for stage in seq.stages]
+    row_of = [np.argsort(r) for r in rows]  # the new row of each old point
+
+    def moved(m, instance_id):
+        return dataclasses.replace(m, instance_id=instance_id, per_stage_points={
+            t: row_of[t][pts] for t, pts in m.per_stage_points.items()})
+
+    wide = {m.instance_id: 2 ** 31 - 1 - 7919 * m.instance_id for m in gt.instances}
+    stages = tuple(dataclasses.replace(stage, positions=stage.positions[r],
+                                       colors=None if stage.colors is None else stage.colors[r],
+                                       segment_ids=None)
+                   for stage, r in zip(seq.stages, rows))
+    gt = GroundTruthAnnotation(
+        tuple(moved(m, wide[m.instance_id]) for m in gt.instances),
+        tuple(AmbiguousGroup(g.group_id, tuple(wide[i] for i in g.member_instance_ids))
+              for g in gt.ambiguous_groups),
+        {wide[k]: v for k, v in gt.change_labels.items()})
+    return (dataclasses.replace(seq, stages=stages), gt,
+            [moved(p, p.instance_id) for p in preds])
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_bytes_survive_shuffled_rows_and_wide_ids(tmp_path, name):
+    # the wide ids are mapped by binary search, the small ones by a table
+    recipe, spec = _pinned_scene(name)
+    seq, gt = generate(recipe)
+    scene = (seq, gt, perturb(seq, gt, spec))
+    reports = []
+    for tag, (s, g, p) in (("plain", scene),
+                           ("shuffled", _shuffled(*scene, np.random.default_rng(1)))):
+        manifest = write_manifest(tmp_path / tag, s, g)
+        write_predictions(tmp_path / f"{tag}.json", p, s.sequence_id)
+        out = tmp_path / f"{tag}-report.json"
+        assert main(["evaluate", "--gt", str(manifest), "--pred", str(tmp_path / f"{tag}.json"),
+                     "--per-change-type", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert hashlib.sha256(reports[0]).hexdigest() == PINNED_REPORTS[name]
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "serialize"])
+def test_cli_builds_no_ground_truth_masks(tmp_path, monkeypatch, command):
+    def split(labels):
+        raise AssertionError("a label column was split into masks")
+
+    for module in (model, formats, geometry, association):
+        if hasattr(module, "_points_by_label"):
+            monkeypatch.setattr(module, "_points_by_label", split)
+    manifest, stage_files = association_scene(tmp_path)
+    assert main(_command_argv(command, tmp_path, manifest, stage_files)) == 0
+
+
+def test_evaluate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a small prediction file can ask for more indices than memory holds
+    def decode(arrays, stage_sizes):
+        raise MemoryError()
+
+    monkeypatch.setattr("scanseq.formats._decode_runs", decode)
+    manifest, preds = _write_scene(tmp_path)
+    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {preds}: too large to score against {manifest} "
+                   f"(out of memory)\n")
+    assert not (tmp_path / "r.json").exists()

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scanseq import formats, metrics
 from scanseq.formats import (FormatError, dump_canonical_json, read_manifest,
                              read_predictions, report_to_dict, rle_decode,
                              rle_encode, write_manifest, write_predictions)
@@ -16,6 +17,7 @@ from scanseq.ply import (PlyFormatError, PlyMissingPropertyError, _ascii_rows, _
                          read_ply, write_ply)
 from scanseq.synth import PerturbationSpec, SceneRecipe, generate, perturb
 
+import oracles
 from conftest import annotation, ascii_copy, make_sequence, mask
 
 
@@ -498,6 +500,53 @@ def test_manifest_rejects_ground_truth_sharing_points(tmp_path):
         write_manifest(tmp_path / "scene", seq, gt)
 
 
+@settings(max_examples=200, deadline=None)
+@given(column=st.lists(st.integers(-1, 60), min_size=1, max_size=80),
+       annotated=st.sets(st.integers(-3, 70)))
+def test_label_layer_table_and_search_agree(column, annotated):
+    # a table indexed by id and a binary search map a column alike: background
+    # points appended make the ids fit a table, an id of 10**9 does not. An
+    # annotated -1 holds no point: it marks the background
+    ids = sorted(annotated)
+    layers = [formats._label_layer(np.array(column + tail, dtype=np.int64),
+                                   np.array(ids, dtype=np.int64))[:len(column)]
+              for tail in ([-1] * 61, [10 ** 9])]
+    assert layers[0].dtype == layers[1].dtype == np.intp
+    assert layers[0].tolist() == layers[1].tolist() == [
+        0 if i == -1 else ids.index(i) + 1 if i in ids else -1 for i in column]
+
+
+def test_manifest_label_tables_match_pairwise_oracle(tmp_path):
+    # the tables scored from the PLY instance column, with no mask built,
+    # are those of the masks written, which public read_manifest returns
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        n_stages, n_gts = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        sizes = rng.integers(1, 40, size=n_stages).tolist()
+        labels = [rng.integers(-1, n_gts, size=n) for n in sizes]
+        ids = rng.choice(10 ** 6, size=n_gts, replace=False)
+        gts = [mask(int(i), 1, {t: np.flatnonzero(lab == j) for t, lab in enumerate(labels)})
+               for j, i in enumerate(ids)]
+        preds = [mask(j, 1, {t: rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                             for t, n in enumerate(sizes) if rng.uniform() < 0.8},
+                      confidence=0.5) for j in range(int(rng.integers(0, 5)))]
+        manifest = write_manifest(tmp_path / str(k), make_sequence(sizes), annotation(gts))
+        _, columns = formats._read_manifest(manifest, geometry=False)
+        stages, inter, psize, gsize = metrics._stage_tables(preds, columns)
+        masks = sorted(gts, key=lambda m: m.instance_id)
+        expected = oracles.pairwise_stage_tables(preds, masks)
+        assert stages == list(range(n_stages))  # the columns cover every stage
+        present = np.isin(stages, expected[0])  # the others hold no mask
+        assert (inter[present].tolist(), psize[present].tolist(),
+                gsize[present].tolist()) == expected[1:]
+        assert not (inter[~present].any() or psize[~present].any() or gsize[~present].any())
+        read = read_manifest(manifest)[1].instances
+        assert [(m.instance_id, {t: p.tolist() for t, p in m.per_stage_points.items()})
+                for m in read] == [(m.instance_id, {t: p.tolist() for t, p in
+                                                    m.per_stage_points.items()})
+                                   for m in masks]
+
+
 # ---------------------------------------------------------------------------
 # Reports and canonical JSON
 
@@ -569,6 +618,28 @@ def test_canonical_json_takes_numpy_values_as_python_values(tmp_path):
     parsed = json.loads(text)
     assert parsed["floats"] == [[0.123457, 1e-7], [2.0, -3.14159]]
     assert parsed["f32"] == 0.1 and parsed["nested"] == [-2, [0.333333, 4]]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(_FINITE, st.sampled_from([0.0, -0.0, 5e-324, -1e300])),
+                       max_size=40))
+@example(values=[0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e300])
+@example(values=[0.1234565, 0.12345650000000001, 1.0000005, 9.9999995, 999999.5,
+                 123456.5, 2.5e-7, 0.1234565])  # on a 6-digit rounding boundary
+def test_canonical_floats_are_formatted_as_each_value_alone(values):
+    # a value's rounding is cached; -0.0 must not take 0.0's, nor 0.0 -0.0's
+    expected = [float(f"{v:.6g}").hex() for v in values]
+    formats._round6.cache_clear()
+    for _ in range(2):  # the cache cold, then warm and the values reversed
+        as_list = formats._to_json({"v": values, "again": tuple(values)})
+        as_array = formats._to_json(np.array(values, dtype=np.float64).reshape(-1, 1))
+        assert [v.hex() for v in as_list["v"]] == [v.hex() for v in as_list["again"]] \
+            == [row[0].hex() for row in as_array] == expected
+        values = values[::-1]
+        expected = expected[::-1]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float32("-inf")])

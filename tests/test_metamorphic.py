@@ -2,12 +2,14 @@
 must leave the canonical report bytes, or a part of them, unchanged."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from scanseq import metrics
-from scanseq.formats import dump_canonical_json, report_to_dict
+from scanseq import cli, metrics
+from scanseq.formats import (dump_canonical_json, report_to_dict, write_manifest,
+                             write_predictions)
 from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, InstanceMask
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
@@ -117,6 +119,36 @@ def test_report_invariant_to_ground_truth_ids(tmp_path, scene, trial):
                        [m.instance_id for m in gt.instances])
     assert _report_bytes(tmp_path, seq, _relabel_ground_truth(gt, mapping),
                          preds) == expected
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
+def test_report_invariant_to_group_member_order(tmp_path, scene, trial):
+    # the members of each group permuted, in the library and in a manifest
+    seq, gt, preds = SCENES[scene]()
+    rng = np.random.default_rng(300 + trial)
+    orders = {g.group_id: rng.permutation(len(g.member_instance_ids))
+              for g in gt.ambiguous_groups}
+    expected = _report_bytes(tmp_path, seq, gt, preds)
+    permuted = dataclasses.replace(gt, ambiguous_groups=tuple(
+        AmbiguousGroup(g.group_id, tuple(np.array(g.member_instance_ids)[orders[g.group_id]]
+                                         .tolist())) for g in gt.ambiguous_groups))
+    assert _report_bytes(tmp_path, seq, permuted, preds) == expected
+
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    write_predictions(tmp_path / "preds.json", preds, seq.sequence_id)
+    reports = []
+    for _ in range(2):
+        out = tmp_path / f"report{len(reports)}.json"
+        assert cli.main(["evaluate", "--gt", str(manifest), "--pred",
+                         str(tmp_path / "preds.json"), "--seed", "3", "--per-change-type",
+                         "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        data = json.loads(manifest.read_text())
+        for group in data["annotations"]["ambiguous_groups"]:
+            group["members"] = np.array(group["members"])[orders[group["group_id"]]].tolist()
+        manifest.write_text(json.dumps(data))
+    assert reports == [expected, expected]
 
 
 @pytest.mark.parametrize("scene", SCENES)

@@ -139,6 +139,23 @@ def _random_masks(rng, ids, n_stages, universe, scored=False):
             for i in ids]
 
 
+_POINT_SETS = st.dictionaries(st.integers(0, 2), st.sets(st.integers(0, 40), min_size=1,
+                                                          max_size=25), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gt_sets=st.lists(_POINT_SETS, max_size=5), pred_sets=st.lists(_POINT_SETS, max_size=5))
+def test_label_layer_tables_match_pairwise_oracle(gt_sets, pred_sets):
+    # ground-truth masks over 41 points overlap, and take more than one layer
+    gts = [mask(i, 1, {t: sorted(pts) for t, pts in sets.items()})
+           for i, sets in enumerate(gt_sets)]
+    preds = [mask(10 + i, 1, {t: sorted(pts) for t, pts in sets.items()}, confidence=0.5)
+             for i, sets in enumerate(pred_sets)]
+    stages, inter, psize, gsize = metrics._stage_tables(preds, metrics._label_layers(gts))
+    assert (stages, inter.tolist(), psize.tolist(), gsize.tolist()) == \
+        oracles.pairwise_stage_tables(preds, gts)
+
+
 def test_stage_table_consumers_match_pairwise_oracle(monkeypatch):
     weights_seen = []
     assign = metrics.assign_ambiguous_components
