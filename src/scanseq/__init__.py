@@ -9,11 +9,10 @@ from .geometry import (DEFAULT_RESOLUTION, FeatureHierarchy, VoxelGrid4D,
                        pool_superpoint_features, voxelize)
 from .curves import (Curve, ScheduleMix, SerializationDims, SerializationPattern,
                      decode_keys, encode_keys, make_schedule, serialize_sequence)
-from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DetectionAssignment,
-                      DisambiguationResult, EvaluationReport, IoUProfile,
-                      assign_ambiguous_components, assign_detections,
+from .metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS, DisambiguationResult,
+                      EvaluationReport, IoUProfile, assign_ambiguous_components,
                       average_precision, disambiguate, evaluate,
-                      overlap_candidates, resolve_prediction_overlaps, t_iou)
+                      resolve_prediction_overlaps, t_iou)
 from .association import associate_geometric, associate_semantic
 from .numerics import (AssignmentCostConfig, AssignmentResult, RelationMatrix,
                        assignment_cost, binarize_masks, contrastive_loss,

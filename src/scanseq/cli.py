@@ -359,6 +359,10 @@ def main(argv=None) -> int:
             synth.PerturbationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # an allocation no command sized in advance
+        print(f"error: {args.command} ran out of memory" + (f" ({exc})" if str(exc) else ""),
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

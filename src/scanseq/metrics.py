@@ -166,23 +166,6 @@ def t_iou(pred: InstanceMask, gt: InstanceMask) -> IoUProfile:
                       t_iou=_tiou_matrix(inter, psize, gsize)[0, 0].item())
 
 
-def overlap_candidates(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],
-                       class_id: int) -> dict[int, tuple[int, ...]]:
-    """Map each ground-truth instance to the predictions overlapping it.
-
-    A prediction is a candidate for gt_j when their any-stage union IoU is
-    positive, i.e. they share at least one (stage, point). Only masks of
-    ``class_id`` participate; a prediction may appear in several candidate
-    sets. Keys/values are instance ids.
-    """
-    class_preds = [p for p in preds if p.class_id == class_id]
-    class_gts = [g for g in gts if g.class_id == class_id]
-    touches = _stage_tables(class_preds, _label_layers(class_gts))[1].any(axis=0)
-    return {g.instance_id: tuple(class_preds[i].instance_id
-                                 for i in np.flatnonzero(touches[:, j]))
-            for j, g in enumerate(class_gts)}
-
-
 # ---------------------------------------------------------------------------
 # Ambiguous-group pseudo-disambiguation
 
@@ -302,21 +285,7 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
 
 
 # ---------------------------------------------------------------------------
-# Detection assignment and average precision
-
-
-@dataclass(frozen=True)
-class DetectionAssignment:
-    """Greedy matching outcome for one class at one threshold.
-
-    ``order`` lists prediction instance ids in processing order (descending
-    confidence, ties by ascending id); ``is_tp`` aligns with it.
-    """
-
-    order: tuple[int, ...]
-    is_tp: tuple[bool, ...]
-    matched_gt: Mapping[int, int]
-    false_negatives: tuple[int, ...]
+# Greedy matching and average precision
 
 
 def _greedy_match(tiou: np.ndarray, order: Sequence[int],
@@ -336,31 +305,6 @@ def _greedy_match(tiou: np.ndarray, order: Sequence[int],
         claimed[hit, cols] = True
         matched[hit, pos] = cols
     return matched
-
-
-def assign_detections(preds: Sequence[InstanceMask], gts: Sequence[InstanceMask],
-                      tau: float) -> DetectionAssignment:
-    """Greedy descending-confidence matching at threshold ``tau``.
-
-    A prediction becomes a true positive against the unclaimed ground truth
-    with the highest t-IoU among those exceeding ``tau``; every ground truth
-    is claimed at most once. Disambiguation is assumed already applied and all
-    masks share one class.
-    """
-    gts = list(gts)
-    preds = list(preds)
-    order = sorted(range(len(preds)),
-                   key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    _, inter, psize, gsize = _stage_tables(preds, _label_layers(gts))
-    matched = _greedy_match(_tiou_matrix(inter, psize, gsize), order, [tau])[0].tolist()
-    matched_gt = {preds[i].instance_id: gts[col].instance_id
-                  for i, col in zip(order, matched) if col >= 0}
-    claimed = set(matched)
-    fn = tuple(g.instance_id for j, g in enumerate(gts) if j not in claimed)
-    return DetectionAssignment(
-        order=tuple(preds[i].instance_id for i in order),
-        is_tp=tuple(col >= 0 for col in matched),
-        matched_gt=matched_gt, false_negatives=fn)
 
 
 def _pr_curves(is_tp: np.ndarray, n_gt: int):

@@ -1,9 +1,8 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately written in plain Python (sets, loops, math)
-from the declared contracts, sharing no code paths with scanseq itself. The
-one exception is :func:`composed_evaluation`, which checks ``evaluate``
-against scanseq's own public pieces put together one class at a time.
+from the declared contracts, sharing no code paths with scanseq itself: of
+scanseq it uses only the model types that hold masks.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 
 import numpy as np
 
-from scanseq import metrics
+from scanseq.model import InstanceMask
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def reference_single_stage_map(gt_by_class, preds_by_class, taus):
 
 
 # ---------------------------------------------------------------------------
-# Pairwise t-IoU, overlap candidates and disambiguation weights: one
+# Pairwise t-IoU, candidates and disambiguation weights: one
 # np.intersect1d per (prediction, ground truth, stage)
 
 
@@ -121,7 +120,7 @@ def pairwise_t_iou(pred, gt):
     return per_stage, overall, min(per_stage.values(), default=0.0)
 
 
-def pairwise_overlap_candidates(preds, gts, class_id):
+def pairwise_candidates(preds, gts, class_id):
     """{gt id: ids of same-class predictions sharing a (stage, point) with it}."""
     return {
         g.instance_id: tuple(
@@ -175,7 +174,35 @@ def pairwise_greedy_tp(preds, gts, tau):
 
 
 # ---------------------------------------------------------------------------
-# evaluate, composed from the public metric functions
+# evaluate, composed from the brute-force pieces of this module
+
+
+def resolve_overlaps(preds):
+    """The masks, in input order, with each contested (stage, point) left only
+    to its first holder by confidence descending, then id ascending."""
+    taken = set()
+    kept = [None] * len(preds)
+    for i in sorted(range(len(preds)),
+                    key=lambda i: (-preds[i].confidence, preds[i].instance_id)):
+        per_stage = {}
+        for t, pts in preds[i].per_stage_points.items():
+            per_stage[t] = [v for v in pts.tolist() if (t, v) not in taken]
+            taken.update((t, v) for v in per_stage[t])
+        kept[i] = InstanceMask(preds[i].instance_id, preds[i].class_id, per_stage,
+                               preds[i].confidence)
+    return kept
+
+
+def disambiguated_trajectories(group, members, candidates, rng_seed):
+    """The trajectories of an ambiguous group: trajectory i takes member
+    ``A[i][s]``'s component at stage s, has id ``-(i + 1)``, and is dropped
+    when it received no component."""
+    weights, present, stages = pairwise_disambiguation_weights(members, candidates)
+    A = transcribe_ambiguous_assignment(weights, present, (rng_seed, group.group_id))
+    return [InstanceMask(-(i + 1), members[0].class_id,
+                         {t: members[k].per_stage_points[t]
+                          for t, k in zip(stages, row) if k >= 0})
+            for i, row in enumerate(A) if any(k >= 0 for k in row)]
 
 
 def composed_evaluation(seq, gt, preds, taus, rng_seed):
@@ -185,9 +212,10 @@ def composed_evaluation(seq, gt, preds, taus, rng_seed):
     ground truth outside ambiguous groups by id, then the trajectories of
     each of the class's groups (groups by id), each group disambiguated from
     the class's predictions sharing a (stage, point) with any member at
-    ``rng_seed``; then greedy matching and AP.
+    ``rng_seed``; then greedy matching and AP. ``seq`` is not read: every
+    point a mask names lies in its stage.
     """
-    resolved = metrics.resolve_prediction_overlaps(preds, seq)
+    resolved = resolve_overlaps(preds)
     by_id = {g.instance_id: g for g in gt.instances}
     grouped = {m for g in gt.ambiguous_groups for m in g.member_instance_ids}
     out = {}
@@ -201,17 +229,16 @@ def composed_evaluation(seq, gt, preds, taus, rng_seed):
             members = [by_id[m] for m in group.member_instance_ids]
             if members[0].class_id != c:
                 continue
-            candidates = [p for p in class_preds if any(
-                _stage_intersection(p.per_stage_points.get(t, []), pts)
-                for m in members for t, pts in m.per_stage_points.items())]
-            columns += metrics.disambiguate(group, gt.instances, candidates,
-                                            rng_seed=rng_seed).trajectories
+            touching = {i for ids in pairwise_candidates(class_preds, members, c).values()
+                        for i in ids}
+            candidates = [p for p in class_preds if p.instance_id in touching]
+            columns += disambiguated_trajectories(group, members, candidates, rng_seed)
         out[c] = {}
         for tau in taus:
-            found = metrics.assign_detections(class_preds, columns, tau)
-            tp = sum(found.is_tp)
-            out[c][tau] = (metrics.average_precision(found.is_tp, len(columns)),
-                           (tp, len(class_preds) - tp, len(found.false_negatives)))
+            labels = pairwise_greedy_tp(class_preds, columns, tau)
+            tp = sum(labels)
+            out[c][tau] = (envelope_average_precision(labels, len(columns)),
+                           (tp, len(class_preds) - tp, len(columns) - tp))
     return out
 
 

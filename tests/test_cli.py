@@ -1,9 +1,14 @@
 import argparse
+import base64
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +19,8 @@ from hypothesis import strategies as st
 
 from scanseq import association, cli, formats, geometry, metrics, model
 from scanseq.cli import _LOSSES_MAX_VALUES, main
-from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, InstanceMask
+from scanseq.model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask,
+                           SequencePointCloud, StageCloud)
 from scanseq.formats import (read_manifest, read_predictions, rle_decode, rle_encode,
                              write_manifest, write_predictions, dump_canonical_json)
 from scanseq.ply import read_ply, write_ply
@@ -1531,16 +1537,54 @@ def test_cli_builds_no_ground_truth_masks(tmp_path, monkeypatch, command):
 
 
 def test_evaluate_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # a small prediction file can ask for more indices than memory holds
-    def decode(arrays, stage_sizes):
+    # a small prediction file can ask for more indices than memory holds;
+    # associate and serialize end a failed allocation without a traceback too
+    def out_of_memory(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr("scanseq.formats._decode_runs", decode)
-    manifest, preds = _write_scene(tmp_path)
-    code = main(["evaluate", "--gt", str(manifest), "--pred", str(preds),
-                 "--out", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == (f"error: {preds}: too large to score against {manifest} "
-                   f"(out of memory)\n")
-    assert not (tmp_path / "r.json").exists()
+    monkeypatch.setattr("scanseq.formats._decode_runs", out_of_memory)
+    monkeypatch.setattr("scanseq.cli.voxelize", out_of_memory)
+    manifest, stage_files = association_scene(tmp_path)
+    expected = {"evaluate": (f"error: {stage_files[0]}: too large to score against "
+                             f"{manifest} (out of memory)\n"),
+                "associate": "error: associate ran out of memory\n",
+                "serialize": "error: serialize ran out of memory\n"}
+    for command, message in expected.items():
+        assert main(_command_argv(command, tmp_path, manifest, stage_files)) == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o.json").exists()
+
+
+def test_whole_stage_masks_exit_2_under_an_address_space_limit(tmp_path):
+    # 120 one-run masks over a 1,000,000-point stage: 14,846 bytes that expand
+    # to 916 MiB of indices. The limit binds only the child; one BLAS thread
+    # keeps its address-space need apart from the core count
+    n = 10 ** 6
+    seq = SequencePointCloud((StageCloud(positions=np.zeros((n, 3))),), sequence_id="big")
+    manifest = write_manifest(tmp_path / "scene", seq,
+                              GroundTruthAnnotation((InstanceMask(0, 0, {0: range(10)}),)))
+    whole = base64.b64encode(np.array([0, n], "<i8").tobytes()).decode()
+    preds = tmp_path / "preds.json"
+    dump_canonical_json(preds, {"schema_version": formats.SCHEMA_VERSION,
+                                "kind": "predictions", "sequence_id": "big",
+                                "instances": [{"instance_id": i, "class_id": 0,
+                                               "confidence": 0.9,
+                                               "masks": {"0": {"encoding": "rle_base64",
+                                                               "data": whole}}}
+                                              for i in range(120)]})
+    assert preds.stat().st_size == 14_846
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (700 * 2 ** 20, 700 * 2 ** 20))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    for argv in (["evaluate", "--gt", str(manifest), "--pred", str(preds)],
+                 ["associate", "--mode", "geometric", "--pred-a", str(preds),
+                  "--pred-b", str(preds), "--manifest", str(manifest)]):
+        done = subprocess.run([sys.executable, "-m", "scanseq.cli", *argv,
+                               "--out", str(tmp_path / "o.json")], env=env,
+                              preexec_fn=limit, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from scanseq import metrics
 from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
-                             assign_ambiguous_components, assign_detections,
-                             average_precision, disambiguate, evaluate,
-                             overlap_candidates, resolve_prediction_overlaps, t_iou)
+                             assign_ambiguous_components, average_precision,
+                             disambiguate, evaluate, resolve_prediction_overlaps, t_iou)
 from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
 
 import oracles
@@ -107,29 +106,6 @@ def test_tiou_never_increases_when_stages_are_appended():
         assert grown <= base + 1e-12
 
 
-def test_overlap_candidates_examples_and_oracle():
-    gts = [mask(0, 1, {0: range(0, 10)}), mask(1, 1, {0: range(10, 20)})]
-    disjoint = [mask(5, 1, {0: range(30, 40)}, confidence=0.5)]
-    assert overlap_candidates(disjoint, gts, 1) == {0: (), 1: ()}
-
-    spanning = [mask(5, 1, {0: range(5, 15)}, confidence=0.5)]
-    cands = overlap_candidates(spanning, gts, 1)
-    assert cands == {0: (5,), 1: (5,)}
-
-    rng = np.random.default_rng(1)
-    gts = [mask(i, 2, {t: rng.choice(60, size=12, replace=False) for t in range(2)})
-           for i in range(4)]
-    preds = [mask(i, 2, {t: rng.choice(60, size=9, replace=False) for t in range(2)},
-                  confidence=0.5) for i in range(5)]
-    cands = overlap_candidates(preds, gts, 2)
-    for g in gts:
-        expected = tuple(
-            p.instance_id for p in preds
-            if any(np.intersect1d(p.per_stage_points.get(t, []), pts).size
-                   for t, pts in g.per_stage_points.items()))
-        assert cands[g.instance_id] == expected
-
-
 def _random_masks(rng, ids, n_stages, universe, scored=False):
     """Masks over a small point universe, so they overlap on both sides."""
     return [mask(i, 1, {t: rng.choice(universe, size=int(rng.integers(1, universe // 2)),
@@ -178,11 +154,6 @@ def test_stage_table_consumers_match_pairwise_oracle(monkeypatch):
                 assert profile.per_stage_iou == per_stage
                 assert profile.overall_iou == overall
                 assert profile.t_iou == value
-        assert overlap_candidates(preds, gts, 1) == \
-            oracles.pairwise_overlap_candidates(preds, gts, 1)
-        tau = float(rng.choice([0.0, 0.1, 0.3, 0.5]))
-        assert list(assign_detections(preds, gts, tau).is_tp) == \
-            oracles.pairwise_greedy_tp(preds, gts, tau)
 
         weights_seen.clear()
         group = AmbiguousGroup(0, tuple(g.instance_id for g in gts))
@@ -190,9 +161,6 @@ def test_stage_table_consumers_match_pairwise_oracle(monkeypatch):
         weights, present, stages = oracles.pairwise_disambiguation_weights(gts, preds)
         assert weights_seen == [(weights, present)]
         assert result.stages == tuple(stages)
-        for traj in result.trajectories:
-            assert overlap_candidates(preds, [traj], 1) == \
-                oracles.pairwise_overlap_candidates(preds, [traj], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +191,7 @@ def test_disambiguate_symmetric_swap_yields_perfect_trajectories():
         for traj in result.trajectories)
     assert tious == [1.0, 1.0]
     # each trajectory's candidate set is exactly its perfect prediction
-    assert sorted(overlap_candidates([p1, p2], [traj], 1)[traj.instance_id]
+    assert sorted(oracles.pairwise_candidates([p1, p2], [traj], 1)[traj.instance_id]
                   for traj in result.trajectories) == [(10,), (11,)]
 
 
@@ -311,55 +279,7 @@ def test_disambiguate_matches_transcription_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Detection assignment and AP
-
-
-def test_assign_detections_perfect_and_duplicate():
-    gts = [mask(0, 1, {0: range(10)}), mask(1, 1, {0: range(10, 20)})]
-    perfect = [mask(5, 1, {0: range(10)}, confidence=0.9),
-               mask(6, 1, {0: range(10, 20)}, confidence=0.8)]
-    out = assign_detections(perfect, gts, tau=0.9)
-    assert out.is_tp == (True, True)
-    assert out.false_negatives == ()
-
-    dup = [mask(5, 1, {0: range(10)}, confidence=0.9),
-           mask(6, 1, {0: range(10)}, confidence=0.7)]
-    out = assign_detections(dup, gts, tau=0.5)
-    assert out.order == (5, 6)
-    assert out.is_tp == (True, False)
-    assert out.false_negatives == (1,)
-
-
-def test_assign_detections_matches_plain_greedy_oracle():
-    rng = np.random.default_rng(3)
-    for trial in range(40):
-        gts = [mask(j, 1, {0: rng.choice(50, size=rng.integers(5, 20), replace=False)})
-               for j in range(3)]
-        preds = [mask(i, 1, {0: rng.choice(50, size=rng.integers(5, 20), replace=False)},
-                      confidence=float(rng.uniform(0.1, 1.0)))
-                 for i in range(4)]
-        tau = float(rng.choice([0.1, 0.25, 0.5]))
-        got = assign_detections(preds, gts, tau)
-        # independent greedy over raw point sets
-        order = sorted(range(4), key=lambda i: (-preds[i].confidence, i))
-        claimed = set()
-        expected_tp = []
-        for i in order:
-            pset = set(preds[i].per_stage_points[0].tolist())
-            best_j, best = -1, tau
-            for j in range(3):
-                if j in claimed:
-                    continue
-                gset = set(gts[j].per_stage_points[0].tolist())
-                iou = len(pset & gset) / len(pset | gset)
-                if iou > best:
-                    best, best_j = iou, j
-            if best_j >= 0:
-                claimed.add(best_j)
-                expected_tp.append(True)
-            else:
-                expected_tp.append(False)
-        assert list(got.is_tp) == expected_tp
+# AP
 
 
 def test_average_precision_examples():
@@ -573,6 +493,20 @@ def _tied_scenes(draw, n_points=6):
                 [mask(0, 1, {0: [0, 1]}, confidence=0.9),
                  mask(1, 1, {0: [3, 4]}, confidence=0.5),
                  mask(2, 3, {0: [5]}, confidence=0.5)]))
+# perfect predictions match every ground truth even at 0.95
+@example(scene=(make_sequence([21]), annotation([mask(0, 1, {0: range(10)}),
+                                                 mask(1, 1, {0: range(10, 20)}),
+                                                 mask(2, 2, {0: [20]})]),
+                [mask(5, 1, {0: range(10)}, confidence=0.9),
+                 mask(6, 1, {0: range(10, 20)}, confidence=0.8),
+                 mask(7, 3, {0: [20]}, confidence=0.5)]))
+# a duplicate of a perfect prediction is an FP and leaves ground truth 1 an FN
+@example(scene=(make_sequence([21]), annotation([mask(0, 1, {0: range(10)}),
+                                                 mask(1, 1, {0: range(10, 20)}),
+                                                 mask(2, 2, {0: [20]})]),
+                [mask(5, 1, {0: range(10)}, confidence=0.9),
+                 mask(6, 1, {0: range(10)}, confidence=0.7),
+                 mask(7, 3, {0: [20]}, confidence=0.5)]))
 def test_evaluate_matches_per_threshold_oracles(scene):
     seq, gt, preds = scene
     taus = (0.0, 0.3, 0.5, 0.7, 0.95)
