@@ -279,7 +279,24 @@ def test_disambiguate_matches_transcription_oracle():
 
 
 # ---------------------------------------------------------------------------
-# AP
+# Detection matching and AP
+
+
+def test_assign_detections_perfect_and_duplicate():
+    seq = make_sequence([20])
+    gt = annotation([mask(0, 1, {0: range(10)}), mask(1, 1, {0: range(10, 20)})])
+    perfect = [mask(5, 1, {0: range(10)}, confidence=0.9),
+               mask(6, 1, {0: range(10, 20)}, confidence=0.8)]
+    report = evaluate(seq, gt, perfect, (0.9,))
+    assert report.counts[1][0.9] == (2, 0, 0)
+    assert report.per_class_ap[1][0.9] == 1.0
+
+    dup = [mask(5, 1, {0: range(10)}, confidence=0.9),
+           mask(6, 1, {0: range(10)}, confidence=0.7)]
+    report = evaluate(seq, gt, dup, (0.5,))
+    assert report.counts[1][0.5] == (1, 1, 1)
+    # AP 0.5, not 0.25: the higher-confidence prediction is the TP
+    assert report.per_class_ap[1][0.5] == 0.5
 
 
 def test_average_precision_examples():
@@ -493,20 +510,6 @@ def _tied_scenes(draw, n_points=6):
                 [mask(0, 1, {0: [0, 1]}, confidence=0.9),
                  mask(1, 1, {0: [3, 4]}, confidence=0.5),
                  mask(2, 3, {0: [5]}, confidence=0.5)]))
-# perfect predictions match every ground truth even at 0.95
-@example(scene=(make_sequence([21]), annotation([mask(0, 1, {0: range(10)}),
-                                                 mask(1, 1, {0: range(10, 20)}),
-                                                 mask(2, 2, {0: [20]})]),
-                [mask(5, 1, {0: range(10)}, confidence=0.9),
-                 mask(6, 1, {0: range(10, 20)}, confidence=0.8),
-                 mask(7, 3, {0: [20]}, confidence=0.5)]))
-# a duplicate of a perfect prediction is an FP and leaves ground truth 1 an FN
-@example(scene=(make_sequence([21]), annotation([mask(0, 1, {0: range(10)}),
-                                                 mask(1, 1, {0: range(10, 20)}),
-                                                 mask(2, 2, {0: [20]})]),
-                [mask(5, 1, {0: range(10)}, confidence=0.9),
-                 mask(6, 1, {0: range(10)}, confidence=0.7),
-                 mask(7, 3, {0: [20]}, confidence=0.5)]))
 def test_evaluate_matches_per_threshold_oracles(scene):
     seq, gt, preds = scene
     taus = (0.0, 0.3, 0.5, 0.7, 0.95)
