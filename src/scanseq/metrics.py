@@ -404,15 +404,17 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     ``sequence_id``, so no stage geometry need be loaded. Prediction overlaps
     within a stage are resolved first: the higher-confidence mask keeps
     contested points. One stage table then holds every (prediction, ground
-    truth) pair, both sorted by instance id, and each class reads the rows of
-    its predictions and the columns of its ground truth. A class's columns are
-    its instances outside ambiguous groups, then the trajectories of each of
-    its groups (groups by id). A group is pseudo-disambiguated as
-    :func:`disambiguate` does, on the same ``(rng_seed, group_id)`` random
-    stream, from the table's slice of its candidates (the class's predictions
-    overlapping a member) and its members, so results are deterministic and
-    independent of evaluation order. A trajectory's column takes, per stage,
-    the column of the member it was assigned.
+    truth) pair, both sorted by instance id. A class's columns are its
+    instances outside ambiguous groups, by id, then the trajectories of each
+    of its groups, groups by id and trajectories in assignment order. A group
+    is pseudo-disambiguated as :func:`disambiguate` does, on the same
+    ``(rng_seed, group_id)`` random stream, from the table's slice of its
+    candidates (the class's predictions overlapping a member) and its members,
+    so results are deterministic and independent of evaluation order. A
+    trajectory's column takes, per stage, the column of the member it was
+    assigned. Per threshold, the class's predictions, by confidence descending
+    and then by instance id, each claim the unclaimed column of highest t-IoU
+    above it, and the first in column order on a tie.
 
     Thresholds that ``scanseq evaluate --thresholds`` refuses are a ValueError
     (default :data:`DEFAULT_THRESHOLDS`). ``t_map`` averages per-class AP over
@@ -427,7 +429,6 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     truth = gt if isinstance(gt, _GroundTruthColumns) else _label_layers(
         sorted(gt.instances, key=lambda m: m.instance_id))
     stages, inter, psize, gsize = _stage_tables(resolved, truth)
-    touches = inter.any(axis=0)
     confidence = np.array([p.confidence for p in resolved], dtype=np.float64)
     gt_ids, gt_classes = truth.instance_ids, truth.class_ids
     column_of = {instance_id: j for j, instance_id in enumerate(gt_ids)}
@@ -436,50 +437,43 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
 
     class_ids = tuple(sorted(set(gt_classes) | {m.class_id for m in resolved}))
-    per_class_ap: dict[int, dict[float, Optional[float]]] = {c: {} for c in class_ids}
-    counts: dict[int, dict[float, tuple[int, int, int]]] = {c: {} for c in class_ids}
-    pr_curves: dict[int, dict[float, tuple]] = {c: {} for c in class_ids}
-    n_ground_truth: dict[int, int] = {}
-    change_totals: Counter[ChangeType] = Counter()
+    class_rows: dict[int, list[int]] = {c: [] for c in class_ids}
+    for i, p in enumerate(resolved):
+        class_rows[p.class_id].append(i)
+    rows_of = {c: np.array(rows, dtype=np.intp) for c, rows in class_rows.items()}
+    scored: dict[int, list] = {c: [] for c in class_ids}  # (per-stage column, change label)
+    for j, (instance_id, c) in enumerate(zip(gt_ids, gt_classes)):
+        if instance_id not in member_of_group:
+            scored[c].append((np.full(len(stages), j), gt.change_labels.get(instance_id)))
+    for grp in groups:
+        members = np.array([column_of[m] for m in grp.member_instance_ids])
+        c = gt_classes[members[0]]
+        cands = rows_of[c][inter[:, rows_of[c][:, None], members].any(axis=(0, 2))]
+        A = _group_assignment(inter[:, cands[:, None], members], psize[:, cands],
+                              gsize[:, members], confidence[cands], rng_seed, grp.group_id)
+        for row in A[(A >= 0).any(axis=1)]:
+            scored[c].append((np.where(row >= 0, members[row], -1), _trajectory_label(
+                {grp.member_instance_ids[k] for k in row if k >= 0}, gt.change_labels)))
+
+    per_class_ap, counts, pr_curves = {}, {}, {}
+    n_ground_truth = {c: len(scored[c]) for c in class_ids}
+    change_totals = Counter(label for c in class_ids for _, label in scored[c] if label is not None)
     change_matched: dict[float, Counter[ChangeType]] = {tau: Counter() for tau in taus}
-
     for c in class_ids:
-        rows = np.array([i for i, p in enumerate(resolved) if p.class_id == c],
-                        dtype=np.intp)
-        plain = [j for j, (instance_id, class_id) in enumerate(zip(gt_ids, gt_classes))
-                 if class_id == c and instance_id not in member_of_group]
-        columns = [np.full(len(stages), j) for j in plain]
-        labels: list[Optional[ChangeType]] = [gt.change_labels.get(gt_ids[j]) for j in plain]
-        for grp in groups:
-            members = np.array([column_of[m] for m in grp.member_instance_ids])
-            if gt_classes[members[0]] != c:
-                continue
-            cands = rows[touches[np.ix_(rows, members)].any(axis=1)]
-            A = _group_assignment(inter[:, cands][:, :, members], psize[:, cands],
-                                  gsize[:, members], confidence[cands],
-                                  rng_seed, grp.group_id)
-            for row in A[(A >= 0).any(axis=1)]:
-                columns.append(np.where(row >= 0, members[row], -1))
-                labels.append(_trajectory_label(
-                    {grp.member_instance_ids[k] for k in row if k >= 0},
-                    gt.change_labels))
-        columns = np.array(columns, dtype=np.int64).reshape(len(columns), len(stages))
-        col_inter, col_size = _gather_columns(inter[:, rows], gsize, columns)
-        tiou = _tiou_matrix(col_inter, psize[:, rows], col_size)
-
-        n_gt = n_ground_truth[c] = len(labels)
-        change_totals.update(label for label in labels if label is not None)
+        rows, n_gt = rows_of[c], n_ground_truth[c]
+        labels = [label for _, label in scored[c]]
+        cols = np.array([col for col, _ in scored[c]], dtype=np.int64).reshape(n_gt, len(stages))
+        col_inter, col_size = _gather_columns(inter[:, rows], gsize, cols)
         order = sorted(range(len(rows)), key=lambda i: (-confidence[rows[i]], rows[i]))
-        matched = _greedy_match(tiou, order, taus)
+        matched = _greedy_match(_tiou_matrix(col_inter, psize[:, rows], col_size), order, taus)
         recall, precision, ap = _pr_curves(matched >= 0, n_gt)
-        for tau, ap_tau, cols, r, p in zip(taus, ap, matched.tolist(), recall.tolist(),
-                                           precision.tolist()):
-            per_class_ap[c][tau] = ap_tau
-            tp_n = sum(col >= 0 for col in cols)
-            counts[c][tau] = (tp_n, len(rows) - tp_n, n_gt - tp_n)
-            pr_curves[c][tau] = tuple(zip(r, p))
-            change_matched[tau].update(labels[col] for col in cols
-                                       if col >= 0 and labels[col] is not None)
+        tp = (matched >= 0).sum(axis=1).tolist()
+        per_class_ap[c] = dict(zip(taus, ap))
+        counts[c] = {tau: (n, len(rows) - n, n_gt - n) for tau, n in zip(taus, tp)}
+        pr_curves[c] = {tau: tuple(zip(r, p))
+                        for tau, r, p in zip(taus, recall.tolist(), precision.tolist())}
+        for tau, matched_cols in zip(taus, matched.tolist()):  # None: unlabelled, never read
+            change_matched[tau].update(labels[col] for col in matched_cols if col >= 0)
 
     def _mean_ap(tau_set: Sequence[float]) -> Optional[float]:
         class_means = []

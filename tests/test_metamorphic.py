@@ -153,6 +153,33 @@ def test_report_invariant_to_group_member_order(tmp_path, scene, trial):
 
 @pytest.mark.parametrize("scene", SCENES)
 @pytest.mark.parametrize("trial", TRIALS)
+def test_report_invariant_to_listed_order(tmp_path, scene, trial):
+    # the ground-truth instances and the groups listed in another order, in
+    # the library and in a manifest
+    seq, gt, preds = SCENES[scene]()
+    rng = np.random.default_rng(400 + trial)
+    expected = _report_bytes(tmp_path, seq, gt, preds)
+    permuted = dataclasses.replace(
+        gt, instances=tuple(gt.instances[i] for i in rng.permutation(len(gt.instances))),
+        ambiguous_groups=tuple(gt.ambiguous_groups[i]
+                               for i in rng.permutation(len(gt.ambiguous_groups))))
+    assert _report_bytes(tmp_path, seq, permuted, preds) == expected
+
+    manifest = write_manifest(tmp_path / "scene", seq, gt)
+    write_predictions(tmp_path / "preds.json", preds, seq.sequence_id)
+    data = json.loads(manifest.read_text())
+    for key in ("instances", "ambiguous_groups"):
+        listed = data["annotations"][key]
+        data["annotations"][key] = [listed[i] for i in rng.permutation(len(listed))]
+    manifest.write_text(json.dumps(data))
+    out = tmp_path / "cli-report.json"
+    assert cli.main(["evaluate", "--gt", str(manifest), "--pred", str(tmp_path / "preds.json"),
+                     "--seed", "3", "--per-change-type", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("trial", TRIALS)
 def test_new_class_on_shared_points_leaves_other_classes_unchanged(scene, trial):
     """Ground truth of a new class laid over points that the other classes'
     ground truth and predictions use changes no other class's numbers."""

@@ -571,6 +571,28 @@ def test_evaluate_mixed_label_trajectory_is_ambiguous():
     assert recall == {ChangeType.AMBIGUOUS: 1.0}
 
 
+def test_evaluate_ties_claim_plain_columns_by_id_then_groups_by_id():
+    # Each prediction ties at IoU 0.5 between two columns: p0 between plain
+    # instance 0 and member 1 of group 0, p1 between member 2 of group 0 and
+    # member 3 of group 1, p2 between plain instances 5 and 6. Instances and
+    # groups are listed against id order, and the labels (6 has none) show
+    # in the recall which column each prediction claimed.
+    from scanseq.model import ChangeType
+    gts = [mask(j, 1, {0: range(2 * j, 2 * j + 2)}) for j in reversed(range(7))]
+    preds = [mask(0, 1, {0: range(0, 4)}, confidence=0.9),
+             mask(1, 1, {0: range(4, 8)}, confidence=0.8),
+             mask(2, 1, {0: range(10, 14)}, confidence=0.7)]
+    gt = GroundTruthAnnotation(
+        tuple(gts), (AmbiguousGroup(1, (3, 4)), AmbiguousGroup(0, (1, 2))),
+        {0: ChangeType.STATIC, 1: ChangeType.RIGID, 2: ChangeType.RIGID,
+         3: ChangeType.NON_RIGID, 4: ChangeType.NON_RIGID, 5: ChangeType.ADDED_REMOVED})
+    report = evaluate(make_sequence([14]), gt, preds, thresholds=[0.25])
+    assert report.counts[1][0.25] == (3, 0, 4)
+    assert report.per_change_recall == {ChangeType.STATIC: 1.0, ChangeType.RIGID: 0.5,
+                                        ChangeType.NON_RIGID: 0.0,
+                                        ChangeType.ADDED_REMOVED: 1.0}
+
+
 @pytest.mark.parametrize("weights,present,message", [
     (np.zeros((2, 3)), np.ones((2, 3), dtype=bool), r"weights must have shape \(P, K, T\)"),
     (np.zeros((1, 2, 3)), np.ones((3, 2), dtype=bool), r"present must have shape \(K, T\)"),
