@@ -317,7 +317,7 @@ def _loss_payload(op: str, data: dict) -> dict:
         d_out = _number(data["d_out"], "d_out", int)
         _check_size(op, max(2, rows) * d_out, f"{rows} coords at d_out {d_out}")
         matrix = numerics.gaussian_projection_matrix(
-            d_out, _number(data["seed"], "seed", int), _number(data.get("scale", 1.0), "scale"))
+            d_out, data["seed"], _number(data.get("scale", 1.0), "scale"))
         return {"features": numerics.fourier_features_4d(data["coords"], matrix)}
     return {"mask": numerics.st_pool_masks(data["coords"], data["mask"])}  # pool
 

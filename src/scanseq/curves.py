@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import VoxelGrid4D, _integer_rows
+from .model import _number
 
 DEFAULT_BITS_PER_AXIS = 16
 
@@ -262,25 +263,41 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     coordinate column is shifted to start at 0 as it is encoded. ``spatial_3d`` is
     stage-major: it orders each stage by its 3D codes and concatenates the
     stages by ascending t; ``spatiotemporal_4d`` merges all stages with t as
-    a fourth axis.
+    a fourth axis. When the (stage, code, row) key fits 64 bits (the stage for
+    ``spatial_3d`` only), an order is one sort of that packed key; otherwise it
+    is an argsort of the codes, then a stable stage sort for ``spatial_3d``.
+    Either way the order is the same.
     """
     _check_bits(pattern.ndims, bits_per_axis)
-    if not grid.num_voxels:
+    n = grid.num_voxels
+    if not n:
         return np.empty(0, dtype=np.int64)
-    columns = grid.keys.T
     lo, span = grid._bounds
     if max(span) >= (1 << bits_per_axis):
         raise ValueError(f"grid extent exceeds 2^{bits_per_axis} cells per axis")
-    # modular uint64 arithmetic: exact, since every shifted value is < 2^bits
-    shifted = [np.subtract(c, m, dtype=np.uint64, casting="unsafe")
-               for c, m in zip(columns[:pattern.ndims], lo)]
+    # modular int64 arithmetic, viewed as uint64: exact, since every shifted value is < 2^bits
+    shifted = [np.subtract(c, m, dtype=np.int64, casting="unsafe").view(np.uint64)
+               for c, m in zip(grid.keys.T, lo)]
+    codes, stage = _encode(shifted[:pattern.ndims], pattern.curve, bits_per_axis), shifted[3]
     # Voxel keys are unique, so codes have no ties within a stage (3D) or
-    # within the grid (4D) and an unstable sort gives the one order.
-    order = np.argsort(_encode(shifted, pattern.curve, bits_per_axis))
-    if pattern.dims == SerializationDims.SPATIAL_3D:
+    # within the grid (4D): the row bits of a packed key never decide, and an
+    # unstable argsort gives the one order.
+    spatial = pattern.dims == SerializationDims.SPATIAL_3D
+    # coordinates below 2^L give ranks below 2^(d*L), on either curve (see _hilbert_walk)
+    code_bits = pattern.ndims * max(span[:pattern.ndims]).bit_length()
+    row_bits = (n - 1).bit_length()
+    if code_bits + row_bits + spatial * span[3].bit_length() <= 64:
+        if spatial:
+            codes |= stage << np.uint64(code_bits)
+        codes <<= np.uint64(row_bits)
+        codes |= np.arange(n, dtype=np.uint64)
+        codes.sort()
+        codes &= np.uint64((1 << row_bits) - 1)
+        return codes.view(np.int64)
+    order = np.argsort(codes)
+    if spatial:
         # the smallest unsigned stage type lets the stable sort be a radix sort
-        stage = np.subtract(columns[3], lo[3], dtype=np.min_scalar_type(span[3]),
-                            casting="unsafe")
+        stage = stage.astype(np.min_scalar_type(span[3]))
         order = order[np.argsort(stage[order], kind="stable")]
     return order
 
@@ -299,6 +316,7 @@ def make_schedule(seed: int, n_layers: int, mix: ScheduleMix | str = ScheduleMix
     ``spatial_only`` layers shuffle the four 3D patterns, ``temporal_only``
     the four 4D patterns, and ``mixed`` the union of both pools.
     """
+    seed, n_layers = _number(seed, "seed", int), _number(n_layers, "n_layers", int)
     mix = ScheduleMix(mix)
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
@@ -309,7 +327,7 @@ def make_schedule(seed: int, n_layers: int, mix: ScheduleMix | str = ScheduleMix
     }[mix]
     layers = []
     for layer in range(n_layers):
-        rng = np.random.default_rng((int(seed), layer))
+        rng = np.random.default_rng((seed, layer))
         order = rng.permutation(len(pool))
         layers.append(tuple(pool[i] for i in order))
     return tuple(layers)

@@ -215,6 +215,7 @@ def binarize_masks(superpoint_features, query_embeddings) -> np.ndarray:
 
 def gaussian_projection_matrix(d_out: int, seed: int, scale: float = 1.0) -> np.ndarray:
     """The shared Gaussian matrix for Fourier features, drawn once per seed."""
+    d_out, seed = _number(d_out, "d_out", int), _number(seed, "seed", int)
     if d_out % 2:
         raise ValueError("d_out must be even (paired sin/cos channels)")
     rng = np.random.default_rng(seed)

@@ -348,6 +348,47 @@ def test_serialize_sequence_matches_lexsort_oracle(case):
     assert order.tolist() == expected.tolist()
 
 
+# (dims, bits, span bits of the longest axis, stage span, voxels, packed key
+# width): the width is d * span bits + (n - 1).bit_length(), plus the stage
+# span's bit length for spatial_3d; a key wider than 64 bits takes the argsort
+_BOUNDARY_GRIDS = [
+    # through the voxel count: n = 2^k, then n = 2^k + 1 adds a row bit
+    ("spatial_3d", 21, 20, 1, 4, 63), ("spatial_3d", 21, 20, 1, 5, 64),
+    ("spatial_3d", 21, 20, 1, 8, 64), ("spatial_3d", 21, 20, 1, 9, 65),
+    ("spatial_3d", 21, 21, 0, 2, 64), ("spatial_3d", 21, 21, 0, 3, 65),
+    ("spatiotemporal_4d", 16, 15, None, 8, 63), ("spatiotemporal_4d", 16, 15, None, 9, 64),
+    ("spatiotemporal_4d", 16, 15, None, 16, 64), ("spatiotemporal_4d", 16, 15, None, 17, 65),
+    # through the extent: the stage span in 3D, every axis in 4D
+    ("spatial_3d", 16, 16, (1 << 11) - 1, 16, 63), ("spatial_3d", 16, 16, (1 << 12) - 1, 16, 64),
+    ("spatial_3d", 16, 16, (1 << 13) - 1, 16, 65), ("spatial_3d", 21, 21, 1, 2, 65),
+    ("spatiotemporal_4d", 16, 16, None, 2, 65), ("spatiotemporal_4d", 16, 16, None, 16, 68),
+    # one voxel: no row bits
+    ("spatial_3d", 16, 0, 0, 1, 0), ("spatiotemporal_4d", 16, 0, None, 1, 0),
+]
+
+
+@pytest.mark.parametrize("dims,bits,span_bits,stage_span,n,width", _BOUNDARY_GRIDS)
+def test_serialize_sequence_at_the_64_bit_key_boundary(monkeypatch, dims, bits, span_bits,
+                                                       stage_span, n, width):
+    side = 1 << span_bits
+    high = [side] * 3 + [side if stage_span is None else stage_span + 1]
+    rows = {(0,) * 4, tuple(h - 1 for h in high)}  # the corner holds the highest Z-order rank
+    rng = np.random.default_rng(n)
+    while len(rows) < n:
+        rows.add(tuple(int(rng.integers(h)) for h in high))
+    keys = np.array(sorted(rows)) - (1 << 40)
+    grid = _grid_of_keys(keys)
+    patterns = [p for p in ALL_PATTERNS if p.dims == dims]
+    curves._hilbert_tables(patterns[0].ndims)  # argsort builds the table on first use
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    for pattern in patterns:
+        expected = reference_serialization_order(keys, pattern.curve.value, pattern.ndims, bits)
+        calls.clear()
+        assert serialize_sequence(grid, pattern, bits).tolist() == expected.tolist()
+        assert bool(calls) == (width > 64)  # only a key wider than 64 bits is argsorted
+
+
 def test_a_grid_serialized_again_orders_as_a_fresh_equal_grid():
     # the grid keeps its bounds after the first call; later calls, at other
     # patterns and widths, must order as a grid that never computed them
@@ -429,3 +470,13 @@ def test_serialize_rejects_malformed_grid_keys(keys, match):
 def test_curve_arguments_out_of_range_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("seed,n_layers,field", [
+    (1.5, 2, "seed"), ("3", 1, "seed"), (True, 2, "seed"), (None, 1, "seed"),
+    (0, 2.0, "n_layers"), (0, True, "n_layers"), (0, "2", "n_layers"),
+])
+def test_schedule_arguments_of_the_wrong_type_are_refused(seed, n_layers, field):
+    # truncating would make make_schedule(1.5, 2) draw the schedule of seed 1
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        make_schedule(seed, n_layers)

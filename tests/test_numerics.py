@@ -259,3 +259,12 @@ def test_fourier_input_validation():
 def test_numeric_inputs_of_the_wrong_shape_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("d_out,seed,field", [
+    (4, True, "seed"), (4, 1.5, "seed"), (4, "0", "seed"),
+    (4.0, 0, "d_out"), (True, 0, "d_out"), ("4", 0, "d_out"),
+])
+def test_projection_arguments_of_the_wrong_type_are_refused(d_out, seed, field):
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        gaussian_projection_matrix(d_out, seed)
