@@ -57,19 +57,14 @@ class ScheduleMix(str, enum.Enum):
 _TRANS_PERMS = {3: (2, 0, 1), 4: (3, 0, 1, 2)}  # axis rotation x->y->z(->t)->x
 
 
-def _check_bits(d: int, bits: int) -> None:
+def _check_bits(d: int, bits) -> int:
+    """``bits_per_axis`` as an integer: at least 1, and at most 64 bits over ``d`` axes."""
+    bits = _number(bits, "bits_per_axis", int)
     if bits < 1:
         raise ValueError("bits_per_axis must be >= 1")
     if d * bits > 64:
         raise ValueError("d * bits_per_axis must not exceed 64")
-
-
-def _check_coords(coords, bits: int) -> np.ndarray:
-    arr = _integer_rows(coords, "coords", (3, 4))
-    _check_bits(arr.shape[1], bits)
-    if arr.size and (arr.min() < 0 or arr.max() >= (1 << bits)):
-        raise ValueError(f"coordinate out of range [0, 2^{bits})")
-    return arr.astype(np.uint64)
+    return bits
 
 
 @functools.cache
@@ -215,7 +210,11 @@ def _encode(columns, curve: Curve, bits: int) -> np.ndarray:
 def encode_keys(coords, curve: Curve | str,
                 bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
     """Vectorized curve ranks for an (N, d) array of integer grid coordinates."""
-    return _encode(_check_coords(coords, bits_per_axis).T, Curve(curve), bits_per_axis)
+    arr = _integer_rows(coords, "coords", (3, 4))
+    bits = _check_bits(arr.shape[1], bits_per_axis)
+    if arr.size and (arr.min() < 0 or arr.max() >= (1 << bits)):
+        raise ValueError(f"coordinate out of range [0, 2^{bits})")
+    return _encode(arr.astype(np.uint64).T, Curve(curve), bits)
 
 
 def decode_keys(ranks, curve: Curve | str, ndims: int,
@@ -224,16 +223,16 @@ def decode_keys(ranks, curve: Curve | str, ndims: int,
     curve = Curve(curve)
     if ndims not in (3, 4):
         raise ValueError("ndims must be 3 or 4")
-    _check_bits(ndims, bits_per_axis)
+    bits = _check_bits(ndims, bits_per_axis)
     arr = np.asarray(ranks)
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise ValueError(f"ranks must be a 1-D integer array, got {arr.dtype} {arr.shape}")
-    if arr.size and (arr.min() < 0 or int(arr.max()) >> (ndims * bits_per_axis)):
-        raise ValueError(f"rank out of range [0, 2^{ndims * bits_per_axis})")
+    if arr.size and (arr.min() < 0 or int(arr.max()) >> (ndims * bits)):
+        raise ValueError(f"rank out of range [0, 2^{ndims * bits})")
     x = arr.astype(np.uint64)
     if curve in (Curve.HILBERT, Curve.HILBERT_TRANS):
-        x = _hilbert_walk(x, ndims, bits_per_axis, _hilbert_tables(ndims, inverse=True))
-    parts = _compact_axes(x, ndims, bits_per_axis)
+        x = _hilbert_walk(x, ndims, bits, _hilbert_tables(ndims, inverse=True))
+    parts = _compact_axes(x, ndims, bits)
     return parts[:, np.argsort(_slot_order(curve, ndims))].astype(np.int64)
 
 
@@ -268,17 +267,17 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
     is an argsort of the codes, then a stable stage sort for ``spatial_3d``.
     Either way the order is the same.
     """
-    _check_bits(pattern.ndims, bits_per_axis)
+    bits = _check_bits(pattern.ndims, bits_per_axis)
     n = grid.num_voxels
     if not n:
         return np.empty(0, dtype=np.int64)
     lo, span = grid._bounds
-    if max(span) >= (1 << bits_per_axis):
-        raise ValueError(f"grid extent exceeds 2^{bits_per_axis} cells per axis")
+    if max(span) >= (1 << bits):
+        raise ValueError(f"grid extent exceeds 2^{bits} cells per axis")
     # modular int64 arithmetic, viewed as uint64: exact, since every shifted value is < 2^bits
     shifted = [np.subtract(c, m, dtype=np.int64, casting="unsafe").view(np.uint64)
                for c, m in zip(grid.keys.T, lo)]
-    codes, stage = _encode(shifted[:pattern.ndims], pattern.curve, bits_per_axis), shifted[3]
+    codes, stage = _encode(shifted[:pattern.ndims], pattern.curve, bits), shifted[3]
     # Voxel keys are unique, so codes have no ties within a stage (3D) or
     # within the grid (4D): the row bits of a packed key never decide, and an
     # unstable argsort gives the one order.

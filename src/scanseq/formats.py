@@ -27,7 +27,7 @@ import numpy as np
 from .metrics import EvaluationReport, _tau_key
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
                     _GroundTruthColumns, _StageSizes, _array, _hand_over, _int_key, _is,
-                    _points_by_label)
+                    _mask_fields, _points_by_label)
 from .ply import _read_labels, read_ply, write_ply
 
 SCHEMA_VERSION = 1
@@ -165,14 +165,6 @@ def _payload_runs(payload) -> np.ndarray:
                       f"flat RLE runs [s0, l0, s1, l1, ...], as rle_encode gives them")
 
 
-class _RunError(FormatError):
-    """A run that :func:`_decode_runs` refuses, in its ``mask``-th array."""
-
-    def __init__(self, message: str, mask: int):
-        super().__init__(message)
-        self.mask = mask
-
-
 def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[int]]
                  ) -> list[np.ndarray]:
     """Expand the flat runs of many masks at once: read-only views of one buffer.
@@ -180,7 +172,8 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
     Every run of ``arrays[i]`` must end within ``stage_sizes[i]`` points (or
     within int64 when it is None), and each array's runs must decode to
     strictly increasing indices. The first array with a faulty run raises a
-    :class:`_RunError`, before anything is expanded.
+    :class:`FormatError`, and runs that expand to more than 2^62 indices a
+    MemoryError, before anything is expanded.
     """
     if not arrays:
         return []
@@ -198,11 +191,9 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
         run = bad.argmax()
         size = stage_sizes[first_bad]
         within = "" if size is None else f" in a stage of {size} points"
-        raise _RunError(f"invalid RLE run [{starts[run]}, {lengths[run]}]{within}",
-                        int(first_bad))
+        raise FormatError(f"invalid RLE run [{starts[run]}, {lengths[run]}]{within}")
     if first_crossing < len(arrays):
-        raise _RunError("RLE runs do not decode to strictly increasing indices",
-                        int(first_crossing))
+        raise FormatError("RLE runs do not decode to strictly increasing indices")
     if lengths.sum(dtype=np.float64) > 2.0 ** 62:  # refused before an int64 sum can wrap
         raise MemoryError("RLE runs expand to more indices than any buffer holds")
     # Each index is the one before it plus 1, except at a run's head, which
@@ -441,12 +432,15 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     """Load a prediction file; raises :class:`FormatError` on schema problems,
     naming the first faulty entry in file order.
 
-    Every mask of the file is expanded by one :func:`_decode_runs` pass (the
-    kernel that :func:`rle_decode` wraps), into read-only views of one buffer
-    that the masks keep. With ``stage_sizes`` (points per stage of the
-    sequence the predictions are for), an RLE run that ends past its stage is
-    a format error, found before any run is expanded. A stage the sequence
-    lacks is bounded by its largest stage, and left to
+    One scan checks each entry whole (its masks' keys and payloads, then
+    ``instance_id``, ``class_id`` and ``confidence``, then ``feature``) and
+    stops at the first faulty one. One :func:`_decode_runs` pass (the kernel
+    that :func:`rle_decode` wraps) then expands every mask read, into
+    read-only views of one buffer that the masks keep; a faulty run it finds,
+    in that entry or an earlier one, is named in place of the scan's fault.
+    With ``stage_sizes`` (points per stage of the sequence the predictions
+    are for), a run that ends past its stage is such a fault. A stage the
+    sequence lacks is bounded by its largest stage, and left to
     :func:`validate_sequence` to report.
     """
     data = load_json(path)
@@ -457,45 +451,36 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     size_of = dict(enumerate(stage_sizes or ()))
     largest = max(size_of.values(), default=None)
     entries = _entries(data, "instances", {"masks": dict}, path)
-    # Every mask's runs first, to be decoded together. A fault ends the scan
-    # and is raised when the loop below reaches its entry, after the faults
-    # of the entries before it.
-    stages, runs, bounds, owners = [], [], [], []  # one each per stage mask
-    fault = None  # (entry index, exception)
-    for i, entry in enumerate(entries):
+    stages, runs, bounds = [], [], []  # one each per stage mask
+    fields, features = [], {}  # one field triple per entry; instance id -> feature
+    fault = None
+    for entry in entries:
         try:
             for t, payload in entry["masks"].items():
                 t = _int_key(t)
                 runs.append(_payload_runs(payload))
                 stages.append(t)
                 bounds.append(size_of.get(t, largest))
-                owners.append(i)
+            fields.append(_mask_fields(entry["instance_id"], entry["class_id"],
+                                       entry.get("confidence", 1.0)))
+            if "feature" in entry:
+                features[fields[-1][0]] = _array(entry["feature"], np.float64, "feature")
         except _ENTRY_FAULTS as exc:
-            fault = (i, exc)
+            fault = exc
             break
     try:
         points = _decode_runs(runs, bounds)
-    except _RunError as exc:  # in an entry before any fault found above
-        fault = (owners[exc.mask], exc)
-        points = _decode_runs(runs[:exc.mask], bounds[:exc.mask])  # the masks before it
+    except FormatError as exc:  # in the faulty entry or an earlier one
+        fault = exc
+    if fault is not None:
+        raise FormatError(f"{path}: bad prediction entry ({fault})") from fault
     masks = []
-    features: dict[int, np.ndarray] = {}
     at = 0  # the entry's first stage mask
-    for i, entry in enumerate(entries):
-        try:
-            if fault is not None and fault[0] == i:
-                raise fault[1]
-            n = len(entry["masks"])
-            mask = InstanceMask(instance_id=entry["instance_id"],
-                                class_id=entry["class_id"],
-                                per_stage_points=dict(zip(stages[at:at + n], points[at:at + n])),
-                                confidence=entry.get("confidence", 1.0))
-            at += n
-            if "feature" in entry:
-                features[mask.instance_id] = _array(entry["feature"], np.float64, "feature")
-        except _ENTRY_FAULTS as exc:
-            raise FormatError(f"{path}: bad prediction entry ({exc})") from exc
-        masks.append(mask)
+    for entry, (instance_id, class_id, confidence) in zip(entries, fields):
+        n = len(entry["masks"])
+        masks.append(InstanceMask(instance_id, class_id,
+                                  dict(zip(stages[at:at + n], points[at:at + n])), confidence))
+        at += n
     return PredictionFileContent(sequence_id=sequence_id, instances=tuple(masks),
                                  features=features)
 

@@ -233,6 +233,17 @@ class _StageSizes:
         return self.sizes
 
 
+def _mask_fields(instance_id, class_id, confidence) -> tuple[int, int, float]:
+    """An :class:`InstanceMask`'s rule on its scalar fields, checked in this
+    order: the id and class as integers, the confidence as a number in [0, 1]."""
+    instance_id = _number(instance_id, "instance_id", int)
+    class_id = _number(class_id, "class_id", int)
+    confidence = _number(confidence, "confidence")
+    if not 0.0 <= confidence <= 1.0:
+        raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+    return instance_id, class_id, confidence
+
+
 @dataclass(frozen=True)
 class InstanceMask:
     """One instance identity over the whole sequence.
@@ -256,10 +267,9 @@ class InstanceMask:
     confidence: float = 1.0
 
     def __post_init__(self):
-        for name, kind in (("instance_id", int), ("class_id", int), ("confidence", float)):
-            object.__setattr__(self, name, _number(getattr(self, name), name, kind))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        for name, value in zip(("instance_id", "class_id", "confidence"), _mask_fields(
+                self.instance_id, self.class_id, self.confidence)):
+            object.__setattr__(self, name, value)
         cleaned: dict[int, np.ndarray] = {}
         for stage, points in self.per_stage_points.items():
             arr = _frozen(points, np.int64, "point indices")

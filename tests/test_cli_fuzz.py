@@ -6,8 +6,9 @@ fixed pool of wrong types and edge values; likewise one header line of a
 stage PLY is replaced by a line from a pool of header lines, or deleted, and
 a stage PLY body is truncated, has bytes overwritten (binary) or one token
 replaced (ascii). A prediction file's base64 mask payload is edited one
-character at a time or given a known fault, and one run of its list copy is
-replaced by a pool value. Whatever the mutation, ``main`` returns a
+character at a time or given a known fault, two known faults are placed in
+one entry or in two (the first in file order must be named), and one run of
+its list copy is replaced by a pool value. Whatever the mutation, ``main`` returns a
 documented exit code (0, 2 for a validation failure, 74 for a format error)
 and raises nothing, and a run that exits 0 writes only standard JSON (no NaN
 or Infinity).
@@ -314,6 +315,65 @@ def test_an_entry_fault_before_a_run_fault_is_named_first(files):
     code, err = _evaluate(files, mutated)
     assert code == 74 and "Traceback" not in err
     assert "instance_id must be an integer, not True" in err and "RLE run" not in err
+
+
+# name -> (edit of one prediction entry whose masks sit at stages 0-3, the
+# message it gives, {n} standing for the points of stage 1), in the order the
+# reader names the faults of one entry: its mask payloads in file order, then
+# instance_id, class_id and feature
+ENTRY_FAULTS = {
+    "first-payload-not-base64": (lambda entry, n: entry["masks"]["0"].update(data="!!!!"),
+                                 "rle_base64 data is not padded standard base64"),
+    "run-past-stage": (lambda entry, n: entry["masks"]["1"].update(
+        data=_packed([[0, 1], [n - 1, 2]])), "invalid RLE run [{m}, 2] in a stage of {n} points"),
+    "descending-runs": (lambda entry, n: entry["masks"]["2"].update(
+        data=_packed([[5, 2], [0, 1]])), "RLE runs do not decode to strictly increasing indices"),
+    "last-payload-not-base64": (lambda entry, n: entry["masks"]["3"].update(data="!!!!"),
+                                "rle_base64 data is not padded standard base64"),
+    "instance-id-bool": (lambda entry, n: entry.update(instance_id=True),
+                         "instance_id must be an integer, not True"),
+    "class-id-string": (lambda entry, n: entry.update(class_id="0"),
+                        "class_id must be an integer, not '0'"),
+    "feature-bool": (lambda entry, n: entry.update(feature=[1, True]),
+                     "feature must hold numbers, not bool values"),
+}
+
+
+@pytest.fixture(scope="module")
+def four_stages(tmp_path_factory):
+    """A static scene of four stages, and its ground truth as a prediction
+    file of three entries, each with a mask at every stage."""
+    root = tmp_path_factory.mktemp("fault-order")
+    seq, gt = generate(SceneRecipe(seed=5, n_objects=3, n_stages=4, n_classes=1,
+                                   points_per_object=(8, 14), sequence_id="order"))
+    manifest = write_manifest(root / "scene", seq, gt)
+    preds = root / "preds.json"
+    write_predictions(preds, gt.instances, seq.sequence_id)
+    assert all(list(entry["masks"]) == ["0", "1", "2", "3"]
+               for entry in json.loads(preds.read_text())["instances"])
+    return root, {"manifest": manifest, "preds": preds}, seq.stage_sizes()[1]
+
+
+@pytest.mark.parametrize("placement", ["one-entry", "two-entries"])
+@pytest.mark.parametrize("second", ENTRY_FAULTS)
+@pytest.mark.parametrize("first", ENTRY_FAULTS)
+def test_the_first_fault_in_file_order_is_named(four_stages, first, second, placement):
+    root, sources, n = four_stages
+    document = json.loads(sources["preds"].read_text())
+    entries = document["instances"]
+    faulty = (entries[1], entries[1] if placement == "one-entry" else entries[2])
+    for kind, entry in zip((first, second), faulty):
+        ENTRY_FAULTS[kind][0](entry, n)
+    mutated = root / "faulty-preds.json"
+    mutated.write_text(json.dumps(document))
+    named = (min(first, second, key=list(ENTRY_FAULTS).index)
+             if placement == "one-entry" else first)
+    other = second if named == first else first
+    message, unnamed = (ENTRY_FAULTS[k][1].format(n=n, m=n - 1) for k in (named, other))
+    code, err = _evaluate((root, sources), mutated)
+    assert code == 74 and "Traceback" not in err
+    assert err.startswith(f"error: {mutated}: bad prediction entry (") and message in err
+    assert err.count("\n") == 1 and (unnamed == message or unnamed not in err)
 
 
 @settings(max_examples=60, deadline=None)

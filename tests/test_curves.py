@@ -480,3 +480,27 @@ def test_schedule_arguments_of_the_wrong_type_are_refused(seed, n_layers, field)
     # truncating would make make_schedule(1.5, 2) draw the schedule of seed 1
     with pytest.raises(TypeError, match=f"^{field} must be an integer"):
         make_schedule(seed, n_layers)
+
+
+@pytest.mark.parametrize("bits", [True, 2.0, 1.5, "4", None])
+def test_bits_per_axis_of_the_wrong_type_is_refused(bits):
+    # a bool would read as 1 bit, a float or a string fail at a shift
+    grid = _grid_from([[[0.5, 0.5, 0.5]]])
+    pattern = SerializationPattern(Curve.HILBERT, SerializationDims.SPATIAL_3D)
+    for call in (lambda: encode_keys([[0, 1, 1]], Curve.Z_ORDER, bits),
+                 lambda: decode_keys([0, 1], Curve.Z_ORDER, 3, bits),
+                 lambda: serialize_sequence(grid, pattern, bits)):
+        with pytest.raises(TypeError, match="^bits_per_axis must be an integer"):
+            call()
+
+
+def test_bits_per_axis_may_be_a_numpy_integer():
+    coords = np.array([[0, 1, 1], [3, 2, 0], [1, 1, 3]])
+    for curve in (Curve.Z_ORDER, Curve.HILBERT):
+        ranks = encode_keys(coords, curve, np.int64(2))
+        assert ranks.tolist() == encode_keys(coords, curve, 2).tolist()
+        assert np.array_equal(decode_keys(ranks, curve, 3, np.int64(2)), coords)
+    grid = _grid_from([[[0.5, 0.5, 0.5], [2.5, 1.5, 0.5]], [[1.5, 0.5, 3.5]]])
+    pattern = SerializationPattern(Curve.HILBERT, SerializationDims.SPATIOTEMPORAL_4D)
+    assert np.array_equal(serialize_sequence(grid, pattern, np.int64(3)),
+                          serialize_sequence(grid, pattern, 3))

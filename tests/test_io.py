@@ -325,6 +325,14 @@ def test_rle_decode_rejects_malformed_runs(runs):
         rle_decode(runs)
 
 
+def test_rle_decode_refuses_runs_no_buffer_holds_before_allocating():
+    # a valid run of 2^63 - 1 indices: refused by the float64 sum of the
+    # lengths, not by numpy failing to allocate them
+    with pytest.raises(MemoryError, match="^RLE runs expand to more indices than any "
+                                          "buffer holds$"):
+        rle_decode([0, 2 ** 63 - 1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.integers(0, 2 ** 63 - 2), max_size=40)
        | st.sets(st.integers(0, 60), max_size=40))

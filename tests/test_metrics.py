@@ -593,6 +593,14 @@ def test_evaluate_ties_claim_plain_columns_by_id_then_groups_by_id():
                                         ChangeType.ADDED_REMOVED: 1.0}
 
 
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_evaluate_refuses_a_threshold_that_is_not_a_number(value):
+    # float() would read True as 1.0 and "0.5" as 0.5
+    gt = annotation([mask(0, 1, {0: range(2)})])
+    with pytest.raises(ValueError, match=f"^threshold '{value}' is not a number$"):
+        evaluate(make_sequence([4]), gt, [], thresholds=[value])
+
+
 @pytest.mark.parametrize("weights,present,message", [
     (np.zeros((2, 3)), np.ones((2, 3), dtype=bool), r"weights must have shape \(P, K, T\)"),
     (np.zeros((1, 2, 3)), np.ones((3, 2), dtype=bool), r"present must have shape \(K, T\)"),

@@ -146,6 +146,17 @@ def test_assignment_cost_dimension_mismatch():
         assignment_cost(np.zeros((2, 5)), np.zeros((1, 3)), np.zeros((1, 5)), [0])
 
 
+@pytest.mark.parametrize("gt_classes,message", [
+    ([0, 1], "gt_classes length must match gt_masks"),
+    ([2], r"gt_classes must be real classes \(not no-object\)"),
+    ([-1], r"gt_classes must be real classes \(not no-object\)"),
+], ids=["two-classes-one-mask", "no-object", "negative"])
+def test_assignment_cost_refuses_gt_classes_that_do_not_fit(gt_classes, message):
+    # three class logits: classes 0 and 1, then the no-object class 2
+    with pytest.raises(ValueError, match=message):
+        assignment_cost(np.zeros((2, 4)), np.zeros((2, 3)), np.ones((1, 4)), gt_classes)
+
+
 # ---------------------------------------------------------------------------
 # Spatio-temporal mask pooling
 

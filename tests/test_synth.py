@@ -124,6 +124,14 @@ def test_infeasible_recipe_raises():
         generate(recipe)
 
 
+@pytest.mark.parametrize("field,value", [("size_range", (0.3, 0.5, 0.8)),
+                                         ("points_per_object", (8,))])
+def test_recipe_ranges_that_are_not_pairs_raise(field, value):
+    with pytest.raises(ValueError, match=r"^size_range and points_per_object must be "
+                                         r"\(low, high\) pairs$"):
+        SceneRecipe(**{field: value})
+
+
 @pytest.mark.parametrize("recipe,message", [
     (SceneRecipe(n_objects=3, ambiguous_groups=((-1, 0),)), "member -1 out of range"),
     (SceneRecipe(n_objects=3, ambiguous_groups=((1, 3),)), "member 3 out of range"),
