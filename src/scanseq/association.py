@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .geometry import nearest_neighbor_labels
-from .model import InstanceMask, StageCloud, _array, _points_by_label
+from .model import InstanceMask, StageCloud, _array, _paint, _points_by_label
 from .numerics import _cosine, solve_assignment
 
 
@@ -138,12 +138,10 @@ def associate_geometric(a: Sequence[InstanceMask], b_cloud: StageCloud,
         raise ValueError("stage-1 cloud is empty")
     a_stage = _stage_of(a)
     _check_two_stages(a_stage, b_stage)
-    labels = np.full(a_cloud.point_count, -1, dtype=np.int64)
-    for i in sorted(range(len(a)), key=lambda i: (-a[i].confidence, i)):
-        pts = a[i].per_stage_points[a_stage]
-        free = labels[pts] < 0
-        labels[pts[free]] = i
-    transferred = _points_by_label(nearest_neighbor_labels(a_cloud, labels, b_cloud))
+    priority = sorted(range(len(a)), key=lambda i: (-a[i].confidence, i))
+    labels = _paint([m.per_stage_points[a_stage] for m in a], priority[::-1], a_cloud.point_count)
+    labels = nearest_neighbor_labels(a_cloud, labels, b_cloud)
+    transferred = _points_by_label(labels.astype(np.intp) - 1)  # unsigned 0 - 1 wraps
     out = []
     for i, mask in enumerate(a):
         per_stage = dict(mask.per_stage_points)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .metrics import EvaluationReport, _tau_key
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
-                    _GroundTruthColumns, _StageSizes, _array, _hand_over, _int_key, _is,
+                    _LabelColumns, _StageSizes, _array, _hand_over, _int_key, _is,
                     _mask_fields, _points_by_label)
 from .ply import _read_labels, read_ply, write_ply
 
@@ -172,8 +172,8 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
     Every run of ``arrays[i]`` must end within ``stage_sizes[i]`` points (or
     within int64 when it is None), and each array's runs must decode to
     strictly increasing indices. The first array with a faulty run raises a
-    :class:`FormatError`, and runs that expand to more than 2^62 indices a
-    MemoryError, before anything is expanded.
+    :class:`FormatError`, and runs that expand to more indices than an int64
+    array holds (intp max // 8) a MemoryError, before anything is expanded.
     """
     if not arrays:
         return []
@@ -194,13 +194,14 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
         raise FormatError(f"invalid RLE run [{starts[run]}, {lengths[run]}]{within}")
     if first_crossing < len(arrays):
         raise FormatError("RLE runs do not decode to strictly increasing indices")
-    if lengths.sum(dtype=np.float64) > 2.0 ** 62:  # refused before an int64 sum can wrap
+    total = (int((lengths >> 32).sum()) << 32) + int((lengths & 0xFFFFFFFF).sum())  # exact
+    if total > np.iinfo(np.intp).max // 8:  # numpy counts an array's bytes in intp
         raise MemoryError("RLE runs expand to more indices than any buffer holds")
     # Each index is the one before it plus 1, except at a run's head, which
     # jumps from the previous run's last index to its own start: one buffer of
     # ones, the jumps written in, and a cumulative sum in place.
     heads = np.cumsum(lengths) - lengths  # output position of each run's start
-    out = np.ones(lengths.sum(), np.int64)
+    out = np.ones(total, np.int64)
     if out.size:
         out[0] = starts[0]
         out[heads[1:]] = starts[1:] - ends[:-1] + 1
@@ -384,8 +385,8 @@ def _read_manifest(path, geometry: bool):
                if geometry else _StageSizes(tuple(stages), sequence_id))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return seq, _GroundTruthColumns(tuple(ids), tuple(class_of[i] for i in ids), layers,
-                                    sizes, gt.ambiguous_groups, gt.change_labels)
+    return seq, _LabelColumns(tuple(ids), tuple(class_of[i] for i in ids), layers, sizes,
+                              gt.ambiguous_groups, gt.change_labels)
 
 
 # ---------------------------------------------------------------------------

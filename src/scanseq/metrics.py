@@ -30,10 +30,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation, InstanceMask,
-                    SequencePointCloud, _array, _GroundTruthColumns, _hand_over)
+                    SequencePointCloud, _array, _hand_over, _LabelColumns, _paint)
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
+_COUNT_BLOCK = 1 << 16  # points a count widens to intp at once, never a whole stage
 
 
 def _tau_key(tau: float) -> str:
@@ -79,17 +80,17 @@ class IoUProfile:
     t_iou: float
 
 
-def _label_layers(gts: Sequence[InstanceMask]) -> _GroundTruthColumns:
-    """Ground-truth masks as label columns, in their order: a mask goes into the
-    first layer of a stage where it overlaps no other. Points must be
-    non-negative and sorted, as :class:`~scanseq.model.InstanceMask` keeps them."""
+def _label_layers(masks: Sequence[InstanceMask]) -> _LabelColumns:
+    """Masks as label columns, in their order: a mask goes into the first layer
+    of a stage where it overlaps no other, so counts against them are exact.
+    Points must be non-negative and sorted, as :class:`InstanceMask` keeps them."""
     layers, sizes = {}, {}
-    for t in sorted({t for g in gts for t in g.per_stage_points}):
-        pending = [(j, g.points_at(t)) for j, g in enumerate(gts) if t in g.per_stage_points]
-        sizes[t] = np.array([g.points_at(t).size for g in gts], dtype=np.int64)
+    for t in sorted({t for m in masks for t in m.per_stage_points}):
+        pending = [(j, m.points_at(t)) for j, m in enumerate(masks) if t in m.per_stage_points]
+        sizes[t] = np.array([m.points_at(t).size for m in masks], dtype=np.int64)
         width, layers[t] = 1 + max(int(pts[-1]) for _, pts in pending), ()
         while pending:
-            label = np.zeros(width, dtype=np.intp)  # 0 is "no ground truth"
+            label = np.zeros(width, dtype=np.min_scalar_type(len(masks)))  # 0: no mask
             overlapping = []
             for j, pts in pending:
                 if label[pts].any():
@@ -98,35 +99,44 @@ def _label_layers(gts: Sequence[InstanceMask]) -> _GroundTruthColumns:
                     label[pts] = j + 1
             layers[t] += (label,)
             pending = overlapping
-    return _GroundTruthColumns(tuple(g.instance_id for g in gts),
-                               tuple(g.class_id for g in gts), layers, sizes)
+    return _LabelColumns(tuple(m.instance_id for m in masks),
+                         tuple(m.class_id for m in masks), layers, sizes)
 
 
-def _stage_tables(preds: Sequence[InstanceMask], truth: _GroundTruthColumns):
-    """``(stages, inter, psize, gsize)``: the sorted stages where any mask or
-    column is present, ``inter[s, i, j]`` = |preds[i] & column j| at
-    ``stages[s]``, and the sizes ``psize[s, i]`` and ``gsize[s, j]``. A
-    prediction is counted against each label layer of a stage with one
-    ``bincount`` (points past the layers hit none): exact when masks overlap."""
-    stages = sorted({t for p in preds for t in p.per_stage_points} | set(truth.layers))
-    n_preds, n_gts = len(preds), len(truth.instance_ids)
-    psize = np.array([[p.points_at(t).size for p in preds] for t in stages],
-                     dtype=np.int64).reshape(len(stages), n_preds)
+def _resolved_layers(preds: Sequence[InstanceMask], stage_sizes: Sequence[int]) -> _LabelColumns:
+    """Predictions as one label layer per stage where any is present, painted so
+    that a contested point is the mask's that :func:`resolve_prediction_overlaps` keeps."""
+    priority = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, preds[i].instance_id))
+    layers, sizes = {}, {}
+    for t in sorted({t for p in preds for t in p.per_stage_points}):
+        layers[t] = (_paint([p.points_at(t) for p in preds], priority[::-1], stage_sizes[t]),)
+        sizes[t] = sum(np.bincount(layers[t][0][lo:lo + _COUNT_BLOCK], minlength=len(preds) + 1)
+                       for lo in range(0, stage_sizes[t], _COUNT_BLOCK))[1:]
+    return _LabelColumns(tuple(p.instance_id for p in preds),
+                         tuple(p.class_id for p in preds), layers, sizes)
+
+
+def _stage_tables(preds: _LabelColumns, truth: _LabelColumns):
+    """``(stages, inter, psize, gsize)``: the sorted stages where either side has
+    a layer, ``inter[s, i, j]`` = the points prediction column i and ground-truth
+    column j share at ``stages[s]``, and the sizes ``psize[s, i]``, ``gsize[s, j]``.
+    Each pair of a stage's layers is counted into one table by a ``bincount`` of
+    ``p * (G + 1) + g`` over blocks of points; row and column 0 (no mask) are cut."""
+    stages = sorted(set(preds.layers) | set(truth.layers))
+    n_preds, n_gts = len(preds.instance_ids), len(truth.instance_ids)
+    psize = np.zeros((len(stages), n_preds), dtype=np.int64)
     gsize = np.zeros((len(stages), n_gts), dtype=np.int64)
-    inter = np.zeros((len(stages), n_preds, n_gts), dtype=np.int64)
+    table = np.zeros((len(stages), (n_preds + 1) * (n_gts + 1)), dtype=np.int64)
     for s, t in enumerate(stages):
-        if t not in truth.layers:
-            continue
-        gsize[s], layers = truth.sizes[t], truth.layers[t]
-        for i, p in enumerate(preds):
-            pts = p.points_at(t)
-            if not pts.size:
-                continue
-            if pts[-1] >= layers[0].size:
-                pts = pts[:np.searchsorted(pts, layers[0].size)]
-            for layer in layers:
-                inter[s, i] += np.bincount(layer[pts], minlength=n_gts + 1)[1:]
-    return stages, inter, psize, gsize
+        psize[s] = preds.sizes.get(t, 0)
+        gsize[s] = truth.sizes.get(t, 0)
+        for p in preds.layers.get(t, ()):
+            for g in truth.layers.get(t, ()):
+                for lo in range(0, min(p.size, g.size), _COUNT_BLOCK):
+                    hi = min(lo + _COUNT_BLOCK, p.size, g.size)
+                    key = p[lo:hi].astype(np.intp) * (n_gts + 1) + g[lo:hi]  # uint8 * int wraps
+                    table[s] += np.bincount(key, minlength=table.shape[1])
+    return stages, table.reshape(-1, n_preds + 1, n_gts + 1)[:, 1:, 1:], psize, gsize
 
 
 def _gather_columns(inter: np.ndarray, gsize: np.ndarray,
@@ -158,7 +168,7 @@ def _tiou_matrix(inter: np.ndarray, psize: np.ndarray, gsize: np.ndarray) -> np.
 
 def t_iou(pred: InstanceMask, gt: InstanceMask) -> IoUProfile:
     """Temporal IoU profile of a prediction against a ground-truth instance."""
-    stages, inter, psize, gsize = _stage_tables([pred], _label_layers([gt]))
+    stages, inter, psize, gsize = _stage_tables(_label_layers([pred]), _label_layers([gt]))
     per_stage = dict(zip(stages, _stage_iou(inter, psize, gsize)[:, 0, 0].tolist()))
     both = int(inter.sum())
     overall = both / (int(psize.sum()) + int(gsize.sum()) - both) if stages else 0.0
@@ -269,7 +279,7 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
     preds = list(candidate_preds)
-    stages, inter, psize, gsize = _stage_tables(preds, _label_layers(members))
+    stages, inter, psize, gsize = _stage_tables(_label_layers(preds), _label_layers(members))
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
     A = _group_assignment(inter, psize, gsize, confidence, rng_seed, group.group_id)
 
@@ -341,22 +351,10 @@ def resolve_prediction_overlaps(preds: Sequence[InstanceMask],
     id). Output order matches the input; masks may lose stages or end up
     empty, but are never dropped. Of ``seq`` it reads only ``stage_sizes()``.
     """
-    priority = sorted(range(len(preds)),
-                      key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    taken = {t: np.zeros(n, dtype=bool) for t, n in enumerate(seq.stage_sizes())}
-    kept: list[Optional[dict[int, np.ndarray]]] = [None] * len(preds)
-    for i in priority:
-        mask = preds[i]
-        new_points = {}
-        for t, pts in mask.per_stage_points.items():
-            free = ~taken[t][pts]
-            keep = pts[free]
-            if keep.size:
-                taken[t][keep] = True
-                new_points[t] = _hand_over(keep)
-        kept[i] = new_points
-    return [InstanceMask(instance_id=m.instance_id, class_id=m.class_id,
-                         per_stage_points=kept[i], confidence=m.confidence)
+    layers = _resolved_layers(preds, seq.stage_sizes()).layers
+    return [InstanceMask(m.instance_id, m.class_id,
+                         {t: _hand_over(pts[layers[t][0][pts] == i + 1])
+                          for t, pts in m.per_stage_points.items()}, m.confidence)
             for i, m in enumerate(preds)]
 
 
@@ -401,20 +399,22 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
 
     Inputs are assumed validated (see :func:`scanseq.model.validate_sequence`).
     Of ``seq`` it reads only ``num_stages``, ``stage_sizes()`` and
-    ``sequence_id``, so no stage geometry need be loaded. Prediction overlaps
-    within a stage are resolved first: the higher-confidence mask keeps
-    contested points. One stage table then holds every (prediction, ground
-    truth) pair, both sorted by instance id. A class's columns are its
-    instances outside ambiguous groups, by id, then the trajectories of each
-    of its groups, groups by id and trajectories in assignment order. A group
-    is pseudo-disambiguated as :func:`disambiguate` does, on the same
-    ``(rng_seed, group_id)`` random stream, from the table's slice of its
-    candidates (the class's predictions overlapping a member) and its members,
-    so results are deterministic and independent of evaluation order. A
-    trajectory's column takes, per stage, the column of the member it was
-    assigned. Per threshold, the class's predictions, by confidence descending
-    and then by instance id, each claim the unclaimed column of highest t-IoU
-    above it, and the first in column order on a tie.
+    ``sequence_id``, so no stage geometry need be loaded. Predictions are
+    painted into one label layer per stage, where a contested point is the
+    higher-confidence mask's (ties: lower instance id), as
+    :func:`resolve_prediction_overlaps` resolves it; no mask is rebuilt. One
+    stage table, counted from the label layers of both sides, then holds every
+    (prediction, ground truth) pair, both sorted by instance id. A class's
+    columns are its instances outside ambiguous groups, by id, then the
+    trajectories of each of its groups, groups by id and trajectories in
+    assignment order. A group is pseudo-disambiguated as :func:`disambiguate`
+    does, on the same ``(rng_seed, group_id)`` random stream, from the table's
+    slice of its candidates (the class's predictions overlapping a member) and
+    its members, so results are deterministic and independent of evaluation
+    order. A trajectory's column takes, per stage, the column of the member it
+    was assigned. Per threshold, the class's predictions, by confidence
+    descending and then by instance id, each claim the unclaimed column of
+    highest t-IoU above it, and the first in column order on a tie.
 
     Thresholds that ``scanseq evaluate --thresholds`` refuses are a ValueError
     (default :data:`DEFAULT_THRESHOLDS`). ``t_map`` averages per-class AP over
@@ -424,21 +424,21 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     the sweep thresholds.
     """
     taus = _thresholds(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
-    resolved = sorted(resolve_prediction_overlaps(preds, seq),
-                      key=lambda m: m.instance_id)
-    truth = gt if isinstance(gt, _GroundTruthColumns) else _label_layers(
+    preds = sorted(preds, key=lambda m: m.instance_id)
+    truth = gt if isinstance(gt, _LabelColumns) else _label_layers(
         sorted(gt.instances, key=lambda m: m.instance_id))
-    stages, inter, psize, gsize = _stage_tables(resolved, truth)
-    confidence = np.array([p.confidence for p in resolved], dtype=np.float64)
+    stages, inter, psize, gsize = _stage_tables(_resolved_layers(preds, seq.stage_sizes()),
+                                                truth)
+    confidence = np.array([p.confidence for p in preds], dtype=np.float64)
     gt_ids, gt_classes = truth.instance_ids, truth.class_ids
     column_of = {instance_id: j for j, instance_id in enumerate(gt_ids)}
     groups = sorted((grp for grp in gt.ambiguous_groups if grp.member_instance_ids),
                     key=lambda grp: grp.group_id)
     member_of_group = {mid for grp in groups for mid in grp.member_instance_ids}
 
-    class_ids = tuple(sorted(set(gt_classes) | {m.class_id for m in resolved}))
+    class_ids = tuple(sorted(set(gt_classes) | {m.class_id for m in preds}))
     class_rows: dict[int, list[int]] = {c: [] for c in class_ids}
-    for i, p in enumerate(resolved):
+    for i, p in enumerate(preds):
         class_rows[p.class_id].append(i)
     rows_of = {c: np.array(rows, dtype=np.intp) for c, rows in class_rows.items()}
     scored: dict[int, list] = {c: [] for c in class_ids}  # (per-stage column, change label)

@@ -135,6 +135,15 @@ def _int_key(key) -> int:
     raise ValueError(f"key {key!r} does not name an integer")
 
 
+def _paint(point_sets: Sequence[np.ndarray], order: Sequence[int], n: int) -> np.ndarray:
+    """Per-point set index + 1 over ``n`` points (0: in no set), the sets painted
+    in ``order`` so a later one takes a shared point; the smallest unsigned dtype."""
+    labels = np.zeros(n, dtype=np.min_scalar_type(len(point_sets)))
+    for i in order:
+        labels[point_sets[i]] = i + 1
+    return labels
+
+
 def _points_by_label(labels: np.ndarray) -> dict[int, np.ndarray]:
     """Ascending indices of every label >= 0 in a per-point label array, as
     read-only views of one fresh array (handed over, so masks keep them)."""
@@ -328,10 +337,10 @@ class GroundTruthAnnotation:
 
 
 @dataclass(frozen=True)
-class _GroundTruthColumns:
-    """Ground truth as scoring reads it: column j is instance ``instance_ids[j]``.
-    Per stage t, ``layers[t]`` holds intp arrays of each point's column + 1 (0:
-    none; one layer unless columns overlap), ``sizes[t]`` each column's points."""
+class _LabelColumns:
+    """Masks as scoring reads them: column j is instance ``instance_ids[j]``. Per
+    stage t, ``layers[t]`` holds arrays of each point's column + 1 (0: none, as past
+    a layer's end; one layer unless columns overlap), ``sizes[t]`` each column's size."""
 
     instance_ids: tuple[int, ...]
     class_ids: tuple[int, ...]
@@ -391,7 +400,7 @@ def validate_sequence(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     """
     out: list[Violation] = []
     sizes = seq.stage_sizes()
-    if isinstance(gt, _GroundTruthColumns):  # a column holds no bad point, but may hold none
+    if isinstance(gt, _LabelColumns):  # a column holds no bad point, but may hold none
         class_of = dict(zip(gt.instance_ids, gt.class_ids))
         points = sum(gt.sizes.values(), np.zeros(len(class_of), np.int64))
         out += [Violation("empty_mask", f"ground-truth instance {i} references no points")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                     InstanceMask, SequencePointCloud, StageCloud, _EMPTY_INDEX,
-                    _hand_over, _int_key, _number)
+                    _hand_over, _int_key, _number, _paint)
 
 
 class SceneGenerationError(RuntimeError):
@@ -387,12 +387,9 @@ def perturb(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     """Derive predictions of controlled quality from ground truth."""
     rng = np.random.default_rng(spec.seed)
     # per-stage pool of points covered by no ground-truth mask
-    pools = []
-    for t, stage in enumerate(seq.stages):
-        covered = np.zeros(stage.point_count, dtype=bool)
-        for inst in gt.instances:
-            covered[inst.points_at(t)] = True
-        pools.append(np.flatnonzero(~covered))
+    pools = [np.flatnonzero(_paint([inst.points_at(t) for inst in gt.instances],
+                                   range(len(gt.instances)), stage.point_count) == 0)
+             for t, stage in enumerate(seq.stages)]
 
     by_class: dict[int, list[dict[int, np.ndarray]]] = {}
     for inst in sorted(gt.instances, key=lambda m: m.instance_id):

@@ -196,3 +196,14 @@ def test_geometric_ids_are_subset_of_stage1_ids():
         [m.per_stage_points.get(1, np.empty(0, int)) for m in merged])
     # every stage-2 point is assigned to at most one instance
     assert len(np.unique(transferred)) == len(transferred)
+
+
+def test_geometric_overlap_goes_to_the_most_confident_then_the_earliest_mask():
+    # stage-2 points sit on stage-1 points 0..6, so each inherits that point's owner
+    cloud = StageCloud(positions=np.arange(7.0)[:, None] * np.ones(3))
+    a, _ = _pset(0, [_pred(1, [0, 1, 2], confidence=0.5),
+                     _pred(1, [1, 2, 3], confidence=0.9),   # takes 1 and 2 from mask 0
+                     _pred(2, [4, 5], confidence=0.5),
+                     _pred(2, [5, 6], confidence=0.5)])     # ties: mask 2 keeps 5
+    merged = associate_geometric(a, cloud, cloud, 1)
+    assert [m.per_stage_points[1].tolist() for m in merged] == [[0], [1, 2, 3], [4, 5], [6]]

@@ -326,11 +326,21 @@ def test_rle_decode_rejects_malformed_runs(runs):
 
 
 def test_rle_decode_refuses_runs_no_buffer_holds_before_allocating():
-    # a valid run of 2^63 - 1 indices: refused by the float64 sum of the
+    # a valid run of 2^63 - 1 indices: refused by the exact sum of the
     # lengths, not by numpy failing to allocate them
     with pytest.raises(MemoryError, match="^RLE runs expand to more indices than any "
                                           "buffer holds$"):
         rle_decode([0, 2 ** 63 - 1])
+
+
+@pytest.mark.parametrize("runs", [[0, 2 ** 60], [0, 2 ** 61], [0, 2 ** 62], [0, 2 ** 62 + 1],
+                                  [0, 2 ** 61, 2 ** 61 + 1, 2 ** 61]])
+def test_rle_decode_refuses_runs_whose_exact_total_no_buffer_holds(runs):
+    # 2^62 + 1 rounds to 2^62 as a float64 sum; 2^60 int64 indices are more
+    # bytes than an intp counts
+    with pytest.raises(MemoryError, match="^RLE runs expand to more indices than any "
+                                          "buffer holds$"):
+        rle_decode(runs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,7 +550,8 @@ def test_manifest_label_tables_match_pairwise_oracle(tmp_path):
                       confidence=0.5) for j in range(int(rng.integers(0, 5)))]
         manifest = write_manifest(tmp_path / str(k), make_sequence(sizes), annotation(gts))
         _, columns = formats._read_manifest(manifest, geometry=False)
-        stages, inter, psize, gsize = metrics._stage_tables(preds, columns)
+        stages, inter, psize, gsize = metrics._stage_tables(metrics._label_layers(preds),
+                                                            columns)
         masks = sorted(gts, key=lambda m: m.instance_id)
         expected = oracles.pairwise_stage_tables(preds, masks)
         assert stages == list(range(n_stages))  # the columns cover every stage
@@ -553,6 +564,12 @@ def test_manifest_label_tables_match_pairwise_oracle(tmp_path):
                 for m in read] == [(m.instance_id, {t: p.tolist() for t, p in
                                                     m.per_stage_points.items()})
                                    for m in masks]
+
+
+def test_manifest_label_tables_match_pairwise_oracle_in_blocks_of_3(tmp_path, monkeypatch):
+    # a stage of up to 39 points spans many count blocks
+    monkeypatch.setattr(metrics, "_COUNT_BLOCK", 3)
+    test_manifest_label_tables_match_pairwise_oracle(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from scanseq import metrics
 from scanseq.metrics import (DEFAULT_THRESHOLDS, SWEEP_THRESHOLDS,
                              assign_ambiguous_components, average_precision,
                              disambiguate, evaluate, resolve_prediction_overlaps, t_iou)
-from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation, _LabelColumns, _StageSizes
 
 import oracles
 from conftest import annotation, make_sequence, mask
@@ -127,7 +129,8 @@ def test_label_layer_tables_match_pairwise_oracle(gt_sets, pred_sets):
            for i, sets in enumerate(gt_sets)]
     preds = [mask(10 + i, 1, {t: sorted(pts) for t, pts in sets.items()}, confidence=0.5)
              for i, sets in enumerate(pred_sets)]
-    stages, inter, psize, gsize = metrics._stage_tables(preds, metrics._label_layers(gts))
+    stages, inter, psize, gsize = metrics._stage_tables(metrics._label_layers(preds),
+                                                        metrics._label_layers(gts))
     assert (stages, inter.tolist(), psize.tolist(), gsize.tolist()) == \
         oracles.pairwise_stage_tables(preds, gts)
 
@@ -332,6 +335,26 @@ def test_overlap_resolution_can_empty_a_mask():
     assert resolved[1].per_stage_points == {}
 
 
+def _stage_points(masks):
+    return [(m.instance_id, {t: p.tolist() for t, p in m.per_stage_points.items()})
+            for m in masks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets=st.lists(_POINT_SETS, max_size=6), data=st.data())
+def test_overlap_resolution_matches_oracle_in_any_input_order(sets, data):
+    # few confidences, so contests tie; ids descend, so id order is not input order
+    preds = [mask(10 - i, 1, {t: sorted(pts) for t, pts in stages.items()},
+                  confidence=data.draw(st.sampled_from([0.25, 0.5])))
+             for i, stages in enumerate(sets)]
+    seq = make_sequence([41, 41, 41])
+    resolved = resolve_prediction_overlaps(preds, seq)
+    assert _stage_points(resolved) == _stage_points(oracles.resolve_overlaps(preds))
+    perm = data.draw(st.permutations(range(len(preds))))
+    assert _stage_points(resolve_prediction_overlaps([preds[k] for k in perm], seq)) == \
+        _stage_points([resolved[k] for k in perm])
+
+
 # ---------------------------------------------------------------------------
 # evaluate()
 
@@ -340,6 +363,27 @@ def _evaluate_case(gts, preds, stage_sizes=(200, 200), labels=None, groups=()):
     seq = make_sequence(list(stage_sizes))
     gt = annotation(gts, groups=groups, labels=labels)
     return evaluate(seq, gt, preds)
+
+
+def test_evaluate_transient_memory_stays_below_4_bytes_a_point():
+    # 200 ground-truth columns over one 2^20-point stage, and a prediction per
+    # column that also takes the next point, so neighbours contest it
+    n, rng = 1 << 20, np.random.default_rng(0)
+    labels = rng.integers(0, 201, size=n).astype(np.intp)
+    truth = _LabelColumns(tuple(range(200)), (1,) * 200, {0: (labels,)},
+                          {0: np.bincount(labels, minlength=201)[1:]})
+    owners = np.argsort(labels, kind="stable")
+    heads = np.searchsorted(labels[owners], np.arange(1, 202))
+    preds = [mask(j, 1, {0: np.union1d(pts, pts[pts < n - 1] + 1)},
+                  confidence=float(rng.uniform(0.1, 1.0)))
+             for j, pts in enumerate(np.split(owners, heads)[1:-1])]
+    tracemalloc.start()
+    try:
+        report = evaluate(_StageSizes((n,), "s"), truth, preds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_ground_truth == {1: 200} and peak < 4 * n
 
 
 def test_evaluate_counts_points_shared_by_overlapping_ground_truth():
@@ -526,6 +570,13 @@ def test_evaluate_matches_per_threshold_oracles(scene):
             # the loop may sum in another order than numpy
             assert report.per_class_ap[c][tau] == pytest.approx(
                 oracles.envelope_average_precision(labels, len(class_gts)), rel=1e-12)
+
+
+def test_label_layer_tables_and_evaluate_match_oracles_in_blocks_of_3(monkeypatch):
+    # a layer of up to 41 points spans many count blocks, on both sides
+    monkeypatch.setattr(metrics, "_COUNT_BLOCK", 3)
+    test_label_layer_tables_match_pairwise_oracle()
+    test_evaluate_matches_per_threshold_oracles()
 
 
 def test_evaluate_includes_zero_ap_classes():
