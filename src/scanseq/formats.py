@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .metrics import EvaluationReport, _tau_key
+from .metrics import EvaluationReport, _label_sizes, _tau_key
 from .model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask, SequencePointCloud,
                     _LabelColumns, _StageSizes, _array, _hand_over, _int_key, _is,
                     _mask_fields, _points_by_label)
@@ -178,17 +178,20 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
     if not arrays:
         return []
     counts = np.fromiter((a.size // 2 for a in arrays), np.int64, len(arrays))
+    offsets = np.cumsum(counts)  # each array's end in the runs, the next one's first run
     starts, lengths = np.concatenate(arrays, dtype=np.int64).reshape(-1, 2).T
-    owner = np.repeat(np.arange(len(arrays)), counts)
     limits = np.array([_INT64_MAX if n is None else n for n in stage_sizes], np.int64)
     # limit - start and start + length wrap only at a bad run, whose array is refused
-    bad = (starts < 0) | (lengths < 1) | (lengths > limits[owner] - starts)
+    bad = np.flatnonzero((starts < 0) | (lengths < 1)
+                         | (lengths > np.repeat(limits, counts) - starts))
     ends = starts + lengths
-    crossing = (starts[1:] < ends[:-1]) & (owner[1:] == owner[:-1])
-    first_bad = owner[bad.argmax()] if bad.any() else len(arrays)
-    first_crossing = owner[crossing.argmax() + 1] if crossing.any() else len(arrays)
+    crossing = np.flatnonzero(starts[1:] < ends[:-1]) + 1  # runs that start in the one before
+    crossing = crossing[offsets[np.searchsorted(offsets, crossing)] != crossing]  # in its array
+    first_bad, first_crossing = np.searchsorted(  # the arrays holding the first of each
+        offsets, [np.append(bad, starts.size)[0], np.append(crossing, starts.size)[0]],
+        side="right")
     if first_bad < len(arrays) and first_bad <= first_crossing:
-        run = bad.argmax()
+        run = bad[0]
         size = stage_sizes[first_bad]
         within = "" if size is None else f" in a stage of {size} points"
         raise FormatError(f"invalid RLE run [{starts[run]}, {lengths[run]}]{within}")
@@ -206,7 +209,7 @@ def _decode_runs(arrays: Sequence[np.ndarray], stage_sizes: Sequence[Optional[in
         out[0] = starts[0]
         out[heads[1:]] = starts[1:] - ends[:-1] + 1
         np.cumsum(out, out=out)
-    bounds = np.append(heads, out.size)[np.cumsum(counts)].tolist()  # each array's end
+    bounds = np.append(heads, out.size)[offsets].tolist()  # each array's end
     _hand_over(out)
     return [out[a:b] for a, b in zip([0, *bounds], bounds)]
 
@@ -307,17 +310,20 @@ def read_manifest(path) -> tuple[SequencePointCloud, GroundTruthAnnotation]:
 
 def _label_layer(column: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Each point's index into ``ids`` (ascending) + 1, 0 at the background's
-    -1 and -1 at an id ``ids`` lacks: read from a table indexed by id while the
-    largest id is below the point count, else found by binary search."""
+    -1 and -1 at an id ``ids`` lacks, in the smallest signed type that holds
+    -1 and ``len(ids)``: read from a table indexed by id while the largest id
+    is below the point count, else found by binary search. ``column`` is of a
+    signed type."""
+    dtype = np.min_scalar_type(-len(ids) - 1)
     top = int(column.max(initial=-1))
     if top < column.size:
-        table = np.full(top + 2, -1, dtype=np.intp)
+        table = np.full(top + 2, -1, dtype=dtype)
         table[-1] = 0  # what the background's -1 reads
         inside = np.flatnonzero((ids >= 0) & (ids <= top))
         table[ids[inside]] = inside + 1
         return table[column]
     pos = np.searchsorted(ids, column)
-    layer = np.where(np.append(ids, -2)[pos] == column, pos + 1, -1)
+    layer = np.where(np.append(ids, -2)[pos] == column, pos + 1, -1).astype(dtype)
     layer[column < 0] = 0
     return layer
 
@@ -364,7 +370,7 @@ def _read_manifest(path, geometry: bool):
     for t, inst_col in enumerate(per_stage_instances):
         layers[t] = (_label_layer(inst_col, known),)
         try:
-            sizes[t] = np.bincount(layers[t][0], minlength=len(ids) + 1)[1:]
+            sizes[t] = _label_sizes(layers[t][0], len(ids))
         except ValueError:  # a -1: an id not annotated
             unknown.append(int(inst_col[layers[t][0] < 0].min()))
         per_stage_instances[t] = None  # each column freed once mapped
@@ -435,10 +441,11 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
 
     One scan checks each entry whole (its masks' keys and payloads, then
     ``instance_id``, ``class_id`` and ``confidence``, then ``feature``) and
-    stops at the first faulty one. One :func:`_decode_runs` pass (the kernel
-    that :func:`rle_decode` wraps) then expands every mask read, into
-    read-only views of one buffer that the masks keep; a faulty run it finds,
-    in that entry or an earlier one, is named in place of the scan's fault.
+    stops at the first faulty one, and the parsed document is freed. One
+    :func:`_decode_runs` pass (the kernel that :func:`rle_decode` wraps) then
+    expands every mask read, into read-only views of one buffer that the masks
+    keep, 8 bytes a point; a faulty run it finds, in that entry or an earlier
+    one, is named in place of the scan's fault.
     With ``stage_sizes`` (points per stage of the sequence the predictions
     are for), a run that ends past its stage is such a fault. A stage the
     sequence lacks is bounded by its largest stage, and left to
@@ -451,24 +458,24 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
     sequence_id = _sequence_id(data, path)
     size_of = dict(enumerate(stage_sizes or ()))
     largest = max(size_of.values(), default=None)
-    entries = _entries(data, "instances", {"masks": dict}, path)
     stages, runs, bounds = [], [], []  # one each per stage mask
-    fields, features = [], {}  # one field triple per entry; instance id -> feature
+    fields, features = [], {}  # (masks, id, class, confidence) per entry; id -> feature
     fault = None
-    for entry in entries:
+    for entry in _entries(data, "instances", {"masks": dict}, path):
         try:
             for t, payload in entry["masks"].items():
                 t = _int_key(t)
                 runs.append(_payload_runs(payload))
                 stages.append(t)
                 bounds.append(size_of.get(t, largest))
-            fields.append(_mask_fields(entry["instance_id"], entry["class_id"],
-                                       entry.get("confidence", 1.0)))
+            fields.append((len(entry["masks"]), *_mask_fields(
+                entry["instance_id"], entry["class_id"], entry.get("confidence", 1.0))))
             if "feature" in entry:
-                features[fields[-1][0]] = _array(entry["feature"], np.float64, "feature")
+                features[fields[-1][1]] = _array(entry["feature"], np.float64, "feature")
         except _ENTRY_FAULTS as exc:
             fault = exc
             break
+    del data  # the runs are read: the decode does not hold the parsed document
     try:
         points = _decode_runs(runs, bounds)
     except FormatError as exc:  # in the faulty entry or an earlier one
@@ -477,8 +484,7 @@ def read_predictions(path, stage_sizes: Optional[Sequence[int]] = None
         raise FormatError(f"{path}: bad prediction entry ({fault})") from fault
     masks = []
     at = 0  # the entry's first stage mask
-    for entry, (instance_id, class_id, confidence) in zip(entries, fields):
-        n = len(entry["masks"])
+    for n, instance_id, class_id, confidence in fields:
         masks.append(InstanceMask(instance_id, class_id,
                                   dict(zip(stages[at:at + n], points[at:at + n])), confidence))
         at += n

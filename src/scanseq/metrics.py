@@ -103,17 +103,20 @@ def _label_layers(masks: Sequence[InstanceMask]) -> _LabelColumns:
                          tuple(m.class_id for m in masks), layers, sizes)
 
 
-def _resolved_layers(preds: Sequence[InstanceMask], stage_sizes: Sequence[int]) -> _LabelColumns:
+def _label_sizes(layer: np.ndarray, n_labels: int) -> np.ndarray:
+    """The points of each label 1..``n_labels`` of a label layer, counted per
+    block of points; a negative label is a ValueError."""
+    return sum((np.bincount(layer[lo:lo + _COUNT_BLOCK], minlength=n_labels + 1)
+                for lo in range(0, layer.size, _COUNT_BLOCK)), np.zeros(n_labels + 1, np.intp))[1:]
+
+
+def _resolved_layers(preds: Sequence[InstanceMask], stage_sizes: Sequence[int]
+                     ) -> dict[int, np.ndarray]:
     """Predictions as one label layer per stage where any is present, painted so
     that a contested point is the mask's that :func:`resolve_prediction_overlaps` keeps."""
     priority = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, preds[i].instance_id))
-    layers, sizes = {}, {}
-    for t in sorted({t for p in preds for t in p.per_stage_points}):
-        layers[t] = (_paint([p.points_at(t) for p in preds], priority[::-1], stage_sizes[t]),)
-        sizes[t] = sum(np.bincount(layers[t][0][lo:lo + _COUNT_BLOCK], minlength=len(preds) + 1)
-                       for lo in range(0, stage_sizes[t], _COUNT_BLOCK))[1:]
-    return _LabelColumns(tuple(p.instance_id for p in preds),
-                         tuple(p.class_id for p in preds), layers, sizes)
+    return {t: _paint([p.points_at(t) for p in preds], priority[::-1], stage_sizes[t])
+            for t in sorted({t for p in preds for t in p.per_stage_points})}
 
 
 def _stage_tables(preds: _LabelColumns, truth: _LabelColumns):
@@ -351,9 +354,9 @@ def resolve_prediction_overlaps(preds: Sequence[InstanceMask],
     id). Output order matches the input; masks may lose stages or end up
     empty, but are never dropped. Of ``seq`` it reads only ``stage_sizes()``.
     """
-    layers = _resolved_layers(preds, seq.stage_sizes()).layers
+    layers = _resolved_layers(preds, seq.stage_sizes())
     return [InstanceMask(m.instance_id, m.class_id,
-                         {t: _hand_over(pts[layers[t][0][pts] == i + 1])
+                         {t: _hand_over(pts[layers[t][pts] == i + 1])
                           for t, pts in m.per_stage_points.items()}, m.confidence)
             for i, m in enumerate(preds)]
 
@@ -427,8 +430,11 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     preds = sorted(preds, key=lambda m: m.instance_id)
     truth = gt if isinstance(gt, _LabelColumns) else _label_layers(
         sorted(gt.instances, key=lambda m: m.instance_id))
-    stages, inter, psize, gsize = _stage_tables(_resolved_layers(preds, seq.stage_sizes()),
-                                                truth)
+    layers = _resolved_layers(preds, seq.stage_sizes())
+    stages, inter, psize, gsize = _stage_tables(_LabelColumns(
+        tuple(p.instance_id for p in preds), tuple(p.class_id for p in preds),
+        {t: (layer,) for t, layer in layers.items()},
+        {t: _label_sizes(layer, len(preds)) for t, layer in layers.items()}), truth)
     confidence = np.array([p.confidence for p in preds], dtype=np.float64)
     gt_ids, gt_classes = truth.instance_ids, truth.class_ids
     column_of = {instance_id: j for j, instance_id in enumerate(gt_ids)}

@@ -340,7 +340,8 @@ class GroundTruthAnnotation:
 class _LabelColumns:
     """Masks as scoring reads them: column j is instance ``instance_ids[j]``. Per
     stage t, ``layers[t]`` holds arrays of each point's column + 1 (0: none, as past
-    a layer's end; one layer unless columns overlap), ``sizes[t]`` each column's size."""
+    a layer's end; one layer unless columns overlap) in a small integer type, 1 or
+    2 bytes a point for up to 32,767 columns, ``sizes[t]`` each column's size."""
 
     instance_ids: tuple[int, ...]
     class_ids: tuple[int, ...]

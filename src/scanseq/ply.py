@@ -145,15 +145,19 @@ def read_ply(path) -> tuple[StageCloud, Optional[np.ndarray]]:
 
 
 def _read_labels(path) -> tuple[int, Optional[np.ndarray]]:
-    """The point count and the ``instance`` column of the PLY at ``path``, as
-    :func:`read_ply` gives them, after the same checks, but with no positions
-    or colors built."""
+    """The point count and the ``instance`` column of the PLY at ``path``, after
+    the checks of :func:`read_ply`, with no positions or colors built. The
+    column keeps its property's type, an unsigned one widened to the next
+    signed type so that -1 compares, and no longer holds the file's bytes."""
     table = _read_table(path)
-    return len(table), _ids(table, "instance")
+    return len(table), _ids(table, "instance", np.int8)
 
 
-def _ids(table: np.ndarray, name: str) -> Optional[np.ndarray]:
-    return table[name].astype(np.int64) if name in table.dtype.names else None
+def _ids(table: np.ndarray, name: str, dtype=np.int64) -> Optional[np.ndarray]:
+    """The integer column ``name`` as a new array of ``dtype``, or of its own
+    type where that is wider; None without that property."""
+    return (table[name].astype(np.promote_types(table.dtype[name], dtype))
+            if name in table.dtype.names else None)
 
 
 def _read_table(path) -> np.ndarray:

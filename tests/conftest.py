@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scanseq.model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                            InstanceMask, SequencePointCloud, StageCloud)
 from scanseq.formats import dump_canonical_json, write_manifest, write_predictions
-from scanseq.ply import _decode
+from scanseq.ply import _PROPERTY_DTYPES, _decode
 from scanseq.synth import SceneRecipe, generate
 
 
@@ -34,6 +35,21 @@ def ascii_copy(binary_ply, out=None) -> None:
         fh.write(header.replace(b"format binary_little_endian 1.0", b"format ascii 1.0", 1))
         np.savetxt(fh, table, fmt=["%.9g" if table.dtype[name].kind == "f" else "%d"
                                    for name in table.dtype.names])
+
+
+def retyped_copy(binary_ply, type_name: str, out=None) -> None:
+    """Write the binary little-endian PLY ``binary_ply`` with its ``instance``
+    property stored as the PLY type ``type_name`` (``"ushort"``, say), to
+    ``out`` (default: in place). Every id must keep its value in that type."""
+    raw = Path(binary_ply).read_bytes()
+    table = _decode(raw)
+    header = raw[:raw.index(b"end_header\n") + len(b"end_header\n")]
+    retyped = table.astype([(name, "<" + _PROPERTY_DTYPES[type_name] if name == "instance"
+                             else table.dtype[name]) for name in table.dtype.names])
+    assert (retyped["instance"] == table["instance"]).all(), f"an id does not fit {type_name}"
+    header = re.sub(rb"property \w+ instance\n", b"property %b instance\n" % type_name.encode(),
+                    header)
+    Path(binary_ply if out is None else out).write_bytes(header + retyped.tobytes())
 
 
 def list_copy(predictions, out=None) -> None:

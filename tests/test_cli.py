@@ -27,7 +27,8 @@ from scanseq.ply import read_ply, write_ply
 from scanseq import synth
 from scanseq.synth import ChangeOp, PerturbationSpec, SceneRecipe, generate, perturb
 
-from conftest import annotation, ascii_copy, association_scene, make_sequence, mask
+from conftest import (annotation, ascii_copy, association_scene, make_sequence, mask,
+                      retyped_copy)
 
 
 def _write_scene(tmp_path, sequence_id="seq-cli", perfect=True):
@@ -1452,6 +1453,41 @@ def test_annotated_instance_without_points_exits_2(tmp_path, capsys, instance_id
     assert capsys.readouterr().err == (f"{manifest}: empty_mask: ground-truth instance "
                                        f"{instance_id} references no points\n")
     assert not (tmp_path / "o.json").exists()
+
+
+def test_report_bytes_are_the_same_for_every_integer_instance_type(tmp_path):
+    # the scene has no background points, so that the unsigned types hold every
+    # id; each type is read in its own width, -1 compared after widening
+    manifest, preds = _write_scene(tmp_path, perfect=False)
+    plys = sorted(manifest.parent.glob("stage_*.ply"))
+    argv = ["evaluate", "--gt", str(manifest), "--pred", str(preds), "--out"]
+    assert main(argv + [str(tmp_path / "written.json")]) == 0
+    for type_name in ("char", "uchar", "short", "ushort", "int", "uint"):
+        for ply in plys:
+            retyped_copy(ply, type_name)
+            assert read_ply(ply)[1].dtype == np.int64
+        out = tmp_path / f"{type_name}.json"
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "written.json").read_bytes(), type_name
+
+
+def test_unannotated_id_after_the_first_count_block_exits_74(tmp_path, capsys, monkeypatch):
+    # instance 1 holds only the points 6..9 of each stage, past a first block
+    # of 3 points; it is counted per block, but named as a whole-stage count names it
+    monkeypatch.setattr(metrics, "_COUNT_BLOCK", 3)
+    gts = [mask(0, 1, {0: range(0, 5), 1: range(2, 5)}), mask(1, 1, {0: range(6, 10),
+                                                                     1: range(6, 10)})]
+    manifest = write_manifest(tmp_path / "scene", make_sequence([10, 10]), annotation(gts))
+    preds = tmp_path / "preds.json"
+    write_predictions(preds, gts[:1], "seq")
+    data = json.loads(manifest.read_text())
+    data["annotations"]["instances"] = data["annotations"]["instances"][:1]
+    manifest.write_text(json.dumps(data))
+    argv = ["evaluate", "--gt", str(manifest), "--pred", str(preds),
+            "--out", str(tmp_path / "o.json")]
+    assert main(argv) == 74
+    assert capsys.readouterr().err == (f"error: {manifest}: instance 1 appears in point "
+                                       f"files but not in annotations.instances\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "serialize", "associate"])

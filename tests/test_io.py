@@ -1,6 +1,7 @@
 import base64
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +502,26 @@ def test_manifest_ignores_listed_class_file(tmp_path, garbage):
         {p.name: p.read_bytes() for p in expected.iterdir()}
 
 
+def test_read_predictions_peak_stays_below_18_bytes_a_point(tmp_path):
+    # a file the size of the 1M-point benchmark scene's: 400 masks of ~2,125
+    # points in ~320 runs over two 500,000-point stages. The masks keep 8 bytes
+    # a point; the parsed document is freed before the runs are expanded
+    rng = np.random.default_rng(0)
+    preds = [mask(j, 1, {t: 2500 * j + np.flatnonzero(rng.uniform(size=2500) < 0.85)
+                         for t in range(2)}, confidence=0.5) for j in range(200)]
+    path = tmp_path / "p.json"
+    write_predictions(path, preds, "s")
+    points = sum(p.size for m in preds for p in m.per_stage_points.values())
+    tracemalloc.start()
+    try:
+        content = read_predictions(path, [500_000, 500_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(content.instances) == 200 and points > 840_000
+    assert peak < 18 * points
+
+
 def test_unknown_mask_encoding_rejected(tmp_path):
     payload = {"schema_version": 1, "kind": "predictions", "sequence_id": "s",
                "instances": [{"instance_id": 0, "class_id": 1, "confidence": 0.5,
@@ -529,7 +550,7 @@ def test_label_layer_table_and_search_agree(column, annotated):
     layers = [formats._label_layer(np.array(column + tail, dtype=np.int64),
                                    np.array(ids, dtype=np.int64))[:len(column)]
               for tail in ([-1] * 61, [10 ** 9])]
-    assert layers[0].dtype == layers[1].dtype == np.intp
+    assert layers[0].dtype == layers[1].dtype == np.int8  # holds -1 and len(ids) <= 74
     assert layers[0].tolist() == layers[1].tolist() == [
         0 if i == -1 else ids.index(i) + 1 if i in ids else -1 for i in column]
 
@@ -564,6 +585,24 @@ def test_manifest_label_tables_match_pairwise_oracle(tmp_path):
                 for m in read] == [(m.instance_id, {t: p.tolist() for t, p in
                                                     m.per_stage_points.items()})
                                    for m in masks]
+
+
+def test_manifest_label_layers_hold_at_most_2_bytes_a_point(tmp_path):
+    # 200 instances and background over one 2^20-point stage: each point's
+    # label takes an int16, and no copy of the stage's file or column is kept
+    n = 1 << 20
+    labels = np.random.default_rng(0).integers(-1, 200, size=n)
+    gts = [mask(j, 1, {0: np.flatnonzero(labels == j)}) for j in range(200)]
+    manifest = write_manifest(tmp_path / "scene", make_sequence([n]), annotation(gts))
+    tracemalloc.start()
+    try:
+        _, columns = formats._read_manifest(manifest, geometry=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * n + n // 16
+    (layer,) = columns.layers[0]
+    assert layer.dtype == np.int16 and layer.tolist() == (labels + 1).tolist()
 
 
 def test_manifest_label_tables_match_pairwise_oracle_in_blocks_of_3(tmp_path, monkeypatch):
