@@ -9,13 +9,14 @@ the spatial coordinates only; the temporal coordinate is never pooled.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import (SequencePointCloud, StageCloud, _EMPTY_INDEX, _array, _frozen,
-                    _hand_over, _points_by_label)
+                    _hand_over, _number, _points_by_label)
 
 DEFAULT_RESOLUTION = 0.02  # meters per voxel edge
 
@@ -31,31 +32,45 @@ def _integer_rows(values, name: str, widths: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _pack_rows(coords: np.ndarray) -> np.ndarray:
-    """Pack integer rows into single int64 scalars preserving lexicographic order."""
-    columns = coords.T
-    mins = [c.min() for c in columns]
-    spans = [int(c.max()) - int(m) + 1 for c, m in zip(columns, mins)]
-    if sum(max(s - 1, 1).bit_length() for s in spans) > 62:
+def _field_edges(spans) -> list[int]:
+    """Bit edges of the fields of a packed grid word, the first axis highest,
+    for axes spanning ``spans`` (maximum - minimum) cells: field a is bits
+    ``edges[a + 1]`` to ``edges[a] - 1``, at least 1 wide, 62 in all."""
+    edges = [sum(max(s, 1).bit_length() for s in spans[a:]) for a in range(len(spans) + 1)]
+    if edges[0] > 62:
         raise ValueError("coordinate extent too large to index")
-    packed = np.subtract(columns[0], mins[0], dtype=np.int64)
-    # every packed value is below 2^62, so subtracting m undoes any int64
-    # wraparound of adding c (unsafe casting admits uint64 keys the same way)
-    for c, m, s in zip(columns[1:], mins[1:], spans[1:]):
-        packed *= s
-        np.add(packed, c, out=packed, dtype=np.int64, casting="unsafe")
-        np.subtract(packed, m, out=packed, dtype=np.int64, casting="unsafe")
-    return packed
+    return edges
 
 
-def _unique_rows(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique rows in lexicographic order plus the row -> unique-row map."""
-    packed = _pack_rows(coords)
-    # equal packed values are equal rows, so no first index (a stable sort) is needed
-    unique, inverse = np.unique(packed, return_inverse=True)
-    rows = np.empty((len(unique), coords.shape[1]), dtype=coords.dtype)
-    rows[inverse] = coords
-    return rows, inverse
+def _unique_keys(words: np.ndarray, edges, lo, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows in lexicographic order plus the row -> unique-row map, from
+    rows packed one a uint64 word (overwritten) whose field a holds value a
+    less ``lo[a]``, so that word order is row order (see :func:`_field_edges`).
+
+    When the fields leave room for the row index below them, one sort of the
+    (word, row) words orders the rows, else an argsort of the words. The keys
+    are decoded in ``dtype``, modulo its range.
+    """
+    row_bits = (len(words) - 1).bit_length()
+    if edges[0] + row_bits <= 64:
+        words <<= np.uint64(row_bits)
+        words |= np.arange(len(words), dtype=np.uint64)
+        words.sort()
+        order = (words & np.uint64((1 << row_bits) - 1)).view(np.intp)
+        words >>= np.uint64(row_bits)
+    else:  # equal words are equal rows, so an unstable sort gives the one answer
+        order = np.argsort(words)
+        words = words[order]
+    first = np.ones(len(words), dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    words = words[first]
+    keys = np.empty((len(words), len(lo)), dtype=dtype)
+    for a, m in enumerate(lo):
+        field = words >> np.uint64(edges[a + 1]) & np.uint64((1 << edges[a] - edges[a + 1]) - 1)
+        keys[:, a] = field + np.uint64(int(m) % (1 << 64))  # a wrapping cast into dtype
+    return keys, inverse
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,8 @@ class VoxelGrid4D:
     def _bounds(self) -> tuple[tuple[np.integer, ...], tuple[int, ...]]:
         """Each axis's minimum key and span (maximum - minimum), found once:
         the keys are read-only, so they cannot go stale."""
+        if not self.num_voxels:
+            return (self.keys.dtype.type(0),) * 4, (0,) * 4
         lo = tuple(c.min() for c in self.keys.T)  # strided columns reduce faster than axis=0
         return lo, tuple(int(c.max()) - int(m) for c, m in zip(self.keys.T, lo))
 
@@ -106,41 +123,57 @@ def voxelize(seq: SequencePointCloud,
     floor(z/res), t). Duplicate keys within one stage merge; keys never merge
     across stages because t is part of the key.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Real):
+        _number(resolution, "resolution")  # its TypeError, naming the field
     if not 0 < resolution < np.inf:  # also false for NaN
         raise ValueError(f"resolution must be a positive finite number, not {resolution}")
-    blocks = []
-    offsets = [0]
+    ends = []  # each stage's extreme cells: floor(x / res) is monotone in x
     for t, stage in enumerate(seq.stages):
-        pos = stage.positions
-        if not np.all(np.isfinite(pos)):
+        ext = np.array([[f(c) for c in stage.positions.T] for f in (np.min, np.max)])
+        if not np.all(np.isfinite(ext)):
             raise ValueError(f"invalid coordinate: stage {t} has non-finite positions")
         with np.errstate(over="ignore"):  # an infinite quotient is refused below
-            cells = np.floor(pos / resolution)
-        if not (-2.0 ** 63 <= cells.min() and cells.max() < 2.0 ** 63):
+            ends.append(np.floor(ext / resolution))
+        if not (-2.0 ** 63 <= ends[-1].min() and ends[-1].max() < 2.0 ** 63):
             raise ValueError(f"invalid coordinate: stage {t} has a position that quantizes "
                              f"beyond int64 at resolution {resolution}")
-        ijk = cells.astype(np.int64)
-        block = np.empty((len(ijk), 4), dtype=np.int64)
-        block[:, :3] = ijk
-        block[:, 3] = t
-        blocks.append(block)
-        offsets.append(offsets[-1] + len(ijk))
-    coords = np.concatenate(blocks, axis=0)
-    keys, inverse = _unique_rows(coords)
+    lo = [int(m) for m in np.min(ends, axis=(0, 1))] + [0]
+    edges = _field_edges([int(h) - m for h, m in zip(np.max(ends, axis=(0, 1)), lo)]
+                         + [len(seq.stages) - 1])
+    # fields do not overlap, so a word is the sum of its cells, each shifted to
+    # its field, less that sum for lo: exact in modular uint64 arithmetic
+    weights = np.array([1 << e for e in edges[1:4]], dtype=np.uint64)
+    origin = sum(m << e for m, e in zip(lo, edges[1:]))
+    offsets = np.cumsum([0] + [stage.point_count for stage in seq.stages])
+    words = np.empty(offsets[-1], dtype=np.uint64)
+    for t, stage in enumerate(seq.stages):
+        cells = np.floor(stage.positions / resolution).astype(np.int64).view(np.uint64)
+        out = np.matmul(cells, weights, out=words[offsets[t]:offsets[t + 1]])
+        out += np.uint64((t - origin) % (1 << 64))
+    keys, inverse = _unique_keys(words, edges, lo, np.int64)
     return VoxelGrid4D(resolution=resolution, keys=_hand_over(keys),
                        point_to_voxel=_hand_over(inverse),
-                       stage_offsets=_hand_over(np.asarray(offsets, dtype=np.int64)))
+                       stage_offsets=_hand_over(offsets))
 
 
 def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
     """Pool a grid one level coarser: spatial coords floor-halved, t unchanged.
 
     The returned grid records ``child_to_parent`` (child voxel row -> parent
-    voxel row) and remaps ``point_to_voxel`` through it.
+    voxel row) and remaps ``point_to_voxel`` through it. An empty grid pools
+    to an empty grid.
     """
-    coarse = grid.keys.copy()
-    coarse[:, :3] = np.floor_divide(coarse[:, :3], 2)
-    keys, child_to_parent = _unique_rows(coarse)
+    lo, span = grid._bounds
+    halve = (1, 1, 1, 0)  # the shift that floor-halves i, j and k, not t
+    parent_lo = [int(m) >> h for m, h in zip(lo, halve)]
+    edges = _field_edges([(int(m) + s >> h) - p for m, s, h, p in zip(lo, span, halve, parent_lo)])
+    words = np.zeros(grid.num_voxels, dtype=np.uint64)
+    for column, h, p, e in zip(grid.keys.T, halve, parent_lo, edges[1:]):
+        # floor(c / 2^h) - p is (c - p 2^h) >> h, in modular uint64 arithmetic
+        field = np.subtract(column, np.uint64((p << h) % (1 << 64)), dtype=np.uint64,
+                            casting="unsafe")
+        words |= field >> np.uint64(h) << np.uint64(e)
+    keys, child_to_parent = _unique_keys(words, edges, parent_lo, grid.keys.dtype)
     return VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),
                        point_to_voxel=_hand_over(child_to_parent[grid.point_to_voxel]),
                        stage_offsets=grid.stage_offsets,
@@ -209,8 +242,10 @@ def pool_superpoint_features(stage: StageCloud,
     """
     if stage.segment_ids is None:
         raise ValueError("stage has no segment_ids")
-    segs, inverse = np.unique(stage.segment_ids, return_inverse=True)
-    return segs, _mean_by(inverse, point_features, len(segs), "point")
+    # flipping the sign bit maps int64 ids to uint64 words in the same order
+    words = stage.segment_ids.view(np.uint64) ^ np.uint64(1 << 63)
+    segs, inverse = _unique_keys(words, [64, 0], [-(1 << 63)], np.int64)
+    return segs[:, 0], _mean_by(inverse, point_features, len(segs), "point")
 
 
 def nearest_neighbor_labels(source: StageCloud, source_labels,

@@ -360,13 +360,23 @@ def brute_force_nearest(source, query):
 
 def brute_force_voxel_count(stage_positions, resolution):
     """Hash-set oracle: number of distinct 4D voxel keys."""
-    keys = set()
-    for t, positions in enumerate(stage_positions):
-        for p in positions:
-            keys.add((math.floor(p[0] / resolution),
-                      math.floor(p[1] / resolution),
-                      math.floor(p[2] / resolution), t))
-    return len(keys)
+    return len(set(brute_force_voxel_rows(stage_positions, resolution)))
+
+
+def brute_force_grid(rows):
+    """Unique integer rows in lexicographic order and each row's index among
+    them: a sorted set of Python int tuples and a dict index."""
+    rows = [tuple(int(v) for v in row) for row in rows]
+    unique = sorted(set(rows))
+    index = {row: i for i, row in enumerate(unique)}
+    return unique, [index[row] for row in rows]
+
+
+def brute_force_voxel_rows(stage_positions, resolution):
+    """The (floor(x/res), floor(y/res), floor(z/res), t) row of every point,
+    stage-major, in Python floats and ints."""
+    return [tuple(math.floor(c / resolution) for c in p) + (t,)
+            for t, positions in enumerate(stage_positions) for p in np.asarray(positions).tolist()]
 
 
 def brute_force_place_centers(rng, recipe, max_size):

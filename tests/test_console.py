@@ -16,7 +16,10 @@ from pathlib import Path
 import pytest
 
 import scanseq
+from scanseq.formats import read_manifest
+from scanseq.geometry import voxelize
 
+import oracles
 from conftest import retyped_copy
 
 SRC = Path(scanseq.__file__).parents[1]  # the child imports the scanseq this process does
@@ -75,3 +78,27 @@ def test_stage_ply_cut_short_exits_74_naming_it(scene, tmp_path):
     assert "stage_001.ply" in done.stderr
     assert "binary body shorter than vertex count" in done.stderr
     assert "Traceback" not in done.stderr and not (root / "bad.json").exists()
+
+
+@pytest.mark.parametrize("resolution", ["0.02", "0.0002"])
+@pytest.mark.parametrize("dims", [3, 4])
+def test_hilbert_order_is_the_reference_order_on_the_library_grid(scene, dims, resolution,
+                                                                  tmp_path):
+    # at 0.0002 the 4D (stage, code, row) key needs 70 bits, so it takes the
+    # argsort, and the other three the packed sort
+    manifest = scene / "scene" / "manifest.json"
+    done = _run("serialize", "--curve", "hilbert", "--dims", str(dims), "--resolution", resolution,
+                "--manifest", str(manifest), "--out", "order.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    keys = voxelize(read_manifest(manifest)[0], resolution=float(resolution)).keys
+    expected = oracles.reference_serialization_order(keys, "hilbert", dims, 16)
+    assert json.loads((tmp_path / "order.json").read_text())["order"] == expected.tolist()
+
+
+def test_z_order_bytes_are_the_same_at_21_and_16_bits(scene, tmp_path):
+    # at 21 bits each axis is spread with two 16-bit table lookups
+    for bits in ("21", "16"):
+        done = _run("serialize", "--curve", "zorder", "--dims", "3", "--bits", bits, "--manifest",
+                    str(scene / "scene" / "manifest.json"), "--out", f"z{bits}.json", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "z21.json").read_bytes() == (tmp_path / "z16.json").read_bytes()

@@ -2,7 +2,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from scanseq.geometry import (VoxelGrid4D, build_feature_hierarchy,
@@ -135,6 +135,117 @@ def test_downsample_keeps_keys_at_the_dtype_edge(dtype):
     parent = downsample_level(grid)
     assert parent.keys.tolist() == [[0, 0, 0, top - 1], [1, 0, 0, top - 1], [1, 0, 0, top]]
     assert parent.child_to_parent.tolist() == [0, 2, 1]
+
+
+def _field_bits(rows):
+    """Bits of a packed grid word: each axis's span (maximum - minimum) counted
+    at least 1 bit wide. Above 62 a grid is refused."""
+    return sum(max(max(c) - min(c), 1).bit_length() for c in zip(*rows))
+
+
+def _row_bits(n):
+    return (n - 1).bit_length()
+
+
+@st.composite
+def _point_stages(draw):
+    """1 to 3 stages of up to 40 points each, drawn from one pool of up to 8
+    cells, so cells repeat within and across stages: x spans up to 2^56 cells
+    and the cells may sit at either end of int64."""
+    resolution = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    reach = 1 << draw(st.sampled_from([0, 3, 20, 52, 55, 56]))
+    base = draw(st.sampled_from([0.0, -2.0 ** 63, 2.0 ** 63 - 2.0 ** 57])) * resolution
+    cells = st.tuples(st.integers(0, reach), st.integers(-3, 3), st.integers(-1, 1))
+    pool = np.array(draw(st.lists(cells, min_size=1, max_size=6)) + [(0, 0, 0), (reach, 0, 0)],
+                    dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stages = [pool[rng.integers(0, len(pool), draw(st.integers(1, 40)))]
+              for _ in range(draw(st.integers(1, 3)))]
+    return [s * resolution + [base, 0, 0] for s in stages], resolution
+
+
+# a span of 2^57 cells on x and 1 on y, z and t fills 61 bits: 8 points leave
+# room for their row index (64 bits), 9 do not (65)
+@example(([np.array([[0.0, 0, 0], [2.0 ** 57, 1, 1]] * 4)], 1.0))
+@example(([np.array([[0.0, 0, 0], [2.0 ** 57, 1, 1]] * 4 + [[1.0, 0, 0]])], 1.0))
+@settings(deadline=None, max_examples=150)
+@given(_point_stages())
+def test_voxelize_matches_the_brute_force_grid(case):
+    positions, resolution = case
+    rows = oracles.brute_force_voxel_rows(positions, resolution)
+    seq = seq_from_positions(*positions)
+    if _field_bits(rows) > 62:
+        with pytest.raises(ValueError, match="too large to index"):
+            voxelize(seq, resolution)
+        return
+    event("packed sort" if _field_bits(rows) + _row_bits(len(rows)) <= 64 else "argsort")
+    grid = voxelize(seq, resolution)
+    keys, index = oracles.brute_force_grid(rows)
+    assert grid.keys.dtype == np.int64 and grid.keys.tolist() == [list(k) for k in keys]
+    assert grid.point_to_voxel.dtype == np.intp and grid.point_to_voxel.tolist() == index
+    assert grid.stage_offsets.tolist() == np.cumsum([0] + [len(p) for p in positions]).tolist()
+
+
+@st.composite
+def _edge_keys(draw):
+    """Up to 64 unique grid keys, int64 or uint64: x spans up to 2^59 cells,
+    y, z and t fewer, each axis from any start, the dtype's ends among them."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 64))
+    columns = []
+    for bits in ([0, 4, 30, 56, 59], [0, 1, 4], [0, 1, 4], [0, 1, 30]):
+        span = (1 << draw(st.sampled_from(bits))) - 1
+        start = draw(st.sampled_from([low, high - span, -1 - span // 2, 0])
+                     | st.integers(low, high - span))
+        start = min(max(start, low), high - span)
+        values = [start, start + span] + [start + int(v) for v in rng.integers(0, span + 1, 2)]
+        columns.append([values[i] for i in rng.integers(0, 4, n)])
+    return np.array(oracles.brute_force_grid(zip(*columns))[0], dtype=dtype)
+
+
+def _boundary_keys(n):
+    """n unique int64 keys whose floor-halved x spans 2^57 cells (58 bits)
+    and whose other axes take 1 bit each: the parent's fields fill 61 bits."""
+    rows = [(x, y, z, t) for x in (0, 1 << 58) for y in (0, 1) for z in (0, 1) for t in (0, 1)]
+    return np.array(sorted(rows[:n]), dtype=np.int64)
+
+
+@example(_boundary_keys(8))  # 61 + 3 row bits: packed
+@example(_boundary_keys(9))  # 61 + 4 row bits: argsort
+@settings(deadline=None, max_examples=200)
+@given(_edge_keys())
+def test_downsample_matches_the_brute_force_grid(keys):
+    grid = VoxelGrid4D(1.0, keys, np.arange(len(keys)), np.array([0, len(keys)]))
+    halved = [(i // 2, j // 2, k // 2, t) for i, j, k, t in keys.tolist()]
+    if _field_bits(halved) > 62:
+        with pytest.raises(ValueError, match="too large to index"):
+            downsample_level(grid)
+        return
+    event("packed sort" if _field_bits(halved) + _row_bits(len(keys)) <= 64 else "argsort")
+    parent = downsample_level(grid)
+    expected, index = oracles.brute_force_grid(halved)
+    assert parent.keys.dtype == keys.dtype and parent.keys.tolist() == [list(k) for k in expected]
+    assert parent.child_to_parent.dtype == np.intp and parent.child_to_parent.tolist() == index
+    assert parent.point_to_voxel.tolist() == index
+
+
+def test_empty_grid_pools_to_an_empty_grid():
+    grid = VoxelGrid4D(0.5, np.empty((0, 4)), np.empty(0, dtype=np.intp), np.array([0]))
+    parent = downsample_level(grid)
+    assert (parent.level, parent.resolution, parent.keys.shape) == (1, 1.0, (0, 4))
+    assert parent.child_to_parent.tolist() == [] and parent.point_to_voxel.tolist() == []
+    hierarchy = build_feature_hierarchy(grid, np.empty((0, 2)), 3)
+    assert [coords.shape for coords, _ in hierarchy.levels] == [(0, 4)] * 3
+    assert [feats.shape for _, feats in hierarchy.levels] == [(0, 2)] * 3
+    assert [m.tolist() for m in hierarchy.pool_maps] == [[], []]
+
+
+@pytest.mark.parametrize("resolution", [True, "0.5", None])
+def test_voxelize_refuses_a_resolution_that_is_not_a_number(resolution):
+    with pytest.raises(TypeError, match=f"resolution must be a number, not {resolution!r}"):
+        voxelize(make_sequence([5]), resolution=resolution)
 
 
 @pytest.mark.parametrize("keys", [
