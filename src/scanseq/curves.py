@@ -14,12 +14,6 @@ Bit-significance conventions, declared here once:
     group, then y, z, and (in 4D) t in the most significant slot.
   * Hilbert uses the transpose convention in which the first axis carries the
     most significant interleave slot.
-
-Serialization of a voxel grid either orders each stage independently and
-concatenates by stage (``spatial_3d``, batch-offset semantics) or merges all
-stages and lets t participate as a coordinate axis (``spatiotemporal_4d``).
-Duplicate spatial voxels from different stages are distinct keys and are never
-dropped.
 """
 
 from __future__ import annotations
@@ -30,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VoxelGrid4D, _integer_rows
-from .model import _number
+from .geometry import VoxelGrid4D, _integer_rows, _word_order
+from .model import _number, _seed
 
 DEFAULT_BITS_PER_AXIS = 16
 
@@ -256,20 +250,17 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
                        bits_per_axis: int = DEFAULT_BITS_PER_AXIS) -> np.ndarray:
     """Total order over all voxels of a grid under one pattern.
 
-    Returns a permutation of voxel row indices (empty for an empty grid). Each
-    axis's minimum and span are found once per grid: the extent of every axis,
-    t included, must be below 2^bits_per_axis at every call, and each
-    coordinate column is shifted to start at 0 as it is encoded. ``spatial_3d`` is
-    stage-major: it orders each stage by its 3D codes and concatenates the
-    stages by ascending t; ``spatiotemporal_4d`` merges all stages with t as
-    a fourth axis. When the (stage, code, row) key fits 64 bits (the stage for
-    ``spatial_3d`` only), an order is one sort of that packed key; otherwise it
-    is an argsort of the codes, then a stable stage sort for ``spatial_3d``.
-    Either way the order is the same.
+    Returns a permutation of voxel row indices (empty for an empty grid). The
+    extent of every axis, t included, must be below 2^bits_per_axis at every
+    call; each coordinate column is shifted to start at 0 as it is encoded.
+    ``spatial_3d`` orders each stage by its 3D codes and concatenates the
+    stages by ascending t; ``spatiotemporal_4d`` merges all stages with t as a
+    fourth axis. The order is :func:`geometry._word_order` of each voxel's
+    code, with its stage above it for ``spatial_3d``, or, where the two exceed
+    64 bits, of the codes alone, followed by a stable stage sort.
     """
     bits = _check_bits(pattern.ndims, bits_per_axis)
-    n = grid.num_voxels
-    if not n:
+    if not grid.num_voxels:
         return np.empty(0, dtype=np.int64)
     lo, span = grid._bounds
     if max(span) >= (1 << bits):
@@ -279,26 +270,18 @@ def serialize_sequence(grid: VoxelGrid4D, pattern: SerializationPattern,
                for c, m in zip(grid.keys.T, lo)]
     codes, stage = _encode(shifted[:pattern.ndims], pattern.curve, bits), shifted[3]
     # Voxel keys are unique, so codes have no ties within a stage (3D) or
-    # within the grid (4D): the row bits of a packed key never decide, and an
-    # unstable argsort gives the one order.
-    spatial = pattern.dims == SerializationDims.SPATIAL_3D
-    # coordinates below 2^L give ranks below 2^(d*L), on either curve (see _hilbert_walk)
+    # within the grid (4D): however the kernel breaks ties, the order is one.
+    # Coordinates below 2^L give ranks below 2^(d*L), on either curve (see _hilbert_walk).
     code_bits = pattern.ndims * max(span[:pattern.ndims]).bit_length()
-    row_bits = (n - 1).bit_length()
-    if code_bits + row_bits + spatial * span[3].bit_length() <= 64:
-        if spatial:
-            codes |= stage << np.uint64(code_bits)
-        codes <<= np.uint64(row_bits)
-        codes |= np.arange(n, dtype=np.uint64)
-        codes.sort()
-        codes &= np.uint64((1 << row_bits) - 1)
-        return codes.view(np.int64)
-    order = np.argsort(codes)
-    if spatial:
-        # the smallest unsigned stage type lets the stable sort be a radix sort
-        stage = stage.astype(np.min_scalar_type(span[3]))
-        order = order[np.argsort(stage[order], kind="stable")]
-    return order
+    if pattern.dims == SerializationDims.SPATIOTEMPORAL_4D:
+        return _word_order(codes, code_bits)
+    if code_bits + span[3].bit_length() <= 64:
+        codes |= stage << np.uint64(code_bits)
+        return _word_order(codes, code_bits + span[3].bit_length())
+    order = _word_order(codes, code_bits)
+    # the smallest unsigned stage type lets the stable sort be a radix sort
+    stage = stage.astype(np.min_scalar_type(span[3]))
+    return order[np.argsort(stage[order], kind="stable")]
 
 
 _SPATIAL_POOL = tuple(SerializationPattern(c, SerializationDims.SPATIAL_3D)
@@ -315,7 +298,7 @@ def make_schedule(seed: int, n_layers: int, mix: ScheduleMix | str = ScheduleMix
     ``spatial_only`` layers shuffle the four 3D patterns, ``temporal_only``
     the four 4D patterns, and ``mixed`` the union of both pools.
     """
-    seed, n_layers = _number(seed, "seed", int), _number(n_layers, "n_layers", int)
+    seed, n_layers = _seed(seed, "seed"), _number(n_layers, "n_layers", int)
     mix = ScheduleMix(mix)
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")

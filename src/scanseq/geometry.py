@@ -42,25 +42,29 @@ def _field_edges(spans) -> list[int]:
     return edges
 
 
+def _word_order(words: np.ndarray, bits: int) -> np.ndarray:
+    """The order that sorts uint64 ``words`` below 2^bits, left sorted in place:
+    one sort of (word, row) words, so equal words keep row order, when the row
+    index fits below ``bits`` in 64 bits; else an argsort, equal words in any order."""
+    row_bits = (len(words) - 1).bit_length()
+    if bits + row_bits > 64:
+        order = np.argsort(words)
+        words[:] = words[order]
+        return order
+    words <<= np.uint64(row_bits)
+    words |= np.arange(len(words), dtype=np.uint64)
+    words.sort()
+    order = (words & np.uint64((1 << row_bits) - 1)).view(np.intp)
+    words >>= np.uint64(row_bits)
+    return order
+
+
 def _unique_keys(words: np.ndarray, edges, lo, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Unique rows in lexicographic order plus the row -> unique-row map, from
-    rows packed one a uint64 word (overwritten) whose field a holds value a
-    less ``lo[a]``, so that word order is row order (see :func:`_field_edges`).
-
-    When the fields leave room for the row index below them, one sort of the
-    (word, row) words orders the rows, else an argsort of the words. The keys
-    are decoded in ``dtype``, modulo its range.
-    """
-    row_bits = (len(words) - 1).bit_length()
-    if edges[0] + row_bits <= 64:
-        words <<= np.uint64(row_bits)
-        words |= np.arange(len(words), dtype=np.uint64)
-        words.sort()
-        order = (words & np.uint64((1 << row_bits) - 1)).view(np.intp)
-        words >>= np.uint64(row_bits)
-    else:  # equal words are equal rows, so an unstable sort gives the one answer
-        order = np.argsort(words)
-        words = words[order]
+    rows packed one to a uint64 word (sorted in place by :func:`_word_order`)
+    whose field a holds value a less ``lo[a]``, so that word order is row order
+    (see :func:`_field_edges`). The keys are decoded in ``dtype``, modulo its range."""
+    order = _word_order(words, edges[0])
     first = np.ones(len(words), dtype=bool)
     np.not_equal(words[1:], words[:-1], out=first[1:])
     inverse = np.empty_like(order)

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation, InstanceMask,
-                    SequencePointCloud, _array, _hand_over, _LabelColumns, _paint)
+                    SequencePointCloud, _array, _hand_over, _LabelColumns, _paint, _seed)
 
 SWEEP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 DEFAULT_THRESHOLDS = tuple(sorted({0.25, 0.5, *SWEEP_THRESHOLDS}))
@@ -279,6 +279,7 @@ def disambiguate(group: AmbiguousGroup, gts: Sequence[InstanceMask],
     group: stages in ascending order, members in ascending index order, each
     placed at a uniformly drawn open trajectory cell.
     """
+    rng_seed = _seed(rng_seed, "rng_seed")
     by_id = {m.instance_id: m for m in gts}
     members = [by_id[i] for i in group.member_instance_ids]
     preds = list(candidate_preds)
@@ -420,13 +421,14 @@ def evaluate(seq: SequencePointCloud, gt: GroundTruthAnnotation,
     highest t-IoU above it, and the first in column order on a tie.
 
     Thresholds that ``scanseq evaluate --thresholds`` refuses are a ValueError
-    (default :data:`DEFAULT_THRESHOLDS`). ``t_map`` averages per-class AP over
-    the sweep thresholds present, ``t_map50``/``t_map25`` read the
-    single-threshold columns. Per-change-type recall averages TP/(TP+FN),
-    grouped by the annotated change label of each ground-truth instance, over
-    the sweep thresholds.
+    (default :data:`DEFAULT_THRESHOLDS`), as is a negative ``rng_seed``.
+    ``t_map`` averages per-class AP over the sweep thresholds present,
+    ``t_map50``/``t_map25`` read the single-threshold columns. Per-change-type
+    recall averages TP/(TP+FN), grouped by the annotated change label of each
+    ground-truth instance, over the sweep thresholds.
     """
     taus = _thresholds(DEFAULT_THRESHOLDS if thresholds is None else thresholds)
+    rng_seed = _seed(rng_seed, "rng_seed")
     preds = sorted(preds, key=lambda m: m.instance_id)
     truth = gt if isinstance(gt, _LabelColumns) else _label_layers(
         sorted(gt.instances, key=lambda m: m.instance_id))

@@ -85,6 +85,14 @@ def _number(value, name: str, kind: type = float):
     return float(value)
 
 
+def _seed(value, name: str) -> int:
+    """``value`` as a random seed: an integer, as :func:`_number` takes it, not negative."""
+    seed = _number(value, name, int)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, not {seed}")
+    return seed
+
+
 _LOSSLESS_KINDS = {np.dtype(np.int64): ("iu", "integers that fit in int64"),
                    np.dtype(np.float64): ("iuf", "numbers"),
                    np.dtype(bool): ("b", "booleans")}

@@ -84,7 +84,7 @@ def test_stage_ply_cut_short_exits_74_naming_it(scene, tmp_path):
 @pytest.mark.parametrize("dims", [3, 4])
 def test_hilbert_order_is_the_reference_order_on_the_library_grid(scene, dims, resolution,
                                                                   tmp_path):
-    # at 0.0002 the 4D (stage, code, row) key needs 70 bits, so it takes the
+    # at 0.0002 the 4D (code, row) key needs 70 bits, so it takes the
     # argsort, and the other three the packed sort
     manifest = scene / "scene" / "manifest.json"
     done = _run("serialize", "--curve", "hilbert", "--dims", str(dims), "--resolution", resolution,
@@ -102,3 +102,39 @@ def test_z_order_bytes_are_the_same_at_21_and_16_bits(scene, tmp_path):
                     str(scene / "scene" / "manifest.json"), "--out", f"z{bits}.json", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
     assert (tmp_path / "z21.json").read_bytes() == (tmp_path / "z16.json").read_bytes()
+
+
+_GT, _PRED = "scene/manifest.json", "scene/predictions.json"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["evaluate", "--seed", "-1", "--gt", _GT, "--pred", _PRED],
+     "argument --seed: must be at least 0, got -1"),
+    (["serialize", "--curve", "hilbert", "--dims", "4", "--manifest", _GT,
+      "--resolution", "0.0123456789"], "argument --resolution: must have at most 6 significant"),
+    (["evaluate", "--thresholds", "0.501", "--gt", _GT, "--pred", _PRED],
+     "argument --thresholds: threshold '0.501' has more than two decimals"),
+], ids=["negative-seed", "resolution-of-10-digits", "threshold-of-3-decimals"])
+def test_a_refused_flag_exits_64_without_a_traceback(scene, tmp_path, argv, message):
+    done = _run(*argv, "--out", str(tmp_path / "bad.json"), cwd=scene)
+    assert done.returncode == 64
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "bad.json").exists()
+
+
+def test_a_fourier_output_too_large_to_compute_exits_2(tmp_path):
+    (tmp_path / "fourier.json").write_text(json.dumps(
+        {"coords": [[0, 0, 0, 0]], "d_out": 2 * 10 ** 15, "seed": 0}))
+    done = _run("losses", "--op", "fourier", "--in", "fourier.json", "--out", "bad.json",
+                cwd=tmp_path)
+    assert done.returncode == 2
+    assert "fourier output too large to compute" in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "bad.json").exists()
+
+
+def test_associating_multi_stage_predictions_exits_2_naming_the_file(scene, tmp_path):
+    done = _run("associate", "--mode", "geometric", "--pred-a", _PRED, "--pred-b", _PRED,
+                "--manifest", _GT, "--out", str(tmp_path / "merged.json"), cwd=scene)
+    assert done.returncode == 2
+    assert f"{_PRED}: association inputs must be single-stage predictions" in done.stderr
+    assert "Traceback" not in done.stderr and not (tmp_path / "merged.json").exists()

@@ -362,6 +362,8 @@ _BOUNDARY_GRIDS = [
     ("spatial_3d", 16, 16, (1 << 11) - 1, 16, 63), ("spatial_3d", 16, 16, (1 << 12) - 1, 16, 64),
     ("spatial_3d", 16, 16, (1 << 13) - 1, 16, 65), ("spatial_3d", 21, 21, 1, 2, 65),
     ("spatiotemporal_4d", 16, 16, None, 2, 65), ("spatiotemporal_4d", 16, 16, None, 16, 68),
+    # stage and code fields past 64 bits: codes ordered alone, then a stable stage sort
+    ("spatial_3d", 21, 21, 2, 2, 66), ("spatial_3d", 21, 21, 3, 3, 67),
     # one voxel: no row bits
     ("spatial_3d", 16, 0, 0, 1, 0), ("spatiotemporal_4d", 16, 0, None, 1, 0),
 ]
@@ -466,7 +468,8 @@ def test_serialize_rejects_malformed_grid_keys(keys, match):
 @pytest.mark.parametrize("call,message", [
     (lambda: decode_keys([0, 1], Curve.Z_ORDER, ndims=5), "ndims must be 3 or 4"),
     (lambda: make_schedule(0, 0), "n_layers must be >= 1"),
-], ids=["decode-five-dims", "schedule-no-layers"])
+    (lambda: make_schedule(-1, 2), "^seed must be non-negative, not -1$"),
+], ids=["decode-five-dims", "schedule-no-layers", "schedule-negative-seed"])
 def test_curve_arguments_out_of_range_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from scanseq import geometry
 from scanseq.geometry import (VoxelGrid4D, build_feature_hierarchy,
                               downsample_level, nearest_neighbor_labels,
                               pool_features_to_voxels, pool_superpoint_features,
@@ -229,6 +230,34 @@ def test_downsample_matches_the_brute_force_grid(keys):
     assert parent.keys.dtype == keys.dtype and parent.keys.tolist() == [list(k) for k in expected]
     assert parent.child_to_parent.dtype == np.intp and parent.child_to_parent.tolist() == index
     assert parent.point_to_voxel.tolist() == index
+
+
+@st.composite
+def _bounded_words(draw):
+    """Up to 40 uint64 words below 2^bits, for any bits up to 64, drawn from
+    a pool of up to 6 values so that words repeat."""
+    bits = draw(st.integers(0, 64))
+    pool = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=40)), dtype=np.uint64), bits
+
+
+# 61-bit words: 8 leave room for their row index (64 bits), 9 do not (65)
+@example((np.array([(1 << 61) - 1, 0] * 4, dtype=np.uint64), 61))
+@example((np.array([(1 << 61) - 1, 0] * 4 + [1], dtype=np.uint64), 61))
+@settings(deadline=None, max_examples=200)
+@given(_bounded_words())
+def test_word_order_sorts_the_words_and_keeps_row_order_when_packed(case):
+    words, bits = case
+    given_words = words.tolist()
+    order = geometry._word_order(words, bits)
+    assert order.dtype == np.intp and sorted(order.tolist()) == list(range(len(given_words)))
+    assert words.tolist() == sorted(given_words)
+    assert [given_words[r] for r in order.tolist()] == words.tolist()
+    if bits + _row_bits(len(given_words)) <= 64:
+        event("packed sort")
+        assert order.tolist() == sorted(range(len(given_words)), key=given_words.__getitem__)
+    else:
+        event("argsort")
 
 
 def test_empty_grid_pools_to_an_empty_grid():

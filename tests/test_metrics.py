@@ -454,6 +454,36 @@ def test_evaluate_is_deterministic_with_groups():
     assert r1 == r2
 
 
+def _swap_scene(grouped):
+    """Two members swapping regions, ambiguous or not, and one prediction."""
+    gts = [mask(0, 1, {0: range(0, 40), 1: range(40, 80)}),
+           mask(1, 1, {0: range(40, 80), 1: range(0, 40)})]
+    preds = [mask(0, 1, {0: range(0, 40), 1: range(0, 40)}, confidence=0.7)]
+    return make_sequence([200, 200]), annotation(gts, groups=[(0, 1)] if grouped else []), preds
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["group", "no-group"])
+@pytest.mark.parametrize("seed,error,message", [
+    (True, TypeError, "an integer, not True"), ("3", TypeError, "an integer, not '3'"),
+    (2.0, TypeError, "an integer, not 2.0"), (None, TypeError, "an integer, not None"),
+    (-1, ValueError, "non-negative, not -1"),
+], ids=["bool", "string", "float", "none", "negative"])
+def test_evaluate_and_disambiguate_refuse_a_seed_that_is_not_a_natural_number(
+        grouped, seed, error, message):
+    # refused on entry, so also where no group would draw from the seed
+    seq, gt, preds = _swap_scene(grouped)
+    with pytest.raises(error, match=f"^rng_seed must be {message}$"):
+        evaluate(seq, gt, preds, rng_seed=seed)
+    with pytest.raises(error, match=f"^rng_seed must be {message}$"):
+        disambiguate(AmbiguousGroup(0, (0, 1)), gt.instances, preds, rng_seed=seed)
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["group", "no-group"])
+def test_a_numpy_integer_seed_gives_the_report_of_its_int(grouped):
+    seq, gt, preds = _swap_scene(grouped)
+    assert evaluate(seq, gt, preds, rng_seed=np.int64(3)) == evaluate(seq, gt, preds, rng_seed=3)
+
+
 def _composition_scene(rng):
     """Two classes over 2-4 stages of 50 points: overlapping ground truth with
     shuffled ids, at most one ambiguous group of 2-3 members per class (random

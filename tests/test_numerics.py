@@ -279,3 +279,9 @@ def test_numeric_inputs_of_the_wrong_shape_are_refused(call, message):
 def test_projection_arguments_of_the_wrong_type_are_refused(d_out, seed, field):
     with pytest.raises(TypeError, match=f"^{field} must be an integer"):
         gaussian_projection_matrix(d_out, seed)
+
+
+def test_projection_refuses_a_negative_seed():
+    # numpy's own refusal does not name the field
+    with pytest.raises(ValueError, match="^seed must be non-negative, not -1$"):
+        gaussian_projection_matrix(4, -1)
