@@ -59,11 +59,48 @@ def _to_json(value):
     return value
 
 
+_TEXT_BLOCK = 1 << 14  # values turned into digits at once, never a whole array
+
+
+def _int_array_text(a: np.ndarray) -> bytes:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` of a 1-D integer array,
+    as bytes, with no Python int per value: a block's values are the rows of a
+    uint8 matrix (sign, digits right-aligned, comma) whose nonzero bytes are kept."""
+    blocks = []
+    for lo in range(0, a.size, _TEXT_BLOCK):
+        block = a[lo:lo + _TEXT_BLOCK]
+        mag = block.astype(np.uint64)
+        np.negative(mag, out=mag, where=block < 0)  # modulo 2^64: exact for int64 min too
+        top = int(mag.max())
+        mag = mag.astype(np.uint32) if top < 1 << 32 else mag  # a narrower division is faster
+        text = np.empty((block.size, len(str(top)) + 2), np.uint8)
+        text[:, 0] = (block < 0) * np.uint8(ord("-"))
+        text[:, -1] = ord(",")
+        for col in range(text.shape[1] - 2, 0, -1):
+            quot = mag // 10
+            # a place left of a value's first digit (mag is 0 there) is a 0 byte
+            text[:, col] = (mag - quot * 10) | (mag != 0) * np.uint32(ord("0"))
+            mag = quot
+        text[:, -2] |= ord("0")  # 0 is written "0"
+        blocks.append(text.tobytes())
+    return b"[" + b"".join(blocks).translate(None, b"\0")[:-1] + b"]"
+
+
 def dump_canonical_json(path, payload) -> None:
-    """Write canonical JSON; a NaN or infinity is a ValueError, and nothing is written."""
-    text = json.dumps(_to_json(payload), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Write canonical JSON; a NaN or infinity is a ValueError, and nothing is written.
+    A 1-D integer array as a member of the top-level object is written by
+    :func:`_int_array_text`, in the bytes ``json.dumps`` gives."""
+    def text(value) -> bytes:
+        if type(value) is np.ndarray and value.ndim == 1 and value.dtype.kind in "iu":
+            return _int_array_text(value)
+        return json.dumps(_to_json(value), sort_keys=True, separators=(",", ":"),
+                          allow_nan=False).encode()
+
+    if isinstance(payload, dict) and all(isinstance(k, str) for k in payload):
+        Path(path).write_bytes(b"{" + b",".join(json.dumps(k).encode() + b":" + text(payload[k])
+                                                for k in sorted(payload)) + b"}\n")
+    else:
+        Path(path).write_bytes(text(payload) + b"\n")
 
 
 def _unique_keys(pairs: list) -> dict:

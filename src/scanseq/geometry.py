@@ -107,8 +107,9 @@ class VoxelGrid4D:
 
     @functools.cached_property
     def _bounds(self) -> tuple[tuple[np.integer, ...], tuple[int, ...]]:
-        """Each axis's minimum key and span (maximum - minimum), found once:
-        the keys are read-only, so they cannot go stale."""
+        """Each axis's minimum key and span (maximum - minimum), found once (the
+        keys are read-only, so they cannot go stale); :func:`voxelize` and
+        :func:`downsample_level` set it from the bounds they packed the keys by."""
         if not self.num_voxels:
             return (self.keys.dtype.type(0),) * 4, (0,) * 4
         lo = tuple(c.min() for c in self.keys.T)  # strided columns reduce faster than axis=0
@@ -142,8 +143,9 @@ def voxelize(seq: SequencePointCloud,
             raise ValueError(f"invalid coordinate: stage {t} has a position that quantizes "
                              f"beyond int64 at resolution {resolution}")
     lo = [int(m) for m in np.min(ends, axis=(0, 1))] + [0]
-    edges = _field_edges([int(h) - m for h, m in zip(np.max(ends, axis=(0, 1)), lo)]
-                         + [len(seq.stages) - 1])
+    # every stage holds points (the sequence's rule), so t spans 0 to T - 1
+    span = [int(h) - m for h, m in zip(np.max(ends, axis=(0, 1)), lo)] + [len(seq.stages) - 1]
+    edges = _field_edges(span)
     # fields do not overlap, so a word is the sum of its cells, each shifted to
     # its field, less that sum for lo: exact in modular uint64 arithmetic
     weights = np.array([1 << e for e in edges[1:4]], dtype=np.uint64)
@@ -155,9 +157,11 @@ def voxelize(seq: SequencePointCloud,
         out = np.matmul(cells, weights, out=words[offsets[t]:offsets[t + 1]])
         out += np.uint64((t - origin) % (1 << 64))
     keys, inverse = _unique_keys(words, edges, lo, np.int64)
-    return VoxelGrid4D(resolution=resolution, keys=_hand_over(keys),
+    grid = VoxelGrid4D(resolution=resolution, keys=_hand_over(keys),
                        point_to_voxel=_hand_over(inverse),
                        stage_offsets=_hand_over(offsets))
+    grid.__dict__["_bounds"] = tuple(map(np.int64, lo)), tuple(span)
+    return grid
 
 
 def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
@@ -170,7 +174,9 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
     lo, span = grid._bounds
     halve = (1, 1, 1, 0)  # the shift that floor-halves i, j and k, not t
     parent_lo = [int(m) >> h for m, h in zip(lo, halve)]
-    edges = _field_edges([(int(m) + s >> h) - p for m, s, h, p in zip(lo, span, halve, parent_lo)])
+    # floor-halving is monotone: the parent's extremes are the halved extremes
+    parent_span = [(int(m) + s >> h) - p for m, s, h, p in zip(lo, span, halve, parent_lo)]
+    edges = _field_edges(parent_span)
     words = np.zeros(grid.num_voxels, dtype=np.uint64)
     for column, h, p, e in zip(grid.keys.T, halve, parent_lo, edges[1:]):
         # floor(c / 2^h) - p is (c - p 2^h) >> h, in modular uint64 arithmetic
@@ -178,11 +184,13 @@ def downsample_level(grid: VoxelGrid4D) -> VoxelGrid4D:
                             casting="unsafe")
         words |= field >> np.uint64(h) << np.uint64(e)
     keys, child_to_parent = _unique_keys(words, edges, parent_lo, grid.keys.dtype)
-    return VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),
-                       point_to_voxel=_hand_over(child_to_parent[grid.point_to_voxel]),
-                       stage_offsets=grid.stage_offsets,
-                       level=grid.level + 1,
-                       child_to_parent=_hand_over(child_to_parent))
+    parent = VoxelGrid4D(resolution=grid.resolution * 2, keys=_hand_over(keys),
+                         point_to_voxel=_hand_over(child_to_parent[grid.point_to_voxel]),
+                         stage_offsets=grid.stage_offsets,
+                         level=grid.level + 1,
+                         child_to_parent=_hand_over(child_to_parent))
+    parent.__dict__["_bounds"] = tuple(map(keys.dtype.type, parent_lo)), tuple(parent_span)
+    return parent
 
 
 def _mean_by(inverse: np.ndarray, features, n_groups: int, what: str) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (AmbiguousGroup, ChangeType, GroundTruthAnnotation,
                     InstanceMask, SequencePointCloud, StageCloud, _EMPTY_INDEX,
-                    _hand_over, _int_key, _number, _paint)
+                    _hand_over, _int_key, _number, _paint, _seed)
 
 
 class SceneGenerationError(RuntimeError):
@@ -95,7 +95,8 @@ class SceneRecipe:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        for name in ("seed", "n_objects", "n_stages", "n_classes", "background_points",
+        put("seed", _seed(self.seed, "seed"))
+        for name in ("n_objects", "n_stages", "n_classes", "background_points",
                      "segments_per_object", "max_placement_retries"):
             put(name, _number(getattr(self, name), name, int))
         for name in ("extent", "placement_margin"):
@@ -344,7 +345,7 @@ class PerturbationSpec:
             object.__setattr__(self, "target_iou", _number(self.target_iou, "target_iou"))
         for name in ("confidence_base", "confidence_jitter", "iou_tolerance"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
-        object.__setattr__(self, "seed", _number(self.seed, "seed", int))
+        object.__setattr__(self, "seed", _seed(self.seed, "seed"))
 
     def target_for(self, instance_id: int, stage: int) -> float:
         if isinstance(self.target_iou, Mapping):

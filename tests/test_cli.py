@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scanseq import association, cli, formats, geometry, metrics, model
+from scanseq import association, cli, curves, formats, geometry, metrics, model
 from scanseq.cli import _LOSSES_MAX_VALUES, main
 from scanseq.model import (AmbiguousGroup, GroundTruthAnnotation, InstanceMask,
                            SequencePointCloud, StageCloud)
@@ -645,7 +645,11 @@ def test_generate_change_for_unknown_instance_exits_2(tmp_path, capsys, key, kin
      "a stage ended up with no points"),
     ({"n_objects": 1, "points_per_object": [1, 1], "perturbation": {"target_iou": 0.3}}, 2,
      "mask too small to erode toward the target"),
-], ids=["changes-per-transition", "empty-stage", "mask-too-small"])
+    ({"seed": -1, "n_objects": 1}, 74, "bad recipe (seed must be non-negative, not -1)"),
+    ({"n_objects": 1, "perturbation": {"seed": -2}}, 74,
+     "bad recipe (seed must be non-negative, not -2)"),
+], ids=["changes-per-transition", "empty-stage", "mask-too-small", "negative-seed",
+        "negative-perturbation-seed"])
 def test_generate_refused_recipe_exits_with_its_code(tmp_path, capsys, recipe, code, message):
     recipe_path = tmp_path / "recipe.json"
     recipe_path.write_text(json.dumps(recipe))
@@ -1124,6 +1128,34 @@ def test_serialize_subcommand(tmp_path):
     assert "keys" not in data
     dump_canonical_json(tmp_path / "again.json", data)
     assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def large_scene(tmp_path_factory):
+    """A scene with more voxels than one block of the integer-array writer."""
+    seq, gt = generate(SceneRecipe(seed=4, n_objects=80, points_per_object=(150, 250)))
+    return write_manifest(tmp_path_factory.mktemp("large") / "scene", seq, gt)
+
+
+@pytest.mark.parametrize("dims", ["3", "4"])
+@pytest.mark.parametrize("curve", sorted(cli._CURVE_FLAGS))
+def test_serialize_writes_the_bytes_of_json_dumps(tmp_path, large_scene, curve, dims):
+    out = tmp_path / "order.json"
+    assert main(["serialize", "--curve", curve, "--dims", dims,
+                 "--manifest", str(large_scene), "--out", str(out)]) == 0
+    seq = read_manifest(large_scene)[0]
+    grid = geometry.voxelize(seq)
+    pattern = curves.SerializationPattern(
+        cli._CURVE_FLAGS[curve], curves.SerializationDims.SPATIAL_3D if dims == "3"
+        else curves.SerializationDims.SPATIOTEMPORAL_4D)
+    order = curves.serialize_sequence(grid, pattern)
+    assert len(order) > formats._TEXT_BLOCK
+    expected = {"schema_version": formats.SCHEMA_VERSION, "kind": "serialization_order",
+                "sequence_id": seq.sequence_id, "resolution": geometry.DEFAULT_RESOLUTION,
+                "curve": pattern.curve.value, "dims": pattern.dims.value,
+                "num_voxels": grid.num_voxels, "order": order.tolist()}
+    assert out.read_bytes() == (json.dumps(expected, sort_keys=True, separators=(",", ":"))
+                                + "\n").encode()
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -6,6 +6,8 @@ runs the installed entry point), and reads its exit code, its stderr and the
 files it wrote.
 """
 
+import base64
+import dataclasses
 import json
 import os
 import shutil
@@ -13,11 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scanseq
-from scanseq.formats import read_manifest
+from scanseq.formats import read_manifest, read_predictions, write_manifest, write_predictions
 from scanseq.geometry import voxelize
+from scanseq.model import AmbiguousGroup, GroundTruthAnnotation
 
 import oracles
 from conftest import retyped_copy
@@ -80,6 +84,99 @@ def test_stage_ply_cut_short_exits_74_naming_it(scene, tmp_path):
     assert "Traceback" not in done.stderr and not (root / "bad.json").exists()
 
 
+_GT, _PRED = "scene/manifest.json", "scene/predictions.json"
+
+
+def _runs(mask):
+    return np.frombuffer(base64.b64decode(mask["data"]), "<i8")
+
+
+def _edited_predictions(scene, tmp_path, name, edit):
+    """A copy of the scene's predictions, with ``edit`` applied to the parsed
+    JSON, written as ``name`` beside a copy of the scene."""
+    root = _copy(scene, tmp_path)
+    data = json.loads((root / _PRED).read_text())
+    edit(data)
+    (root / name).write_text(json.dumps(data))
+    return root
+
+
+def test_predictions_as_listed_runs_give_the_same_report_bytes(scene, tmp_path):
+    def listed(data):
+        for entry in data["instances"]:
+            for mask in entry["masks"].values():
+                mask.update(encoding="rle", data=_runs(mask).tolist())
+
+    root = _edited_predictions(scene, tmp_path, "listed.json", listed)
+    done = _run("evaluate", "--gt", _GT, "--pred", "listed.json", "--out", "report.json",
+                cwd=root)
+    assert done.returncode == 0, done.stderr
+    assert (root / "report.json").read_bytes() == (scene / "report.json").read_bytes()
+
+
+def test_shuffled_scene_with_re_spelled_ids_gives_the_same_report_bytes(scene, tmp_path):
+    # PLY rows shuffled, instance ids re-spelled near 2^31 and the manifest's
+    # instances rotated by one: in neither the scene's order nor id order
+    seq, gt = read_manifest(scene / _GT)
+    preds = read_predictions(scene / _PRED).instances
+    rows = [np.random.default_rng(t).permutation(s.point_count) for t, s in enumerate(seq.stages)]
+    row_of = [np.argsort(r) for r in rows]  # the new row of each point
+    wide = {m.instance_id: 2 ** 31 - 1 - 7919 * m.instance_id for m in gt.instances}
+
+    def moved(m, instance_id):
+        return dataclasses.replace(m, instance_id=instance_id, per_stage_points={
+            t: row_of[t][p] for t, p in m.per_stage_points.items()})
+
+    stages = tuple(dataclasses.replace(
+        s, positions=s.positions[r], colors=None if s.colors is None else s.colors[r],
+        segment_ids=None if s.segment_ids is None else s.segment_ids[r])
+        for s, r in zip(seq.stages, rows))
+    gt = GroundTruthAnnotation(
+        tuple(moved(m, wide[m.instance_id]) for m in gt.instances[1:] + gt.instances[:1]),
+        tuple(AmbiguousGroup(g.group_id, tuple(wide[i] for i in g.member_instance_ids))
+              for g in gt.ambiguous_groups),
+        {wide[k]: v for k, v in gt.change_labels.items()})
+    write_manifest(tmp_path / "shuffled", dataclasses.replace(seq, stages=stages), gt)
+    write_predictions(tmp_path / "shuffled" / "predictions.json",
+                      [moved(p, p.instance_id) for p in preds], seq.sequence_id)
+    done = _run("evaluate", "--gt", "shuffled/manifest.json",
+                "--pred", "shuffled/predictions.json", "--out", "report.json", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").read_bytes() == (scene / "report.json").read_bytes()
+
+
+def test_a_base64_payload_holding_a_bang_exits_74_naming_the_file(scene, tmp_path):
+    def bang(data):
+        mask = next(iter(data["instances"][0]["masks"].values()))
+        mask["data"] = "!" + mask["data"][1:]
+
+    root = _edited_predictions(scene, tmp_path, "bang.json", bang)
+    done = _run("evaluate", "--gt", _GT, "--pred", "bang.json", "--out", "bad.json", cwd=root)
+    assert done.returncode == 74
+    assert "bang.json" in done.stderr
+    assert "Traceback" not in done.stderr and not (root / "bad.json").exists()
+
+
+def test_the_first_of_two_faults_is_named(scene, tmp_path):
+    # entry 0's instance_id is a bool, entry 1 has a run past its stage
+    sizes = read_manifest(scene / _GT)[0].stage_sizes()
+
+    def two_faults(data):
+        data["instances"][0]["instance_id"] = True
+        stage, mask = next(iter(data["instances"][1]["masks"].items()))
+        mask["data"] = base64.b64encode(
+            np.array([sizes[int(stage)] - 1, 2], "<i8").tobytes()).decode()
+
+    root = _edited_predictions(scene, tmp_path, "two-faults.json", two_faults)
+    done = _run("evaluate", "--gt", _GT, "--pred", "two-faults.json", "--out", "bad.json",
+                cwd=root)
+    assert done.returncode == 74
+    assert "two-faults.json" in done.stderr
+    assert "instance_id must be an integer" in done.stderr
+    assert "RLE run" not in done.stderr
+    assert "Traceback" not in done.stderr and not (root / "bad.json").exists()
+
+
 @pytest.mark.parametrize("resolution", ["0.02", "0.0002"])
 @pytest.mark.parametrize("dims", [3, 4])
 def test_hilbert_order_is_the_reference_order_on_the_library_grid(scene, dims, resolution,
@@ -102,9 +199,6 @@ def test_z_order_bytes_are_the_same_at_21_and_16_bits(scene, tmp_path):
                     str(scene / "scene" / "manifest.json"), "--out", f"z{bits}.json", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
     assert (tmp_path / "z21.json").read_bytes() == (tmp_path / "z16.json").read_bytes()
-
-
-_GT, _PRED = "scene/manifest.json", "scene/predictions.json"
 
 
 @pytest.mark.parametrize("argv,message", [

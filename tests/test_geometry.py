@@ -148,6 +148,17 @@ def _row_bits(n):
     return (n - 1).bit_length()
 
 
+def _assert_handed_bounds(grid):
+    """The grid holds ``_bounds`` from its builder, equal to each axis's
+    minimum key (of the key dtype) and span recomputed from the keys."""
+    assert "_bounds" in grid.__dict__  # handed over, not yet computed from the keys
+    lo, span = grid._bounds
+    columns = list(zip(*grid.keys.tolist())) or [(0,)] * 4  # the empty grid's bounds
+    assert [type(m) for m in lo] == [grid.keys.dtype.type] * 4
+    assert [int(m) for m in lo] == [min(c) for c in columns]
+    assert list(span) == [max(c) - min(c) for c in columns]
+
+
 @st.composite
 def _point_stages(draw):
     """1 to 3 stages of up to 40 points each, drawn from one pool of up to 8
@@ -185,6 +196,7 @@ def test_voxelize_matches_the_brute_force_grid(case):
     assert grid.keys.dtype == np.int64 and grid.keys.tolist() == [list(k) for k in keys]
     assert grid.point_to_voxel.dtype == np.intp and grid.point_to_voxel.tolist() == index
     assert grid.stage_offsets.tolist() == np.cumsum([0] + [len(p) for p in positions]).tolist()
+    _assert_handed_bounds(grid)
 
 
 @st.composite
@@ -215,6 +227,9 @@ def _boundary_keys(n):
 
 @example(_boundary_keys(8))  # 61 + 3 row bits: packed
 @example(_boundary_keys(9))  # 61 + 4 row bits: argsort
+@example(np.empty((0, 4), dtype=np.int64))
+@example(np.empty((0, 4), dtype=np.uint64))
+@example(np.array([[0, 0, 0, 0], [5, 1, 1, 3]], dtype=np.int64))  # no key at t = 1 or 2
 @settings(deadline=None, max_examples=200)
 @given(_edge_keys())
 def test_downsample_matches_the_brute_force_grid(keys):
@@ -230,6 +245,7 @@ def test_downsample_matches_the_brute_force_grid(keys):
     assert parent.keys.dtype == keys.dtype and parent.keys.tolist() == [list(k) for k in expected]
     assert parent.child_to_parent.dtype == np.intp and parent.child_to_parent.tolist() == index
     assert parent.point_to_voxel.tolist() == index
+    _assert_handed_bounds(parent)
 
 
 @st.composite

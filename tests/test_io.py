@@ -684,6 +684,43 @@ def test_canonical_json_takes_numpy_values_as_python_values(tmp_path):
     assert parsed["f32"] == 0.1 and parsed["nested"] == [-2, [0.333333, 4]]
 
 
+_INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _int_arrays(draw):
+    """An integer array of any dtype, up to 40 values drawn from the dtype's
+    ends, zero, small values and anything in range."""
+    info = np.iinfo(draw(st.sampled_from(_INT_DTYPES)))
+    lo, hi = int(info.min), int(info.max)
+    value = st.sampled_from([lo, hi, lo + 1, hi - 1, 0, 9, 10]) | st.integers(
+        max(lo, -100), 100) | st.integers(lo, hi)
+    return np.array(draw(st.lists(value, max_size=40)), dtype=info.dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_int_arrays(), block=st.sampled_from([1, 2, 3, formats._TEXT_BLOCK]))
+def test_int_array_text_is_json_dumps_of_the_values(a, block):
+    with pytest.MonkeyPatch.context() as patch:  # a small block puts edges inside the array
+        patch.setattr(formats, "_TEXT_BLOCK", block)
+        text = formats._int_array_text(a)
+    assert text == json.dumps(a.tolist(), separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    {1: [np.int64(2)], 0: np.arange(3)}, [np.arange(3), {"b": 1, "a": np.int8(-1)}],
+    {"order": np.arange(20000), "a": np.array([True]), "b": np.arange(4).reshape(2, 2),
+     "c": {"d": np.arange(2)}, "e": np.zeros(0, np.uint64), "f": np.int64(5),
+     "g": np.ma.array([1, 2], mask=[False, True])},  # a masked value is written null
+], ids=["int-key", "list", "mixed-members"])
+def test_canonical_json_is_the_bytes_of_json_dumps(tmp_path, payload):
+    path = tmp_path / "p.json"
+    dump_canonical_json(path, payload)
+    plain = formats._to_json(payload)
+    assert path.read_bytes() == (json.dumps(plain, sort_keys=True, separators=(",", ":"))
+                                 + "\n").encode()
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
